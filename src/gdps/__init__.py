@@ -33,6 +33,7 @@ from .decompose import (
     UnifiedFfnWeights,
     assemble,
     equiv_weight,
+    factor_block,
     forward,
     load_ffn,
     make_plan,
@@ -55,6 +56,7 @@ from .grouping import (
     GroupingPlan,
     KmeansState,
     SimilarityMatrix,
+    consensus_from_distance,
     consensus_group,
     kmeans,
     similarity_matrix,

@@ -222,16 +222,76 @@ def write_bundle(bundle: GradientBundle, path) -> None:
     (root / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def read_bundle(path) -> GradientBundle:
-    """Load and fully validate a bundle directory written by write_bundle."""
-    root = Path(path)
+RECORD_KEYS = ("task", "layer", "rows", "cols", "path")
+
+
+def _load_manifest(root: Path) -> tuple[Path, dict]:
     manifest_path = root / MANIFEST_NAME
     if not manifest_path.is_file():
         raise BundleFormatError(f"no {MANIFEST_NAME} in {root}")
     try:
         manifest = json.loads(manifest_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise BundleFormatError(f"{manifest_path}: unreadable manifest: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise BundleFormatError(f"{manifest_path}: manifest is not a JSON object")
+    return manifest_path, manifest
+
+
+def _manifest_records(root: Path, manifest_path: Path, manifest: dict) -> list[dict]:
+    """The manifest's records, each complete and pointing inside the bundle.
+
+    A record lacking a field, or whose path resolves outside the bundle
+    directory, is a format error naming the manifest.  Each returned record
+    gains its "shape" as integers and its "file" path.
+    """
+    records = manifest.get("records", [])
+    if not isinstance(records, list):
+        raise BundleFormatError(f"{manifest_path}: 'records' is not a list")
+    base = root.resolve()
+    checked = []
+    for i, rec in enumerate(records):
+        if not isinstance(rec, dict):
+            raise BundleFormatError(f"{manifest_path}: record {i} is not a JSON object")
+        missing = [k for k in RECORD_KEYS if k not in rec]
+        if missing:
+            raise BundleFormatError(f"{manifest_path}: record {i} lacks {', '.join(missing)}")
+        if not all(isinstance(rec[k], str) for k in ("task", "layer", "path")):
+            raise BundleFormatError(
+                f"{manifest_path}: record {i} task, layer or path is not a string"
+            )
+        try:
+            shape = (int(rec["rows"]), int(rec["cols"]))
+        except (TypeError, ValueError) as exc:
+            raise BundleFormatError(
+                f"{manifest_path}: record {i} rows or cols is not an integer"
+            ) from exc
+        fpath = root / rec["path"]
+        if not fpath.resolve().is_relative_to(base):
+            raise BundleFormatError(
+                f"{manifest_path}: record {i} path {rec['path']!r} lies outside the bundle"
+            )
+        checked.append({**rec, "shape": shape, "file": fpath})
+    return checked
+
+
+def _manifest_layers(manifest_path: Path, manifest: dict) -> list[tuple]:
+    """The declared (layer id, column count) pairs, in manifest order."""
+    specs = manifest.get("layers", [])
+    if not isinstance(specs, list):
+        raise BundleFormatError(f"{manifest_path}: 'layers' is not a list")
+    try:
+        return [(spec["id"], int(spec["cols"])) for spec in specs]
+    except (TypeError, KeyError, ValueError) as exc:
+        raise BundleFormatError(
+            f"{manifest_path}: every layer needs an 'id' and an integer 'cols'"
+        ) from exc
+
+
+def read_bundle(path) -> GradientBundle:
+    """Load and fully validate a bundle directory written by write_bundle."""
+    root = Path(path)
+    manifest_path, manifest = _load_manifest(root)
 
     version = manifest.get("version")
     if version != FORMAT_VERSION:
@@ -242,16 +302,16 @@ def read_bundle(path) -> GradientBundle:
         )
 
     tasks = list(manifest.get("tasks", []))
-    layer_specs = manifest.get("layers", [])
-    layers = [spec["id"] for spec in layer_specs]
-    declared_cols = {spec["id"]: int(spec["cols"]) for spec in layer_specs}
+    layer_specs = _manifest_layers(manifest_path, manifest)
+    layers = [layer for layer, _ in layer_specs]
+    declared_cols = dict(layer_specs)
 
     matrices = []
-    for rec in manifest.get("records", []):
+    for rec in _manifest_records(root, manifest_path, manifest):
         task, layer = rec["task"], rec["layer"]
-        fpath = root / rec["path"]
+        fpath = rec["file"]
         arr = read_matrix_file(fpath)
-        if arr.shape != (int(rec["rows"]), int(rec["cols"])):
+        if arr.shape != rec["shape"]:
             raise BundleFormatError(
                 f"{fpath}: file shape {arr.shape} disagrees with manifest record "
                 f"({rec['rows']}, {rec['cols']}) for (task, layer) = ({task}, {layer})"
@@ -285,11 +345,9 @@ def bundle_fingerprint(path) -> str:
     """Content hash of a bundle directory (manifest plus files, sorted)."""
     root = Path(path)
     h = hashlib.sha256()
-    manifest_path = root / MANIFEST_NAME
-    if not manifest_path.is_file():
-        raise BundleFormatError(f"no {MANIFEST_NAME} in {root}")
-    manifest = json.loads(manifest_path.read_text())
+    manifest_path, manifest = _load_manifest(root)
+    records = _manifest_records(root, manifest_path, manifest)
     h.update(json.dumps(manifest, sort_keys=True).encode())
-    for rec in sorted(manifest.get("records", []), key=lambda r: (r["task"], r["layer"])):
-        h.update((root / rec["path"]).read_bytes())
+    for rec in sorted(records, key=lambda r: (r["task"], r["layer"])):
+        h.update(rec["file"].read_bytes())
     return h.hexdigest()

@@ -2,9 +2,7 @@
 
 Subcommands: inspect, group, conflict, subspace, plan (A+B+C composed),
 decompose, simulate, report.  Exit codes: 0 success, 1 input/validation
-error, 2 numerical/analysis error.  All configuration flows through flags;
-the only environment knob is GDPS_THREADS, which changes parallelism but
-never results.
+error, 2 numerical/analysis error.  All configuration flows through flags.
 """
 
 from __future__ import annotations
@@ -107,7 +105,7 @@ def cmd_group(args) -> int:
     try:
         sim = gr.similarity_matrix(bundle, layer)
         dist = gr.to_distance(sim)
-        plan = gr.consensus_group(bundle, layer, k=args.k_groups, seed=args.seed)
+        plan = gr.consensus_from_distance(dist, k=args.k_groups, seed=args.seed)
         merges = gr.linkage_merges(dist)
     except ValidationError:
         raise
@@ -177,7 +175,7 @@ def _run_plan_pipeline(bundle, fingerprint, args):
     try:
         sim = gr.similarity_matrix(bundle, layer)
         dist = gr.to_distance(sim)
-        grouping = gr.consensus_group(bundle, layer, k=args.k_groups, seed=args.seed)
+        grouping = gr.consensus_from_distance(dist, k=args.k_groups, seed=args.seed)
         merges = gr.linkage_merges(dist)
     except ValidationError:
         raise
@@ -318,13 +316,11 @@ def cmd_decompose(args) -> int:
     weights = dc.UnifiedFfnWeights(d_model=d_model, d_ff=d_ff, w1=w1, w2=w2)
 
     try:
-        ffn = dc.assemble(
+        ffn, dec = dc.factor_block(
             weights, plan, private_rank=args.private_rank if args.private_rank else None
         )
-        w_equiv = dc.equiv_weight(weights)
-        _, _, w_shared_equiv = dc.shared_factors(w_equiv, plan)
-        res_norm = float(np.linalg.norm(w_equiv - w_shared_equiv))
-        rel = res_norm / max(float(np.linalg.norm(w_equiv)), 1e-300)
+        res_norm = float(np.sqrt((dec.sigma[plan.r:] ** 2).sum()))
+        rel = res_norm / max(float(np.sqrt((dec.sigma**2).sum())), 1e-300)
     except ValidationError:
         raise
     except GdpsError as exc:

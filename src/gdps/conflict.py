@@ -22,7 +22,6 @@ import numpy as np
 
 from . import bundle as gb
 from .errors import ValidationError
-from .parallel import ordered_map
 
 DEFAULT_LOW = 0.05
 DEFAULT_HIGH = 0.15
@@ -101,29 +100,27 @@ def _normalized_rows(matrix: np.ndarray):
     return unit, ok
 
 
-def _maybe_subsample(matrix: np.ndarray, cap: int, seed: int) -> np.ndarray:
+def _maybe_subsample(matrix: np.ndarray, cap: int, seed: int, task: str) -> np.ndarray:
+    """At most `cap` rows, drawn from (seed, task) only: the same in every pair."""
     if matrix.shape[0] <= cap:
         return matrix
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
+    task_key = int.from_bytes(task.encode("utf-8"), "little")
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, task_key]))
     pick = np.sort(rng.choice(matrix.shape[0], size=cap, replace=False))
     return matrix[pick]
 
 
-def self_similarity(
-    bundle: gb.GradientBundle, task: str, layer: str, cap: int = SAMPLE_CAP, seed: int = 2343
-) -> float:
-    """Mean cosine over all unordered sample pairs within one task."""
-    value, _, _ = _self_similarity_counted(bundle, task, layer, cap, seed)
-    return value
-
-
-def _self_similarity_counted(bundle, task, layer, cap=SAMPLE_CAP, seed=2343):
+def _unit_rows(bundle, task, layer, cap, seed, need_pairs=False):
+    """A task's (subsampled) unit rows and mask, the per-task part of every block."""
     g = gb.sample_gradients(bundle, task, layer)
-    if g.shape[0] < 2:
+    if need_pairs and g.shape[0] < 2:
         raise ValidationError(f"self_similarity needs >= 2 samples for ({task}, {layer})")
-    g = _maybe_subsample(g, cap, seed)
-    unit, ok = _normalized_rows(g)
-    m = g.shape[0]
+    return _normalized_rows(_maybe_subsample(g, cap, seed, task))
+
+
+def _self_block(unit, ok):
+    """(mean cosine, degenerate pairs, pairs) over unordered pairs of one task's rows."""
+    m = unit.shape[0]
     gram = np.clip(unit @ unit.T, -1.0, 1.0)
     iu = np.triu_indices(m, k=1)
     valid = np.outer(ok, ok)[iu]
@@ -135,24 +132,8 @@ def _self_similarity_counted(bundle, task, layer, cap=SAMPLE_CAP, seed=2343):
     return value, degenerate, total_pairs
 
 
-def cross_similarity(
-    bundle: gb.GradientBundle,
-    task_a: str,
-    task_b: str,
-    layer: str,
-    cap: int = SAMPLE_CAP,
-    seed: int = 2343,
-) -> float:
-    """Mean cosine over the full cross product of two tasks' sample rows."""
-    value, _, _, _ = _cross_similarity_counted(bundle, task_a, task_b, layer, cap, seed)
-    return value
-
-
-def _cross_similarity_counted(bundle, task_a, task_b, layer, cap=SAMPLE_CAP, seed=2343):
-    ga = _maybe_subsample(gb.sample_gradients(bundle, task_a, layer), cap, seed)
-    gbm = _maybe_subsample(gb.sample_gradients(bundle, task_b, layer), cap, seed + 1)
-    ua, oka = _normalized_rows(ga)
-    ub, okb = _normalized_rows(gbm)
+def _cross_block(ua, oka, ub, okb):
+    """(mean cosine, degenerate pairs, pairs, nonnegative pairs) over two tasks' rows."""
     gram = np.clip(ua @ ub.T, -1.0, 1.0)
     valid = np.outer(oka, okb)
     total_pairs = gram.size
@@ -165,21 +146,47 @@ def _cross_similarity_counted(bundle, task_a, task_b, layer, cap=SAMPLE_CAP, see
     return value, degenerate, total_pairs, nonneg
 
 
+def self_similarity(
+    bundle: gb.GradientBundle, task: str, layer: str, cap: int = SAMPLE_CAP, seed: int = 2343
+) -> float:
+    """Mean cosine over all unordered sample pairs within one task."""
+    return _self_block(*_unit_rows(bundle, task, layer, cap, seed, need_pairs=True))[0]
+
+
+def cross_similarity(
+    bundle: gb.GradientBundle,
+    task_a: str,
+    task_b: str,
+    layer: str,
+    cap: int = SAMPLE_CAP,
+    seed: int = 2343,
+) -> float:
+    """Mean cosine over the full cross product of two tasks' sample rows.
+
+    The pair is taken in name order, so swapping the arguments gives the
+    same value bit for bit.
+    """
+    task_a, task_b = sorted((task_a, task_b))
+    ua, oka = _unit_rows(bundle, task_a, layer, cap, seed)
+    ub, okb = _unit_rows(bundle, task_b, layer, cap, seed)
+    return _cross_block(ua, oka, ub, okb)[0]
+
+
 def layer_conflict(
     bundle: gb.GradientBundle, layer: str, cap: int = SAMPLE_CAP, seed: int = 2343
 ) -> LayerConflict:
-    """Per-layer S_self, S_cross, their gap delta, and cross-pair purity."""
+    """Per-layer S_self, S_cross, their gap delta, and cross-pair purity.
+
+    Each task's rows are subsampled and normalised once; every self and
+    cross block is then one product of cached unit rows.
+    """
     tasks = bundle.tasks
     if len(tasks) < 2:
         raise ValidationError(">= 2 tasks required for cross-task conflict analysis")
 
-    self_parts = ordered_map(
-        lambda t: _self_similarity_counted(bundle, t, layer, cap, seed), tasks
-    )
-    pairs = list(combinations(tasks, 2))
-    cross_parts = ordered_map(
-        lambda p: _cross_similarity_counted(bundle, p[0], p[1], layer, cap, seed), pairs
-    )
+    units = [_unit_rows(bundle, t, layer, cap, seed, need_pairs=True) for t in tasks]
+    self_parts = [_self_block(*u) for u in units]
+    cross_parts = [_cross_block(*a, *b) for a, b in combinations(units, 2)]
 
     s_self = float(np.mean([p[0] for p in self_parts]))
     s_cross = float(np.mean([p[0] for p in cross_parts]))
@@ -240,7 +247,7 @@ def rank_layers(
     layers = list(layers) if layers is not None else list(bundle.layers)
     if not layers:
         raise ValidationError("rank_layers needs at least one layer")
-    reports = ordered_map(lambda l: layer_conflict(bundle, l, cap, seed), layers)
+    reports = [layer_conflict(bundle, l, cap, seed) for l in layers]
     return sorted(reports, key=lambda r: (-r.delta, r.purity, r.layer))
 
 

@@ -1,13 +1,14 @@
 """Materialize a sharing plan as a decomposed, routed feed-forward block.
 
-The unified block's equivalent map W_equiv = W2 @ W1 is SVD-factored; the
-top-r symmetric factors (U_r sqrt(S_r), sqrt(S_r) V_r^T) seed the shared
+The unified block's equivalent map W_equiv = W2 @ W1 is SVD-factored once;
+the top-r symmetric factors (U_r sqrt(S_r), sqrt(S_r) V_r^T) seed the shared
 branch and are padded with small seeded Gaussian noise up to the shared
-width.  The rank-r reconstruction's residual is scaled by each group's
-energy share p_g and SVD-factored again to seed that group's private branch.
-Residuals are always taken against the noise-free rank-r reconstruction:
-padding noise exists to break symmetry for later training and must not bias
-the private initialization.
+width.  The residual W_equiv - W_r of the noise-free rank-r reconstruction
+is, by Eckart-Young, the tail of the same factorization: each group's
+private branch is built from singular triplets r .. r+t-1 scaled by the
+group's energy share p_g, so the residual is never factored again.  Padding
+noise exists to break symmetry for later training and must not bias the
+private initialization.
 
 Forward evaluation routes each task to its group: the input goes through the
 shared up-projection and the group's private up-projection, both activated,
@@ -26,7 +27,7 @@ import numpy as np
 from .bundle import read_matrix_file, write_matrix_file
 from .errors import ValidationError
 from .grouping import GroupingPlan
-from .linalg import svd
+from .linalg import SvdResult, svd
 
 DEFAULT_NOISE_SCALE = 1e-4
 DEFAULT_SEED = 2343
@@ -275,6 +276,69 @@ def _pad_inner(factor_left: np.ndarray, factor_right: np.ndarray, width: int, rn
     return left, right
 
 
+def _sqrt_factors(dec: SvdResult, start: int, count: int, scale: float = 1.0):
+    """Symmetric sqrt factors of scale * (singular triplets start .. start+count-1).
+
+    Returns (left: rows x count, right: count x cols); where the spectrum has
+    fewer than `count` triplets from `start` on, the missing ones are zero.
+    """
+    sigma = scale * dec.sigma[start:start + count]
+    sqrt_sigma = np.sqrt(sigma)
+    left = np.zeros((dec.u.shape[0], count))
+    right = np.zeros((count, dec.v.shape[0]))
+    left[:, :sigma.size] = dec.u[:, start:start + count] * sqrt_sigma
+    right[:sigma.size, :] = sqrt_sigma[:, None] * dec.v[:, start:start + count].T
+    return left, right
+
+
+def _shared_branch(dec: SvdResult, plan: DecompositionPlan):
+    """Rank-r factors of a factored W_equiv: (left, right, padded w1, padded w2)."""
+    if plan.r > dec.sigma.size:
+        raise ValidationError(f"rank {plan.r} exceeds available spectrum {dec.sigma.size}")
+    left, right = _sqrt_factors(dec, 0, plan.r)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=plan.seed, spawn_key=(0,)))
+    w1_factor, w2_factor = _pad_inner(left, right, plan.d_s, rng, plan.noise_scale)
+    return left, right, w1_factor, w2_factor
+
+
+def _private_branches(dec: SvdResult, start: int, plan: DecompositionPlan, t: int | None):
+    """Per-group (up, down) from triplets start .. start+t-1 scaled by p_g.
+
+    `dec` factors a map whose residual is its tail from `start` on; an
+    all-zero tail falls back to pure noise branches.
+    """
+    n = plan.n_groups
+    if t is None:
+        t = max(1, min(plan.d_p // n, plan.d_model))
+    if not 1 <= t <= min(plan.d_p, plan.d_model):
+        raise ValidationError(f"private rank t={t} outside [1, {min(plan.d_p, plan.d_model)}]")
+
+    zero_residual = not np.any(dec.sigma[start:])
+    branches = []
+    for g in range(n):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=plan.seed, spawn_key=(1, g))
+        )
+        if zero_residual:
+            up = plan.noise_scale * rng.standard_normal((plan.d_p, plan.d_model))
+            down = plan.noise_scale * rng.standard_normal((plan.d_model, plan.d_p))
+            branches.append((up, down))
+            continue
+        left, right = _sqrt_factors(dec, start, t, plan.p_g[g])
+        down, up = _pad_inner(left, right, plan.d_p, rng, plan.noise_scale)
+        branches.append((up, down))
+    return branches
+
+
+def _factor_equiv(w_equiv: np.ndarray, plan: DecompositionPlan) -> SvdResult:
+    w_equiv = np.asarray(w_equiv, dtype=np.float64)
+    if w_equiv.shape != (plan.d_model, plan.d_model):
+        raise ValidationError(
+            f"w_equiv shape {w_equiv.shape} != ({plan.d_model}, {plan.d_model})"
+        )
+    return svd(w_equiv)
+
+
 def shared_factors(w_equiv: np.ndarray, plan: DecompositionPlan):
     """Rank-r symmetric SVD factors padded to width d_s, plus the rank-r map.
 
@@ -282,22 +346,8 @@ def shared_factors(w_equiv: np.ndarray, plan: DecompositionPlan):
     w_shared_equiv: d_model x d_model).  w_shared_equiv excludes the noise
     padding by construction.
     """
-    w_equiv = np.asarray(w_equiv, dtype=np.float64)
-    if w_equiv.shape != (plan.d_model, plan.d_model):
-        raise ValidationError(
-            f"w_equiv shape {w_equiv.shape} != ({plan.d_model}, {plan.d_model})"
-        )
-    dec = svd(w_equiv)
-    if plan.r > dec.sigma.size:
-        raise ValidationError(f"rank {plan.r} exceeds available spectrum {dec.sigma.size}")
-    trunc = dec.truncate(plan.r)
-    sqrt_sigma = np.sqrt(trunc.sigma)
-    left = trunc.u * sqrt_sigma  # d_model x r
-    right = (sqrt_sigma[:, None]) * trunc.v.T  # r x d_model
-    w_shared_equiv = left @ right
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=plan.seed, spawn_key=(0,)))
-    w1_factor, w2_factor = _pad_inner(left, right, plan.d_s, rng, plan.noise_scale)
-    return w1_factor, w2_factor, w_shared_equiv
+    left, right, w1_factor, w2_factor = _shared_branch(_factor_equiv(w_equiv, plan), plan)
+    return w1_factor, w2_factor, left @ right
 
 
 def residual(w_equiv: np.ndarray, w_shared_equiv: np.ndarray) -> np.ndarray:
@@ -313,57 +363,35 @@ def residual(w_equiv: np.ndarray, w_shared_equiv: np.ndarray) -> np.ndarray:
 def private_init(w_res: np.ndarray, plan: DecompositionPlan, t: int | None = None):
     """Energy-weighted per-group factors of the residual map.
 
-    For each group g the residual is scaled by p_g, SVD-truncated to t
-    directions (default d_p // group count), converted to symmetric sqrt
-    factors, and noise-padded to width d_p.  Returns a list of
+    The residual is SVD-factored once; group g's branch is its top t
+    directions (default d_p // group count) scaled by p_g, as symmetric sqrt
+    factors noise-padded to width d_p.  Returns a list of
     (up: d_p x d_model, down: d_model x d_p) pairs in group order.
     """
-    w_res = np.asarray(w_res, dtype=np.float64)
-    n = plan.n_groups
-    if t is None:
-        t = max(1, min(plan.d_p // n, plan.d_model))
-    if not 1 <= t <= min(plan.d_p, plan.d_model):
-        raise ValidationError(f"private rank t={t} outside [1, {min(plan.d_p, plan.d_model)}]")
-
-    zero_residual = not np.any(w_res)
-    branches = []
-    for g in range(n):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=plan.seed, spawn_key=(1, g))
-        )
-        if zero_residual:
-            up = plan.noise_scale * rng.standard_normal((plan.d_p, plan.d_model))
-            down = plan.noise_scale * rng.standard_normal((plan.d_model, plan.d_p))
-            branches.append((up, down))
-            continue
-        scaled = plan.p_g[g] * w_res
-        dec = svd(scaled).truncate(t)
-        sqrt_sigma = np.sqrt(dec.sigma)
-        left = dec.u * sqrt_sigma  # d_model x t
-        right = sqrt_sigma[:, None] * dec.v.T  # t x d_model
-        down, up = _pad_inner(left, right, plan.d_p, rng, plan.noise_scale)
-        branches.append((up, down))
-    return branches
+    return _private_branches(svd(w_res), 0, plan, t)
 
 
-def assemble(w: UnifiedFfnWeights, plan: DecompositionPlan, private_rank: int | None = None) -> SpecializedFfn:
-    """Full pipeline: equivalent map -> shared factors -> residual -> privates."""
+def factor_block(w: UnifiedFfnWeights, plan: DecompositionPlan, private_rank: int | None = None):
+    """`assemble`, plus the one SVD of W_equiv it was built from.
+
+    The residual ||W_equiv - W_r||_F is the tail of that spectrum,
+    sqrt(sum_{i >= r} sigma_i^2).
+    """
     if (w.d_model, w.d_ff) != (plan.d_model, plan.d_ff):
         raise ValidationError(
             f"weights are ({w.d_model}, {w.d_ff}) but plan expects "
             f"({plan.d_model}, {plan.d_ff})"
         )
-    w_equiv = equiv_weight(w)
-    w1_factor, w2_factor, w_shared_equiv = shared_factors(w_equiv, plan)
-    w_res = residual(w_equiv, w_shared_equiv)
-    branches = private_init(w_res, plan, t=private_rank)
+    dec = _factor_equiv(equiv_weight(w), plan)
+    _, _, w1_factor, w2_factor = _shared_branch(dec, plan)
+    branches = _private_branches(dec, plan.r, plan, private_rank)
 
     routing = {}
     for g, group in enumerate(plan.grouping.groups):
         for task in group:
             routing[task] = g
 
-    return SpecializedFfn(
+    ffn = SpecializedFfn(
         d_model=plan.d_model,
         d_s=plan.d_s,
         d_p=plan.d_p,
@@ -375,6 +403,12 @@ def assemble(w: UnifiedFfnWeights, plan: DecompositionPlan, private_rank: int | 
         activation=plan.activation,
         plan=plan,
     )
+    return ffn, dec
+
+
+def assemble(w: UnifiedFfnWeights, plan: DecompositionPlan, private_rank: int | None = None) -> SpecializedFfn:
+    """Full pipeline: equivalent map -> one SVD -> shared and private branches."""
+    return factor_block(w, plan, private_rank)[0]
 
 
 def forward(ffn: SpecializedFfn, x, task: str) -> np.ndarray:

@@ -210,18 +210,20 @@ def kmeans(
     return KmeansState(cent, assign, inertia, it, restarts=restarts)
 
 
-def _single_linkage_merges(dist: DistanceMatrix):
-    """Full agglomeration trace: list of (distance, cluster_a, cluster_b) merges.
+def _single_linkage_merges(dist: DistanceMatrix, n_merges: int | None = None):
+    """Agglomeration trace: list of (distance, cluster_a, cluster_b) merges.
 
     Clusters are named by their lexicographically smallest member; when several
     pairs tie on distance, the pair with the smallest (name_a, name_b) merges.
+    Stops after `n_merges` merges (default: all n - 1).
     """
     dist.validate()
     tasks = dist.tasks
     clusters: list[set[str]] = [{t} for t in tasks]
     idx = {t: i for i, t in enumerate(tasks)}
+    stop = 1 if n_merges is None else len(tasks) - n_merges
     merges = []
-    while len(clusters) > 1:
+    while len(clusters) > stop:
         best = None
         for a in range(len(clusters)):
             for b in range(a + 1, len(clusters)):
@@ -237,26 +239,21 @@ def _single_linkage_merges(dist: DistanceMatrix):
     return merges
 
 
+def _replay_merges(tasks, merges) -> list[set[str]]:
+    """Clusters left after applying a merge trace to singletons."""
+    by_name = {t: {t} for t in tasks}
+    for _, a, b in merges:
+        by_name[a] |= by_name.pop(b)  # a < b, so the union keeps the name a
+    return list(by_name.values())
+
+
 def single_linkage(dist: DistanceMatrix, k: int) -> GroupingPlan:
     """Agglomerate by minimum inter-cluster distance until k clusters remain."""
     dist.validate()
     n = len(dist.tasks)
     if not 1 <= k <= n:
         raise ValidationError(f"single_linkage needs 1 <= k <= {n}, got {k}")
-    clusters: list[set[str]] = [{t} for t in dist.tasks]
-    idx = {t: i for i, t in enumerate(dist.tasks)}
-    while len(clusters) > k:
-        best = None
-        for a in range(len(clusters)):
-            for b in range(a + 1, len(clusters)):
-                d_ab = min(dist.d[idx[x], idx[y]] for x in clusters[a] for y in clusters[b])
-                name = tuple(sorted((min(clusters[a]), min(clusters[b]))))
-                key = (d_ab, name)
-                if best is None or key < best[0]:
-                    best = (key, a, b)
-        _, a, b = best
-        clusters[a] = clusters[a] | clusters[b]
-        del clusters[b]
+    clusters = _replay_merges(dist.tasks, _single_linkage_merges(dist, n - k))
     plan = GroupingPlan(_canonical_groups(clusters), method="hierarchical", k=k)
     plan.validate(dist.tasks)
     return plan
@@ -281,17 +278,16 @@ def kmeans_grouping(dist: DistanceMatrix, k: int, seed: int) -> GroupingPlan:
     return plan
 
 
-def consensus_group(
-    bundle: gb.GradientBundle, layer: str, k: int = DEFAULT_GROUPS, seed: int = 2343
+def consensus_from_distance(
+    dist: DistanceMatrix, k: int = DEFAULT_GROUPS, seed: int = 2343
 ) -> GroupingPlan:
-    """Run both clusterings on the same distance matrix and cross-check.
+    """Run both clusterings on one distance matrix and cross-check.
 
     Agreement yields method="consensus"; disagreement falls back to the
     hierarchical partition with an explicit warning.
     """
-    if len(bundle.tasks) < 2:
+    if len(dist.tasks) < 2:
         raise ValidationError(">= 2 tasks required for cross-task grouping")
-    dist = to_distance(similarity_matrix(bundle, layer))
     hier = single_linkage(dist, k)
     km = kmeans_grouping(dist, k, seed)
     if hier.groups == km.groups:
@@ -302,3 +298,10 @@ def consensus_group(
         f"hierarchical={[list(g) for g in hier.groups]}); keeping hierarchical"
     )
     return GroupingPlan(hier.groups, method="hierarchical", k=k, warnings=(warn,))
+
+
+def consensus_group(
+    bundle: gb.GradientBundle, layer: str, k: int = DEFAULT_GROUPS, seed: int = 2343
+) -> GroupingPlan:
+    """`consensus_from_distance` on the layer's mean-gradient distance matrix."""
+    return consensus_from_distance(to_distance(similarity_matrix(bundle, layer)), k, seed)

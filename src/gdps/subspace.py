@@ -5,7 +5,9 @@ order, unnormalized) and decomposed once; each task's energy is the squared
 projection norm onto the top-k right singular directions, and the energy
 proportions p_i decide how much residual capacity each group later receives.
 Pairwise subspace alignment is measured by the leading ridge-regularized
-canonical correlation.
+canonical correlation.  When features outnumber samples each task is factored
+once (thin SVD of its centred rows) and every pair only solves a small
+sample-space core, the factor-then-correlate structure of SVCCA.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from . import bundle as gb
 from .errors import SingularCovarianceError, ValidationError
 from .grouping import GroupingPlan
 from .linalg import SvdResult, covariance, gini, svd
-from .parallel import ordered_map
 
 DEFAULT_TOP_K = 10
 DEFAULT_LAMBDA = 1e-3
@@ -108,6 +109,11 @@ def _inv_sqrt_psd(mat: np.ndarray, lam: float) -> np.ndarray:
     return (evecs / np.sqrt(evals)) @ evecs.T
 
 
+def _dual_route(a_cols: int, b_cols: int, m: int) -> bool:
+    """True when features outnumber samples enough to solve in sample space."""
+    return max(a_cols, b_cols) > 4 * m
+
+
 def ridge_cca(g_a, g_b, lam: float = DEFAULT_LAMBDA, center: bool = True) -> CcaResult:
     """Leading canonical correlation with ridge lam*I on both auto-covariances.
 
@@ -125,7 +131,7 @@ def ridge_cca(g_a, g_b, lam: float = DEFAULT_LAMBDA, center: bool = True) -> Cca
         raise ValidationError(f"row-count mismatch: {a.shape[0]} vs {b.shape[0]}")
     if lam < 0:
         raise ValidationError(f"lambda must be >= 0, got {lam}")
-    if max(a.shape[1], b.shape[1]) > 4 * a.shape[0]:
+    if _dual_route(a.shape[1], b.shape[1], a.shape[0]):
         return _ridge_cca_dual(a, b, lam, center)
     gamma_aa = covariance(a, a, center=center)
     gamma_bb = covariance(b, b, center=center)
@@ -138,22 +144,27 @@ def ridge_cca(g_a, g_b, lam: float = DEFAULT_LAMBDA, center: bool = True) -> Cca
     return CcaResult(rho=rho, w_a=wa @ u[:, 0], w_b=wb @ vh[0, :], lam=lam)
 
 
-def _ridge_cca_dual(a: np.ndarray, b: np.ndarray, lam: float, center: bool) -> CcaResult:
-    """Sample-space route for d >> m.
+def _dual_factor(a: np.ndarray, center: bool):
+    """Per-task factor of the dual route: thin SVD (U, s, V^T) of A/sqrt(m).
 
-    With thin SVDs A/sqrt(m) = Ua Sa Va^T, the whitened cross-covariance has
-    the same nonzero singular values as
-    K = diag(sa/sqrt(sa^2+lam)) Ua^T Ub diag(sb/sqrt(sb^2+lam)), an m x m
-    problem.  Requires lam > 0 (auto-covariances are singular when d > m).
+    A is column-centred first when `center` is set.  It depends on one task
+    and its row count only, so a pairwise report computes it once per task.
     """
     m = a.shape[0]
     if center:
         if m < 2:
             raise ValidationError("centered covariance needs at least 2 rows")
         a = a - a.mean(axis=0)
-        b = b - b.mean(axis=0)
-    ua, sa, vat = np.linalg.svd(a / np.sqrt(m), full_matrices=False)
-    ub, sb, vbt = np.linalg.svd(b / np.sqrt(m), full_matrices=False)
+    return np.linalg.svd(a / np.sqrt(m), full_matrices=False)
+
+
+def _dual_core(ua, sa, ub, sb, lam: float):
+    """Per-pair core of the dual route: (rho, left, right) singular triplet.
+
+    The whitened cross-covariance has the same nonzero singular values as
+    K = diag(sa/sqrt(sa^2+lam)) Ua^T Ub diag(sb/sqrt(sb^2+lam)), an m x m
+    problem.  Requires lam > 0 (auto-covariances are singular when d > m).
+    """
     if lam <= 0.0:
         raise SingularCovarianceError(
             "covariance is numerically singular at lambda=0 (fewer samples than "
@@ -163,9 +174,16 @@ def _ridge_cca_dual(a: np.ndarray, b: np.ndarray, lam: float, center: bool) -> C
     fb = sb / np.sqrt(sb**2 + lam)
     core = (fa[:, None] * (ua.T @ ub)) * fb[None, :]
     u, s, vh = np.linalg.svd(core, full_matrices=False)
-    rho = float(np.clip(s[0], 0.0, 1.0))
-    w_a = vat.T @ (u[:, 0] / np.sqrt(sa**2 + lam))
-    w_b = vbt.T @ (vh[0, :] / np.sqrt(sb**2 + lam))
+    return float(np.clip(s[0], 0.0, 1.0)), u[:, 0], vh[0, :]
+
+
+def _ridge_cca_dual(a: np.ndarray, b: np.ndarray, lam: float, center: bool) -> CcaResult:
+    """Sample-space route for d >> m: one factor per side, then the core."""
+    ua, sa, vat = _dual_factor(a, center)
+    ub, sb, vbt = _dual_factor(b, center)
+    rho, x, y = _dual_core(ua, sa, ub, sb, lam)
+    w_a = vat.T @ (x / np.sqrt(sa**2 + lam))
+    w_b = vbt.T @ (y / np.sqrt(sb**2 + lam))
     return CcaResult(rho=rho, w_a=w_a, w_b=w_b, lam=lam)
 
 
@@ -229,6 +247,8 @@ def subspace_report(
     normalize_rows: bool = False,
 ) -> SubspaceReport:
     """Full Method-C result for one layer: spectrum, energies, pairwise CCA."""
+    if lam < 0:
+        raise ValidationError(f"lambda must be >= 0, got {lam}")
     joint = joint_svd(bundle, layer, normalize_rows=normalize_rows)
     k_eff = min(k, joint.sigma.size)
     warnings = []
@@ -242,32 +262,35 @@ def subspace_report(
     tasks = bundle.tasks
     n = len(tasks)
     cca = np.eye(n)
-    samples = {t: gb.sample_gradients(bundle, t, layer).astype(np.float64) for t in tasks}
+    samples = [gb.sample_gradients(bundle, t, layer).astype(np.float64) for t in tasks]
+    factors = {}  # (task index, row count) -> (U, s) of the dual route
 
-    def pair_rho(pair):
-        i, j = pair
-        ga, gbm = samples[tasks[i]], samples[tasks[j]]
-        m = min(ga.shape[0], gbm.shape[0])
-        truncated = m != ga.shape[0] or m != gbm.shape[0]
+    def factor(i, m):
+        if (i, m) not in factors:
+            factors[i, m] = _dual_factor(samples[i][:m], center=True)[:2]
+        return factors[i, m]
+
+    def rho(i, j):
         # Rows are paired by index; unequal sample counts truncate to the min.
-        res = ridge_cca(ga[:m], gbm[:m], lam)
-        return res.rho, truncated
+        # Each entry equals ridge_cca(samples[i][:m], samples[j][:m], lam).rho.
+        a, b = samples[i], samples[j]
+        m = min(a.shape[0], b.shape[0])
+        if not _dual_route(a.shape[1], b.shape[1], m):
+            return ridge_cca(a[:m], b[:m], lam).rho
+        return _dual_core(*factor(i, m), *factor(j, m), lam)[0]
 
-    pairs = list(combinations(range(n), 2))
-    rhos = ordered_map(pair_rho, pairs)
     truncated_any = False
-    for (i, j), (rho, truncated) in zip(pairs, rhos):
-        cca[i, j] = cca[j, i] = rho
-        truncated_any = truncated_any or truncated
+    for i, j in combinations(range(n), 2):
+        cca[i, j] = cca[j, i] = rho(i, j)
+        truncated_any = truncated_any or samples[i].shape[0] != samples[j].shape[0]
     if truncated_any:
         warnings.append(
             "cca pairing: unequal sample counts truncated to the smaller task "
             "(index pairing is a toolkit choice, not part of the published method)"
         )
     for i in range(n):
-        g_i = samples[tasks[i]]
         try:
-            cca[i, i] = ridge_cca(g_i, g_i, lam).rho
+            cca[i, i] = rho(i, i)
         except SingularCovarianceError:
             cca[i, i] = 1.0
 

@@ -1,11 +1,15 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from gdps.bundle import write_bundle, write_matrix_file
+from gdps.bundle import bundle_fingerprint, write_bundle, write_matrix_file
 from gdps.cli import main
+from gdps.errors import BundleFormatError
 from gdps.report import hash_excluding_timestamp
 from gdps.synth import planted_bundle
 
@@ -38,6 +42,57 @@ def test_inspect_missing_bundle(tmp_path, capsys):
     rc = main(["inspect", "--bundle", str(tmp_path / "nope")])
     assert rc == 1
     assert "manifest" in capsys.readouterr().err
+
+
+def _edit_first_record(bundle_dir, edit):
+    manifest_path = bundle_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    edit(manifest["records"][0])
+    manifest_path.write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("key", ["task", "layer", "rows", "cols", "path"])
+def test_inspect_record_missing_field_exit_1(tmp_path, capsys, key):
+    make_disk_bundle(tmp_path / "b")
+    _edit_first_record(tmp_path / "b", lambda rec: rec.pop(key))
+    rc = main(["inspect", "--bundle", str(tmp_path / "b")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "manifest.json" in err and key in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["id", "cols"])
+def test_inspect_layer_missing_field_exit_1(tmp_path, capsys, key):
+    make_disk_bundle(tmp_path / "b")
+    manifest_path = tmp_path / "b" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    del manifest["layers"][0][key]
+    manifest_path.write_text(json.dumps(manifest))
+    rc = main(["inspect", "--bundle", str(tmp_path / "b")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "manifest.json" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("outside", ["../outside.gdm", "{root}/outside.gdm"])
+def test_inspect_record_path_outside_bundle_exit_1(tmp_path, capsys, outside):
+    make_disk_bundle(tmp_path / "b")
+    (tmp_path / "outside.gdm").write_bytes((tmp_path / "b" / "t0__L0.gdm").read_bytes())
+    path = outside.format(root=tmp_path)
+    _edit_first_record(tmp_path / "b", lambda rec: rec.update(path=path))
+    rc = main(["inspect", "--bundle", str(tmp_path / "b")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "manifest.json" in err and "outside the bundle" in err
+    assert "Traceback" not in err
+
+
+def test_bundle_fingerprint_rejects_bad_record(tmp_path):
+    make_disk_bundle(tmp_path / "b")
+    _edit_first_record(tmp_path / "b", lambda rec: rec.update(path="../outside.gdm"))
+    with pytest.raises(BundleFormatError, match="manifest.json"):
+        bundle_fingerprint(tmp_path / "b")
 
 
 def test_group_command(tmp_path, capsys):
@@ -201,6 +256,31 @@ def test_decompose_full_rank_zero_noise_residual(tmp_path, capsys, rng):
     out = capsys.readouterr().out
     norm = float(out.split("residual frobenius norm = ")[1].split()[0])
     assert norm < 1e-8
+
+
+def test_decompose_rank_deficient_residual_converges(tmp_path):
+    # A 1024 x 4096 block whose rank-r residual p_g * (W - W_r) made LAPACK's
+    # gesdd fail, with one BLAS thread, when it was factored on its own; one
+    # SVD of W avoids it.  A fresh interpreter pins the BLAS thread count.
+    import gdps
+    from gdps.decompose import make_plan
+    from gdps.grouping import GroupingPlan
+
+    d_model, d_ff = 1024, 4096
+    rng = np.random.default_rng(np.random.SeedSequence([200, 2, 2]))
+    write_matrix_file(tmp_path / "w1.gdm", rng.standard_normal((d_ff, d_model)) / np.sqrt(d_model))
+    write_matrix_file(tmp_path / "w2.gdm", rng.standard_normal((d_model, d_ff)) / np.sqrt(d_ff))
+    plan = make_plan(GroupingPlan((("t0", "t1"), ("t2", "t3")), "consensus", 2),
+                     0.25, d_model, d_ff, p_g=(0.5, 0.5))
+    (tmp_path / "plan.json").write_text(json.dumps(plan.to_dict()))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1", "PYTHONPATH": str(Path(gdps.__file__).parents[1])}
+    proc = subprocess.run([
+        sys.executable, "-m", "gdps.cli",
+        "decompose", "--w1", str(tmp_path / "w1.gdm"), "--w2", str(tmp_path / "w2.gdm"),
+        "--plan", str(tmp_path / "plan.json"), "--out", str(tmp_path / "ffn"),
+    ], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_decompose_deterministic_rerun(tmp_path, rng):

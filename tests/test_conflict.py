@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -260,3 +262,69 @@ def test_subsample_cap_applies_and_deterministic(rng):
     capped_2 = self_similarity(b, "a", "L0", cap=12, seed=3)
     assert capped_1 == capped_2
     assert abs(capped_1 - full) < 0.5  # subsample approximates, deterministically
+
+
+def test_cross_similarity_order_independent_when_subsampled(rng):
+    # 600 rows exceed SAMPLE_CAP, so both tasks are subsampled
+    b = tiny_bundle({"t0": rng.standard_normal((600, 8)), "t1": rng.standard_normal((600, 8))})
+    assert cross_similarity(b, "t0", "t1", "L0") == cross_similarity(b, "t1", "t0", "L0")
+
+
+def unrolled_layer_conflict(bundle, layer):
+    """S_self, S_cross, purity and counts, one sample pair at a time."""
+
+    def cos(x, y):
+        nx, ny = np.linalg.norm(x), np.linalg.norm(y)
+        if nx == 0.0 or ny == 0.0:
+            return None
+        return min(1.0, max(-1.0, float(x @ y / (nx * ny))))
+
+    rows = {t: bundle.matrix(t, layer).data.astype(np.float64) for t in bundle.tasks}
+    degenerate = total = nonneg = valid_cross = 0
+    self_means, cross_means = [], []
+    for t in bundle.tasks:
+        vals = []
+        for i in range(len(rows[t])):
+            for j in range(i + 1, len(rows[t])):
+                c = cos(rows[t][i], rows[t][j])
+                total += 1
+                if c is None:
+                    degenerate += 1
+                else:
+                    vals.append(c)
+        self_means.append(np.mean(vals) if vals else 0.0)
+    for ta, tb in itertools.combinations(bundle.tasks, 2):
+        vals = []
+        for x in rows[ta]:
+            for y in rows[tb]:
+                c = cos(x, y)
+                total += 1
+                if c is None:
+                    degenerate += 1
+                else:
+                    vals.append(c)
+                    nonneg += c >= 0.0
+        valid_cross += len(vals)
+        cross_means.append(np.mean(vals) if vals else 0.0)
+    purity = nonneg / valid_cross if valid_cross else 1.0
+    return np.mean(self_means), np.mean(cross_means), purity, degenerate, total
+
+
+def test_layer_conflict_matches_unrolled_reference_with_zero_rows(rng):
+    a = rng.standard_normal((5, 4))
+    a[1] = 0.0
+    c = rng.standard_normal((4, 4))
+    c[[0, 3]] = 0.0
+    b = tiny_bundle({
+        "a": a,
+        "b": rng.standard_normal((3, 4)),
+        "c": c,
+        "z": np.zeros((3, 4)),  # every pair touching z is degenerate
+    })
+    s_self, s_cross, purity, degenerate, total = unrolled_layer_conflict(b, "L0")
+    lc = layer_conflict(b, "L0")
+    assert lc.s_self == pytest.approx(s_self, abs=1e-12)
+    assert lc.s_cross == pytest.approx(s_cross, abs=1e-12)
+    assert lc.delta == pytest.approx(s_self - s_cross, abs=1e-12)
+    assert lc.purity == pytest.approx(purity, abs=1e-12)
+    assert (lc.degenerate_pairs, lc.total_pairs) == (degenerate, total)

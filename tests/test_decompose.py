@@ -7,6 +7,7 @@ from gdps.decompose import (
     UnifiedFfnWeights,
     assemble,
     equiv_weight,
+    factor_block,
     forward,
     load_ffn,
     make_plan,
@@ -320,3 +321,29 @@ def test_specialized_ffn_shape_validation(rng):
             private_down=ffn.private_down,
             routing=ffn.routing,
         )
+
+
+def test_assemble_branches_follow_eckart_young(rng):
+    # one SVD of W: shared = top r triplets, group g = p_g times triplets r .. r+t-1
+    plan = make_plan(two_groups(), 0.5, 8, 40, p_g=(0.7, 0.3), r=3, noise_scale=0.0)
+    w = random_weights(rng, d_model=8, d_ff=40)
+    ffn, dec = factor_block(w, plan)
+    u, sigma, vt = np.linalg.svd(equiv_weight(w))
+    assert np.allclose(dec.sigma, sigma)
+    w_r = (u[:, :3] * sigma[:3]) @ vt[:3]
+    assert np.linalg.norm(ffn.shared_down @ ffn.shared_up - w_r) < 1e-10
+    t = plan.d_p // 2
+    band = (u[:, 3:3 + t] * sigma[3:3 + t]) @ vt[3:3 + t]
+    for g, p in enumerate(plan.p_g):
+        assert np.linalg.norm(ffn.private_down[g] @ ffn.private_up[g] - p * band) < 1e-10
+
+
+def test_assemble_pads_a_short_tail_with_zeros(rng):
+    # r + t > d_model: the tail has only d_model - r triplets
+    plan = make_plan(one_group(), 0.5, 6, 24, p_g=(1.0,), r=4, noise_scale=0.0)
+    w = random_weights(rng, d_model=6, d_ff=24)
+    ffn = assemble(w, plan, private_rank=6)
+    w_equiv = equiv_weight(w)
+    tail = w_equiv - ffn.shared_down @ ffn.shared_up
+    assert np.linalg.norm(ffn.private_down[0] @ ffn.private_up[0] - tail) < 1e-10
+    assert not ffn.private_up[0][2:].any() and not ffn.private_down[0][:, 2:].any()

@@ -10,6 +10,7 @@ from gdps.grouping import (
     DistanceMatrix,
     GroupingPlan,
     SimilarityMatrix,
+    consensus_from_distance,
     consensus_group,
     kmeans,
     kmeans_grouping,
@@ -179,6 +180,33 @@ def test_linkage_merges_trace():
     assert merges[0][0] <= merges[1][0] <= merges[2][0]
     # first merge joins the closest pair, est-gle at 0.152
     assert {merges[0][1], merges[0][2]} == {"est", "gle"}
+
+
+def test_single_linkage_replays_merge_trace_with_ties(rng):
+    # few distinct distances, so most steps choose among tied pairs
+    n = 7
+    tasks = tuple(f"t{i}" for i in range(n))
+    for trial in range(5):
+        raw = rng.integers(1, 4, size=(n, n)).astype(np.float64) / 4.0
+        d = np.triu(raw, 1) + np.triu(raw, 1).T
+        dist = DistanceMatrix(tasks, d)
+        merges = linkage_merges(dist)
+        for k in range(1, n + 1):
+            clusters = [{t} for t in tasks]
+            for _, a, b in merges[: n - k]:
+                ca = next(c for c in clusters if a in c)
+                cb = next(c for c in clusters if b in c)
+                assert ca is not cb
+                clusters.remove(cb)
+                ca |= cb
+            want = {frozenset(c) for c in clusters}
+            assert {frozenset(g) for g in single_linkage(dist, k).groups} == want
+
+
+def test_consensus_group_is_consensus_on_its_distance_matrix():
+    b = planted_bundle(4, [[0], [1, 2, 3]], 75.0, d=24, m=24, seed=11, layer="L0")
+    dist = to_distance(similarity_matrix(b, "L0"))
+    assert consensus_group(b, "L0", k=2, seed=11) == consensus_from_distance(dist, k=2, seed=11)
 
 
 def test_grouping_plan_partition_validation():

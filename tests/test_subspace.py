@@ -285,3 +285,59 @@ def test_subspace_report_truncation_warning(rng):
     b = tiny_bundle({"a": rng.standard_normal((6, 5)), "b": rng.standard_normal((4, 5))})
     rep = subspace_report(b, "L0", k=2)
     assert any("truncated" in w for w in rep.warnings)
+
+
+def ridge_cca_loop(bundle, layer, lam):
+    """The CCA matrix as one ridge_cca call per pair and per diagonal entry."""
+    samples = [bundle.matrix(t, layer).data.astype(np.float64) for t in bundle.tasks]
+    n = len(samples)
+    rho = np.eye(n)
+    for i in range(n):
+        for j in range(i, n):
+            m = min(samples[i].shape[0], samples[j].shape[0])
+            try:
+                rho[i, j] = rho[j, i] = ridge_cca(samples[i][:m], samples[j][:m], lam).rho
+            except SingularCovarianceError:
+                rho[i, j] = rho[j, i] = 1.0
+    return rho
+
+
+def test_subspace_report_cca_equals_ridge_cca_loop_dual_route(rng):
+    # d > 4m on every pair: the factored sample-space route, with truncated pairs
+    rows = {"a": 9, "b": 12, "c": 9, "d": 15}
+    b = tiny_bundle({t: rng.standard_normal((m, 80)) for t, m in rows.items()})
+    for lam in (1e-3, 0.5):
+        report = subspace_report(b, "L0", k=3, lam=lam)
+        assert np.array_equal(report.cca, ridge_cca_loop(b, "L0", lam))
+        assert any("truncated" in w for w in report.warnings)
+
+
+def test_subspace_report_cca_equals_ridge_cca_loop_primal_route(rng):
+    # d <= 4m: the covariance route, including lambda = 0
+    rows = {"a": 20, "b": 24, "c": 20}
+    b = tiny_bundle({t: rng.standard_normal((m, 6)) for t, m in rows.items()})
+    for lam in (0.0, 1e-3):
+        report = subspace_report(b, "L0", k=3, lam=lam)
+        assert np.array_equal(report.cca, ridge_cca_loop(b, "L0", lam))
+
+
+def test_subspace_report_factors_each_task_once(rng, monkeypatch):
+    n, m, d = 5, 8, 64
+    b = tiny_bundle({f"t{i}": rng.standard_normal((m, d)) for i in range(n)})
+    shapes = []
+    real_svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    subspace_report(b, "L0", k=3)
+    assert shapes.count((m, d)) == n  # not n (n + 1): one thin SVD per task
+    assert shapes.count((m, m)) == n * (n + 1) // 2  # one core per pair and diagonal entry
+
+
+def test_subspace_report_rejects_negative_lambda(rng):
+    b = tiny_bundle({"a": rng.standard_normal((4, 40)), "b": rng.standard_normal((4, 40))})
+    with pytest.raises(ValidationError, match="lambda"):
+        subspace_report(b, "L0", k=2, lam=-1.0)
