@@ -42,6 +42,23 @@ def _parse_thresholds(text: str) -> cf.RatioThresholds:
     return cf.RatioThresholds(low=low, high=high)
 
 
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
+def _parse_seeds(text: str) -> list[int]:
+    try:
+        return [_seed(s) for s in text.split(",") if s != ""]
+    except argparse.ArgumentTypeError as exc:
+        raise _UsageError(f"--seeds: {exc}") from exc
+
+
 def _parse_groups(text: str, n_tasks: int):
     groups = []
     for part in text.split("|"):
@@ -294,8 +311,10 @@ def cmd_decompose(args) -> int:
         raise ValidationError(f"plan file not found: {plan_path}")
     try:
         plan = dc.DecompositionPlan.from_dict(json.loads(plan_path.read_text()))
-    except (json.JSONDecodeError, KeyError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"unreadable plan {plan_path}: {exc}") from exc
+    except ValidationError as exc:
+        raise ValidationError(f"invalid plan {plan_path}: {exc}") from exc
     if args.noise is not None or args.seed is not None:
         plan = dataclasses.replace(
             plan,
@@ -337,7 +356,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    seeds = [int(s) for s in str(args.seeds).split(",") if s != ""]
+    seeds = _parse_seeds(str(args.seeds))
     if not seeds:
         raise _UsageError("--seeds must list at least one integer")
     groups = _parse_groups(args.groups, args.tasks)
@@ -473,6 +492,52 @@ def _simulate_markdown(summary: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_plan_report(src: str, data: dict) -> dict:
+    """Every field of a plan report that `gdps report` uses, read up front.
+
+    A missing key or a value of the wrong kind raises ValidationError naming
+    the file and the field.
+    """
+
+    def field(dotted: str):
+        value = data
+        for key in dotted.split("."):
+            if not isinstance(value, dict) or key not in value:
+                raise ValidationError(f"{src}: plan report lacks {dotted!r}")
+            value = value[key]
+        return value
+
+    try:
+        thresholds = cf.RatioThresholds(
+            low=field("conflict.thresholds.low"),
+            high=field("conflict.thresholds.high"),
+            ratios=tuple(field("conflict.thresholds.ratios")),
+        )
+        delta = field("conflict.delta")
+        sigma = np.asarray(field("subspace.sigma"), dtype=np.float64)
+        if sigma.ndim != 1:
+            raise ValueError(f"subspace.sigma has shape {sigma.shape}, expected a list")
+        energies = sigma**2
+        total = energies.sum() if energies.sum() > 0 else 1.0
+        spectrum = ["index,sigma,energy_share"] + [
+            f"{j},{s!r},{share!r}"
+            for j, (s, share) in enumerate(zip(sigma.tolist(), (energies / total).tolist()))
+        ]
+        return {
+            "delta": delta,
+            "branch": cf.ratio_branch(delta, thresholds),
+            "shared_ratio": field("conflict.shared_ratio"),
+            "groups": field("grouping.groups"),
+            "method": field("grouping.method"),
+            "grouping": data["grouping"],
+            "similarity_csv": rp.similarity_csv(field("tasks"), field("similarity")),
+            "merges_csv": rp.merges_csv(field("merges")),
+            "spectrum_csv": "\n".join(spectrum) + "\n",
+        }
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{src}: malformed plan report: {exc}") from exc
+
+
 def cmd_report(args) -> int:
     inputs = [x for x in str(args.inputs).split(",") if x]
     plans = []
@@ -490,6 +555,8 @@ def cmd_report(args) -> int:
             data = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise ValidationError(f"unreadable JSON in {path}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ValidationError(f"{path}: not a recognized plan report or simulate summary")
         if "conflict" in data:
             plans.append((str(path), data))
         elif "runs" in data:
@@ -502,36 +569,23 @@ def cmd_report(args) -> int:
     consolidated = {"plans": [], "simulations": []}
 
     for i, (src, data) in enumerate(plans):
-        c = data["conflict"]
-        thresholds = cf.RatioThresholds(
-            low=c["thresholds"]["low"],
-            high=c["thresholds"]["high"],
-            ratios=tuple(c["thresholds"]["ratios"]),
-        )
-        branch = cf.ratio_branch(c["delta"], thresholds)
+        plan = _read_plan_report(src, data)
         lines += [
             f"## Plan {i}: `{src}`",
             "",
-            f"- delta = {c['delta']:.6f}",
-            f"- branch fired: {branch}",
-            f"- shared_ratio = {c['shared_ratio']}",
-            f"- grouping: {data['grouping']['groups']} (method={data['grouping']['method']})",
+            f"- delta = {plan['delta']:.6f}",
+            f"- branch fired: {plan['branch']}",
+            f"- shared_ratio = {plan['shared_ratio']}",
+            f"- grouping: {plan['groups']} (method={plan['method']})",
             "",
         ]
         consolidated["plans"].append(
-            {"source": src, "delta": c["delta"], "branch": branch,
-             "shared_ratio": c["shared_ratio"], "grouping": data["grouping"]}
+            {"source": src, "delta": plan["delta"], "branch": plan["branch"],
+             "shared_ratio": plan["shared_ratio"], "grouping": plan["grouping"]}
         )
-        tasks = data["tasks"]
-        _write(out / f"similarity_{i}.csv", rp.similarity_csv(tasks, data["similarity"]))
-        _write(out / f"merges_{i}.csv", rp.merges_csv(data["merges"]))
-        sigma = np.asarray(data["subspace"]["sigma"], dtype=np.float64)
-        energies = sigma**2
-        total = energies.sum() if energies.sum() > 0 else 1.0
-        spec_lines = ["index,sigma,energy_share"]
-        for j, s in enumerate(sigma):
-            spec_lines.append(f"{j},{s!r},{energies[j] / total!r}")
-        _write(out / f"spectrum_{i}.csv", "\n".join(spec_lines) + "\n")
+        _write(out / f"similarity_{i}.csv", plan["similarity_csv"])
+        _write(out / f"merges_{i}.csv", plan["merges_csv"])
+        _write(out / f"spectrum_{i}.csv", plan["spectrum_csv"])
 
     if sims:
         lines += ["## Simulations", ""]
@@ -584,7 +638,7 @@ def build_parser() -> _Parser:
     def common(p, bundle=True):
         if bundle:
             p.add_argument("--bundle", required=True, help="bundle directory")
-        p.add_argument("--seed", type=int, default=2343)
+        p.add_argument("--seed", type=_seed, default=2343)
         p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("inspect", help="summarize a bundle")
@@ -638,7 +692,7 @@ def build_parser() -> _Parser:
     p.add_argument("--plan", required=True, help="plan.json from `gdps plan`")
     p.add_argument("--out", required=True)
     p.add_argument("--noise", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--private-rank", type=int, default=0)
     p.set_defaults(func=cmd_decompose)
 

@@ -36,14 +36,11 @@ ACTIVATIONS = ("identity", "relu", "silu", "tanh")
 
 
 def _sigmoid(a):
-    # split form avoids exp overflow for large |a|
+    # exp(-|a|) never overflows; both quotients are finite, where() picks one
     a = np.asarray(a, dtype=np.float64)
-    out = np.empty_like(a)
-    pos = a >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
-    ea = np.exp(a[~pos])
-    out[~pos] = ea / (1.0 + ea)
-    return out
+    e = np.exp(-np.abs(a))
+    d = 1.0 + e
+    return np.where(a >= 0, 1.0 / d, e / d)
 
 
 def activation_fn(name: str):
@@ -58,18 +55,22 @@ def activation_fn(name: str):
     raise ValidationError(f"unknown activation {name!r}; choose from {ACTIVATIONS}")
 
 
-def activation_grad(name: str):
+def activation_pair(name: str):
+    """a -> (act(a), act'(a)), sharing the sigmoid or tanh between the two."""
     if name == "identity":
-        return lambda a: np.ones_like(a)
+        return lambda a: (a, np.ones_like(a))
     if name == "relu":
-        return lambda a: (a > 0.0).astype(np.float64)
+        return lambda a: (np.maximum(a, 0.0), (a > 0.0).astype(np.float64))
     if name == "silu":
-        def dsilu(a):
+        def silu_pair(a):
             s = _sigmoid(a)
-            return s * (1.0 + a * (1.0 - s))
-        return dsilu
+            return a * s, s * (1.0 + a * (1.0 - s))
+        return silu_pair
     if name == "tanh":
-        return lambda a: 1.0 - np.tanh(a) ** 2
+        def tanh_pair(a):
+            t = np.tanh(a)
+            return t, 1.0 - t**2
+        return tanh_pair
     raise ValidationError(f"unknown activation {name!r}; choose from {ACTIVATIONS}")
 
 
@@ -157,18 +158,30 @@ class DecompositionPlan:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DecompositionPlan":
+        """Inverse of to_dict; a missing or malformed field raises ValidationError."""
+        if not isinstance(d, dict):
+            raise ValidationError(f"a plan is a JSON object, got {type(d).__name__}")
+
+        def field(name: str, cast):
+            if name not in d:
+                raise ValidationError(f"plan lacks field {name!r}")
+            try:
+                return cast(d[name])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValidationError(f"plan field {name!r} is malformed: {exc!r}") from exc
+
         return cls(
-            grouping=GroupingPlan.from_dict(d["grouping"]),
-            shared_ratio=float(d["shared_ratio"]),
-            d_model=int(d["d_model"]),
-            d_ff=int(d["d_ff"]),
-            d_s=int(d["d_s"]),
-            d_p=int(d["d_p"]),
-            p_g=tuple(float(x) for x in d["p_g"]),
-            r=int(d["r"]),
-            noise_scale=float(d["noise_scale"]),
-            seed=int(d["seed"]),
-            activation=str(d["activation"]),
+            grouping=field("grouping", GroupingPlan.from_dict),
+            shared_ratio=field("shared_ratio", float),
+            d_model=field("d_model", int),
+            d_ff=field("d_ff", int),
+            d_s=field("d_s", int),
+            d_p=field("d_p", int),
+            p_g=field("p_g", lambda v: tuple(float(x) for x in v)),
+            r=field("r", int),
+            noise_scale=field("noise_scale", float),
+            seed=field("seed", int),
+            activation=field("activation", str),
         )
 
 

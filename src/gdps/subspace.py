@@ -232,10 +232,10 @@ class SubspaceReport:
 
     def spectrum_csv(self) -> str:
         energies = self.sigma**2
-        total = energies.sum()
+        shares = energies / energies.sum()
         lines = ["index,sigma,energy_share"]
-        for i, (s, e) in enumerate(zip(self.sigma, energies)):
-            lines.append(f"{i},{s!r},{e / total!r}")
+        for i, (s, share) in enumerate(zip(self.sigma.tolist(), shares.tolist())):
+            lines.append(f"{i},{s!r},{share!r}")
         return "\n".join(lines) + "\n"
 
 

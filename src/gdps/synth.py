@@ -23,12 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bundle import GradientBundle, GradientMatrix
-from .decompose import (
-    UnifiedFfnWeights,
-    activation_fn,
-    activation_grad,
-    assemble,
-)
+from .decompose import UnifiedFfnWeights, activation_pair, assemble
 from .errors import TrainingDivergence, ValidationError
 from .grouping import GroupingPlan
 
@@ -235,13 +230,6 @@ class ToyModel:
     def d_ff(self) -> int:
         return self.probe.d_ff
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        z = np.asarray(x, dtype=np.float64) @ self.trunk.T
-        act = activation_fn(self.activation)
-        h = act(z @ self.probe.w1.T)
-        p = h @ self.probe.w2.T
-        return p @ self.head.T
-
 
 def make_model(
     suite: SyntheticSuite,
@@ -265,21 +253,71 @@ def make_model(
     return ToyModel(trunk=trunk, head=head, probe=probe, activation=activation)
 
 
+def _routed_forward(z: np.ndarray, head: np.ndarray, branches, act_name: str):
+    """Probe block plus head on trunk features z, (batch, d) or (tasks, batch, d).
+
+    `branches` lists (up, down) weight pairs whose outputs are summed: a 2-D
+    pair is shared by every task, a 3-D pair holds each task's own weights
+    (its group's private branch, gathered by route).  The activation and its
+    derivative are evaluated once over all branches' pre-activations.
+    Returns the head output and, per branch, the activations and derivatives.
+    """
+    pre = [z @ up.swapaxes(-1, -2) for up, _ in branches]
+    h, dh = activation_pair(act_name)(pre[0] if len(pre) == 1 else np.concatenate(pre, axis=-1))
+    bounds = np.cumsum([0] + [a_k.shape[-1] for a_k in pre]).tolist()
+    hs = [h[..., lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    dhs = [dh[..., lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    p = hs[0] @ branches[0][1].swapaxes(-1, -2)
+    for h_k, (_, down) in zip(hs[1:], branches[1:]):
+        p = p + h_k @ down.swapaxes(-1, -2)
+    return p @ head.T, hs, dhs
+
+
+def _routed_step(z: np.ndarray, y: np.ndarray, head: np.ndarray, branches, act_name: str):
+    """Per-task mean-over-batch losses and gradients on stacked (tasks, batch, d) data.
+
+    Row t of the gradient is task t's [vec(up); vec(down)] of every branch in
+    turn, the layout `_pack` gives the parameters.
+    """
+    out, hs, dhs = _routed_forward(z, head, branches, act_name)
+    n, b = z.shape[:2]
+    e = out - y
+    losses = (e**2).reshape(n, -1).sum(axis=1) / (2 * b)
+    dp = (e @ head) / b
+    grads = []
+    for (_, down), h_k, dh_k in zip(branches, hs, dhs):
+        da = (dp @ down) * dh_k
+        grads.append((da.swapaxes(-1, -2) @ z).reshape(n, -1))
+        grads.append((dp.swapaxes(-1, -2) @ h_k).reshape(n, -1))
+    return losses, np.concatenate(grads, axis=1)
+
+
+def _pack(weights, lead: int = 0):
+    """Copy weights into one buffer, flat past the first `lead` axes.
+
+    Returns the buffer and one view of it per weight, shaped like the weight,
+    so an update of the buffer moves every view.
+    """
+    buf = np.concatenate([w.reshape(*w.shape[:lead], -1) for w in weights], axis=-1)
+    views, lo = [], 0
+    for w in weights:
+        hi = lo + int(np.prod(w.shape[lead:]))
+        views.append(buf[..., lo:hi].reshape(w.shape))
+        lo = hi
+    return buf, views
+
+
 def _per_sample_probe_grads(model: ToyModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Closed-form per-sample gradients of 1/2 ||err||^2 w.r.t. (w1, w2).
 
     Returns one flattened row [vec(grad w1); vec(grad w2)] per sample.
     """
-    act = activation_fn(model.activation)
-    dact = activation_grad(model.activation)
     z = x @ model.trunk.T  # B x d_model
-    a = z @ model.probe.w1.T  # B x d_ff
-    h = act(a)
-    p = h @ model.probe.w2.T  # B x d_model
-    e = p @ model.head.T - y  # B x d_out
-    dp = e @ model.head  # B x d_model
+    w1, w2 = model.probe.w1, model.probe.w2
+    out, (h,), (dh,) = _routed_forward(z, model.head, [(w1, w2)], model.activation)
+    dp = (out - y) @ model.head  # B x d_model
     g_w2 = np.einsum("bi,bj->bij", dp, h)  # B x d_model x d_ff
-    da = (dp @ model.probe.w2) * dact(a)  # B x d_ff
+    da = (dp @ w2) * dh  # B x d_ff
     g_w1 = np.einsum("bi,bj->bij", da, z)  # B x d_ff x d_model
     b = x.shape[0]
     return np.concatenate([g_w1.reshape(b, -1), g_w2.reshape(b, -1)], axis=1)
@@ -349,9 +387,9 @@ class TrainLog:
 
     def to_csv(self) -> str:
         lines = ["step,task,loss"]
-        for step in range(self.losses.shape[0]):
-            for j, task in enumerate(self.tasks):
-                lines.append(f"{step},{task},{self.losses[step, j]!r}")
+        for step, row in enumerate(self.losses.tolist()):
+            for task, loss in zip(self.tasks, row):
+                lines.append(f"{step},{task},{loss!r}")
         return "\n".join(lines) + "\n"
 
     def summary_dict(self) -> dict:
@@ -367,49 +405,6 @@ class TrainLog:
             "xtask_cosine_before": {t: float(v) for t, v in self.xtask_cosine_before.items()},
             "xtask_cosine_after": {t: float(v) for t, v in self.xtask_cosine_after.items()},
         }
-
-
-def _batch_probe_grads(model_like, x, y):
-    """Mean-over-batch loss and gradients for a unified probe block."""
-    trunk, head, w1, w2, act_name = model_like
-    act = activation_fn(act_name)
-    dact = activation_grad(act_name)
-    b = x.shape[0]
-    z = x @ trunk.T
-    a = z @ w1.T
-    h = act(a)
-    p = h @ w2.T
-    e = p @ head.T - y
-    loss = float((e**2).sum() / (2 * b))
-    dp = (e @ head) / b
-    g_w2 = dp.T @ h
-    da = (dp @ w2) * dact(a)
-    g_w1 = da.T @ z
-    return loss, g_w1, g_w2
-
-
-def _batch_specialized_grads(trunk, head, ffn_state, group: int, act_name: str, x, y):
-    """Mean-over-batch loss and branch gradients for a specialized block."""
-    shared_up, shared_down, private_up, private_down = ffn_state
-    act = activation_fn(act_name)
-    dact = activation_grad(act_name)
-    b = x.shape[0]
-    z = x @ trunk.T
-    a_s = z @ shared_up.T
-    h_s = act(a_s)
-    a_p = z @ private_up[group].T
-    h_p = act(a_p)
-    p = h_s @ shared_down.T + h_p @ private_down[group].T
-    e = p @ head.T - y
-    loss = float((e**2).sum() / (2 * b))
-    dp = (e @ head) / b
-    g_sd = dp.T @ h_s
-    g_pd = dp.T @ h_p
-    da_s = (dp @ shared_down) * dact(a_s)
-    g_su = da_s.T @ z
-    da_p = (dp @ private_down[group]) * dact(a_p)
-    g_pu = da_p.T @ z
-    return loss, g_su, g_sd, g_pu, g_pd
 
 
 def _xtask_cosines(task_grads: dict) -> dict:
@@ -431,6 +426,12 @@ EVAL_BATCH = 256
 DIVERGENCE_GUARD = 1e6
 
 
+def _stack_batches(suite: SyntheticSuite, size: int, rng, clean: bool = False):
+    """One batch per task, drawn in task order, stacked to (tasks, size, d)."""
+    pairs = [suite.sample_batch(t, size, rng, clean=clean) for t in suite.tasks]
+    return np.stack([x for x, _ in pairs]), np.stack([y for _, y in pairs])
+
+
 def train(
     model: ToyModel,
     suite: SyntheticSuite,
@@ -440,17 +441,17 @@ def train(
     lr: float = 0.05,
     batch_size: int = 32,
     seed: int = 2343,
-    private_lr_scale: float = 1.0,
 ) -> TrainLog:
     """Full-batch gradient descent on the probe block only (trunk/head frozen).
 
     Each task gets one fixed training batch of `batch_size` samples drawn up
-    front, so the loss series is deterministic and constant at lr=0.
+    front, so the loss series is deterministic and constant at lr=0.  Every
+    step runs one forward/backward over all tasks' stacked batches.
 
     unified: one probe block, updated with the mean of all tasks' gradients.
     specialized: requires a plan; the shared branch moves by the mean of the
     per-group mean gradients, each private branch only by its own group's
-    mean gradient (times private_lr_scale).
+    mean gradient.
 
     Alignment stats (xtask_cosine_*) are measured on the parameters every
     task updates (whole probe for unified, shared branch for specialized)
@@ -463,122 +464,66 @@ def train(
         raise ValidationError("specialized mode requires a decomposition plan")
     if mode == "unified" and plan is not None:
         raise ValidationError("unified mode does not accept a plan")
+    if steps < 0:
+        raise ValidationError(f"steps must be >= 0, got {steps}")
 
     tasks = suite.tasks
     batch_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(23,)))
-    eval_rng_seed = np.random.SeedSequence(entropy=seed, spawn_key=(29,))
-    batches = {t: suite.sample_batch(t, batch_size, batch_rng) for t in tasks}
+    eval_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(29,)))
+    x, y = _stack_batches(suite, batch_size, batch_rng)
+    eval_x, eval_y = _stack_batches(suite, EVAL_BATCH, eval_rng, clean=True)
+    # the trunk is frozen, so its features are computed once
+    z, eval_z = x @ model.trunk.T, eval_x @ model.trunk.T
+
+    # Trainable weights live in two buffers: `shared` (flat) and `private`
+    # (one flat row per group); the matrices below are views into them.
+    if mode == "unified":
+        shared, shared_w = _pack([model.probe.w1, model.probe.w2])
+        private = None
+        act_name = model.activation
+    else:
+        plan.grouping.validate(tasks)
+        ffn = assemble(model.probe, plan)
+        shared, shared_w = _pack([ffn.shared_up, ffn.shared_down])
+        private, (private_up, private_down) = _pack(
+            [np.stack(ffn.private_up), np.stack(ffn.private_down)], lead=1
+        )
+        route = np.array([ffn.routing[t] for t in tasks])
+        members = [np.array([tasks.index(t) for t in g]) for g in plan.grouping.groups]
+        act_name = ffn.activation
+
+    def step(z, y):
+        branches = [shared_w]
+        if private is not None:
+            branches.append((private_up[route], private_down[route]))
+        return _routed_step(z, y, model.head, branches, act_name)
+
+    def eval_xtask():
+        # alignment on the weights every task updates: the shared buffer
+        _, grads = step(eval_z, eval_y)
+        return _xtask_cosines({t: grads[j, : shared.size] for j, t in enumerate(tasks)})
 
     losses = np.zeros((max(steps, 1), len(tasks)))
-
-    if mode == "unified":
-        w1 = model.probe.w1.copy()
-        w2 = model.probe.w2.copy()
-
-        def eval_xtask():
-            rng = np.random.default_rng(eval_rng_seed)
-            grads = {}
-            for task in tasks:
-                x, y = suite.sample_batch(task, EVAL_BATCH, rng, clean=True)
-                _, g1, g2 = _batch_probe_grads(
-                    (model.trunk, model.head, w1, w2, model.activation), x, y
-                )
-                grads[task] = np.concatenate([g1.ravel(), g2.ravel()])
-            return _xtask_cosines(grads)
-
-        def run_step(step: int, update: bool):
-            nonlocal w1, w2
-            g1_acc = np.zeros_like(w1)
-            g2_acc = np.zeros_like(w2)
-            for j, task in enumerate(tasks):
-                x, y = batches[task]
-                loss, g1, g2 = _batch_probe_grads(
-                    (model.trunk, model.head, w1, w2, model.activation), x, y
-                )
-                if not np.isfinite(loss) or loss > DIVERGENCE_GUARD:
-                    raise TrainingDivergence(
-                        f"unified run diverged at step {step}, task {task}: loss={loss}"
-                    )
-                losses[step, j] = loss
-                g1_acc += g1
-                g2_acc += g2
-            if update:
-                w1 -= lr * g1_acc / len(tasks)
-                w2 -= lr * g2_acc / len(tasks)
-
-        before = eval_xtask()
+    before = eval_xtask()
+    for i in range(max(steps, 1)):
+        step_losses, grads = step(z, y)
+        bad = ~np.isfinite(step_losses) | (step_losses > DIVERGENCE_GUARD)
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise TrainingDivergence(
+                f"{mode} run diverged at step {i}, task {tasks[j]}: loss={float(step_losses[j])}"
+            )
+        losses[i] = step_losses
         if steps == 0:
-            run_step(0, update=False)
-        for step in range(steps):
-            run_step(step, update=True)
-        after = eval_xtask()
-    else:
-        ffn = assemble(model.probe, plan)
-        shared_up = ffn.shared_up.copy()
-        shared_down = ffn.shared_down.copy()
-        private_up = [u.copy() for u in ffn.private_up]
-        private_down = [d.copy() for d in ffn.private_down]
-        routing = ffn.routing
-        act_name = ffn.activation
-        groups = plan.grouping.groups
-
-        def eval_xtask():
-            rng = np.random.default_rng(eval_rng_seed)
-            grads = {}
-            for task in tasks:
-                x, y = suite.sample_batch(task, EVAL_BATCH, rng, clean=True)
-                _, g_su, g_sd, _, _ = _batch_specialized_grads(
-                    model.trunk,
-                    model.head,
-                    (shared_up, shared_down, private_up, private_down),
-                    routing[task],
-                    act_name,
-                    x,
-                    y,
-                )
-                grads[task] = np.concatenate([g_su.ravel(), g_sd.ravel()])
-            return _xtask_cosines(grads)
-
-        def run_step(step: int, update: bool):
-            nonlocal shared_up, shared_down
-            per_task = {}
-            for j, task in enumerate(tasks):
-                x, y = batches[task]
-                loss, g_su, g_sd, g_pu, g_pd = _batch_specialized_grads(
-                    model.trunk,
-                    model.head,
-                    (shared_up, shared_down, private_up, private_down),
-                    routing[task],
-                    act_name,
-                    x,
-                    y,
-                )
-                if not np.isfinite(loss) or loss > DIVERGENCE_GUARD:
-                    raise TrainingDivergence(
-                        f"specialized run diverged at step {step}, task {task}: loss={loss}"
-                    )
-                losses[step, j] = loss
-                per_task[task] = (g_su, g_sd, g_pu, g_pd)
-            if not update:
-                return
-            su_groups = []
-            sd_groups = []
-            for g, group in enumerate(groups):
-                su_groups.append(np.mean([per_task[t][0] for t in group], axis=0))
-                sd_groups.append(np.mean([per_task[t][1] for t in group], axis=0))
-                pu_g = np.mean([per_task[t][2] for t in group], axis=0)
-                pd_g = np.mean([per_task[t][3] for t in group], axis=0)
-                private_up[g] = private_up[g] - lr * private_lr_scale * pu_g
-                private_down[g] = private_down[g] - lr * private_lr_scale * pd_g
-            shared_up -= lr * np.mean(su_groups, axis=0)
-            shared_down -= lr * np.mean(sd_groups, axis=0)
-
-        before = eval_xtask()
-        if steps == 0:
-            run_step(0, update=False)
-        for step in range(steps):
-            run_step(step, update=True)
-        after = eval_xtask()
+            break
+        if private is None:
+            # (lr * sum) / n, not lr * mean: the order the losses are pinned to
+            shared -= lr * grads.sum(axis=0) / len(tasks)
+            continue
+        means = np.array([grads[idx].sum(axis=0) / len(idx) for idx in members])
+        shared -= lr * means[:, : shared.size].mean(axis=0)
+        private -= lr * means[:, shared.size :]
+    after = eval_xtask()
 
     return TrainLog(
         mode=mode,

@@ -438,3 +438,94 @@ def test_simulate_divergence_reported_per_seed(tmp_path, capsys):
     assert len(summary["runs"]) == 2
     assert all("diverged" in run["unified"] for run in summary["runs"])
     assert "diverged" in capsys.readouterr().err
+
+
+def _csv_rows(text):
+    """The fields of each row of a CSV file, header dropped."""
+    return [line.split(",") for line in text.strip().splitlines()[1:]]
+
+
+def test_csv_fields_are_plain_floats(tmp_path):
+    from gdps.synth import make_model, make_suite, train
+
+    suite = make_suite(2, [[0], [1]], 40.0, seed=3)
+    log = train(make_model(suite, seed=3), suite, "unified", steps=4, lr=0.05, seed=3)
+    rows = _csv_rows(log.to_csv())
+    got = np.array([float(loss) for _, _, loss in rows]).reshape(log.losses.shape)
+    assert np.array_equal(got, log.losses)
+    assert [(int(step), task) for step, task, _ in rows] == [
+        (s, t) for s in range(4) for t in log.tasks
+    ]
+
+    make_disk_bundle(tmp_path / "b")
+    assert main(["subspace", "--bundle", str(tmp_path / "b"), "--out", str(tmp_path / "s")]) == 0
+    sigma = np.asarray(read_json(tmp_path / "s" / "subspace.json")["sigma"])
+    rows = _csv_rows((tmp_path / "s" / "spectrum.csv").read_text())
+    assert np.array_equal([float(s) for _, s, _ in rows], sigma)
+    assert np.array_equal([float(e) for _, _, e in rows], sigma**2 / (sigma**2).sum())
+
+    assert main(["plan", "--bundle", str(tmp_path / "b"), "--out", str(tmp_path / "p")]) == 0
+    assert main(["report", "--inputs", str(tmp_path / "p"), "--out", str(tmp_path / "r")]) == 0
+    sigma = np.asarray(read_json(tmp_path / "p" / "report.json")["subspace"]["sigma"])
+    rows = _csv_rows((tmp_path / "r" / "spectrum_0.csv").read_text())
+    assert np.array_equal([float(s) for _, s, _ in rows], sigma)
+    assert np.array_equal([float(e) for _, _, e in rows], sigma**2 / (sigma**2).sum())
+
+
+@pytest.mark.parametrize("command,flag", [("group", "--seed"), ("plan", "--seed"),
+                                          ("simulate", "--seeds")])
+def test_negative_seed_exit_1(tmp_path, capsys, command, flag):
+    if command == "simulate":
+        argv = ["simulate", "--theta", "80", "--steps", "2", "--seeds", "3,-1"]
+    else:
+        make_disk_bundle(tmp_path / "b")
+        argv = [command, "--bundle", str(tmp_path / "b"), "--seed", "-1"]
+    rc = main(argv + ["--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith("error:") and flag in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_report_malformed_plan_report_exit_1(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"conflict": {"delta": 0.1}}))
+    rc = main(["report", "--inputs", str(bad), "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert str(bad) in err and "conflict.thresholds" in err
+    assert "Traceback" not in err
+
+
+def test_report_plan_report_wrong_types_exit_1(tmp_path, capsys):
+    make_disk_bundle(tmp_path / "b")
+    main(["plan", "--bundle", str(tmp_path / "b"), "--out", str(tmp_path / "p")])
+    report = read_json(tmp_path / "p" / "report.json")
+    report["conflict"]["delta"] = "high"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(report))
+    capsys.readouterr()
+    rc = main(["report", "--inputs", str(bad), "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert str(bad) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit,field", [
+    (lambda plan: {**plan, "d_model": "abc"}, "d_model"),
+    (lambda plan: [plan], "JSON object"),
+    (lambda plan: {k: v for k, v in plan.items() if k != "p_g"}, "p_g"),
+])
+def test_decompose_malformed_plan_exit_1(tmp_path, capsys, rng, edit, field):
+    write_desk_weights(tmp_path, rng)
+    plan, plan_path = write_plan_file(tmp_path)
+    plan_path.write_text(json.dumps(edit(plan.to_dict())))
+    rc = main([
+        "decompose", "--w1", str(tmp_path / "w1.gdm"), "--w2", str(tmp_path / "w2.gdm"),
+        "--plan", str(plan_path), "--out", str(tmp_path / "ffn"),
+    ])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert str(plan_path) in err and field in err
+    assert "Traceback" not in err
