@@ -492,6 +492,16 @@ def _simulate_markdown(summary: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_field(src: str, kind: str, data, dotted: str):
+    """The value at a dotted key path; a missing key names the file and the path."""
+    value = data
+    for key in dotted.split("."):
+        if not isinstance(value, dict) or key not in value:
+            raise ValidationError(f"{src}: {kind} lacks {dotted!r}")
+        value = value[key]
+    return value
+
+
 def _read_plan_report(src: str, data: dict) -> dict:
     """Every field of a plan report that `gdps report` uses, read up front.
 
@@ -500,12 +510,7 @@ def _read_plan_report(src: str, data: dict) -> dict:
     """
 
     def field(dotted: str):
-        value = data
-        for key in dotted.split("."):
-            if not isinstance(value, dict) or key not in value:
-                raise ValidationError(f"{src}: plan report lacks {dotted!r}")
-            value = value[key]
-        return value
+        return _json_field(src, "plan report", data, dotted)
 
     try:
         thresholds = cf.RatioThresholds(
@@ -538,6 +543,40 @@ def _read_plan_report(src: str, data: dict) -> dict:
         raise ValidationError(f"{src}: malformed plan report: {exc}") from exc
 
 
+def _read_sim_summary(src: str, data: dict) -> dict:
+    """Every field of a simulate summary that `gdps report` uses, read up front.
+
+    Each run becomes {seed, unified, specialized}, a mode's entry being its
+    final mean loss or None.  A missing key or a value of the wrong kind
+    raises ValidationError naming the file and the field.
+    """
+    params = _json_field(src, "simulate summary", data, "params")
+    runs = _json_field(src, "simulate summary", data, "runs")
+    if not isinstance(params, dict):
+        raise ValidationError(f"{src}: simulate summary field 'params' is not an object")
+    if not isinstance(runs, list):
+        raise ValidationError(f"{src}: simulate summary field 'runs' is not a list")
+    rows = []
+    for i, run in enumerate(runs):
+        if not isinstance(run, dict):
+            raise ValidationError(f"{src}: simulate summary field 'runs[{i}]' is not an object")
+        seed = run.get("seed")
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise ValidationError(
+                f"{src}: simulate summary field 'runs[{i}].seed' is missing or not an integer"
+            )
+        row = {"seed": seed}
+        for mode in ("unified", "specialized"):
+            entry = run.get(mode, {})
+            if not isinstance(entry, dict):
+                raise ValidationError(
+                    f"{src}: simulate summary field 'runs[{i}].{mode}' is not an object"
+                )
+            row[mode] = entry.get("final_mean_loss")
+        rows.append(row)
+    return {"params": params, "runs": rows}
+
+
 def cmd_report(args) -> int:
     inputs = [x for x in str(args.inputs).split(",") if x]
     plans = []
@@ -560,7 +599,7 @@ def cmd_report(args) -> int:
         if "conflict" in data:
             plans.append((str(path), data))
         elif "runs" in data:
-            sims.append((str(path), data))
+            sims.append((str(path), _read_sim_summary(str(path), data)))
         else:
             raise ValidationError(f"{path}: not a recognized plan report or simulate summary")
 
@@ -601,9 +640,8 @@ def cmd_report(args) -> int:
             row = f"| {seed} |"
             for _, data in sims:
                 run = next((r for r in data["runs"] if r["seed"] == seed), {})
-                uni = run.get("unified", {}).get("final_mean_loss", "n/a")
-                spec = run.get("specialized", {}).get("final_mean_loss", "n/a")
-                row += f" {uni} | {spec} |"
+                uni, spec = run.get("unified"), run.get("specialized")
+                row += f" {'n/a' if uni is None else uni} | {'n/a' if spec is None else spec} |"
             lines.append(row)
         lines.append("")
         for src, data in sims:
@@ -624,8 +662,8 @@ def cmd_report(args) -> int:
             )
         for src_, data in sims:
             for run in data["runs"]:
-                uni = run.get("unified", {}).get("final_mean_loss", "")
-                spec = run.get("specialized", {}).get("final_mean_loss", "")
+                uni = "" if run["unified"] is None else run["unified"]
+                spec = "" if run["specialized"] is None else run["specialized"]
                 rows.append(f"simulate,{src_},,,,{run['seed']},{uni},{spec}")
         _write(out / "consolidated.csv", "\n".join(rows) + "\n")
     return 0

@@ -475,18 +475,53 @@ def save_ffn(ffn: SpecializedFfn, path) -> None:
     (root / FFN_META_NAME).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
+def _read_ffn_meta(meta_path: Path) -> dict:
+    """The fields of ffn.json that load_ffn uses; a bad one names the file and key."""
+    try:
+        meta = json.loads(meta_path.read_text())
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValidationError(f"unreadable JSON in {meta_path}: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise ValidationError(f"{meta_path}: expected a JSON object")
+
+    def field(key: str, ok, kind: str):
+        if key not in meta:
+            raise ValidationError(f"{meta_path}: lacks {key!r}")
+        if not ok(meta[key]):
+            raise ValidationError(f"{meta_path}: {key!r} must be {kind}, got {meta[key]!r}")
+        return meta[key]
+
+    def count(v):
+        return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+    def routing(v):
+        return isinstance(v, dict) and all(count(g) for g in v.values())
+
+    out = {key: field(key, count, "a non-negative integer")
+           for key in ("n_groups", "d_model", "d_s", "d_p")}
+    out["routing"] = field("routing", routing, "an object of task -> group index")
+    out["activation"] = field("activation", lambda v: v in ACTIVATIONS,
+                              f"one of {ACTIVATIONS}")
+    plan = meta.get("plan")
+    try:
+        out["plan"] = DecompositionPlan.from_dict(plan) if plan else None
+    except ValidationError as exc:
+        raise ValidationError(f"{meta_path}: 'plan': {exc}") from exc
+    return out
+
+
 def load_ffn(path) -> SpecializedFfn:
+    """Inverse of save_ffn; weights come back as float64 of their float32 storage."""
     root = Path(path)
     meta_path = root / FFN_META_NAME
     if not meta_path.is_file():
         raise ValidationError(f"no {FFN_META_NAME} in {root}")
-    meta = json.loads(meta_path.read_text())
-    n = int(meta["n_groups"])
-    plan = meta.get("plan")
+    meta = _read_ffn_meta(meta_path)
+    n = meta["n_groups"]
     return SpecializedFfn(
-        d_model=int(meta["d_model"]),
-        d_s=int(meta["d_s"]),
-        d_p=int(meta["d_p"]),
+        d_model=meta["d_model"],
+        d_s=meta["d_s"],
+        d_p=meta["d_p"],
         shared_up=read_matrix_file(root / "shared_up.gdm").astype(np.float64),
         shared_down=read_matrix_file(root / "shared_down.gdm").astype(np.float64),
         private_up=tuple(
@@ -495,7 +530,7 @@ def load_ffn(path) -> SpecializedFfn:
         private_down=tuple(
             read_matrix_file(root / f"group{g}_down.gdm").astype(np.float64) for g in range(n)
         ),
-        routing={task: int(g) for task, g in meta["routing"].items()},
-        activation=str(meta["activation"]),
-        plan=DecompositionPlan.from_dict(plan) if plan else None,
+        routing=dict(meta["routing"]),
+        activation=meta["activation"],
+        plan=meta["plan"],
     )

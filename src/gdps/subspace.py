@@ -6,8 +6,11 @@ projection norm onto the top-k right singular directions, and the energy
 proportions p_i decide how much residual capacity each group later receives.
 Pairwise subspace alignment is measured by the leading ridge-regularized
 canonical correlation.  When features outnumber samples each task is factored
-once (thin SVD of its centred rows) and every pair only solves a small
-sample-space core, the factor-then-correlate structure of SVCCA.
+once and every pair only solves a small sample-space core, the
+factor-then-correlate structure of SVCCA.  Both the joint stack and each
+task's centred rows are factored from the Gram matrix of their short side
+(`linalg.gram_svd`); for a task's rows that is the dual, kernel form of
+ridge CCA (Hardoon et al. 2004).
 """
 
 from __future__ import annotations
@@ -20,14 +23,21 @@ import numpy as np
 from . import bundle as gb
 from .errors import SingularCovarianceError, ValidationError
 from .grouping import GroupingPlan
-from .linalg import SvdResult, covariance, gini, svd
+from .linalg import SvdResult, covariance, gini, gram_svd
 
 DEFAULT_TOP_K = 10
 DEFAULT_LAMBDA = 1e-3
 
 
 def joint_svd(bundle: gb.GradientBundle, layer: str, normalize_rows: bool = False) -> SvdResult:
-    """Thin SVD of the row-wise stack of all tasks' matrices at a layer."""
+    """Thin SVD of the row-wise stack of all tasks' matrices at a layer.
+
+    It comes from the Gram matrix of the stack's short side (`gram_svd`):
+    sigma**2, and so every energy, share, Gini and top-1 value taken from
+    it, is accurate to about eps * sigma[0]**2.  A sigma below about
+    sqrt(eps) * sigma[0] resolves only to about 1e-8 * sigma[0], and where
+    sigma is 0 the matching column of v is zero.
+    """
     blocks = []
     for task in bundle.tasks:
         g = gb.sample_gradients(bundle, task, layer).astype(np.float64)
@@ -36,7 +46,7 @@ def joint_svd(bundle: gb.GradientBundle, layer: str, normalize_rows: bool = Fals
             norms[norms == 0.0] = 1.0
             g = g / norms
         blocks.append(g)
-    return svd(np.vstack(blocks))
+    return gram_svd(np.vstack(blocks))
 
 
 def energy_proportions(
@@ -144,18 +154,19 @@ def ridge_cca(g_a, g_b, lam: float = DEFAULT_LAMBDA, center: bool = True) -> Cca
     return CcaResult(rho=rho, w_a=wa @ u[:, 0], w_b=wb @ vh[0, :], lam=lam)
 
 
-def _dual_factor(a: np.ndarray, center: bool):
-    """Per-task factor of the dual route: thin SVD (U, s, V^T) of A/sqrt(m).
+def _dual_factor(a: np.ndarray, center: bool) -> SvdResult:
+    """Per-task factor of the dual route: thin SVD of A/sqrt(m).
 
     A is column-centred first when `center` is set.  It depends on one task
     and its row count only, so a pairwise report computes it once per task.
+    It comes from the m x m sample Gram (`gram_svd`), not a d-wide SVD.
     """
     m = a.shape[0]
     if center:
         if m < 2:
             raise ValidationError("centered covariance needs at least 2 rows")
         a = a - a.mean(axis=0)
-    return np.linalg.svd(a / np.sqrt(m), full_matrices=False)
+    return gram_svd(a / np.sqrt(m))
 
 
 def _dual_core(ua, sa, ub, sb, lam: float):
@@ -172,18 +183,21 @@ def _dual_core(ua, sa, ub, sb, lam: float):
         )
     fa = sa / np.sqrt(sa**2 + lam)
     fb = sb / np.sqrt(sb**2 + lam)
-    core = (fa[:, None] * (ua.T @ ub)) * fb[None, :]
+    # Ua^T is copied so that numpy never sees Ua^T @ Ua as one buffer and
+    # takes its symmetric (syrk) kernel on a report's diagonal: the entry then
+    # rounds as ridge_cca(a, a) does, which factors each side separately.
+    core = (fa[:, None] * (ua.T.copy() @ ub)) * fb[None, :]
     u, s, vh = np.linalg.svd(core, full_matrices=False)
     return float(np.clip(s[0], 0.0, 1.0)), u[:, 0], vh[0, :]
 
 
 def _ridge_cca_dual(a: np.ndarray, b: np.ndarray, lam: float, center: bool) -> CcaResult:
     """Sample-space route for d >> m: one factor per side, then the core."""
-    ua, sa, vat = _dual_factor(a, center)
-    ub, sb, vbt = _dual_factor(b, center)
-    rho, x, y = _dual_core(ua, sa, ub, sb, lam)
-    w_a = vat.T @ (x / np.sqrt(sa**2 + lam))
-    w_b = vbt.T @ (y / np.sqrt(sb**2 + lam))
+    fa = _dual_factor(a, center)
+    fb = _dual_factor(b, center)
+    rho, x, y = _dual_core(fa.u, fa.sigma, fb.u, fb.sigma, lam)
+    w_a = fa.v @ (x / np.sqrt(fa.sigma**2 + lam))
+    w_b = fb.v @ (y / np.sqrt(fb.sigma**2 + lam))
     return CcaResult(rho=rho, w_a=w_a, w_b=w_b, lam=lam)
 
 
@@ -267,7 +281,8 @@ def subspace_report(
 
     def factor(i, m):
         if (i, m) not in factors:
-            factors[i, m] = _dual_factor(samples[i][:m], center=True)[:2]
+            f = _dual_factor(samples[i][:m], center=True)
+            factors[i, m] = f.u, f.sigma
         return factors[i, m]
 
     def rho(i, j):

@@ -529,3 +529,36 @@ def test_decompose_malformed_plan_exit_1(tmp_path, capsys, rng, edit, field):
     assert rc == 1
     assert str(plan_path) in err and field in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("summary,field", [
+    ({"runs": [1], "params": {}}, "runs[0]"),
+    ({"runs": [{"seed": 1}]}, "params"),
+    ({"runs": {"seed": 1}, "params": {}}, "runs"),
+    ({"runs": [{"unified": {}}], "params": {}}, "runs[0].seed"),
+    ({"runs": [{"seed": "one"}], "params": {}}, "runs[0].seed"),
+    ({"runs": [{"seed": 1, "unified": 0.5}], "params": {}}, "runs[0].unified"),
+])
+def test_report_malformed_simulate_summary_exit_1(tmp_path, capsys, summary, field):
+    bad = tmp_path / "summary.json"
+    bad.write_text(json.dumps(summary))
+    rc = main(["report", "--inputs", str(bad), "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert str(bad) in err and field in err
+
+
+def test_report_simulate_summary_missing_losses(tmp_path, capsys):
+    # a diverged or skipped mode reads as n/a, not as an error
+    ok = tmp_path / "summary.json"
+    ok.write_text(json.dumps({
+        "params": {},
+        "runs": [{"seed": 2, "unified": {"final_mean_loss": 0.25}, "specialized": {"diverged": "x"}}],
+    }))
+    assert main(["report", "--inputs", str(ok), "--out", str(tmp_path / "r")]) == 0
+    assert "| 2 | 0.25 | n/a |" in (tmp_path / "r" / "consolidated.md").read_text()
+    assert main(["report", "--inputs", str(ok), "--out", str(tmp_path / "c"),
+                 "--format", "csv"]) == 0
+    assert "simulate,{},,,,2,0.25,\n".format(ok) in (tmp_path / "c" / "consolidated.csv").read_text()

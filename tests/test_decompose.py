@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -301,12 +303,71 @@ def test_save_load_round_trip(tmp_path, rng):
     assert back.routing == ffn.routing
     assert back.activation == ffn.activation
     assert back.plan == ffn.plan
-    # storage is float32; loaded weights equal the f32 quantization
-    assert np.array_equal(back.shared_up, ffn.shared_up.astype(np.float32).astype(np.float64))
+    # storage is float32; every loaded weight equals its f32 quantization
+    def f32(w):
+        return w.astype(np.float32).astype(np.float64)
+
+    assert np.array_equal(back.shared_up, f32(ffn.shared_up))
+    assert np.array_equal(back.shared_down, f32(ffn.shared_down))
+    assert len(back.private_up) == len(back.private_down) == len(ffn.private_up) == 2
+    for got, want in zip(back.private_up + back.private_down, ffn.private_up + ffn.private_down):
+        assert got.dtype == np.float64
+        assert np.array_equal(got, f32(want))
     x = rng.standard_normal((3, 8))
     got = forward(back, x, "b")
     want = forward(ffn, x, "b")
     assert np.max(np.abs(got - want)) < 1e-5
+
+
+def _saved_ffn_meta(tmp_path, rng):
+    plan = make_plan(two_groups(), 0.5, 8, 12, p_g=(0.5, 0.5), seed=11)
+    save_ffn(assemble(random_weights(rng), plan), tmp_path / "ffn")
+    meta_path = tmp_path / "ffn" / "ffn.json"
+    return json.loads(meta_path.read_text()), meta_path
+
+
+@pytest.mark.parametrize("key", ["n_groups", "d_model", "d_s", "d_p", "routing", "activation"])
+def test_load_ffn_missing_key(tmp_path, rng, key):
+    meta, meta_path = _saved_ffn_meta(tmp_path, rng)
+    del meta[key]
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(ValidationError, match=f"ffn.json.*{key}"):
+        load_ffn(tmp_path / "ffn")
+
+
+@pytest.mark.parametrize("key,value", [
+    ("n_groups", "2"),
+    ("n_groups", -1),
+    ("d_model", 8.5),
+    ("d_s", True),
+    ("d_p", None),
+    ("routing", ["a", "b"]),
+    ("routing", {"a": "zero"}),
+    ("activation", "gelu"),
+    ("activation", 3),
+])
+def test_load_ffn_malformed_key(tmp_path, rng, key, value):
+    meta, meta_path = _saved_ffn_meta(tmp_path, rng)
+    meta[key] = value
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(ValidationError, match=f"ffn.json.*{key}"):
+        load_ffn(tmp_path / "ffn")
+
+
+@pytest.mark.parametrize("text", ["{not json", "[1, 2]", ""])
+def test_load_ffn_unreadable_json(tmp_path, rng, text):
+    _, meta_path = _saved_ffn_meta(tmp_path, rng)
+    meta_path.write_text(text)
+    with pytest.raises(ValidationError, match="ffn.json"):
+        load_ffn(tmp_path / "ffn")
+
+
+def test_load_ffn_malformed_plan_names_file(tmp_path, rng):
+    meta, meta_path = _saved_ffn_meta(tmp_path, rng)
+    del meta["plan"]["p_g"]
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(ValidationError, match="ffn.json.*p_g"):
+        load_ffn(tmp_path / "ffn")
 
 
 def test_specialized_ffn_shape_validation(rng):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gdps.errors import ValidationError
-from gdps.linalg import cosine, cosine_flagged, covariance, gini, svd
+from gdps.linalg import cosine, cosine_flagged, covariance, gini, gram_svd, svd
 
 
 def brute_force_gini(x):
@@ -104,6 +106,109 @@ def test_svd_rejects_bad_input():
         svd(np.array([[np.nan, 1.0]]))
     with pytest.raises(ValidationError):
         svd(np.zeros((0, 3)))
+
+
+def assert_gram_svd_matches_svd(mat):
+    """gram_svd against np.linalg.svd: shapes, sigma within 1e-12 * sigma_0, factors."""
+    got = gram_svd(mat)
+    want = np.linalg.svd(mat, compute_uv=False)
+    k = min(mat.shape)
+    assert got.u.shape == (mat.shape[0], k)
+    assert got.v.shape == (mat.shape[1], k)
+    assert np.all(np.diff(got.sigma) <= 0.0)
+    scale = max(float(want[0]), np.finfo(np.float64).tiny)
+    assert np.max(np.abs(got.sigma - want)) <= 1e-12 * scale
+    # the factors reproduce the matrix, and the Gram side is orthonormal
+    assert np.max(np.abs(got.reconstruct() - mat)) <= 1e-12 * scale
+    short = got.u if mat.shape[0] <= mat.shape[1] else got.v
+    assert np.allclose(short.T @ short, np.eye(k), atol=1e-12)
+    return got
+
+
+def planted_stack(rng, n_tasks, rows, cols, noise=0.5):
+    """Row-wise stack of tasks shaped like the benchmark's: a planted direction plus noise."""
+    dirs = np.linalg.qr(rng.standard_normal((cols, n_tasks)))[0].T
+    blocks = [
+        np.abs(1.0 + 0.1 * rng.standard_normal(rows))[:, None] * dirs[i]
+        + noise / np.sqrt(cols) * rng.standard_normal((rows, cols))
+        for i in range(n_tasks)
+    ]
+    return np.vstack(blocks).astype(np.float32).astype(np.float64)
+
+
+def test_gram_svd_wide_benchmark_shape(rng):
+    # 16 tasks x 64 samples x 4096 columns, float32-valued like a bundle
+    assert_gram_svd_matches_svd(planted_stack(rng, 16, 64, 4096))
+
+
+def test_gram_svd_tall(rng):
+    assert_gram_svd_matches_svd(planted_stack(rng, 5, 60, 40))
+    assert_gram_svd_matches_svd(rng.standard_normal((300, 7)))
+
+
+def test_gram_svd_duplicate_tasks(rng):
+    a, b = rng.standard_normal((12, 90)), rng.standard_normal((12, 90))
+    assert_gram_svd_matches_svd(np.vstack([a, b, a, a]))
+    assert_gram_svd_matches_svd(np.vstack([a, b, a, a]).T)
+
+
+def test_gram_svd_rank_deficient(rng):
+    low = rng.standard_normal((40, 3)) @ rng.standard_normal((3, 120))
+    got = assert_gram_svd_matches_svd(low)
+    assert np.all(got.sigma[3:] <= 1e-13 * got.sigma[0])
+    assert_gram_svd_matches_svd(low.T)
+
+
+def test_gram_svd_zero_rows_and_zero_matrix(rng):
+    mat = rng.standard_normal((20, 50))
+    mat[[0, 7, 8, 19]] = 0.0
+    assert_gram_svd_matches_svd(mat)
+    assert_gram_svd_matches_svd(mat.T)
+    zero = gram_svd(np.zeros((4, 9)))
+    assert np.array_equal(zero.sigma, np.zeros(4))
+    # where sigma is 0 the column of the long side is zero
+    assert np.array_equal(zero.v, np.zeros((9, 4)))
+
+
+def test_gram_svd_graded_spectrum(rng):
+    n, d = 48, 400
+    u = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    v = np.linalg.qr(rng.standard_normal((d, n)))[0]
+    sigma = np.logspace(0.0, -12.0, n)
+    for mat in ((u * sigma) @ v.T, v @ (sigma[:, None] * u.T)):
+        got = gram_svd(mat)
+        want = np.linalg.svd(mat, compute_uv=False)
+        # energies are accurate to eps * sigma_0^2 over the whole spectrum
+        assert np.max(np.abs(got.sigma**2 - want**2)) <= 1e-13 * want[0] ** 2
+        # sigma itself is accurate to eps * sigma_0 above sqrt(eps) * sigma_0
+        head = want >= 1e-6 * want[0]
+        assert np.max(np.abs(got.sigma[head] - want[head])) <= 1e-12 * want[0]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    rows=st.integers(1, 40),
+    cols=st.integers(1, 40),
+    rank=st.integers(0, 40),
+    zero_rows=st.integers(0, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gram_svd_property_random_shapes(rows, cols, rank, zero_rows, seed):
+    rng = np.random.default_rng(seed)
+    rank = min(rank, rows, cols)  # 0 stands for a full-rank draw
+    if rank == 0:
+        mat = rng.standard_normal((rows, cols))
+    else:
+        mat = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+    mat[rng.permutation(rows)[:zero_rows]] = 0.0
+    assert_gram_svd_matches_svd(mat)
+
+
+def test_gram_svd_rejects_bad_input():
+    with pytest.raises(ValidationError, match="gram_svd"):
+        gram_svd(np.array([[np.inf, 1.0]]))
+    with pytest.raises(ValidationError, match="gram_svd"):
+        gram_svd(np.zeros((3, 0)))
 
 
 def test_covariance_analytic():

@@ -7,6 +7,7 @@ from gdps.grouping import GroupingPlan
 from gdps.linalg import gini as linalg_gini
 from gdps.linalg import svd
 from gdps.subspace import (
+    DEFAULT_LAMBDA,
     _ridge_cca_dual,
     energy_proportions,
     group_energy,
@@ -321,20 +322,35 @@ def test_subspace_report_cca_equals_ridge_cca_loop_primal_route(rng):
         assert np.array_equal(report.cca, ridge_cca_loop(b, "L0", lam))
 
 
+def test_subspace_report_diagonal_equals_ridge_cca_on_shared_factor(rng):
+    # 32 x 1024 per task (the simulate probe's shape): the diagonal's Ua^T Ua
+    # comes from one cached factor and must still round as ridge_cca(a, a) does
+    b = tiny_bundle({t: rng.standard_normal((32, 1024)) for t in "abcd"})
+    report = subspace_report(b, "L0", k=3)
+    assert np.array_equal(report.cca, ridge_cca_loop(b, "L0", DEFAULT_LAMBDA))
+
+
 def test_subspace_report_factors_each_task_once(rng, monkeypatch):
     n, m, d = 5, 8, 64
     b = tiny_bundle({f"t{i}": rng.standard_normal((m, d)) for i in range(n)})
-    shapes = []
-    real_svd = np.linalg.svd
+    shapes = {"svd": [], "eigh": []}
 
-    def counting_svd(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return real_svd(a, *args, **kwargs)
+    def counting(name):
+        real = getattr(np.linalg, name)
 
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        def call(a, *args, **kwargs):
+            shapes[name].append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, call)
+
+    counting("svd")
+    counting("eigh")
     subspace_report(b, "L0", k=3)
-    assert shapes.count((m, d)) == n  # not n (n + 1): one thin SVD per task
-    assert shapes.count((m, m)) == n * (n + 1) // 2  # one core per pair and diagonal entry
+    assert shapes["eigh"].count((m, m)) == n  # one m x m sample Gram per task
+    assert shapes["eigh"].count((n * m, n * m)) == 1  # the joint stack's Gram
+    assert shapes["svd"].count((m, d)) == 0  # no d-wide SVD is left
+    assert shapes["svd"].count((m, m)) == n * (n + 1) // 2  # one core per pair and diagonal entry
 
 
 def test_subspace_report_rejects_negative_lambda(rng):
