@@ -121,6 +121,18 @@ class GradientBundle:
                     f"layer {layer!r}: tasks disagree on column count ({sorted(cols)})"
                 )
 
+    def fingerprint(self) -> str:
+        """sha256 of the manifest write_bundle writes (``json.dumps`` with sorted
+        keys), then each entry's 12-byte .gdm header and payload in sorted
+        (task, layer) order: the same in memory as for the written directory.
+        """
+        h = hashlib.sha256(json.dumps(_manifest(self), sort_keys=True).encode())
+        for key in sorted(self.entries):
+            m = self.entries[key]
+            h.update(HEADER.pack(MAGIC, m.rows, m.cols))
+            h.update(np.ascontiguousarray(m.data, dtype="<f4"))
+        return h.hexdigest()
+
     def layer_dim(self, layer: str) -> int:
         self._check_layer(layer)
         return self.entries[(self.tasks[0], layer)].cols
@@ -156,6 +168,23 @@ def _entry_filename(task: str, layer: str) -> str:
 def _check_identifier(kind: str, value: str) -> None:
     if not value or any(c in value for c in "/\\\0"):
         raise ValidationError(f"{kind} identifier {value!r} is empty or not filesystem-safe")
+
+
+def _manifest(bundle: GradientBundle) -> dict:
+    """The manifest of a bundle: one record per entry, task-major."""
+    records = []
+    for task in bundle.tasks:
+        for layer in bundle.layers:
+            m = bundle.entries[(task, layer)]
+            records.append({"task": task, "layer": layer, "rows": m.rows, "cols": m.cols,
+                            "path": _entry_filename(task, layer)})
+    return {
+        "version": FORMAT_VERSION,
+        "element_type": ELEMENT_TYPE,
+        "tasks": list(bundle.tasks),
+        "layers": [{"id": lay, "cols": bundle.layer_dim(lay)} for lay in bundle.layers],
+        "records": records,
+    }
 
 
 def write_matrix_file(path: Path, data: np.ndarray) -> None:
@@ -200,25 +229,12 @@ def write_bundle(bundle: GradientBundle, path) -> None:
     except OSError as exc:
         raise ValidationError(f"cannot create bundle directory {root}: {exc}") from exc
 
-    records = []
-    for task in bundle.tasks:
-        for layer in bundle.layers:
-            m = bundle.entries[(task, layer)]
-            fname = _entry_filename(task, layer)
-            try:
-                write_matrix_file(root / fname, m.data)
-            except OSError as exc:
-                raise ValidationError(f"cannot write {root / fname}: {exc}") from exc
-            records.append(
-                {"task": task, "layer": layer, "rows": m.rows, "cols": m.cols, "path": fname}
-            )
-    manifest = {
-        "version": FORMAT_VERSION,
-        "element_type": ELEMENT_TYPE,
-        "tasks": list(bundle.tasks),
-        "layers": [{"id": lay, "cols": bundle.layer_dim(lay)} for lay in bundle.layers],
-        "records": records,
-    }
+    manifest = _manifest(bundle)
+    for rec in manifest["records"]:
+        try:
+            write_matrix_file(root / rec["path"], bundle.entries[rec["task"], rec["layer"]].data)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {root / rec['path']}: {exc}") from exc
     (root / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
@@ -321,13 +337,10 @@ def read_bundle(path) -> GradientBundle:
                 f"{fpath}: layer {layer!r} declares cols={declared_cols[layer]} "
                 f"but file has cols={arr.shape[1]}"
             )
-        if not np.isfinite(arr).all():
-            bad = np.argwhere(~np.isfinite(arr))[0]
-            raise BundleFormatError(
-                f"{fpath}: non-finite entry at row {bad[0]}, col {bad[1]} "
-                f"for (task, layer) = ({task}, {layer})"
-            )
-        matrices.append(GradientMatrix(task, layer, arr))
+        try:
+            matrices.append(GradientMatrix(task, layer, arr))
+        except ValidationError as exc:
+            raise BundleFormatError(f"{fpath}: {exc}") from exc
 
     bundle = GradientBundle.from_matrices(matrices)
     if list(bundle.tasks) != tasks or list(bundle.layers) != layers:
@@ -342,12 +355,5 @@ def read_bundle(path) -> GradientBundle:
 
 
 def bundle_fingerprint(path) -> str:
-    """Content hash of a bundle directory (manifest plus files, sorted)."""
-    root = Path(path)
-    h = hashlib.sha256()
-    manifest_path, manifest = _load_manifest(root)
-    records = _manifest_records(root, manifest_path, manifest)
-    h.update(json.dumps(manifest, sort_keys=True).encode())
-    for rec in sorted(records, key=lambda r: (r["task"], r["layer"])):
-        h.update(rec["file"].read_bytes())
-    return h.hexdigest()
+    """Content hash of a bundle directory: ``read_bundle(path).fingerprint()``."""
+    return read_bundle(path).fingerprint()

@@ -2,7 +2,10 @@
 
 Subcommands: inspect, group, conflict, subspace, plan (A+B+C composed),
 decompose, simulate, report.  Exit codes: 0 success, 1 input/validation
-error, 2 numerical/analysis error.  All configuration flows through flags.
+error, 2 numerical/analysis error; an error raised inside a stage carries
+the prefix ``[stage: name]`` and keeps its exit code.  All configuration
+flows through flags.  `plan` and `simulate` both run `gdps.pipeline.plan`,
+and their shared flags take their defaults from `gdps.pipeline.PlanOptions`.
 """
 
 from __future__ import annotations
@@ -20,9 +23,12 @@ from . import decompose as dc
 from . import grouping as gr
 from . import report as rp
 from . import subspace as sb
+from . import pipeline as pl
 from . import synth as sy
-from .bundle import bundle_fingerprint, read_bundle, read_matrix_file
+from .bundle import read_bundle, read_matrix_file
 from .errors import AnalysisError, GdpsError, TrainingDivergence, ValidationError
+
+DEFAULTS = pl.PlanOptions()
 
 
 class _UsageError(ValidationError):
@@ -34,15 +40,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _parse_thresholds(text: str) -> cf.RatioThresholds:
-    try:
-        low, high = (float(x) for x in text.split(","))
-    except ValueError as exc:
-        raise _UsageError(f"--thresholds expects 'low,high', got {text!r}") from exc
-    return cf.RatioThresholds(low=low, high=high)
-
-
-def _seed(text: str) -> int:
+def _non_negative_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
@@ -54,7 +52,7 @@ def _seed(text: str) -> int:
 
 def _parse_seeds(text: str) -> list[int]:
     try:
-        return [_seed(s) for s in text.split(",") if s != ""]
+        return [_non_negative_int(s) for s in text.split(",") if s != ""]
     except argparse.ArgumentTypeError as exc:
         raise _UsageError(f"--seeds: {exc}") from exc
 
@@ -62,7 +60,10 @@ def _parse_seeds(text: str) -> list[int]:
 def _parse_groups(text: str, n_tasks: int):
     groups = []
     for part in text.split("|"):
-        idx = [int(x) for x in part.split(",") if x != ""]
+        try:
+            idx = [int(x) for x in part.split(",") if x != ""]
+        except ValueError as exc:
+            raise _UsageError(f"--groups expects task indices like '0|1,2,3', got {text!r}") from exc
         if any(not 0 <= i < n_tasks for i in idx):
             raise _UsageError(f"--groups indices out of range for {n_tasks} tasks: {part!r}")
         groups.append(idx)
@@ -74,32 +75,15 @@ def _write(path: Path, text: str) -> None:
     path.write_text(text)
 
 
-def _stage(name: str, exc: Exception) -> GdpsError:
-    wrapped = type(exc)(f"[stage: {name}] {exc}")
-    wrapped.__cause__ = exc
-    return wrapped
-
-
 def _load_bundle(path: str):
-    try:
-        bundle = read_bundle(path)
-        return bundle, bundle_fingerprint(path)
-    except GdpsError as exc:
-        raise _stage("bundle-load", exc) from exc
-
-
-def _resolve_layer(bundle, layer: str | None) -> str:
-    if layer is None:
-        return bundle.layers[0]
-    if layer not in bundle.layers:
-        raise ValidationError(f"layer {layer!r} not in bundle; available: {list(bundle.layers)}")
-    return layer
+    with pl.stage("bundle-load"):
+        return read_bundle(path)
 
 
 def cmd_inspect(args) -> int:
-    bundle, fp = _load_bundle(args.bundle)
+    bundle = _load_bundle(args.bundle)
     info = {
-        "fingerprint": fp,
+        "fingerprint": bundle.fingerprint(),
         "tasks": list(bundle.tasks),
         "layers": [
             {"id": lay, "cols": bundle.layer_dim(lay)} for lay in bundle.layers
@@ -117,17 +101,13 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_group(args) -> int:
-    bundle, _ = _load_bundle(args.bundle)
-    layer = _resolve_layer(bundle, args.layer)
-    try:
+    bundle = _load_bundle(args.bundle)
+    layer = pl.resolve_layer(bundle, args.layer)
+    with pl.stage("grouping"):
         sim = gr.similarity_matrix(bundle, layer)
         dist = gr.to_distance(sim)
         plan = gr.consensus_from_distance(dist, k=args.k_groups, seed=args.seed)
         merges = gr.linkage_merges(dist)
-    except ValidationError:
-        raise
-    except GdpsError as exc:
-        raise _stage("grouping", exc) from exc
     out = Path(args.out)
     _write(out / "grouping.json", json.dumps(plan.to_dict(), indent=2, sort_keys=True) + "\n")
     _write(out / "similarity.csv", rp.similarity_csv(sim.tasks, sim.s))
@@ -142,15 +122,11 @@ def cmd_group(args) -> int:
 
 
 def cmd_conflict(args) -> int:
-    bundle, _ = _load_bundle(args.bundle)
+    bundle = _load_bundle(args.bundle)
     candidates = args.layers.split(",") if args.layers else None
-    thresholds = _parse_thresholds(args.thresholds)
-    try:
+    thresholds = pl.parse_thresholds(args.thresholds)
+    with pl.stage("conflict"):
         report = cf.conflict_report(bundle, candidates, thresholds, seed=args.seed)
-    except ValidationError:
-        raise
-    except GdpsError as exc:
-        raise _stage("conflict", exc) from exc
     _write(Path(args.out) / "conflict.json", json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
     for lc in report.layers:
         print(
@@ -163,16 +139,12 @@ def cmd_conflict(args) -> int:
 
 
 def cmd_subspace(args) -> int:
-    bundle, _ = _load_bundle(args.bundle)
-    layer = _resolve_layer(bundle, args.layer)
-    try:
+    bundle = _load_bundle(args.bundle)
+    layer = pl.resolve_layer(bundle, args.layer)
+    with pl.stage("subspace"):
         report = sb.subspace_report(
             bundle, layer, k=args.top_k, lam=args.lam, normalize_rows=args.normalize_rows
         )
-    except ValidationError:
-        raise
-    except GdpsError as exc:
-        raise _stage("subspace", exc) from exc
     out = Path(args.out)
     _write(out / "subspace.json", json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
     _write(out / "spectrum.csv", report.spectrum_csv())
@@ -182,118 +154,18 @@ def cmd_subspace(args) -> int:
     return 0
 
 
-def _run_plan_pipeline(bundle, fingerprint, args):
-    layer = _resolve_layer(bundle, args.layer)
-    candidates = args.layers.split(",") if args.layers else list(bundle.layers)
-    thresholds = _parse_thresholds(args.thresholds)
-    if len(bundle.tasks) < 2:
-        raise ValidationError(">= 2 tasks required for cross-task analysis")
-
-    try:
-        sim = gr.similarity_matrix(bundle, layer)
-        dist = gr.to_distance(sim)
-        grouping = gr.consensus_from_distance(dist, k=args.k_groups, seed=args.seed)
-        merges = gr.linkage_merges(dist)
-    except ValidationError:
-        raise
-    except GdpsError as exc:
-        raise _stage("grouping", exc) from exc
-
-    try:
-        conflict = cf.conflict_report(bundle, candidates, thresholds, seed=args.seed)
-    except ValidationError:
-        raise
-    except GdpsError as exc:
-        raise _stage("conflict", exc) from exc
-
-    try:
-        subspace = sb.subspace_report(
-            bundle, layer, k=args.top_k, lam=args.lam, normalize_rows=args.normalize_rows
-        )
-        p_g = sb.group_energy(subspace.proportions, grouping, bundle.tasks)
-    except ValidationError:
-        raise
-    except GdpsError as exc:
-        raise _stage("subspace", exc) from exc
-
-    ratio_override = getattr(args, "ratio", None)
-    shared_ratio = ratio_override if ratio_override else conflict.shared_ratio
-    noise_scale = args.noise
-    coupling_note = None
-    if getattr(args, "cca_noise_coupling", False):
-        n = len(bundle.tasks)
-        off = [subspace.cca[i, j] for i in range(n) for j in range(n) if i != j]
-        factor = max(0.0, 1.0 - float(np.mean(off))) if off else 1.0
-        noise_scale = args.noise * factor
-        coupling_note = (
-            f"private-init noise scaled by (1 - mean off-diagonal rho) = {factor:.6f}"
-        )
-
-    try:
-        plan = dc.make_plan(
-            grouping=grouping,
-            shared_ratio=shared_ratio,
-            d_model=args.d_model,
-            d_ff=args.d_ff,
-            p_g=tuple(float(x) for x in p_g),
-            r=args.private_rank if args.private_rank and args.private_rank > 0 else None,
-            noise_scale=noise_scale,
-            seed=args.seed,
-            activation=args.activation,
-        )
-    except GdpsError as exc:
-        raise _stage("plan-build", exc) from exc
-
-    warnings = list(grouping.warnings) + list(conflict.warnings) + list(subspace.warnings)
-    if ratio_override:
-        warnings.append(
-            f"shared_ratio {ratio_override} forced by flag; measured delta "
-            f"{conflict.delta:.6f} maps to {conflict.shared_ratio}"
-        )
-    if coupling_note:
-        warnings.append(coupling_note)
-    if sim.degenerate_count:
-        warnings.append(
-            f"{sim.degenerate_count} degenerate (zero-norm) mean-gradient pairs in the similarity matrix"
-        )
-    flags = {
-        "bundle": str(args.bundle),
-        "layer": layer,
-        "layers": ",".join(candidates),
-        "k_groups": args.k_groups,
-        "thresholds": args.thresholds,
-        "top_k": args.top_k,
-        "lambda": args.lam,
-        "seed": args.seed,
-        "noise": args.noise,
-        "d_model": args.d_model,
-        "d_ff": args.d_ff,
-        "activation": args.activation,
-        "normalize_rows": bool(args.normalize_rows),
-        "private_rank": args.private_rank or 0,
-        "ratio": getattr(args, "ratio", None) or 0.0,
-        "cca_noise_coupling": bool(getattr(args, "cca_noise_coupling", False)),
-    }
-    report = rp.PipelineReport(
-        bundle_fingerprint=fingerprint,
-        tasks=bundle.tasks,
-        layer=layer,
-        similarity=sim.s,
-        distance=dist.d,
-        merges=merges,
-        grouping=grouping,
-        conflict=conflict,
-        subspace=subspace,
-        plan=plan,
-        flags=flags,
-        warnings=tuple(warnings),
+def _plan_options(args, **fixed) -> pl.PlanOptions:
+    """PlanOptions from every parsed flag that names one of its fields."""
+    given = {**vars(args), **fixed}
+    return pl.PlanOptions(
+        **{f.name: given[f.name] for f in dataclasses.fields(pl.PlanOptions) if f.name in given}
     )
-    return plan, report
 
 
 def cmd_plan(args) -> int:
-    bundle, fp = _load_bundle(args.bundle)
-    plan, report = _run_plan_pipeline(bundle, fp, args)
+    bundle = _load_bundle(args.bundle)
+    plan, report = pl.plan(bundle, _plan_options(args))
+    report = dataclasses.replace(report, flags={"bundle": args.bundle, **report.flags})
     out = Path(args.out)
     _write(out / "plan.json", json.dumps(plan.to_dict(), indent=2, sort_keys=True) + "\n")
     _write(out / "report.json", report.to_json())
@@ -334,16 +206,10 @@ def cmd_decompose(args) -> int:
         return 2
     weights = dc.UnifiedFfnWeights(d_model=d_model, d_ff=d_ff, w1=w1, w2=w2)
 
-    try:
-        ffn, dec = dc.factor_block(
-            weights, plan, private_rank=args.private_rank if args.private_rank else None
-        )
+    with pl.stage("decompose"):
+        ffn, dec = dc.factor_block(weights, plan, private_rank=args.private_rank or None)
         res_norm = float(np.sqrt((dec.sigma[plan.r:] ** 2).sum()))
         rel = res_norm / max(float(np.sqrt((dec.sigma**2).sum())), 1e-300)
-    except ValidationError:
-        raise
-    except GdpsError as exc:
-        raise _stage("decompose", exc) from exc
 
     out = Path(args.out)
     dc.save_ffn(ffn, out)
@@ -362,6 +228,7 @@ def cmd_simulate(args) -> int:
     groups = _parse_groups(args.groups, args.tasks)
     modes = ["unified", "specialized"] if args.mode == "both" else [args.mode]
     out = Path(args.out)
+    plan_options = _plan_options(args, k_groups=len(groups))
 
     runs = []
     logs = {}
@@ -380,25 +247,7 @@ def cmd_simulate(args) -> int:
         plan = None
         if "specialized" in modes:
             bundle = sy.collect_bundle(model, suite, n_samples=args.samples, seed=seed)
-            plan_args = argparse.Namespace(
-                layer=None,
-                layers=None,
-                thresholds=args.thresholds,
-                k_groups=len(groups),
-                top_k=args.top_k,
-                lam=args.lam,
-                seed=seed,
-                noise=args.noise,
-                d_model=args.d_model,
-                d_ff=args.d_ff,
-                activation=args.activation,
-                normalize_rows=False,
-                private_rank=args.private_rank,
-                ratio=None,
-                cca_noise_coupling=False,
-                bundle="<in-memory>",
-            )
-            plan, _ = _run_plan_pipeline_from_memory(bundle, plan_args)
+            plan, _ = pl.plan(bundle, dataclasses.replace(plan_options, seed=seed))
             entry["plan"] = plan.to_dict()
         for mode in modes:
             try:
@@ -419,8 +268,7 @@ def cmd_simulate(args) -> int:
             logs[(seed, mode)] = log
             entry[mode] = log.summary_dict()
             _write(out / f"log_{mode}_{seed}.csv", log.to_csv())
-        if ("specialized" in modes and "unified" in modes
-                and (seed, "specialized") in logs and (seed, "unified") in logs):
+        if (seed, "specialized") in logs and (seed, "unified") in logs:
             delta = sy.similarity_delta(logs[(seed, "specialized")], logs[(seed, "unified")])
             entry["similarity_delta"] = {t: float(v) for t, v in delta.items()}
             entry["similarity_delta_mean"] = float(np.mean(list(delta.values())))
@@ -448,19 +296,6 @@ def cmd_simulate(args) -> int:
     _write(out / "summary.md", _simulate_markdown(summary))
     print(_simulate_markdown(summary))
     return 0
-
-
-def _run_plan_pipeline_from_memory(bundle, args):
-    import hashlib
-
-    fp = hashlib.sha256(
-        b"".join(
-            bundle.matrix(t, lay).data.tobytes()
-            for t in bundle.tasks
-            for lay in bundle.layers
-        )
-    ).hexdigest()
-    return _run_plan_pipeline(bundle, fp, args)
 
 
 def _simulate_markdown(summary: dict) -> str:
@@ -676,8 +511,20 @@ def build_parser() -> _Parser:
     def common(p, bundle=True):
         if bundle:
             p.add_argument("--bundle", required=True, help="bundle directory")
-        p.add_argument("--seed", type=_seed, default=2343)
+        p.add_argument("--seed", type=_non_negative_int, default=DEFAULTS.seed)
         p.add_argument("--out", required=True, help="output directory")
+
+    def analysis(p):
+        p.add_argument("--thresholds", default=DEFAULTS.thresholds)
+        p.add_argument("--top-k", type=int, default=DEFAULTS.top_k)
+        p.add_argument("--lambda", dest="lam", type=float, default=DEFAULTS.lam)
+
+    def block(p):
+        p.add_argument("--noise", type=float, default=DEFAULTS.noise)
+        p.add_argument("--d-model", type=int, default=DEFAULTS.d_model)
+        p.add_argument("--d-ff", type=int, default=DEFAULTS.d_ff)
+        p.add_argument("--activation", choices=dc.ACTIVATIONS, default=DEFAULTS.activation)
+        p.add_argument("--private-rank", type=_non_negative_int, default=DEFAULTS.private_rank)
 
     p = sub.add_parser("inspect", help="summarize a bundle")
     p.add_argument("--bundle", required=True)
@@ -686,39 +533,33 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("group", help="Method A: cluster tasks")
     common(p)
-    p.add_argument("--layer", default=None)
-    p.add_argument("--k-groups", type=int, default=2)
+    p.add_argument("--layer", default=DEFAULTS.layer)
+    p.add_argument("--k-groups", type=int, default=DEFAULTS.k_groups)
     p.set_defaults(func=cmd_group)
 
     p = sub.add_parser("conflict", help="Method B: conflict scores and ratio")
     common(p)
-    p.add_argument("--layers", default=None, help="comma-separated candidate layers")
-    p.add_argument("--thresholds", default="0.05,0.15")
+    p.add_argument("--layers", default=DEFAULTS.layers, help="comma-separated candidate layers")
+    p.add_argument("--thresholds", default=DEFAULTS.thresholds)
     p.set_defaults(func=cmd_conflict)
 
     p = sub.add_parser("subspace", help="Method C: joint spectrum and CCA")
     common(p)
-    p.add_argument("--layer", default=None)
-    p.add_argument("--top-k", type=int, default=sb.DEFAULT_TOP_K)
-    p.add_argument("--lambda", dest="lam", type=float, default=sb.DEFAULT_LAMBDA)
+    p.add_argument("--layer", default=DEFAULTS.layer)
+    p.add_argument("--top-k", type=int, default=DEFAULTS.top_k)
+    p.add_argument("--lambda", dest="lam", type=float, default=DEFAULTS.lam)
     p.add_argument("--normalize-rows", action="store_true")
     p.set_defaults(func=cmd_subspace)
 
     p = sub.add_parser("plan", help="compose Methods A+B+C into a decomposition plan")
     common(p)
-    p.add_argument("--layer", default=None)
-    p.add_argument("--layers", default=None)
-    p.add_argument("--k-groups", type=int, default=2)
-    p.add_argument("--thresholds", default="0.05,0.15")
-    p.add_argument("--top-k", type=int, default=sb.DEFAULT_TOP_K)
-    p.add_argument("--lambda", dest="lam", type=float, default=sb.DEFAULT_LAMBDA)
+    p.add_argument("--layer", default=DEFAULTS.layer)
+    p.add_argument("--layers", default=DEFAULTS.layers)
+    p.add_argument("--k-groups", type=int, default=DEFAULTS.k_groups)
+    analysis(p)
     p.add_argument("--normalize-rows", action="store_true")
-    p.add_argument("--noise", type=float, default=dc.DEFAULT_NOISE_SCALE)
-    p.add_argument("--d-model", type=int, default=16)
-    p.add_argument("--d-ff", type=int, default=32)
-    p.add_argument("--activation", choices=dc.ACTIVATIONS, default=dc.DEFAULT_ACTIVATION)
-    p.add_argument("--private-rank", type=int, default=0)
-    p.add_argument("--ratio", type=float, default=None,
+    block(p)
+    p.add_argument("--ratio", type=float, default=DEFAULTS.ratio,
                    help="force the shared ratio instead of deriving it from delta")
     p.add_argument("--cca-noise-coupling", action="store_true",
                    help="scale private-init noise by (1 - mean off-diagonal CCA rho)")
@@ -730,8 +571,8 @@ def build_parser() -> _Parser:
     p.add_argument("--plan", required=True, help="plan.json from `gdps plan`")
     p.add_argument("--out", required=True)
     p.add_argument("--noise", type=float, default=None)
-    p.add_argument("--seed", type=_seed, default=None)
-    p.add_argument("--private-rank", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=None)
+    p.add_argument("--private-rank", type=_non_negative_int, default=DEFAULTS.private_rank)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("simulate", help="train unified vs specialized on a synthetic suite")
@@ -742,17 +583,11 @@ def build_parser() -> _Parser:
     p.add_argument("--lr", type=float, default=0.05)
     p.add_argument("--batch-size", type=int, default=8)
     p.add_argument("--samples", type=int, default=32, help="gradient samples per task")
-    p.add_argument("--seeds", default="2343")
+    p.add_argument("--seeds", default=str(DEFAULTS.seed))
     p.add_argument("--mode", choices=["unified", "specialized", "both"], default="both")
-    p.add_argument("--thresholds", default="0.05,0.15")
-    p.add_argument("--top-k", type=int, default=sb.DEFAULT_TOP_K)
-    p.add_argument("--lambda", dest="lam", type=float, default=sb.DEFAULT_LAMBDA)
-    p.add_argument("--noise", type=float, default=dc.DEFAULT_NOISE_SCALE)
+    analysis(p)
+    block(p)
     p.add_argument("--target-noise", type=float, default=0.05)
-    p.add_argument("--d-model", type=int, default=16)
-    p.add_argument("--d-ff", type=int, default=32)
-    p.add_argument("--activation", choices=dc.ACTIVATIONS, default=dc.DEFAULT_ACTIVATION)
-    p.add_argument("--private-rank", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 

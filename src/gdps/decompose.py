@@ -134,8 +134,8 @@ class DecompositionPlan:
             )
         if self.activation not in ACTIVATIONS:
             raise ValidationError(f"unknown activation {self.activation!r}")
-        if self.noise_scale < 0:
-            raise ValidationError("noise_scale must be >= 0")
+        if not (np.isfinite(self.noise_scale) and self.noise_scale >= 0):
+            raise ValidationError(f"noise_scale must be finite and >= 0, got {self.noise_scale}")
 
     @property
     def n_groups(self) -> int:
@@ -193,6 +193,8 @@ def split_widths(d_ff: int, shared_ratio: float, n_groups: int) -> tuple[int, in
     """
     if n_groups < 1:
         raise ValidationError("need at least one group")
+    if not 0 < shared_ratio <= 1:
+        raise ValidationError(f"shared ratio must be in (0, 1], got {shared_ratio}")
     target = int(np.floor(shared_ratio * d_ff))
     for d_s in range(target, 0, -1):
         if d_s % n_groups == 0 and (d_ff - d_s) % n_groups == 0 and d_ff - d_s > 0:

@@ -139,8 +139,8 @@ def ridge_cca(g_a, g_b, lam: float = DEFAULT_LAMBDA, center: bool = True) -> Cca
         raise ValidationError("ridge_cca expects 2-D sample matrices")
     if a.shape[0] != b.shape[0]:
         raise ValidationError(f"row-count mismatch: {a.shape[0]} vs {b.shape[0]}")
-    if lam < 0:
-        raise ValidationError(f"lambda must be >= 0, got {lam}")
+    if not (np.isfinite(lam) and lam >= 0):
+        raise ValidationError(f"lambda must be finite and >= 0, got {lam}")
     if _dual_route(a.shape[1], b.shape[1], a.shape[0]):
         return _ridge_cca_dual(a, b, lam, center)
     gamma_aa = covariance(a, a, center=center)
@@ -261,8 +261,8 @@ def subspace_report(
     normalize_rows: bool = False,
 ) -> SubspaceReport:
     """Full Method-C result for one layer: spectrum, energies, pairwise CCA."""
-    if lam < 0:
-        raise ValidationError(f"lambda must be >= 0, got {lam}")
+    if not (np.isfinite(lam) and lam >= 0):
+        raise ValidationError(f"lambda must be finite and >= 0, got {lam}")
     joint = joint_svd(bundle, layer, normalize_rows=normalize_rows)
     k_eff = min(k, joint.sigma.size)
     warnings = []

@@ -345,6 +345,8 @@ def collect_bundle(
     Layer ids: "probe" is the full flattened block; "probe.up"/"probe.down"
     slice the up- and down-projection gradients for layer-ranking runs.
     """
+    if n_samples < 1:
+        raise ValidationError(f"n_samples must be >= 1, got {n_samples}")
     up_len = model.d_ff * model.d_model
     known = {PROBE_LAYER, PROBE_UP_LAYER, PROBE_DOWN_LAYER}
     bad = set(layers) - known
@@ -466,6 +468,8 @@ def train(
         raise ValidationError("unified mode does not accept a plan")
     if steps < 0:
         raise ValidationError(f"steps must be >= 0, got {steps}")
+    if batch_size < 1:
+        raise ValidationError(f"batch_size must be >= 1, got {batch_size}")
 
     tasks = suite.tasks
     batch_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(23,)))

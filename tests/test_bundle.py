@@ -108,8 +108,9 @@ def test_non_finite_payload_rejected(tmp_path, rng):
     payload = np.frombuffer(raw[12:], dtype="<f4").copy()
     payload[1] = np.nan
     (tmp_path / "b" / "a__L0.gdm").write_bytes(raw[:12] + payload.tobytes())
-    with pytest.raises(BundleFormatError, match="non-finite entry at row 0, col 1"):
+    with pytest.raises(BundleFormatError, match="non-finite entry at row 0, col 1") as info:
         read_bundle(tmp_path / "b")
+    assert "a__L0.gdm" in str(info.value)
 
 
 def test_manifest_shape_disagreement_rejected(tmp_path, rng):
@@ -209,3 +210,53 @@ def test_round_trip_many_random_bundles(tmp_path):
         assert back.tasks == bundle.tasks and back.layers == bundle.layers
         for key, m in bundle.entries.items():
             assert back.entries[key].data.tobytes() == m.data.tobytes()
+
+
+def _random_bundle(rng):
+    tasks = tuple(f"t{j}" for j in range(int(rng.integers(1, 5))))
+    layers = tuple(f"L{j}" for j in range(int(rng.integers(1, 4))))
+    layer_cols = {lay: int(rng.integers(1, 9)) for lay in layers}
+    return GradientBundle.from_matrices(
+        GradientMatrix(t, lay, rng.standard_normal((int(rng.integers(1, 6)), layer_cols[lay])))
+        for t in tasks
+        for lay in layers
+    )
+
+
+def test_fingerprint_of_written_bundle_equals_in_memory(tmp_path):
+    rng = np.random.default_rng(11)
+    for i in range(20):
+        bundle = _random_bundle(rng)
+        write_bundle(bundle, tmp_path / f"b{i}")
+        assert bundle_fingerprint(tmp_path / f"b{i}") == bundle.fingerprint()
+
+
+def _reversed_keys(obj):
+    if isinstance(obj, dict):
+        return {k: _reversed_keys(obj[k]) for k in reversed(list(obj))}
+    if isinstance(obj, list):
+        return [_reversed_keys(x) for x in obj]
+    return obj
+
+
+def test_fingerprint_depends_only_on_content(tmp_path, rng):
+    bundle = make_bundle(rng, tasks=("a", "b", "c"), layers=("L0", "L1"))
+    root = tmp_path / "b"
+    write_bundle(bundle, root)
+    expected = bundle.fingerprint()
+
+    # records layer-major and reversed, files renamed, keys reversed, other indentation
+    manifest_path = root / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["records"].sort(key=lambda r: (r["layer"], r["task"]), reverse=True)
+    for i, rec in enumerate(manifest["records"]):
+        (root / rec["path"]).rename(root / f"entry{i}.gdm")
+        rec["path"] = f"entry{i}.gdm"
+    manifest_path.write_text(json.dumps(_reversed_keys(manifest), indent=7))
+    assert bundle_fingerprint(root) == expected
+
+    gdm = root / "entry0.gdm"
+    raw = bytearray(gdm.read_bytes())
+    raw[12] ^= 1  # lowest mantissa bit of the first float32: still finite
+    gdm.write_bytes(bytes(raw))
+    assert bundle_fingerprint(root) != expected

@@ -562,3 +562,75 @@ def test_report_simulate_summary_missing_losses(tmp_path, capsys):
     assert main(["report", "--inputs", str(ok), "--out", str(tmp_path / "c"),
                  "--format", "csv"]) == 0
     assert "simulate,{},,,,2,0.25,\n".format(ok) in (tmp_path / "c" / "consolidated.csv").read_text()
+
+
+@pytest.mark.parametrize("command", ["inspect", "plan"])
+def test_each_gdm_file_read_once(tmp_path, monkeypatch, command):
+    make_disk_bundle(tmp_path / "b")
+    reads = []
+    real_read_bytes = Path.read_bytes
+
+    def counting_read_bytes(self):
+        if self.suffix == ".gdm":
+            reads.append(self.name)
+        return real_read_bytes(self)
+
+    monkeypatch.setattr(Path, "read_bytes", counting_read_bytes)
+    argv = [command, "--bundle", str(tmp_path / "b")]
+    if command == "plan":
+        argv += ["--out", str(tmp_path / "p")]
+    assert main(argv) == 0
+    assert sorted(reads) == sorted(p.name for p in (tmp_path / "b").glob("*.gdm"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["plan", "--lambda", "nan"],
+    ["plan", "--lambda", "inf"],
+    ["subspace", "--lambda", "nan"],
+    ["subspace", "--lambda", "-1"],
+    ["plan", "--ratio", "nan"],
+    ["plan", "--ratio", "0"],
+    ["plan", "--ratio", "1.5"],
+    ["plan", "--ratio", "-0.5"],
+    ["plan", "--noise", "nan"],
+    ["plan", "--noise", "inf"],
+    ["plan", "--noise", "-1"],
+    ["plan", "--private-rank", "-2"],
+    ["plan", "--private-rank", "1.5"],
+    ["simulate", "--groups", "a|b"],
+    ["simulate", "--groups", "0|1,x"],
+    ["simulate", "--samples", "0"],
+    ["simulate", "--batch-size", "-3"],
+    ["simulate", "--batch-size", "0"],
+    ["simulate", "--private-rank", "-1"],
+])
+def test_hostile_flag_exit_1(tmp_path, capsys, argv):
+    if argv[0] == "simulate":
+        argv = argv + ["--theta", "80", "--steps", "2", "--seeds", "3"]
+    else:
+        make_disk_bundle(tmp_path / "b")
+        argv = argv + ["--bundle", str(tmp_path / "b")]
+    rc = main(argv + ["--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert not (tmp_path / "o").exists()
+
+
+def test_stage_prefix_keeps_error_type_and_exit_code(tmp_path, capsys):
+    make_disk_bundle(tmp_path / "b")
+    # a validation error inside a stage: prefixed, still exit 1
+    rc = main(["subspace", "--bundle", str(tmp_path / "b"), "--out", str(tmp_path / "o"),
+               "--top-k", "0"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: [stage: subspace] top-k")
+    # an analysis error inside a stage (singular covariance at lambda 0): prefixed, exit 2
+    rc = main(["plan", "--bundle", str(tmp_path / "b"), "--out", str(tmp_path / "o"),
+               "--lambda", "0"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("analysis error: [stage: subspace] ")
+    # a bundle that fails to load
+    rc = main(["group", "--bundle", str(tmp_path / "none"), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: [stage: bundle-load] ")

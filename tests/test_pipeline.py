@@ -1,0 +1,96 @@
+import dataclasses
+
+import pytest
+
+from gdps import pipeline
+from gdps.cli import build_parser
+from gdps.errors import (
+    AnalysisError,
+    BundleFormatError,
+    GdpsError,
+    SingularCovarianceError,
+    ValidationError,
+)
+from gdps.pipeline import PlanOptions, stage
+from gdps.synth import collect_bundle, make_model, make_suite
+
+from test_acceptance import SEEDS_5, _auto_plan
+
+OPTION_NAMES = {f.name for f in dataclasses.fields(PlanOptions)}
+
+
+def _subparser(name):
+    return build_parser()._subparsers._group_actions[0].choices[name]
+
+
+@pytest.mark.parametrize("theta,spread", [(80.0, 5.0), (0.0, 0.0)])
+def test_plan_equals_acceptance_reference(theta, spread):
+    # the criterion-8 suites; _auto_plan composes the methods independently
+    for seed in SEEDS_5:
+        suite = make_suite(4, [[0], [1, 2, 3]], theta, seed=seed, noise=0.05, spread_deg=spread)
+        model = make_model(suite, seed=seed)
+        bundle = collect_bundle(model, suite, n_samples=32, seed=seed)
+        options = PlanOptions(seed=seed, k_groups=len(suite.grouping.groups),
+                              d_model=model.d_model, d_ff=model.d_ff)
+        plan, report = pipeline.plan(bundle, options)
+        assert plan.to_dict() == _auto_plan(model, suite, seed).to_dict()
+        assert report.plan is plan
+        assert report.bundle_fingerprint == bundle.fingerprint()
+
+
+def test_plan_options_have_one_field_per_plan_flag():
+    flags = {a.dest for a in _subparser("plan")._actions} - {"help", "bundle", "out"}
+    assert flags == OPTION_NAMES
+
+
+@pytest.mark.parametrize("argv", [
+    ["plan", "--bundle", "b", "--out", "o"],
+    ["simulate", "--theta", "80", "--out", "o"],
+])
+def test_flag_defaults_come_from_plan_options(argv):
+    args = vars(build_parser().parse_args(argv))
+    shared = OPTION_NAMES & set(args)
+    assert len(shared) >= 8
+    for name in shared:
+        assert args[name] == getattr(PlanOptions(), name), name
+    if argv[0] == "simulate":
+        assert args["seeds"] == str(PlanOptions().seed)
+
+
+def test_report_flags_echo_every_option():
+    suite = make_suite(4, [[0], [1, 2, 3]], 80.0, seed=5)
+    bundle = collect_bundle(make_model(suite, seed=5), suite, seed=5)
+    _, report = pipeline.plan(bundle, PlanOptions(seed=5, ratio=0.5))
+    assert set(report.flags) == OPTION_NAMES - {"lam"} | {"lambda"}
+    assert report.flags["layer"] == bundle.layers[0]
+    assert report.flags["layers"] == ",".join(bundle.layers)
+    assert report.flags["ratio"] == 0.5 and report.plan.shared_ratio == 0.5
+    assert any("forced by flag" in w for w in report.warnings)
+
+
+@pytest.mark.parametrize("error", [
+    ValidationError, BundleFormatError, AnalysisError, SingularCovarianceError,
+])
+def test_stage_prefixes_and_keeps_type(error):
+    with pytest.raises(error) as info:
+        with stage("conflict"):
+            raise error("boom")
+    assert type(info.value) is error
+    assert str(info.value) == "[stage: conflict] boom"
+    assert isinstance(info.value.__cause__, error) and str(info.value.__cause__) == "boom"
+
+
+def test_stage_leaves_other_errors_alone():
+    with pytest.raises(KeyError) as info:
+        with stage("grouping"):
+            raise KeyError("x")
+    assert not isinstance(info.value, GdpsError) and info.value.__cause__ is None
+
+
+def test_plan_rejects_single_task_bundle():
+    suite = make_suite(2, [[0], [1]], 40.0, seed=3)
+    bundle = collect_bundle(make_model(suite, seed=3), suite, seed=3)
+    single = type(bundle)(bundle.tasks[:1], bundle.layers,
+                          {k: v for k, v in bundle.entries.items() if k[0] == bundle.tasks[0]})
+    with pytest.raises(ValidationError, match=">= 2 tasks"):
+        pipeline.plan(single)
