@@ -63,7 +63,7 @@ from .grouping import (
     single_linkage,
     to_distance,
 )
-from .linalg import SvdResult, cosine, cosine_flagged, covariance, gini, svd
+from .linalg import SvdResult, cosine, cosine_flagged, gini, svd
 from .subspace import (
     CcaResult,
     SubspaceReport,

@@ -101,6 +101,10 @@ class GradientBundle:
     def validate(self) -> None:
         if not self.tasks or not self.layers:
             raise ValidationError("bundle has no tasks or no layers")
+        if len(set(self.tasks)) != len(self.tasks) or len(set(self.layers)) != len(self.layers):
+            raise ValidationError(
+                f"bundle lists a task or layer twice: {list(self.tasks)}, {list(self.layers)}"
+            )
         seen = set()
         for task in self.tasks:
             for layer in self.layers:
@@ -241,13 +245,18 @@ def write_bundle(bundle: GradientBundle, path) -> None:
 RECORD_KEYS = ("task", "layer", "rows", "cols", "path")
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: int, not bool (json.loads gives floats for 2.0 and Infinity)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _load_manifest(root: Path) -> tuple[Path, dict]:
     manifest_path = root / MANIFEST_NAME
     if not manifest_path.is_file():
         raise BundleFormatError(f"no {MANIFEST_NAME} in {root}")
     try:
         manifest = json.loads(manifest_path.read_text())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise BundleFormatError(f"{manifest_path}: unreadable manifest: {exc}") from exc
     if not isinstance(manifest, dict):
         raise BundleFormatError(f"{manifest_path}: manifest is not a JSON object")
@@ -276,14 +285,17 @@ def _manifest_records(root: Path, manifest_path: Path, manifest: dict) -> list[d
             raise BundleFormatError(
                 f"{manifest_path}: record {i} task, layer or path is not a string"
             )
-        try:
-            shape = (int(rec["rows"]), int(rec["cols"]))
-        except (TypeError, ValueError) as exc:
-            raise BundleFormatError(
-                f"{manifest_path}: record {i} rows or cols is not an integer"
-            ) from exc
+        shape = (rec["rows"], rec["cols"])
+        if not all(_is_int(v) for v in shape):
+            raise BundleFormatError(f"{manifest_path}: record {i} rows or cols is not an integer")
         fpath = root / rec["path"]
-        if not fpath.resolve().is_relative_to(base):
+        try:
+            resolved = fpath.resolve()
+        except (OSError, ValueError) as exc:
+            raise BundleFormatError(
+                f"{manifest_path}: record {i} path {rec['path']!r} is not a usable path: {exc}"
+            ) from exc
+        if not resolved.is_relative_to(base):
             raise BundleFormatError(
                 f"{manifest_path}: record {i} path {rec['path']!r} lies outside the bundle"
             )
@@ -296,12 +308,13 @@ def _manifest_layers(manifest_path: Path, manifest: dict) -> list[tuple]:
     specs = manifest.get("layers", [])
     if not isinstance(specs, list):
         raise BundleFormatError(f"{manifest_path}: 'layers' is not a list")
-    try:
-        return [(spec["id"], int(spec["cols"])) for spec in specs]
-    except (TypeError, KeyError, ValueError) as exc:
-        raise BundleFormatError(
-            f"{manifest_path}: every layer needs an 'id' and an integer 'cols'"
-        ) from exc
+    for spec in specs:
+        if not (isinstance(spec, dict) and isinstance(spec.get("id"), str)
+                and _is_int(spec.get("cols"))):
+            raise BundleFormatError(
+                f"{manifest_path}: every layer needs a string 'id' and an integer 'cols'"
+            )
+    return [(spec["id"], spec["cols"]) for spec in specs]
 
 
 def read_bundle(path) -> GradientBundle:
@@ -317,7 +330,9 @@ def read_bundle(path) -> GradientBundle:
             f"{manifest_path}: unsupported element type {manifest.get('element_type')!r}"
         )
 
-    tasks = list(manifest.get("tasks", []))
+    tasks = manifest.get("tasks", [])
+    if not (isinstance(tasks, list) and all(isinstance(t, str) for t in tasks)):
+        raise BundleFormatError(f"{manifest_path}: 'tasks' is not a list of strings")
     layer_specs = _manifest_layers(manifest_path, manifest)
     layers = [layer for layer, _ in layer_specs]
     declared_cols = dict(layer_specs)
@@ -330,27 +345,28 @@ def read_bundle(path) -> GradientBundle:
         if arr.shape != rec["shape"]:
             raise BundleFormatError(
                 f"{fpath}: file shape {arr.shape} disagrees with manifest record "
-                f"({rec['rows']}, {rec['cols']}) for (task, layer) = ({task}, {layer})"
+                f"({rec['rows']}, {rec['cols']}) for (task, layer) = ({task}, {layer}) "
+                f"in {manifest_path}"
             )
         if layer in declared_cols and arr.shape[1] != declared_cols[layer]:
             raise BundleFormatError(
                 f"{fpath}: layer {layer!r} declares cols={declared_cols[layer]} "
-                f"but file has cols={arr.shape[1]}"
+                f"in {manifest_path} but file has cols={arr.shape[1]}"
             )
         try:
             matrices.append(GradientMatrix(task, layer, arr))
         except ValidationError as exc:
             raise BundleFormatError(f"{fpath}: {exc}") from exc
 
-    bundle = GradientBundle.from_matrices(matrices)
-    if list(bundle.tasks) != tasks or list(bundle.layers) != layers:
-        # Preserve the manifest's declared ordering, then re-validate the grid.
-        entries = {(m.task, m.layer): m for m in matrices}
-        bundle = GradientBundle(tuple(tasks), tuple(layers), entries)
-        try:
+    try:
+        bundle = GradientBundle.from_matrices(matrices)
+        if list(bundle.tasks) != tasks or list(bundle.layers) != layers:
+            # Preserve the manifest's declared ordering, then re-validate the grid.
+            entries = {(m.task, m.layer): m for m in matrices}
+            bundle = GradientBundle(tuple(tasks), tuple(layers), entries)
             bundle.validate()
-        except ValidationError as exc:
-            raise BundleFormatError(f"{manifest_path}: {exc}") from exc
+    except ValidationError as exc:
+        raise BundleFormatError(f"{manifest_path}: {exc}") from exc
     return bundle
 
 

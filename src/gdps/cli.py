@@ -183,7 +183,7 @@ def cmd_decompose(args) -> int:
         raise ValidationError(f"plan file not found: {plan_path}")
     try:
         plan = dc.DecompositionPlan.from_dict(json.loads(plan_path.read_text()))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ValidationError(f"unreadable plan {plan_path}: {exc}") from exc
     except ValidationError as exc:
         raise ValidationError(f"invalid plan {plan_path}: {exc}") from exc

@@ -37,8 +37,10 @@ class RatioThresholds:
     ratios: tuple[float, float, float] = DEFAULT_RATIOS
 
     def __post_init__(self):
-        if not 0 < self.low < self.high:
-            raise ValidationError(f"thresholds need 0 < low < high, got {self.low}, {self.high}")
+        if not (np.isfinite(self.low) and np.isfinite(self.high) and 0 < self.low < self.high):
+            raise ValidationError(
+                f"thresholds need finite 0 < low < high, got {self.low}, {self.high}"
+            )
         r = self.ratios
         if len(r) != 3 or not (r[0] > r[1] > r[2]) or not all(0 < x < 1 for x in r):
             raise ValidationError(f"ratios must be strictly decreasing in (0,1), got {r}")

@@ -158,7 +158,11 @@ class DecompositionPlan:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DecompositionPlan":
-        """Inverse of to_dict; a missing or malformed field raises ValidationError."""
+        """Inverse of to_dict; a missing or malformed field raises ValidationError.
+
+        The integer fields must be JSON integers (not bools or floats), and
+        the seed must be non-negative.
+        """
         if not isinstance(d, dict):
             raise ValidationError(f"a plan is a JSON object, got {type(d).__name__}")
 
@@ -170,17 +174,25 @@ class DecompositionPlan:
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValidationError(f"plan field {name!r} is malformed: {exc!r}") from exc
 
+        def integer(name: str, minimum: int | None = None) -> int:
+            value = field(name, lambda v: v)
+            if (isinstance(value, bool) or not isinstance(value, int)
+                    or (minimum is not None and value < minimum)):
+                kind = "an integer" if minimum is None else f"an integer >= {minimum}"
+                raise ValidationError(f"plan field {name!r} must be {kind}, got {value!r}")
+            return value
+
         return cls(
             grouping=field("grouping", GroupingPlan.from_dict),
             shared_ratio=field("shared_ratio", float),
-            d_model=field("d_model", int),
-            d_ff=field("d_ff", int),
-            d_s=field("d_s", int),
-            d_p=field("d_p", int),
+            d_model=integer("d_model"),
+            d_ff=integer("d_ff"),
+            d_s=integer("d_s"),
+            d_p=integer("d_p"),
             p_g=field("p_g", lambda v: tuple(float(x) for x in v)),
-            r=field("r", int),
+            r=integer("r"),
             noise_scale=field("noise_scale", float),
-            seed=field("seed", int),
+            seed=integer("seed", minimum=0),
             activation=field("activation", str),
         )
 

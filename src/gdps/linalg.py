@@ -2,8 +2,8 @@
 
 Everything here is a pure function on float64 arrays: cosine similarity with
 graceful zero-norm handling, thin SVD (direct, or from the Gram matrix of the
-short side), (cross-)covariance, and the Gini concentration statistic used on
-singular-value spectra.
+short side), and the Gini concentration statistic used on singular-value
+spectra.
 """
 
 from __future__ import annotations
@@ -105,23 +105,6 @@ def gram_svd(matrix) -> SvdResult:
     q, b, sigma = q[:, order], b[order], sigma[order]
     b /= np.where(sigma > 0.0, sigma, 1.0)[:, None]
     return SvdResult(q, sigma, b.T) if wide else SvdResult(b.T, sigma, q)
-
-
-def covariance(a, b, center: bool = True) -> np.ndarray:
-    """(1/m) * A~^T B~ with optional column-mean centering of both sides."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValidationError("covariance expects 2-D matrices")
-    if a.shape[0] != b.shape[0]:
-        raise ValidationError(f"row-count mismatch: {a.shape[0]} vs {b.shape[0]}")
-    m = a.shape[0]
-    if center:
-        if m < 2:
-            raise ValidationError("centered covariance needs at least 2 rows")
-        a = a - a.mean(axis=0)
-        b = b - b.mean(axis=0)
-    return (a.T @ b) / m
 
 
 def gini(values) -> float:

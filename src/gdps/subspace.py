@@ -1,16 +1,19 @@
 """Joint gradient subspace analysis: stacked SVD, energy shares, ridge CCA.
 
 All tasks' gradient matrices at a layer are stacked row-wise (in bundle task
-order, unnormalized) and decomposed once; each task's energy is the squared
-projection norm onto the top-k right singular directions, and the energy
-proportions p_i decide how much residual capacity each group later receives.
-Pairwise subspace alignment is measured by the leading ridge-regularized
-canonical correlation.  When features outnumber samples each task is factored
-once and every pair only solves a small sample-space core, the
-factor-then-correlate structure of SVCCA.  Both the joint stack and each
-task's centred rows are factored from the Gram matrix of their short side
-(`linalg.gram_svd`); for a task's rows that is the dual, kernel form of
-ridge CCA (Hardoon et al. 2004).
+order, row-normalised on request) and factored once.  Each task's energy is
+its rows' part of the top-k joint energy, read from that one factor, and the
+energy proportions p_i decide how much residual capacity each group later
+receives.  Pairwise subspace alignment is measured by the leading
+ridge-regularized canonical correlation, computed one way for every shape:
+each side's centred rows are factored once and every pair only solves a
+small core built from the two factors (canonical correlations from the
+factors of each side, Bjorck & Golub 1973; the factor-then-correlate
+structure of SVCCA).  Both the joint stack and each task's centred rows are
+factored from the Gram matrix of their short side (`linalg.gram_svd`); for a
+task's rows that is the dual, kernel form of ridge CCA (Hardoon et al.
+2004).  At lambda = 0 a rank-deficient factor has no whitening and raises
+SingularCovarianceError.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 from . import bundle as gb
 from .errors import SingularCovarianceError, ValidationError
 from .grouping import GroupingPlan
-from .linalg import SvdResult, covariance, gini, gram_svd
+from .linalg import SvdResult, gini, gram_svd
 
 DEFAULT_TOP_K = 10
 DEFAULT_LAMBDA = 1e-3
@@ -56,22 +59,25 @@ def energy_proportions(
     joint: SvdResult | None = None,
     normalize_rows: bool = False,
 ):
-    """Per-task energies E_i = sum_{j<=k} ||G_i v_j||^2 and shares p_i."""
+    """Per-task energies E_i = sum_{j<k} ||G_i v_j||^2 and shares p_i.
+
+    G_i v_j = sigma_j U[rows_i, j], so E_i = sum_{j<k} sigma_j^2 ||U[rows_i, j]||^2
+    comes from the joint factor alone; no task is read again.  `joint` must
+    come from `joint_svd` of the same bundle and layer; `normalize_rows` only
+    applies when `joint` is computed here.
+    """
     if joint is None:
         joint = joint_svd(bundle, layer, normalize_rows=normalize_rows)
     available = joint.sigma.size
     if not 1 <= k <= available:
         raise ValidationError(f"top-k must be in [1, {available}], got {k}")
-    v_k = joint.v[:, :k]
-    energies = []
-    for task in bundle.tasks:
-        g = gb.sample_gradients(bundle, task, layer).astype(np.float64)
-        if normalize_rows:
-            norms = np.linalg.norm(g, axis=1, keepdims=True)
-            norms[norms == 0.0] = 1.0
-            g = g / norms
-        energies.append(float(((g @ v_k) ** 2).sum()))
-    energies = np.array(energies)
+    rows = [bundle.matrix(task, layer).rows for task in bundle.tasks]
+    if sum(rows) != joint.u.shape[0]:
+        raise ValidationError(
+            f"joint factor has {joint.u.shape[0]} rows, layer {layer!r} has {sum(rows)}"
+        )
+    row_energy = joint.u[:, :k] ** 2 @ joint.sigma[:k] ** 2
+    energies = np.add.reduceat(row_energy, np.cumsum([0] + rows[:-1]))
     total = energies.sum()
     if total <= 0.0:
         raise ValidationError(f"all task energies are zero at layer {layer!r}")
@@ -107,80 +113,40 @@ class CcaResult:
     lam: float
 
 
-def _inv_sqrt_psd(mat: np.ndarray, lam: float) -> np.ndarray:
-    sym = 0.5 * (mat + mat.T) + lam * np.eye(mat.shape[0])
-    evals, evecs = np.linalg.eigh(sym)
-    floor = max(sym.shape[0] * np.abs(evals).max(), 1.0) * np.finfo(np.float64).eps
-    if evals.min() <= floor and lam <= 0.0:
-        raise SingularCovarianceError(
-            "covariance is numerically singular at lambda=0; rerun with a positive lambda"
-        )
-    evals = np.maximum(evals, floor)
-    return (evecs / np.sqrt(evals)) @ evecs.T
-
-
-def _dual_route(a_cols: int, b_cols: int, m: int) -> bool:
-    """True when features outnumber samples enough to solve in sample space."""
-    return max(a_cols, b_cols) > 4 * m
-
-
-def ridge_cca(g_a, g_b, lam: float = DEFAULT_LAMBDA, center: bool = True) -> CcaResult:
-    """Leading canonical correlation with ridge lam*I on both auto-covariances.
-
-    Both sides are whitened with (Gamma + lam I)^(-1/2); the leading singular
-    value of the whitened cross-covariance is rho, and the back-transformed
-    singular vectors are the projection directions (unit regularized norm).
-    When features outnumber samples the equivalent dual problem is solved in
-    sample space instead, which changes cost but not the result.
-    """
-    a = np.asarray(g_a, dtype=np.float64)
-    b = np.asarray(g_b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValidationError("ridge_cca expects 2-D sample matrices")
-    if a.shape[0] != b.shape[0]:
-        raise ValidationError(f"row-count mismatch: {a.shape[0]} vs {b.shape[0]}")
-    if not (np.isfinite(lam) and lam >= 0):
-        raise ValidationError(f"lambda must be finite and >= 0, got {lam}")
-    if _dual_route(a.shape[1], b.shape[1], a.shape[0]):
-        return _ridge_cca_dual(a, b, lam, center)
-    gamma_aa = covariance(a, a, center=center)
-    gamma_bb = covariance(b, b, center=center)
-    gamma_ab = covariance(a, b, center=center)
-    wa = _inv_sqrt_psd(gamma_aa, lam)
-    wb = _inv_sqrt_psd(gamma_bb, lam)
-    core = wa @ gamma_ab @ wb
-    u, s, vh = np.linalg.svd(core, full_matrices=False)
-    rho = float(np.clip(s[0], 0.0, 1.0))
-    return CcaResult(rho=rho, w_a=wa @ u[:, 0], w_b=wb @ vh[0, :], lam=lam)
-
-
-def _dual_factor(a: np.ndarray, center: bool) -> SvdResult:
-    """Per-task factor of the dual route: thin SVD of A/sqrt(m).
+def _dual_factor(a: np.ndarray, center: bool, lam: float) -> SvdResult:
+    """Per-side factor of ridge CCA: thin SVD of A/sqrt(m).
 
     A is column-centred first when `center` is set.  It depends on one task
     and its row count only, so a pairwise report computes it once per task.
-    It comes from the m x m sample Gram (`gram_svd`), not a d-wide SVD.
+    It comes from the Gram matrix of the short side (`gram_svd`), so a wide
+    side costs an m x m eigenproblem, not a d-wide SVD.  At lam = 0 the
+    side's covariance V diag(s^2) V^T must be invertible: a factor with
+    fewer sigma than columns, or with sigma_min^2 at the floor
+    max(cols * sigma_max^2, 1) * eps of a cols x cols eigensolver, raises
+    SingularCovarianceError.
     """
-    m = a.shape[0]
+    m, cols = a.shape
     if center:
         if m < 2:
             raise ValidationError("centered covariance needs at least 2 rows")
         a = a - a.mean(axis=0)
-    return gram_svd(a / np.sqrt(m))
+    f = gram_svd(a / np.sqrt(m))
+    if lam <= 0.0:
+        floor = max(cols * f.sigma[0] ** 2, 1.0) * np.finfo(np.float64).eps
+        if f.sigma.size < cols or f.sigma[-1] ** 2 <= floor:
+            raise SingularCovarianceError(
+                "covariance is numerically singular at lambda=0; rerun with a positive lambda"
+            )
+    return f
 
 
 def _dual_core(ua, sa, ub, sb, lam: float):
-    """Per-pair core of the dual route: (rho, left, right) singular triplet.
+    """Per-pair core of ridge CCA: (rho, left, right) singular triplet.
 
     The whitened cross-covariance has the same nonzero singular values as
-    K = diag(sa/sqrt(sa^2+lam)) Ua^T Ub diag(sb/sqrt(sb^2+lam)), an m x m
-    problem.  Requires lam > 0 (auto-covariances are singular when d > m).
+    K = diag(sa/sqrt(sa^2+lam)) Ua^T Ub diag(sb/sqrt(sb^2+lam)), a problem of
+    the size of the two factors, whatever the number of columns.
     """
-    if lam <= 0.0:
-        raise SingularCovarianceError(
-            "covariance is numerically singular at lambda=0 (fewer samples than "
-            "features); rerun with a positive lambda"
-        )
     fa = sa / np.sqrt(sa**2 + lam)
     fb = sb / np.sqrt(sb**2 + lam)
     # Ua^T is copied so that numpy never sees Ua^T @ Ua as one buffer and
@@ -191,10 +157,29 @@ def _dual_core(ua, sa, ub, sb, lam: float):
     return float(np.clip(s[0], 0.0, 1.0)), u[:, 0], vh[0, :]
 
 
-def _ridge_cca_dual(a: np.ndarray, b: np.ndarray, lam: float, center: bool) -> CcaResult:
-    """Sample-space route for d >> m: one factor per side, then the core."""
-    fa = _dual_factor(a, center)
-    fb = _dual_factor(b, center)
+def ridge_cca(g_a, g_b, lam: float = DEFAULT_LAMBDA, center: bool = True) -> CcaResult:
+    """Leading canonical correlation with ridge lam*I on both auto-covariances.
+
+    rho is the leading singular value of the whitened cross-covariance
+    (Gamma_aa + lam I)^(-1/2) Gamma_ab (Gamma_bb + lam I)^(-1/2).  It is taken
+    the same way for every shape: each side is factored once,
+    A/sqrt(m) = U diag(s) V^T, and `_dual_core` solves the small core of the
+    two factors.  The back-transformed singular vectors
+    w = V diag(1/sqrt(s^2+lam)) x are the projection directions (unit
+    regularized norm).  At lam = 0 a side with fewer sigma than columns, or
+    with sigma_min^2 <= max(cols * sigma_max^2, 1) * eps, raises
+    SingularCovarianceError.
+    """
+    a = np.asarray(g_a, dtype=np.float64)
+    b = np.asarray(g_b, dtype=np.float64)
+    if a.ndim != 2 or b.ndim != 2:
+        raise ValidationError("ridge_cca expects 2-D sample matrices")
+    if a.shape[0] != b.shape[0]:
+        raise ValidationError(f"row-count mismatch: {a.shape[0]} vs {b.shape[0]}")
+    if not (np.isfinite(lam) and lam >= 0):
+        raise ValidationError(f"lambda must be finite and >= 0, got {lam}")
+    fa = _dual_factor(a, center, lam)
+    fb = _dual_factor(b, center, lam)
     rho, x, y = _dual_core(fa.u, fa.sigma, fb.u, fb.sigma, lam)
     w_a = fa.v @ (x / np.sqrt(fa.sigma**2 + lam))
     w_b = fb.v @ (y / np.sqrt(fb.sigma**2 + lam))
@@ -277,21 +262,18 @@ def subspace_report(
     n = len(tasks)
     cca = np.eye(n)
     samples = [gb.sample_gradients(bundle, t, layer).astype(np.float64) for t in tasks]
-    factors = {}  # (task index, row count) -> (U, s) of the dual route
+    factors = {}  # (task index, row count) -> (U, s) of the task's ridge-CCA factor
 
     def factor(i, m):
         if (i, m) not in factors:
-            f = _dual_factor(samples[i][:m], center=True)
+            f = _dual_factor(samples[i][:m], center=True, lam=lam)
             factors[i, m] = f.u, f.sigma
         return factors[i, m]
 
     def rho(i, j):
         # Rows are paired by index; unequal sample counts truncate to the min.
         # Each entry equals ridge_cca(samples[i][:m], samples[j][:m], lam).rho.
-        a, b = samples[i], samples[j]
-        m = min(a.shape[0], b.shape[0])
-        if not _dual_route(a.shape[1], b.shape[1], m):
-            return ridge_cca(a[:m], b[:m], lam).rho
+        m = min(samples[i].shape[0], samples[j].shape[0])
         return _dual_core(*factor(i, m), *factor(j, m), lam)[0]
 
     truncated_any = False

@@ -193,6 +193,8 @@ def make_suite(
     """Deterministic suite; cross-group target angles are theta by construction."""
     if not 0.0 <= theta_deg <= 90.0:
         raise ValidationError(f"theta must be in [0, 90] degrees, got {theta_deg}")
+    if not (np.isfinite(noise) and noise >= 0):
+        raise ValidationError(f"target noise must be finite and >= 0, got {noise}")
     tasks = tuple(f"t{i}" for i in range(n_tasks))
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(11,)))
     plan = _normalize_grouping(grouping, tasks)
@@ -470,6 +472,8 @@ def train(
         raise ValidationError(f"steps must be >= 0, got {steps}")
     if batch_size < 1:
         raise ValidationError(f"batch_size must be >= 1, got {batch_size}")
+    if not (np.isfinite(lr) and lr >= 0):
+        raise ValidationError(f"lr must be finite and >= 0, got {lr}")
 
     tasks = suite.tasks
     batch_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(23,)))

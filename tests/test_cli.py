@@ -516,11 +516,18 @@ def test_report_plan_report_wrong_types_exit_1(tmp_path, capsys):
     (lambda plan: {**plan, "d_model": "abc"}, "d_model"),
     (lambda plan: [plan], "JSON object"),
     (lambda plan: {k: v for k, v in plan.items() if k != "p_g"}, "p_g"),
+    (lambda plan: {**plan, "seed": -1}, "'seed'"),
+    (lambda plan: {**plan, "seed": "7"}, "'seed'"),
+    (lambda plan: {**plan, "d_s": plan["d_s"] + 0.7}, "'d_s'"),
+    (lambda plan: {**plan, "d_p": float(plan["d_p"])}, "'d_p'"),
+    (lambda plan: {**plan, "r": True}, "'r'"),
+    (lambda plan: "[" * 100_000, "unreadable plan"),
 ])
 def test_decompose_malformed_plan_exit_1(tmp_path, capsys, rng, edit, field):
     write_desk_weights(tmp_path, rng)
     plan, plan_path = write_plan_file(tmp_path)
-    plan_path.write_text(json.dumps(edit(plan.to_dict())))
+    edited = edit(plan.to_dict())
+    plan_path.write_text(edited if isinstance(edited, str) else json.dumps(edited))
     rc = main([
         "decompose", "--w1", str(tmp_path / "w1.gdm"), "--w2", str(tmp_path / "w2.gdm"),
         "--plan", str(plan_path), "--out", str(tmp_path / "ffn"),
@@ -529,6 +536,7 @@ def test_decompose_malformed_plan_exit_1(tmp_path, capsys, rng, edit, field):
     assert rc == 1
     assert str(plan_path) in err and field in err
     assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith("error:")
 
 
 @pytest.mark.parametrize("summary,field", [
@@ -597,12 +605,20 @@ def test_each_gdm_file_read_once(tmp_path, monkeypatch, command):
     ["plan", "--noise", "-1"],
     ["plan", "--private-rank", "-2"],
     ["plan", "--private-rank", "1.5"],
+    ["plan", "--thresholds", "0.05,inf"],
+    ["plan", "--thresholds", "-inf,0.15"],
     ["simulate", "--groups", "a|b"],
     ["simulate", "--groups", "0|1,x"],
     ["simulate", "--samples", "0"],
     ["simulate", "--batch-size", "-3"],
     ["simulate", "--batch-size", "0"],
     ["simulate", "--private-rank", "-1"],
+    ["simulate", "--lr", "nan"],
+    ["simulate", "--lr", "inf"],
+    ["simulate", "--lr", "-1"],
+    ["simulate", "--target-noise", "nan"],
+    ["simulate", "--target-noise", "inf"],
+    ["simulate", "--target-noise", "-1"],
 ])
 def test_hostile_flag_exit_1(tmp_path, capsys, argv):
     if argv[0] == "simulate":

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gdps.errors import ValidationError
-from gdps.linalg import cosine, cosine_flagged, covariance, gini, gram_svd, svd
+from gdps.linalg import cosine, cosine_flagged, gini, gram_svd, svd
 
 
 def brute_force_gini(x):
@@ -15,20 +15,6 @@ def brute_force_gini(x):
         for j in range(k):
             total += abs(x[i] - x[j])
     return total / (2.0 * k * k * x.mean())
-
-
-def brute_force_covariance(a, b, center):
-    a = np.asarray(a, dtype=np.float64).copy()
-    b = np.asarray(b, dtype=np.float64).copy()
-    if center:
-        a -= a.mean(axis=0)
-        b -= b.mean(axis=0)
-    m, d = a.shape
-    out = np.zeros((d, b.shape[1]))
-    for i in range(d):
-        for j in range(b.shape[1]):
-            out[i, j] = sum(a[s, i] * b[s, j] for s in range(m)) / m
-    return out
 
 
 def test_cosine_identity():
@@ -209,35 +195,6 @@ def test_gram_svd_rejects_bad_input():
         gram_svd(np.array([[np.inf, 1.0]]))
     with pytest.raises(ValidationError, match="gram_svd"):
         gram_svd(np.zeros((3, 0)))
-
-
-def test_covariance_analytic():
-    a = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    out = covariance(a, a, center=True)
-    assert np.allclose(out, [[1.0, 0.0], [0.0, 0.0]])
-
-
-def test_covariance_disjoint_support():
-    a = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
-    b = np.array([[0.0, 4.0], [0.0, 5.0], [0.0, 6.0]])
-    out = covariance(a, b, center=True)
-    assert out[0, 0] == 0.0 and out[1, 1] == 0.0 and out[1, 0] == 0.0
-
-
-def test_covariance_matches_brute_force(rng):
-    a = rng.standard_normal((50, 3))
-    b = rng.standard_normal((50, 3))
-    for center in (True, False):
-        got = covariance(a, b, center=center)
-        want = brute_force_covariance(a, b, center)
-        assert np.max(np.abs(got - want)) < 1e-12
-
-
-def test_covariance_errors():
-    with pytest.raises(ValidationError, match="row-count"):
-        covariance(np.zeros((3, 2)), np.zeros((4, 2)))
-    with pytest.raises(ValidationError, match="2 rows"):
-        covariance(np.ones((1, 2)), np.ones((1, 2)), center=True)
 
 
 def test_gini_uniform_is_zero():

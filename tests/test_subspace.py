@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import gdps.bundle
 from gdps.errors import SingularCovarianceError, ValidationError
 from gdps.grouping import GroupingPlan
 from gdps.linalg import gini as linalg_gini
 from gdps.linalg import svd
 from gdps.subspace import (
     DEFAULT_LAMBDA,
-    _ridge_cca_dual,
     energy_proportions,
     group_energy,
     joint_svd,
@@ -31,6 +31,31 @@ def oracle_cca_rho(a, b, lam):
     lhs = cab @ np.linalg.solve(cbb, cab.T)
     evals = scipy.linalg.eigh(lhs, caa, eigvals_only=True)
     return float(np.sqrt(max(evals.max(), 0.0)))
+
+
+def primal_cca_rho(a, b, lam):
+    """Reference rho by primal whitening: top singular value of
+    (Caa + lam I)^(-1/2) Cab (Cbb + lam I)^(-1/2) with d x d covariances.
+
+    At lam = 0 a covariance whose smallest eigenvalue is at the floor
+    max(d * largest, 1) * eps raises, as it has no inverse square root.
+    """
+
+    def cov(x, y):
+        x = x - x.mean(axis=0)
+        y = y - y.mean(axis=0)
+        return x.T @ y / x.shape[0]
+
+    def inv_sqrt(c):
+        sym = 0.5 * (c + c.T) + lam * np.eye(c.shape[0])
+        evals, evecs = np.linalg.eigh(sym)
+        floor = max(sym.shape[0] * np.abs(evals).max(), 1.0) * np.finfo(np.float64).eps
+        if lam <= 0.0 and evals.min() <= floor:
+            raise SingularCovarianceError("singular covariance at lambda=0")
+        return (evecs / np.sqrt(np.maximum(evals, floor))) @ evecs.T
+
+    core = inv_sqrt(cov(a, a)) @ cov(a, b) @ inv_sqrt(cov(b, b))
+    return float(np.clip(np.linalg.svd(core, compute_uv=False)[0], 0.0, 1.0))
 
 
 def brute_force_energies(bundle, layer, k):
@@ -114,6 +139,37 @@ def test_energy_row_permutation_within_task(rng):
     e1, _ = energy_proportions(b1, "L0", k=2)
     e2, _ = energy_proportions(b2, "L0", k=2)
     assert np.allclose(e1, e2, atol=1e-9)
+
+
+def test_energy_reads_no_task_given_the_joint_factor(rng, monkeypatch):
+    rows = {t: rng.standard_normal((m, 12)) for t, m in (("a", 5), ("b", 3), ("c", 7))}
+    b = tiny_bundle(rows)
+    joint = joint_svd(b, "L0")
+    want = brute_force_energies(b, "L0", 4)
+
+    def no_read(*args):
+        raise AssertionError("energy_proportions re-read a task")
+
+    monkeypatch.setattr(gdps.bundle, "sample_gradients", no_read)
+    energies, _ = energy_proportions(b, "L0", k=4, joint=joint)
+    assert np.allclose(energies, want, rtol=1e-12, atol=0.0)
+
+
+def test_energy_normalized_rows_from_the_joint_factor(rng):
+    rows = {t: rng.standard_normal((m, 9)) * (1.0 + 10.0 * rng.random((m, 1)))
+            for t, m in (("a", 4), ("b", 6))}
+    unit = {t: g / np.linalg.norm(g, axis=1, keepdims=True) for t, g in rows.items()}
+    energies, props = energy_proportions(tiny_bundle(rows), "L0", k=3, normalize_rows=True)
+    want, want_props = energy_proportions(tiny_bundle(unit), "L0", k=3)
+    assert np.allclose(energies, want, rtol=1e-6)
+    assert np.allclose(props, want_props, rtol=1e-6)
+
+
+def test_energy_rejects_a_foreign_joint_factor(rng):
+    b = tiny_bundle({"a": rng.standard_normal((4, 6)), "b": rng.standard_normal((3, 6))})
+    other = tiny_bundle({"a": rng.standard_normal((5, 6)), "b": rng.standard_normal((3, 6))})
+    with pytest.raises(ValidationError, match="rows"):
+        energy_proportions(b, "L0", k=2, joint=joint_svd(other, "L0"))
 
 
 def test_energy_k_bounds(rng):
@@ -226,6 +282,26 @@ def test_cca_singular_at_lambda_zero(rng):
     a[:, 0] = rng.standard_normal(10)
     with pytest.raises(SingularCovarianceError, match="positive lambda"):
         ridge_cca(a, a.copy(), 0.0)
+    full = rng.standard_normal((20, 4))
+    deficient = [
+        np.column_stack([full, full[:, :1]]),  # a repeated column
+        np.column_stack([full, np.zeros(20)]),  # a zero column
+        np.column_stack([full, np.full(20, 3.0)]),  # a constant column, zero once centred
+        rng.standard_normal((20, 20)),  # d = m: centring leaves rank m - 1
+    ]
+    for a in deficient:
+        with pytest.raises(SingularCovarianceError):
+            primal_cca_rho(a, full, 0.0)
+        for pair in ((a, full), (full, a)):
+            with pytest.raises(SingularCovarianceError, match="positive lambda"):
+                ridge_cca(*pair, 0.0)
+            assert 0.0 <= ridge_cca(*pair, 1e-3).rho <= 1.0
+    # wide sides (d > m) never have an invertible covariance
+    for m, d in ((4, 5), (10, 11), (10, 200), (32, 1024)):
+        wide = rng.standard_normal((m, d))
+        for pair in ((wide, wide), (wide, rng.standard_normal((m, 3)))):
+            with pytest.raises(SingularCovarianceError, match="positive lambda"):
+                ridge_cca(*pair, 0.0)
 
 
 def test_cca_row_mismatch():
@@ -234,12 +310,14 @@ def test_cca_row_mismatch():
 
 
 def test_cca_dual_route_matches_direct(rng):
-    a = rng.standard_normal((20, 7))
-    b = rng.standard_normal((20, 7))
-    for lam in (0.05, 0.5, 2.0):
-        direct = ridge_cca(a, b, lam).rho
-        dual = _ridge_cca_dual(a.copy(), b.copy(), lam, center=True).rho
-        assert abs(direct - dual) < 1e-9
+    # tall pairs, where the primal whitening exists: the factor route must
+    # give the same rho for every lambda, 0 included
+    for _ in range(200):
+        m = int(rng.integers(10, 61))
+        a = rng.standard_normal((m, int(rng.integers(1, m))))
+        b = rng.standard_normal((m, int(rng.integers(1, m))))
+        for lam in (0.0, 1e-3, 0.1, 1.0, 10.0):
+            assert abs(ridge_cca(a, b, lam).rho - primal_cca_rho(a, b, lam)) < 1e-12
 
 
 def test_cca_dual_used_for_wide_matrices(rng):
@@ -314,12 +392,18 @@ def test_subspace_report_cca_equals_ridge_cca_loop_dual_route(rng):
 
 
 def test_subspace_report_cca_equals_ridge_cca_loop_primal_route(rng):
-    # d <= 4m: the covariance route, including lambda = 0
+    # tall tasks (d < m), where the primal whitening exists, including lambda = 0
     rows = {"a": 20, "b": 24, "c": 20}
     b = tiny_bundle({t: rng.standard_normal((m, 6)) for t, m in rows.items()})
+    samples = [b.matrix(t, "L0").data.astype(np.float64) for t in b.tasks]
     for lam in (0.0, 1e-3):
         report = subspace_report(b, "L0", k=3, lam=lam)
         assert np.array_equal(report.cca, ridge_cca_loop(b, "L0", lam))
+        for i in range(3):
+            for j in range(3):
+                m = min(samples[i].shape[0], samples[j].shape[0])
+                want = primal_cca_rho(samples[i][:m], samples[j][:m], lam)
+                assert abs(report.cca[i, j] - want) < 1e-12
 
 
 def test_subspace_report_diagonal_equals_ridge_cca_on_shared_factor(rng):
