@@ -39,6 +39,7 @@ from .decompose import (
     make_plan,
     private_init,
     residual,
+    routed_forward,
     save_ffn,
     shared_factors,
     unified_forward,
@@ -63,7 +64,7 @@ from .grouping import (
     single_linkage,
     to_distance,
 )
-from .linalg import SvdResult, cosine, cosine_flagged, gini, svd
+from .linalg import SvdResult, gini, svd, unit_rows
 from .subspace import (
     CcaResult,
     SubspaceReport,

@@ -147,7 +147,7 @@ def cmd_subspace(args) -> int:
         )
     out = Path(args.out)
     _write(out / "subspace.json", json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
-    _write(out / "spectrum.csv", report.spectrum_csv())
+    _write(out / "spectrum.csv", sb.spectrum_csv(report.sigma))
     print(f"layer={layer} k={report.k} top1_share={report.top1_share:.4f} gini={report.gini:.4f}")
     for t, p in zip(report.tasks, report.proportions):
         print(f"p[{t}] = {p:.4f}")
@@ -357,12 +357,6 @@ def _read_plan_report(src: str, data: dict) -> dict:
         sigma = np.asarray(field("subspace.sigma"), dtype=np.float64)
         if sigma.ndim != 1:
             raise ValueError(f"subspace.sigma has shape {sigma.shape}, expected a list")
-        energies = sigma**2
-        total = energies.sum() if energies.sum() > 0 else 1.0
-        spectrum = ["index,sigma,energy_share"] + [
-            f"{j},{s!r},{share!r}"
-            for j, (s, share) in enumerate(zip(sigma.tolist(), (energies / total).tolist()))
-        ]
         return {
             "delta": delta,
             "branch": cf.ratio_branch(delta, thresholds),
@@ -372,7 +366,7 @@ def _read_plan_report(src: str, data: dict) -> dict:
             "grouping": data["grouping"],
             "similarity_csv": rp.similarity_csv(field("tasks"), field("similarity")),
             "merges_csv": rp.merges_csv(field("merges")),
-            "spectrum_csv": "\n".join(spectrum) + "\n",
+            "spectrum_csv": sb.spectrum_csv(sigma),
         }
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{src}: malformed plan report: {exc}") from exc
@@ -427,7 +421,7 @@ def cmd_report(args) -> int:
             raise ValidationError(f"input not found: {raw}")
         try:
             data = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise ValidationError(f"unreadable JSON in {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ValidationError(f"{path}: not a recognized plan report or simulate summary")

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import bundle as gb
 from .errors import ValidationError
+from .linalg import unit_rows
 
 DEFAULT_LOW = 0.05
 DEFAULT_HIGH = 0.15
@@ -92,16 +93,6 @@ class ConflictReport:
         }
 
 
-def _normalized_rows(matrix: np.ndarray):
-    """Unit rows plus a boolean mask of non-degenerate (nonzero-norm) rows."""
-    g = matrix.astype(np.float64)
-    norms = np.linalg.norm(g, axis=1)
-    ok = norms > 0.0
-    unit = np.zeros_like(g)
-    unit[ok] = g[ok] / norms[ok, None]
-    return unit, ok
-
-
 def _maybe_subsample(matrix: np.ndarray, cap: int, seed: int, task: str) -> np.ndarray:
     """At most `cap` rows, drawn from (seed, task) only: the same in every pair."""
     if matrix.shape[0] <= cap:
@@ -117,7 +108,7 @@ def _unit_rows(bundle, task, layer, cap, seed, need_pairs=False):
     g = gb.sample_gradients(bundle, task, layer)
     if need_pairs and g.shape[0] < 2:
         raise ValidationError(f"self_similarity needs >= 2 samples for ({task}, {layer})")
-    return _normalized_rows(_maybe_subsample(g, cap, seed, task))
+    return unit_rows(_maybe_subsample(g, cap, seed, task))
 
 
 def _self_block(unit, ok):

@@ -43,18 +43,6 @@ def _sigmoid(a):
     return np.where(a >= 0, 1.0 / d, e / d)
 
 
-def activation_fn(name: str):
-    if name == "identity":
-        return lambda a: a
-    if name == "relu":
-        return lambda a: np.maximum(a, 0.0)
-    if name == "silu":
-        return lambda a: a * _sigmoid(a)
-    if name == "tanh":
-        return np.tanh
-    raise ValidationError(f"unknown activation {name!r}; choose from {ACTIVATIONS}")
-
-
 def activation_pair(name: str):
     """a -> (act(a), act'(a)), sharing the sigmoid or tanh between the two."""
     if name == "identity":
@@ -72,6 +60,12 @@ def activation_pair(name: str):
             return t, 1.0 - t**2
         return tanh_pair
     raise ValidationError(f"unknown activation {name!r}; choose from {ACTIVATIONS}")
+
+
+def activation_fn(name: str):
+    """a -> act(a), the first half of `activation_pair`."""
+    pair = activation_pair(name)
+    return lambda a: pair(a)[0]
 
 
 @dataclass(frozen=True)
@@ -438,6 +432,26 @@ def assemble(w: UnifiedFfnWeights, plan: DecompositionPlan, private_rank: int | 
     return factor_block(w, plan, private_rank)[0]
 
 
+def routed_forward(x: np.ndarray, branches, act: str):
+    """The routed block on x, (batch, d) or (tasks, batch, d): all branches summed.
+
+    `branches` lists (up, down) weight pairs: a 2-D pair is shared by every
+    row of x, a 3-D pair holds each task's own weights (its group's private
+    branch, gathered by route).  The activation and its derivative are
+    evaluated once over all branches' pre-activations.  Returns the output
+    and, per branch, the activations and their derivatives.
+    """
+    pre = [x @ up.swapaxes(-1, -2) for up, _ in branches]
+    h, dh = activation_pair(act)(pre[0] if len(pre) == 1 else np.concatenate(pre, axis=-1))
+    bounds = np.cumsum([0] + [a_k.shape[-1] for a_k in pre]).tolist()
+    hs = [h[..., lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    dhs = [dh[..., lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    out = hs[0] @ branches[0][1].swapaxes(-1, -2)
+    for h_k, (_, down) in zip(hs[1:], branches[1:]):
+        out = out + h_k @ down.swapaxes(-1, -2)
+    return out, hs, dhs
+
+
 def forward(ffn: SpecializedFfn, x, task: str) -> np.ndarray:
     """Routed evaluation: concat(act(x Ws^T), act(x Wp^T)) -> split down-proj."""
     x = np.asarray(x, dtype=np.float64)
@@ -451,18 +465,15 @@ def forward(ffn: SpecializedFfn, x, task: str) -> np.ndarray:
     if task not in ffn.routing:
         raise ValidationError(f"task {task!r} has no route; known: {sorted(ffn.routing)}")
     g = ffn.routing[task]
-    act = activation_fn(ffn.activation)
-    h_shared = act(x @ ffn.shared_up.T)
-    h_private = act(x @ ffn.private_up[g].T)
-    out = h_shared @ ffn.shared_down.T + h_private @ ffn.private_down[g].T
+    branches = [(ffn.shared_up, ffn.shared_down), (ffn.private_up[g], ffn.private_down[g])]
+    out = routed_forward(x, branches, ffn.activation)[0]
     return out[0] if squeeze else out
 
 
 def unified_forward(w: UnifiedFfnWeights, x, activation: str = "identity") -> np.ndarray:
     """Reference forward pass of the undecomposed block."""
     x = np.asarray(x, dtype=np.float64)
-    act = activation_fn(activation)
-    return act(x @ w.w1.T) @ w.w2.T
+    return routed_forward(x, [(w.w1, w.w2)], activation)[0]
 
 
 FFN_META_NAME = "ffn.json"
@@ -493,7 +504,7 @@ def _read_ffn_meta(meta_path: Path) -> dict:
     """The fields of ffn.json that load_ffn uses; a bad one names the file and key."""
     try:
         meta = json.loads(meta_path.read_text())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError(f"unreadable JSON in {meta_path}: {exc}") from exc
     if not isinstance(meta, dict):
         raise ValidationError(f"{meta_path}: expected a JSON object")

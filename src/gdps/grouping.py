@@ -17,7 +17,7 @@ import numpy as np
 
 from . import bundle as gb
 from .errors import ValidationError
-from .linalg import cosine_flagged
+from .linalg import unit_rows
 
 DEFAULT_GROUPS = 2
 
@@ -109,17 +109,17 @@ def _canonical_groups(groups) -> tuple[tuple[str, ...], ...]:
 
 
 def similarity_matrix(bundle: gb.GradientBundle, layer: str) -> SimilarityMatrix:
-    """Pairwise cosine between per-task mean gradients; diagonal forced to 1."""
+    """Pairwise cosine between per-task mean gradients, clipped; diagonal forced to 1.
+
+    A pair with a degenerate mean (see `unit_rows`) has cosine 0 and is
+    counted in `degenerate_count`.
+    """
     tasks = bundle.tasks
-    means = [gb.mean_gradient(bundle, t, layer) for t in tasks]
-    n = len(tasks)
-    s = np.eye(n)
-    degenerate = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            c, flag = cosine_flagged(means[i], means[j])
-            s[i, j] = s[j, i] = c
-            degenerate += int(flag)
+    unit, ok = unit_rows(np.stack([gb.mean_gradient(bundle, t, layer) for t in tasks]))
+    s = np.clip(unit @ unit.T, -1.0, 1.0)
+    np.fill_diagonal(s, 1.0)
+    n, c = len(tasks), int(ok.sum())
+    degenerate = n * (n - 1) // 2 - c * (c - 1) // 2
     out = SimilarityMatrix(tuple(tasks), s, degenerate_count=degenerate)
     out.validate()
     return out

@@ -1,9 +1,9 @@
 """Dense kernels with explicit numerical contracts.
 
-Everything here is a pure function on float64 arrays: cosine similarity with
-graceful zero-norm handling, thin SVD (direct, or from the Gram matrix of the
-short side), and the Gini concentration statistic used on singular-value
-spectra.
+Everything here is a pure function on float64 arrays: unit rows under the
+one zero-norm rule that every cosine in the toolkit uses, thin SVD (direct,
+or from the Gram matrix of the short side), and the Gini concentration
+statistic used on singular-value spectra.
 """
 
 from __future__ import annotations
@@ -17,25 +17,19 @@ from .errors import SvdConvergenceError, ValidationError
 ZERO_NORM_EPS = 1e-300
 
 
-def cosine_flagged(u, v) -> tuple[float, bool]:
-    """Cosine similarity clamped to [-1, 1], plus a degenerate-input flag.
+def unit_rows(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of a 2-D matrix scaled to unit norm, plus a mask of the rows scaled.
 
-    A vector with norm below ZERO_NORM_EPS makes the pair degenerate: the
-    result is 0.0 and the flag is True.  Degenerate pairs are a data-quality
-    signal, not an error; callers that aggregate cosines count them.
+    A row whose norm is below ZERO_NORM_EPS is degenerate: it stays zero and
+    its mask entry is False, so its cosine with any row is 0.  For float32
+    data this flags exactly the all-zero rows.  Degenerate rows are a
+    data-quality signal, not an error; callers that aggregate cosines count them.
     """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu < ZERO_NORM_EPS or nv < ZERO_NORM_EPS:
-        return 0.0, True
-    c = float(np.dot(u, v) / (nu * nv))
-    return min(1.0, max(-1.0, c)), False
-
-
-def cosine(u, v) -> float:
-    return cosine_flagged(u, v)[0]
+    g = np.asarray(matrix, dtype=np.float64)
+    norms = np.linalg.norm(g, axis=1)
+    ok = norms >= ZERO_NORM_EPS
+    unit = np.divide(g, norms[:, None], out=np.zeros_like(g), where=ok[:, None])
+    return unit, ok
 
 
 @dataclass(frozen=True)

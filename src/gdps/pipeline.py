@@ -32,7 +32,7 @@ class PlanOptions:
     seed: int = dc.DEFAULT_SEED
     layer: str | None = None  # Methods A and C; None is the bundle's first layer
     layers: str | None = None  # comma-separated Method B candidates; None is every layer
-    k_groups: int = 2
+    k_groups: int = gr.DEFAULT_GROUPS
     thresholds: str = f"{cf.DEFAULT_LOW},{cf.DEFAULT_HIGH}"
     top_k: int = sb.DEFAULT_TOP_K
     lam: float = sb.DEFAULT_LAMBDA

@@ -23,24 +23,13 @@ TOOL_VERSION = "0.1.0"
 
 # Defaults that come from the published decision rules themselves, as opposed
 # to choices this toolkit had to make; reports echo the distinction.
-METHOD_DEFAULTS = {
-    "thresholds.low": 0.05,
-    "thresholds.high": 0.15,
-    "ratios": (0.75, 0.50, 0.25),
-    "seed": 2343,
-}
-TOOL_DEFAULTS = {
-    "k_groups": 2,
-    "top_k": 10,
-    "lambda": 1e-3,
-    "noise_scale": 1e-4,
-    "activation": "silu",
-}
+METHOD_DEFAULT_KEYS = ("thresholds.low", "thresholds.high", "ratios", "seed")
+TOOL_DEFAULT_KEYS = ("k_groups", "top_k", "lambda", "noise_scale", "activation")
 
 
 def default_provenance() -> dict:
-    prov = {k: "method-default" for k in METHOD_DEFAULTS}
-    prov.update({k: "tool-default" for k in TOOL_DEFAULTS})
+    prov = {k: "method-default" for k in METHOD_DEFAULT_KEYS}
+    prov.update({k: "tool-default" for k in TOOL_DEFAULT_KEYS})
     return prov
 
 

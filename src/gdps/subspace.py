@@ -26,7 +26,7 @@ import numpy as np
 from . import bundle as gb
 from .errors import SingularCovarianceError, ValidationError
 from .grouping import GroupingPlan
-from .linalg import SvdResult, gini, gram_svd
+from .linalg import SvdResult, gini, gram_svd, unit_rows
 
 DEFAULT_TOP_K = 10
 DEFAULT_LAMBDA = 1e-3
@@ -44,11 +44,7 @@ def joint_svd(bundle: gb.GradientBundle, layer: str, normalize_rows: bool = Fals
     blocks = []
     for task in bundle.tasks:
         g = gb.sample_gradients(bundle, task, layer).astype(np.float64)
-        if normalize_rows:
-            norms = np.linalg.norm(g, axis=1, keepdims=True)
-            norms[norms == 0.0] = 1.0
-            g = g / norms
-        blocks.append(g)
+        blocks.append(unit_rows(g)[0] if normalize_rows else g)
     return gram_svd(np.vstack(blocks))
 
 
@@ -197,6 +193,16 @@ def group_energy(proportions, grouping: GroupingPlan, tasks) -> np.ndarray:
     return np.array([sum(share[t] for t in g) for g in grouping.groups])
 
 
+def spectrum_csv(sigma: np.ndarray) -> str:
+    """`index,sigma,energy_share` rows of a spectrum; an all-zero one has share 0."""
+    energies = sigma**2
+    total = energies.sum() if energies.sum() > 0 else 1.0
+    lines = ["index,sigma,energy_share"]
+    for i, (s, share) in enumerate(zip(sigma.tolist(), (energies / total).tolist())):
+        lines.append(f"{i},{s!r},{share!r}")
+    return "\n".join(lines) + "\n"
+
+
 @dataclass(frozen=True)
 class SubspaceReport:
     layer: str
@@ -228,14 +234,6 @@ class SubspaceReport:
             "normalize_rows": self.normalize_rows,
             "warnings": list(self.warnings),
         }
-
-    def spectrum_csv(self) -> str:
-        energies = self.sigma**2
-        shares = energies / energies.sum()
-        lines = ["index,sigma,energy_share"]
-        for i, (s, share) in enumerate(zip(self.sigma.tolist(), shares.tolist())):
-            lines.append(f"{i},{s!r},{share!r}")
-        return "\n".join(lines) + "\n"
 
 
 def subspace_report(

@@ -23,9 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bundle import GradientBundle, GradientMatrix
-from .decompose import UnifiedFfnWeights, activation_pair, assemble
+from .decompose import UnifiedFfnWeights, assemble, routed_forward
 from .errors import TrainingDivergence, ValidationError
 from .grouping import GroupingPlan
+from .linalg import unit_rows
 
 PROBE_LAYER = "probe"
 PROBE_UP_LAYER = "probe.up"
@@ -255,35 +256,15 @@ def make_model(
     return ToyModel(trunk=trunk, head=head, probe=probe, activation=activation)
 
 
-def _routed_forward(z: np.ndarray, head: np.ndarray, branches, act_name: str):
-    """Probe block plus head on trunk features z, (batch, d) or (tasks, batch, d).
-
-    `branches` lists (up, down) weight pairs whose outputs are summed: a 2-D
-    pair is shared by every task, a 3-D pair holds each task's own weights
-    (its group's private branch, gathered by route).  The activation and its
-    derivative are evaluated once over all branches' pre-activations.
-    Returns the head output and, per branch, the activations and derivatives.
-    """
-    pre = [z @ up.swapaxes(-1, -2) for up, _ in branches]
-    h, dh = activation_pair(act_name)(pre[0] if len(pre) == 1 else np.concatenate(pre, axis=-1))
-    bounds = np.cumsum([0] + [a_k.shape[-1] for a_k in pre]).tolist()
-    hs = [h[..., lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    dhs = [dh[..., lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    p = hs[0] @ branches[0][1].swapaxes(-1, -2)
-    for h_k, (_, down) in zip(hs[1:], branches[1:]):
-        p = p + h_k @ down.swapaxes(-1, -2)
-    return p @ head.T, hs, dhs
-
-
 def _routed_step(z: np.ndarray, y: np.ndarray, head: np.ndarray, branches, act_name: str):
     """Per-task mean-over-batch losses and gradients on stacked (tasks, batch, d) data.
 
     Row t of the gradient is task t's [vec(up); vec(down)] of every branch in
     turn, the layout `_pack` gives the parameters.
     """
-    out, hs, dhs = _routed_forward(z, head, branches, act_name)
+    p, hs, dhs = routed_forward(z, branches, act_name)
     n, b = z.shape[:2]
-    e = out - y
+    e = p @ head.T - y
     losses = (e**2).reshape(n, -1).sum(axis=1) / (2 * b)
     dp = (e @ head) / b
     grads = []
@@ -316,8 +297,8 @@ def _per_sample_probe_grads(model: ToyModel, x: np.ndarray, y: np.ndarray) -> np
     """
     z = x @ model.trunk.T  # B x d_model
     w1, w2 = model.probe.w1, model.probe.w2
-    out, (h,), (dh,) = _routed_forward(z, model.head, [(w1, w2)], model.activation)
-    dp = (out - y) @ model.head  # B x d_model
+    p, (h,), (dh,) = routed_forward(z, [(w1, w2)], model.activation)
+    dp = (p @ model.head.T - y) @ model.head  # B x d_model
     g_w2 = np.einsum("bi,bj->bij", dp, h)  # B x d_model x d_ff
     da = (dp @ w2) * dh  # B x d_ff
     g_w1 = np.einsum("bi,bj->bij", da, z)  # B x d_ff x d_model
@@ -414,16 +395,11 @@ class TrainLog:
 def _xtask_cosines(task_grads: dict) -> dict:
     """Per-task mean cosine against every other task's mean gradient."""
     tasks = list(task_grads)
-    out = {}
-    for t in tasks:
-        others = [o for o in tasks if o != t]
-        cs = []
-        for o in others:
-            u, v = task_grads[t], task_grads[o]
-            nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-            cs.append(float(u @ v / (nu * nv)) if nu > 0 and nv > 0 else 0.0)
-        out[t] = float(np.mean(cs)) if cs else 0.0
-    return out
+    unit, _ = unit_rows(np.stack([task_grads[t] for t in tasks]))
+    c = unit @ unit.T
+    np.fill_diagonal(c, 0.0)
+    means = c.sum(axis=1) / max(len(tasks) - 1, 1)
+    return {t: float(v) for t, v in zip(tasks, means)}
 
 
 EVAL_BATCH = 256

@@ -546,10 +546,12 @@ def test_decompose_malformed_plan_exit_1(tmp_path, capsys, rng, edit, field):
     ({"runs": [{"unified": {}}], "params": {}}, "runs[0].seed"),
     ({"runs": [{"seed": "one"}], "params": {}}, "runs[0].seed"),
     ({"runs": [{"seed": 1, "unified": 0.5}], "params": {}}, "runs[0].unified"),
+    pytest.param(b"{\"runs\": \xff}", "unreadable JSON", id="not-utf8"),
+    pytest.param(b"[" * 200_000, "unreadable JSON", id="too-deep"),
 ])
 def test_report_malformed_simulate_summary_exit_1(tmp_path, capsys, summary, field):
     bad = tmp_path / "summary.json"
-    bad.write_text(json.dumps(summary))
+    bad.write_bytes(summary if isinstance(summary, bytes) else json.dumps(summary).encode())
     rc = main(["report", "--inputs", str(bad), "--out", str(tmp_path / "r")])
     err = capsys.readouterr().err
     assert rc == 1

@@ -295,6 +295,30 @@ def test_unified_forward_matches_manual(rng):
     assert np.allclose(got, x @ (w.w2 @ w.w1).T, atol=1e-12)
 
 
+HAND_ACTIVATIONS = {
+    "identity": lambda a: a,
+    "relu": lambda a: np.where(a > 0.0, a, 0.0),
+    "silu": lambda a: a / (1.0 + np.exp(-a)),
+    "tanh": lambda a: (np.exp(a) - np.exp(-a)) / (np.exp(a) + np.exp(-a)),
+}
+
+
+@pytest.mark.parametrize("act", sorted(HAND_ACTIVATIONS))
+def test_forward_and_unified_forward_match_hand_written_block(rng, act):
+    f = HAND_ACTIVATIONS[act]
+    plan = make_plan(two_groups(), 0.5, 8, 12, p_g=(0.7, 0.3), noise_scale=0.1, activation=act)
+    w = random_weights(rng)
+    ffn = assemble(w, plan)
+    x = rng.standard_normal((5, 8))
+    for task in ("a", "b", "c"):
+        g = ffn.routing[task]
+        want = (f(x @ ffn.shared_up.T) @ ffn.shared_down.T
+                + f(x @ ffn.private_up[g].T) @ ffn.private_down[g].T)
+        assert np.allclose(forward(ffn, x, task), want, rtol=1e-12, atol=1e-12)
+    want = f(x @ w.w1.T) @ w.w2.T
+    assert np.allclose(unified_forward(w, x, act), want, rtol=1e-12, atol=1e-12)
+
+
 def test_save_load_round_trip(tmp_path, rng):
     plan = make_plan(two_groups(), 0.5, 8, 12, p_g=(0.5, 0.5), seed=11)
     ffn = assemble(random_weights(rng), plan)
@@ -354,10 +378,14 @@ def test_load_ffn_malformed_key(tmp_path, rng, key, value):
         load_ffn(tmp_path / "ffn")
 
 
-@pytest.mark.parametrize("text", ["{not json", "[1, 2]", ""])
+@pytest.mark.parametrize("text", [
+    "{not json", "[1, 2]", "",
+    pytest.param(b"{\"d_model\": \xff}", id="not-utf8"),
+    pytest.param(b"[" * 200_000, id="too-deep"),
+])
 def test_load_ffn_unreadable_json(tmp_path, rng, text):
     _, meta_path = _saved_ffn_meta(tmp_path, rng)
-    meta_path.write_text(text)
+    meta_path.write_bytes(text if isinstance(text, bytes) else text.encode())
     with pytest.raises(ValidationError, match="ffn.json"):
         load_ffn(tmp_path / "ffn")
 

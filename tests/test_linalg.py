@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gdps.errors import ValidationError
-from gdps.linalg import cosine, cosine_flagged, gini, gram_svd, svd
+from gdps.linalg import gini, gram_svd, svd, unit_rows
 
 
 def brute_force_gini(x):
@@ -17,33 +17,42 @@ def brute_force_gini(x):
     return total / (2.0 * k * k * x.mean())
 
 
+def cosines(*rows):
+    """Every pairwise cosine of the given rows, from their unit rows."""
+    unit, _ = unit_rows(np.array(rows, dtype=np.float64))
+    return unit @ unit.T
+
+
 def test_cosine_identity():
-    assert cosine([1.0, 0.0], [1.0, 0.0]) == 1.0
+    assert cosines([1.0, 0.0], [1.0, 0.0])[0, 1] == 1.0
 
 
 def test_cosine_orthogonal():
-    assert cosine([1.0, 0.0], [0.0, 1.0]) == 0.0
+    assert cosines([1.0, 0.0], [0.0, 1.0])[0, 1] == 0.0
 
 
 def test_cosine_analytic_45_degrees():
-    assert abs(cosine([1.0, 1.0], [1.0, 0.0]) - 0.70710678) < 1e-8
+    assert abs(cosines([1.0, 1.0], [1.0, 0.0])[0, 1] - 0.70710678) < 1e-8
 
 
 def test_cosine_zero_norm_flagged_not_raised():
-    value, flag = cosine_flagged([0.0, 0.0], [1.0, 2.0])
-    assert value == 0.0 and flag is True
-    value, flag = cosine_flagged([1.0, 2.0], [3.0, 4.0])
-    assert flag is False
+    unit, ok = unit_rows(np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 4.0]]))
+    assert ok.tolist() == [False, True, True]
+    assert np.array_equal(unit[0], [0.0, 0.0])
+    assert np.allclose(unit[2], [0.6, 0.8], rtol=0, atol=1e-16)
+    c = unit @ unit.T
+    assert c[0, 1] == c[0, 2] == 0.0
 
 
 def test_cosine_clamped_and_scale_invariant(rng):
     for _ in range(50):
         u = rng.standard_normal(6)
         v = rng.standard_normal(6)
-        c = cosine(u, v)
-        assert -1.0 <= c <= 1.0
-        assert abs(cosine(3.7 * u, 0.002 * v) - c) < 1e-12
-        assert abs(cosine(v, u) - c) < 1e-15
+        c = cosines(u, v)
+        assert np.all(np.abs(c) <= 1.0 + 1e-15)
+        assert np.all(np.abs(np.diag(c) - 1.0) <= 1e-15)
+        assert abs(cosines(3.7 * u, 0.002 * v)[0, 1] - c[0, 1]) < 1e-12
+        assert cosines(v, u)[0, 1] == c[0, 1] == c[1, 0]
 
 
 def test_svd_diagonal():

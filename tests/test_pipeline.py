@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from gdps import pipeline
@@ -11,9 +12,11 @@ from gdps.errors import (
     SingularCovarianceError,
     ValidationError,
 )
+from gdps.grouping import similarity_matrix
 from gdps.pipeline import PlanOptions, stage
 from gdps.synth import collect_bundle, make_model, make_suite
 
+from conftest import tiny_bundle
 from test_acceptance import SEEDS_5, _auto_plan
 
 OPTION_NAMES = {f.name for f in dataclasses.fields(PlanOptions)}
@@ -94,3 +97,19 @@ def test_plan_rejects_single_task_bundle():
                           {k: v for k, v in bundle.entries.items() if k[0] == bundle.tasks[0]})
     with pytest.raises(ValidationError, match=">= 2 tasks"):
         pipeline.plan(single)
+
+
+def test_zero_mean_task_is_degenerate_against_every_other_task(rng):
+    # rows g_1, -g_1, g_2, -g_2, ... average to exactly zero
+    g = rng.standard_normal((3, 12))
+    rows = {"a": np.stack([g, -g], axis=1).reshape(6, 12)}
+    rows.update({t: rng.standard_normal((6, 12)) + 1.0 for t in ("b", "c", "d")})
+    bundle = tiny_bundle(rows)
+    sim = similarity_matrix(bundle, "L0")
+    n, i = len(bundle.tasks), bundle.tasks.index("a")
+    assert np.array_equal(np.delete(sim.s[i], i), np.zeros(n - 1))
+    assert np.array_equal(np.delete(sim.s[:, i], i), np.zeros(n - 1))
+    assert sim.s[i, i] == 1.0
+    assert sim.degenerate_count == n - 1
+    _, report = pipeline.plan(bundle)
+    assert f"{n - 1} degenerate (zero-norm) mean-gradient pairs" in " ".join(report.warnings)

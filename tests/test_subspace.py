@@ -13,6 +13,7 @@ from gdps.subspace import (
     group_energy,
     joint_svd,
     ridge_cca,
+    spectrum_csv,
     spectrum_stats,
     subspace_report,
 )
@@ -352,7 +353,7 @@ def test_subspace_report_fields(rng):
     assert 0.0 < rep.top1_share <= 1.0
     assert np.allclose(rep.cca, rep.cca.T, atol=1e-10)
     assert np.all(rep.cca >= -1e-12) and np.all(rep.cca <= 1.0 + 1e-12)
-    csv = rep.spectrum_csv()
+    csv = spectrum_csv(rep.sigma)
     assert csv.splitlines()[0] == "index,sigma,energy_share"
     assert len(csv.splitlines()) == rep.sigma.size + 1
     d = rep.to_dict()

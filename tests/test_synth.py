@@ -7,6 +7,7 @@ from gdps.decompose import activation_fn, make_plan
 from gdps.errors import ValidationError
 from gdps.grouping import consensus_group
 from gdps.synth import (
+    _xtask_cosines,
     PROBE_LAYER,
     ToyModel,
     analytic_gradients,
@@ -363,3 +364,27 @@ def test_train_divergence_guard():
     model = make_model(suite, seed=1)
     with _pytest.raises(TrainingDivergence, match="diverged at step"):
         train(model, suite, "unified", steps=200, lr=5.0, seed=1)
+
+
+def pairwise_xtask(grads):
+    """Per task, the mean cosine to every other task; a zero vector counts as 0."""
+    out = {}
+    for t, u in grads.items():
+        cs = []
+        for o, v in grads.items():
+            if o == t:
+                continue
+            nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+            cs.append(u @ v / (nu * nv) if nu > 0 and nv > 0 else 0.0)
+        out[t] = float(np.mean(cs)) if cs else 0.0
+    return out
+
+
+def test_xtask_cosines_match_pairwise_reference(rng):
+    grads = {t: rng.standard_normal(20) for t in ("a", "b", "c", "d")}
+    grads["z"] = np.zeros(20)
+    got, want = _xtask_cosines(grads), pairwise_xtask(grads)
+    assert list(got) == list(want)
+    assert all(abs(got[t] - want[t]) < 1e-14 for t in grads)
+    assert got["z"] == 0.0
+    assert _xtask_cosines({"solo": rng.standard_normal(20)}) == {"solo": 0.0}
