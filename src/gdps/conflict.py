@@ -11,6 +11,17 @@ feeds a piecewise rule that picks how much of a layer's width stays shared:
 Purity is this toolkit's own bounded stand-in for "how benign are the
 cross-task interactions": the fraction of non-degenerate cross-task sample
 pairs whose cosine is >= 0.  It is labeled non-standard in every report.
+
+No Gram matrix is formed for the means.  With s_t the sum of task t's c_t
+non-degenerate unit rows, sum_{i<j} u_i.u_j = (|s_t|^2 - c_t) / 2, so
+
+    S_self_t  = (|s_t|^2 - c_t) / (c_t (c_t - 1))
+    S_cross_ab = s_a.s_b / (c_a c_b)
+
+in O(n m d), with a rounding error of a few eps in practice and about
+(2m + d) eps at worst.  Purity needs each pair's sign: one float32 product
+per task pair decides every pair whose float32 cosine is outside its
+rounding bound, and one float64 product settles the rest.
 """
 
 from __future__ import annotations
@@ -103,47 +114,80 @@ def _maybe_subsample(matrix: np.ndarray, cap: int, seed: int, task: str) -> np.n
     return matrix[pick]
 
 
-def _unit_rows(bundle, task, layer, cap, seed, need_pairs=False):
-    """A task's (subsampled) unit rows and mask, the per-task part of every block."""
+@dataclass(frozen=True)
+class _TaskRows:
+    """One task's rows at one layer, reduced once for every block it enters.
+
+    `kept` holds the non-degenerate rows as stored (see `unit_rows`), so its
+    row count is c_t; `sampled` is m_t, the row count after subsampling.
+    """
+
+    sampled: int
+    kept: np.ndarray
+    total: np.ndarray  # s_t, the sum of the unit rows
+    unit32: np.ndarray  # the unit rows of `kept`, rounded to float32
+
+    @property
+    def count(self) -> int:
+        return self.kept.shape[0]
+
+
+def _task_rows(bundle, task, layer, cap, seed, need_pairs=False) -> _TaskRows:
     g = gb.sample_gradients(bundle, task, layer)
     if need_pairs and g.shape[0] < 2:
         raise ValidationError(f"self_similarity needs >= 2 samples for ({task}, {layer})")
-    return unit_rows(_maybe_subsample(g, cap, seed, task))
+    g = _maybe_subsample(g, cap, seed, task)
+    sampled = g.shape[0]
+    unit, ok = unit_rows(g)
+    if not ok.all():
+        g, unit = g[ok], unit[ok]
+    return _TaskRows(sampled, g, unit.sum(axis=0), unit.astype(np.float32))
 
 
-def _self_block(unit, ok):
-    """(mean cosine, degenerate pairs, pairs) over unordered pairs of one task's rows."""
-    m = unit.shape[0]
-    gram = np.clip(unit @ unit.T, -1.0, 1.0)
-    iu = np.triu_indices(m, k=1)
-    valid = np.outer(ok, ok)[iu]
-    total_pairs = iu[0].size
-    degenerate = int(total_pairs - valid.sum())
-    if valid.sum() == 0:
-        return 0.0, degenerate, total_pairs
-    value = float(gram[iu][valid].mean())
-    return value, degenerate, total_pairs
+def _self_mean(t: _TaskRows) -> float:
+    """Mean cosine over unordered pairs: sum_{i<j} u_i.u_j = (|s|^2 - c) / 2."""
+    c = t.count
+    if c < 2:
+        return 0.0
+    return float((t.total @ t.total - c) / (c * (c - 1)))
 
 
-def _cross_block(ua, oka, ub, okb):
-    """(mean cosine, degenerate pairs, pairs, nonnegative pairs) over two tasks' rows."""
-    gram = np.clip(ua @ ub.T, -1.0, 1.0)
-    valid = np.outer(oka, okb)
-    total_pairs = gram.size
-    degenerate = int(total_pairs - valid.sum())
-    if valid.sum() == 0:
-        return 0.0, degenerate, total_pairs, 0
-    vals = gram[valid]
-    value = float(vals.mean())
-    nonneg = int((vals >= 0.0).sum())
-    return value, degenerate, total_pairs, nonneg
+def _cross_mean(a: _TaskRows, b: _TaskRows) -> float:
+    """Mean cosine over the cross product: sum_ij u_i.v_j = s_a.s_b."""
+    if a.count == 0 or b.count == 0:
+        return 0.0
+    return float(a.total @ b.total / (a.count * b.count))
+
+
+def _nonneg_pairs(a: _TaskRows, b: _TaskRows) -> int:
+    """How many cross pairs of non-degenerate rows have a float64 cosine >= 0.
+
+    A float32 product of unit rows, in any summation order, is within
+    gamma_d + 3u of the float64 cosine (u = 2^-24; float32 underflow adds at
+    most d 2^-149), which is below tau = 2 (d + 4) u whenever tau < 1.  A
+    pair with |g32| > tau therefore has the sign of its float64 cosine.
+    Every other pair, a non-finite g32 included, is settled by one float64
+    product of the rows and columns it involves; a clip to [-1, 1] would not
+    change its sign.  Where tau >= 1 the whole block is settled.
+    """
+    tau = (a.kept.shape[1] + 4) * float(np.finfo(np.float32).eps)  # 2 (d + 4) u
+    g32 = a.unit32 @ b.unit32.T
+    sure = np.abs(g32) > (tau if tau < 1.0 else np.inf)
+    nonneg = int(np.count_nonzero(sure & (g32 > 0.0)))
+    if sure.all():
+        return nonneg
+    rows = np.flatnonzero(~sure.all(axis=1))
+    cols = np.flatnonzero(~sure.all(axis=0))
+    g64 = unit_rows(a.kept[rows])[0] @ unit_rows(b.kept[cols])[0].T
+    settle = ~sure[np.ix_(rows, cols)]
+    return nonneg + int(np.count_nonzero(settle & (g64 >= 0.0)))
 
 
 def self_similarity(
     bundle: gb.GradientBundle, task: str, layer: str, cap: int = SAMPLE_CAP, seed: int = 2343
 ) -> float:
     """Mean cosine over all unordered sample pairs within one task."""
-    return _self_block(*_unit_rows(bundle, task, layer, cap, seed, need_pairs=True))[0]
+    return _self_mean(_task_rows(bundle, task, layer, cap, seed, need_pairs=True))
 
 
 def cross_similarity(
@@ -160,9 +204,9 @@ def cross_similarity(
     same value bit for bit.
     """
     task_a, task_b = sorted((task_a, task_b))
-    ua, oka = _unit_rows(bundle, task_a, layer, cap, seed)
-    ub, okb = _unit_rows(bundle, task_b, layer, cap, seed)
-    return _cross_block(ua, oka, ub, okb)[0]
+    return _cross_mean(
+        _task_rows(bundle, task_a, layer, cap, seed), _task_rows(bundle, task_b, layer, cap, seed)
+    )
 
 
 def layer_conflict(
@@ -170,24 +214,27 @@ def layer_conflict(
 ) -> LayerConflict:
     """Per-layer S_self, S_cross, their gap delta, and cross-pair purity.
 
-    Each task's rows are subsampled and normalised once; every self and
-    cross block is then one product of cached unit rows.
+    Each task's rows are subsampled and normalised once, and reduced to
+    their sum s_t and count c_t.  S_self and S_cross come from those sums
+    (no Gram matrix), to a few eps; pair counts come from m_t and
+    c_t.  Purity takes one float32 product per task pair as a sign sieve
+    and settles in float64 only the pairs inside its error bound, so it
+    equals the count over the float64 cosines.
     """
     tasks = bundle.tasks
     if len(tasks) < 2:
         raise ValidationError(">= 2 tasks required for cross-task conflict analysis")
 
-    units = [_unit_rows(bundle, t, layer, cap, seed, need_pairs=True) for t in tasks]
-    self_parts = [_self_block(*u) for u in units]
-    cross_parts = [_cross_block(*a, *b) for a, b in combinations(units, 2)]
+    parts = [_task_rows(bundle, t, layer, cap, seed, need_pairs=True) for t in tasks]
+    pairs = list(combinations(parts, 2))
 
-    s_self = float(np.mean([p[0] for p in self_parts]))
-    s_cross = float(np.mean([p[0] for p in cross_parts]))
-    degenerate = sum(p[1] for p in self_parts) + sum(p[1] for p in cross_parts)
-    total = sum(p[2] for p in self_parts) + sum(p[2] for p in cross_parts)
-
-    cross_valid = sum(p[2] - p[1] for p in cross_parts)
-    cross_nonneg = sum(p[3] for p in cross_parts)
+    s_self = float(np.mean([_self_mean(t) for t in parts]))
+    s_cross = float(np.mean([_cross_mean(a, b) for a, b in pairs]))
+    cross_valid = sum(a.count * b.count for a, b in pairs)
+    valid = sum(t.count * (t.count - 1) // 2 for t in parts) + cross_valid
+    total = sum(t.sampled * (t.sampled - 1) // 2 for t in parts)
+    total += sum(a.sampled * b.sampled for a, b in pairs)
+    cross_nonneg = sum(_nonneg_pairs(a, b) for a, b in pairs)
     purity = float(cross_nonneg / cross_valid) if cross_valid else 1.0
 
     return LayerConflict(
@@ -196,7 +243,7 @@ def layer_conflict(
         s_cross=s_cross,
         delta=s_self - s_cross,
         purity=purity,
-        degenerate_pairs=degenerate,
+        degenerate_pairs=total - valid,
         total_pairs=total,
     )
 

@@ -25,10 +25,11 @@ def unit_rows(matrix) -> tuple[np.ndarray, np.ndarray]:
     data this flags exactly the all-zero rows.  Degenerate rows are a
     data-quality signal, not an error; callers that aggregate cosines count them.
     """
-    g = np.asarray(matrix, dtype=np.float64)
-    norms = np.linalg.norm(g, axis=1)
+    unit = np.array(matrix, dtype=np.float64)  # always a copy: the input is never written
+    norms = np.linalg.norm(unit, axis=1)
     ok = norms >= ZERO_NORM_EPS
-    unit = np.divide(g, norms[:, None], out=np.zeros_like(g), where=ok[:, None])
+    unit /= np.where(ok, norms, 1.0)[:, None]
+    unit[~ok] = 0.0
     return unit, ok
 
 

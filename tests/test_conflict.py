@@ -1,8 +1,17 @@
 import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gdps
+from gdps.bundle import write_bundle
 from gdps.conflict import (
     RatioThresholds,
     aggregate_delta,
@@ -104,11 +113,15 @@ def test_layer_conflict_no_conflict():
 
 
 def test_layer_conflict_fixed_vector_exact_zero_delta():
-    # every row of every task is the same vector: delta is exactly 0
+    # every row of every task is the same vector: delta is 0 up to the
+    # rounding of the row-sum identity
     row = [0.3, -1.7, 2.2]
     b = tiny_bundle({"a": [row] * 3, "b": [row] * 4, "c": [row] * 2})
     lc = layer_conflict(b, "L0")
-    assert lc.delta == 0.0
+    eps = np.finfo(float).eps
+    assert abs(lc.delta) <= 4 * eps
+    assert abs(lc.s_self - 1.0) <= 4 * eps
+    assert abs(lc.s_cross - 1.0) <= 4 * eps
 
 
 def test_layer_conflict_orthogonal_groups():
@@ -328,3 +341,101 @@ def test_layer_conflict_matches_unrolled_reference_with_zero_rows(rng):
     assert lc.delta == pytest.approx(s_self - s_cross, abs=1e-12)
     assert lc.purity == pytest.approx(purity, abs=1e-12)
     assert (lc.degenerate_pairs, lc.total_pairs) == (degenerate, total)
+
+
+def assert_matches_unrolled(lc, bundle, layer="L0"):
+    """Purity and counts equal to the unrolled reference; means within 1e-12."""
+    s_self, s_cross, purity, degenerate, total = unrolled_layer_conflict(bundle, layer)
+    assert lc.purity == purity
+    assert (lc.degenerate_pairs, lc.total_pairs) == (degenerate, total)
+    assert abs(lc.s_self - s_self) <= 1e-12
+    assert abs(lc.s_cross - s_cross) <= 1e-12
+    assert abs(lc.delta - (s_self - s_cross)) <= 1e-12
+
+
+def near_orthogonal_bundle(seed=0, rows=16, cols=4096, cosine=1e-8):
+    """Two tasks of orthonormal rows whose cross cosines are planted at +-cosine."""
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.standard_normal((cols, 2 * rows)))[0].T
+    a, extra = q[:rows], q[rows:]
+    c = cosine * rng.choice([-1.0, 1.0], size=(rows, rows))  # c[i, j] = a_i . b_j
+    b = c.T @ a + np.sqrt(1.0 - (c**2).sum(axis=0))[:, None] * extra
+    return tiny_bundle({"a": a, "b": b})
+
+
+def test_purity_near_orthogonal_settled_in_float64():
+    # every cross cosine is within float32 rounding of 0, so float32 signs
+    # alone miscount purity; the sieve must settle every pair in float64
+    float32_purities_differ = []
+    for seed in range(4):
+        b = near_orthogonal_bundle(seed)
+        ua, ub = (b.matrix(t, "L0").data.astype(np.float64) for t in ("a", "b"))
+        ua /= np.linalg.norm(ua, axis=1, keepdims=True)
+        ub /= np.linalg.norm(ub, axis=1, keepdims=True)
+        purity64 = (ua @ ub.T >= 0.0).mean()
+        purity32 = (ua.astype(np.float32) @ ub.astype(np.float32).T >= 0.0).mean()
+        float32_purities_differ.append(purity32 != purity64)
+        lc = layer_conflict(b, "L0")
+        assert_matches_unrolled(lc, b)
+        assert lc.purity == purity64
+    assert any(float32_purities_differ)
+
+
+def test_purity_exact_on_orthogonal_scaled_and_zero_rows(rng):
+    eye = np.eye(8)
+    b = tiny_bundle({
+        "a": eye[:3],  # exactly orthogonal to "b": cosine 0 counts as non-negative
+        "b": np.vstack([-eye[3:6], np.zeros((1, 8))]),
+        "c": np.vstack([rng.standard_normal((3, 8)) * 1e-41, np.zeros((2, 8))]),
+        "d": np.vstack([rng.standard_normal((3, 8)) * 1e37, np.zeros((1, 8))]),
+    })
+    assert np.abs(b.matrix("c", "L0").data).max() < np.finfo(np.float32).tiny  # subnormal
+    lc = layer_conflict(b, "L0")
+    assert_matches_unrolled(lc, b)
+    ab = tiny_bundle({"a": eye[:3], "b": -eye[3:6]})
+    assert layer_conflict(ab, "L0").purity == 1.0
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(
+    rows=st.lists(st.integers(2, 6), min_size=2, max_size=4),
+    cols=st.integers(1, 48),
+    tilt=st.sampled_from([0.0, 1e-9, 1e-7, 1e-5, 1e-3]),
+    zero_rate=st.sampled_from([0.0, 0.3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_layer_conflict_matches_unrolled_property(rows, cols, tilt, zero_rate, seed):
+    # signed basis rows plus a tilt: cross cosines are +-1, exactly 0, or
+    # of the order of the tilt, on both sides of the sieve's bound
+    rng = np.random.default_rng(seed)
+    tasks = {}
+    for i, m in enumerate(rows):
+        signs = rng.choice([-1.0, 1.0], size=m)
+        g = signs[:, None] * np.eye(cols)[rng.integers(0, cols, size=m)]
+        g += tilt * rng.standard_normal((m, cols))
+        g[rng.random(m) < zero_rate] = 0.0
+        tasks[f"t{i}"] = g
+    b = tiny_bundle(tasks)
+    assert_matches_unrolled(layer_conflict(b, "L0"), b)
+
+
+def test_purity_independent_of_blas_threads(tmp_path):
+    b = near_orthogonal_bundle()
+    write_bundle(b, tmp_path / "bundle")
+    code = (
+        "import json, sys\n"
+        "from gdps.bundle import read_bundle\n"
+        "from gdps.conflict import layer_conflict\n"
+        "lc = layer_conflict(read_bundle(sys.argv[1]), 'L0')\n"
+        "print(json.dumps([lc.purity, lc.degenerate_pairs, lc.total_pairs]))\n"
+    )
+    results = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "MKL_NUM_THREADS": threads, "PYTHONPATH": str(Path(gdps.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "bundle")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        results.append(json.loads(proc.stdout))
+    _, _, purity, degenerate, total = unrolled_layer_conflict(b, "L0")
+    assert results[0] == results[1] == [purity, degenerate, total]

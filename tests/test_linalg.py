@@ -55,6 +55,40 @@ def test_cosine_clamped_and_scale_invariant(rng):
         assert cosines(v, u)[0, 1] == c[0, 1] == c[1, 0]
 
 
+def masked_divide_unit_rows(matrix):
+    """The reference formula: a masked divide into a zeroed output."""
+    g = np.asarray(matrix, dtype=np.float64)
+    norms = np.linalg.norm(g, axis=1)
+    ok = norms >= 1e-300
+    return np.divide(g, norms[:, None], out=np.zeros_like(g), where=ok[:, None]), ok
+
+
+def test_unit_rows_bit_identical_to_masked_divide_and_input_untouched(rng):
+    random = rng.standard_normal((9, 7))
+    random[[2, 5]] = 0.0
+    subnormal = np.zeros((4, 3))
+    subnormal[0, 0] = 5e-324  # norm below ZERO_NORM_EPS: degenerate, not divided
+    subnormal[1] = [1e-301, -2e-301, 0.0]
+    subnormal[2] = [1e-150, 3e-150, -1e-150]
+    subnormal[3, 2] = -7.0
+    inputs = [
+        random,
+        np.zeros((3, 5)),
+        subnormal,
+        rng.standard_normal((6, 11)).astype(np.float32) * np.float32(1e-41),
+        (rng.standard_normal((6, 11)) * 1e37).astype(np.float32),
+    ]
+    for matrix in inputs:
+        before = matrix.copy()
+        unit, ok = unit_rows(matrix)
+        want, want_ok = masked_divide_unit_rows(matrix)
+        assert unit.dtype == np.float64
+        assert np.array_equal(unit, want) and np.array_equal(ok, want_ok)
+        assert not np.signbit(unit[~ok]).any()
+        assert np.array_equal(matrix, before)
+    assert unit_rows(subnormal)[1].tolist() == [False, False, True, True]
+
+
 def test_svd_diagonal():
     res = svd(np.diag([3.0, 2.0, 1.0]))
     assert np.allclose(res.sigma, [3.0, 2.0, 1.0])
