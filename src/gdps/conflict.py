@@ -19,9 +19,8 @@ non-degenerate unit rows, sum_{i<j} u_i.u_j = (|s_t|^2 - c_t) / 2, so
     S_cross_ab = s_a.s_b / (c_a c_b)
 
 in O(n m d), with a rounding error of a few eps in practice and about
-(2m + d) eps at worst.  Purity needs each pair's sign: one float32 product
-per task pair decides every pair whose float32 cosine is outside its
-rounding bound, and one float64 product settles the rest.
+(2m + d) eps at worst.  Purity needs each cross pair's sign, so it takes
+one float64 product of the unit rows per task pair.
 """
 
 from __future__ import annotations
@@ -118,18 +117,17 @@ def _maybe_subsample(matrix: np.ndarray, cap: int, seed: int, task: str) -> np.n
 class _TaskRows:
     """One task's rows at one layer, reduced once for every block it enters.
 
-    `kept` holds the non-degenerate rows as stored (see `unit_rows`), so its
-    row count is c_t; `sampled` is m_t, the row count after subsampling.
+    `unit` holds the non-degenerate unit rows (see `unit_rows`), so its row
+    count is c_t; `sampled` is m_t, the row count after subsampling.
     """
 
     sampled: int
-    kept: np.ndarray
+    unit: np.ndarray
     total: np.ndarray  # s_t, the sum of the unit rows
-    unit32: np.ndarray  # the unit rows of `kept`, rounded to float32
 
     @property
     def count(self) -> int:
-        return self.kept.shape[0]
+        return self.unit.shape[0]
 
 
 def _task_rows(bundle, task, layer, cap, seed, need_pairs=False) -> _TaskRows:
@@ -137,11 +135,10 @@ def _task_rows(bundle, task, layer, cap, seed, need_pairs=False) -> _TaskRows:
     if need_pairs and g.shape[0] < 2:
         raise ValidationError(f"self_similarity needs >= 2 samples for ({task}, {layer})")
     g = _maybe_subsample(g, cap, seed, task)
-    sampled = g.shape[0]
     unit, ok = unit_rows(g)
     if not ok.all():
-        g, unit = g[ok], unit[ok]
-    return _TaskRows(sampled, g, unit.sum(axis=0), unit.astype(np.float32))
+        unit = unit[ok]
+    return _TaskRows(g.shape[0], unit, unit.sum(axis=0))
 
 
 def _self_mean(t: _TaskRows) -> float:
@@ -160,27 +157,8 @@ def _cross_mean(a: _TaskRows, b: _TaskRows) -> float:
 
 
 def _nonneg_pairs(a: _TaskRows, b: _TaskRows) -> int:
-    """How many cross pairs of non-degenerate rows have a float64 cosine >= 0.
-
-    A float32 product of unit rows, in any summation order, is within
-    gamma_d + 3u of the float64 cosine (u = 2^-24; float32 underflow adds at
-    most d 2^-149), which is below tau = 2 (d + 4) u whenever tau < 1.  A
-    pair with |g32| > tau therefore has the sign of its float64 cosine.
-    Every other pair, a non-finite g32 included, is settled by one float64
-    product of the rows and columns it involves; a clip to [-1, 1] would not
-    change its sign.  Where tau >= 1 the whole block is settled.
-    """
-    tau = (a.kept.shape[1] + 4) * float(np.finfo(np.float32).eps)  # 2 (d + 4) u
-    g32 = a.unit32 @ b.unit32.T
-    sure = np.abs(g32) > (tau if tau < 1.0 else np.inf)
-    nonneg = int(np.count_nonzero(sure & (g32 > 0.0)))
-    if sure.all():
-        return nonneg
-    rows = np.flatnonzero(~sure.all(axis=1))
-    cols = np.flatnonzero(~sure.all(axis=0))
-    g64 = unit_rows(a.kept[rows])[0] @ unit_rows(b.kept[cols])[0].T
-    settle = ~sure[np.ix_(rows, cols)]
-    return nonneg + int(np.count_nonzero(settle & (g64 >= 0.0)))
+    """How many cross pairs of non-degenerate rows have a cosine >= 0."""
+    return int(np.count_nonzero(a.unit @ b.unit.T >= 0.0))
 
 
 def self_similarity(
@@ -216,10 +194,8 @@ def layer_conflict(
 
     Each task's rows are subsampled and normalised once, and reduced to
     their sum s_t and count c_t.  S_self and S_cross come from those sums
-    (no Gram matrix), to a few eps; pair counts come from m_t and
-    c_t.  Purity takes one float32 product per task pair as a sign sieve
-    and settles in float64 only the pairs inside its error bound, so it
-    equals the count over the float64 cosines.
+    (no Gram matrix), to a few eps; pair counts come from m_t and c_t.
+    Purity counts the signs of one float64 product per task pair.
     """
     tasks = bundle.tasks
     if len(tasks) < 2:
