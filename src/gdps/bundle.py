@@ -6,12 +6,18 @@ one ``<task>__<layer>.gdm`` file per entry; the ``.gdm`` payload is the magic
 ``GDM1``, a little-endian u32 row count, u32 column count, then rows*cols
 float32 values in row-major order.  Storage is float32 for bit-exact
 portability; all downstream arithmetic converts to float64 on use.
+
+This module also owns how gdps reads every JSON file (manifest, plan,
+``ffn.json``, report inputs): `read_json` parses it strictly and
+`json_field` judges each field, both naming the file.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+import reprlib
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -245,100 +251,125 @@ def write_bundle(bundle: GradientBundle, path) -> None:
 RECORD_KEYS = ("task", "layer", "rows", "cols", "path")
 
 
-def _is_int(value) -> bool:
-    """A JSON integer: int, not bool (json.loads gives floats for 2.0 and Infinity)."""
-    return isinstance(value, int) and not isinstance(value, bool)
+def _refuse_constant(literal: str):
+    raise ValueError(f"{literal} is not JSON; gdps never writes it")
 
 
-def _load_manifest(root: Path) -> tuple[Path, dict]:
-    manifest_path = root / MANIFEST_NAME
-    if not manifest_path.is_file():
-        raise BundleFormatError(f"no {MANIFEST_NAME} in {root}")
+def read_json(path, kind: str, error=ValidationError) -> dict:
+    """The JSON object in the file at `path`, parsed strictly.
+
+    An unreadable file, text that is not UTF-8 or not JSON (both
+    ValueErrors), nesting too deep for the parser, a NaN or Infinity
+    literal, or a top level that is not an object raises `error` naming the
+    file and calling it a `kind`.
+    """
     try:
-        manifest = json.loads(manifest_path.read_text())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise BundleFormatError(f"{manifest_path}: unreadable manifest: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise BundleFormatError(f"{manifest_path}: manifest is not a JSON object")
-    return manifest_path, manifest
+        data = json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=_refuse_constant)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise error(f"{path}: unreadable {kind}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise error(f"{path}: {kind} is not a JSON object")
+    return data
 
 
-def _manifest_records(root: Path, manifest_path: Path, manifest: dict) -> list[dict]:
+def is_json_int(value, minimum: int | None = None) -> bool:
+    """A JSON integer: int, not bool (the parser gives floats for 2.0 and 1e999)."""
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and (minimum is None or value >= minimum))
+
+
+def is_json_number(value) -> bool:
+    """A finite JSON number, int or float but not bool, that float64 holds."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
+def json_field(src: str, data, dotted: str, ok=None, kind: str = "", error=ValidationError):
+    """The value at `dotted` in parsed JSON: keys joined by '.', list items as '[i]'.
+
+    A missing key or item, or a value that `ok` (a type or a predicate)
+    rejects, raises `error` naming `src` and `dotted`; `kind` says what `ok`
+    accepts.
+    """
+    value = data
+    for step in dotted.replace("[", ".[").split("."):
+        if step.startswith("["):
+            key = int(step[1:-1])
+            found = isinstance(value, list) and key < len(value)
+        else:
+            key, found = step, isinstance(value, dict) and step in value
+        if not found:
+            raise error(f"{src}: lacks {dotted!r}")
+        value = value[key]
+    if ok is not None and not (isinstance(value, ok) if isinstance(ok, type) else ok(value)):
+        raise error(f"{src}: {dotted!r} must be {kind}, got {reprlib.repr(value)}")
+    return value
+
+
+def _manifest_records(root: Path, src: str, manifest: dict) -> list[dict]:
     """The manifest's records, each complete and pointing inside the bundle.
 
-    A record lacking a field, or whose path resolves outside the bundle
-    directory, is a format error naming the manifest.  Each returned record
+    A record lacking a field, holding one of the wrong kind, or whose path
+    resolves outside the bundle directory, is a format error naming the
+    manifest and the field.  Each returned record
     gains its "shape" as integers and its "file" path.
     """
-    records = manifest.get("records", [])
-    if not isinstance(records, list):
-        raise BundleFormatError(f"{manifest_path}: 'records' is not a list")
+    records = json_field(src, manifest, "records", list, "a list", BundleFormatError)
     base = root.resolve()
     checked = []
-    for i, rec in enumerate(records):
-        if not isinstance(rec, dict):
-            raise BundleFormatError(f"{manifest_path}: record {i} is not a JSON object")
-        missing = [k for k in RECORD_KEYS if k not in rec]
-        if missing:
-            raise BundleFormatError(f"{manifest_path}: record {i} lacks {', '.join(missing)}")
-        if not all(isinstance(rec[k], str) for k in ("task", "layer", "path")):
-            raise BundleFormatError(
-                f"{manifest_path}: record {i} task, layer or path is not a string"
-            )
-        shape = (rec["rows"], rec["cols"])
-        if not all(_is_int(v) for v in shape):
-            raise BundleFormatError(f"{manifest_path}: record {i} rows or cols is not an integer")
+    for i in range(len(records)):
+        json_field(src, manifest, f"records[{i}]", dict, "an object", BundleFormatError)
+        rec = {}
+        for key in RECORD_KEYS:
+            ok, kind = (is_json_int, "an integer") if key in ("rows", "cols") else (str, "a string")
+            rec[key] = json_field(src, manifest, f"records[{i}].{key}", ok, kind, BundleFormatError)
         fpath = root / rec["path"]
         try:
             resolved = fpath.resolve()
         except (OSError, ValueError) as exc:
             raise BundleFormatError(
-                f"{manifest_path}: record {i} path {rec['path']!r} is not a usable path: {exc}"
+                f"{src}: 'records[{i}].path' {rec['path']!r} is not a usable path: {exc}"
             ) from exc
         if not resolved.is_relative_to(base):
             raise BundleFormatError(
-                f"{manifest_path}: record {i} path {rec['path']!r} lies outside the bundle"
+                f"{src}: 'records[{i}].path' {rec['path']!r} lies outside the bundle"
             )
-        checked.append({**rec, "shape": shape, "file": fpath})
+        checked.append({**rec, "shape": (rec["rows"], rec["cols"]), "file": fpath})
     return checked
 
 
-def _manifest_layers(manifest_path: Path, manifest: dict) -> list[tuple]:
+def _manifest_layers(src: str, manifest: dict) -> list[tuple]:
     """The declared (layer id, column count) pairs, in manifest order."""
-    specs = manifest.get("layers", [])
-    if not isinstance(specs, list):
-        raise BundleFormatError(f"{manifest_path}: 'layers' is not a list")
-    for spec in specs:
-        if not (isinstance(spec, dict) and isinstance(spec.get("id"), str)
-                and _is_int(spec.get("cols"))):
-            raise BundleFormatError(
-                f"{manifest_path}: every layer needs a string 'id' and an integer 'cols'"
-            )
-    return [(spec["id"], spec["cols"]) for spec in specs]
+    specs = json_field(src, manifest, "layers", list, "a list", BundleFormatError)
+    return [(json_field(src, manifest, f"layers[{i}].id", str, "a string", BundleFormatError),
+             json_field(src, manifest, f"layers[{i}].cols", is_json_int, "an integer",
+                        BundleFormatError))
+            for i in range(len(specs))]
 
 
 def read_bundle(path) -> GradientBundle:
     """Load and fully validate a bundle directory written by write_bundle."""
     root = Path(path)
-    manifest_path, manifest = _load_manifest(root)
-
-    version = manifest.get("version")
-    if version != FORMAT_VERSION:
-        raise BundleFormatError(f"{manifest_path}: unrecognized format version {version!r}")
-    if manifest.get("element_type") != ELEMENT_TYPE:
-        raise BundleFormatError(
-            f"{manifest_path}: unsupported element type {manifest.get('element_type')!r}"
-        )
-
-    tasks = manifest.get("tasks", [])
-    if not (isinstance(tasks, list) and all(isinstance(t, str) for t in tasks)):
-        raise BundleFormatError(f"{manifest_path}: 'tasks' is not a list of strings")
-    layer_specs = _manifest_layers(manifest_path, manifest)
+    manifest_path = root / MANIFEST_NAME
+    if not manifest_path.is_file():
+        raise BundleFormatError(f"no {MANIFEST_NAME} in {root}")
+    manifest = read_json(manifest_path, "manifest", BundleFormatError)
+    src = str(manifest_path)
+    json_field(src, manifest, "version", lambda v: v == FORMAT_VERSION,
+               repr(FORMAT_VERSION), BundleFormatError)
+    json_field(src, manifest, "element_type", lambda v: v == ELEMENT_TYPE,
+               repr(ELEMENT_TYPE), BundleFormatError)
+    tasks = json_field(src, manifest, "tasks",
+                       lambda v: isinstance(v, list) and all(isinstance(t, str) for t in v),
+                       "a list of strings", BundleFormatError)
+    layer_specs = _manifest_layers(src, manifest)
     layers = [layer for layer, _ in layer_specs]
     declared_cols = dict(layer_specs)
 
     matrices = []
-    for rec in _manifest_records(root, manifest_path, manifest):
+    for rec in _manifest_records(root, src, manifest):
         task, layer = rec["task"], rec["layer"]
         fpath = rec["file"]
         arr = read_matrix_file(fpath)

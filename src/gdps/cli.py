@@ -25,7 +25,8 @@ from . import report as rp
 from . import subspace as sb
 from . import pipeline as pl
 from . import synth as sy
-from .bundle import read_bundle, read_matrix_file
+from .bundle import (is_json_int, is_json_number, json_field, read_bundle, read_json,
+                     read_matrix_file)
 from .errors import AnalysisError, GdpsError, TrainingDivergence, ValidationError
 
 DEFAULTS = pl.PlanOptions()
@@ -181,12 +182,7 @@ def cmd_decompose(args) -> int:
     plan_path = Path(args.plan)
     if not plan_path.is_file():
         raise ValidationError(f"plan file not found: {plan_path}")
-    try:
-        plan = dc.DecompositionPlan.from_dict(json.loads(plan_path.read_text()))
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        raise ValidationError(f"unreadable plan {plan_path}: {exc}") from exc
-    except ValidationError as exc:
-        raise ValidationError(f"invalid plan {plan_path}: {exc}") from exc
+    plan = dc.DecompositionPlan.from_dict(read_json(plan_path, "plan"), str(plan_path))
     if args.noise is not None or args.seed is not None:
         plan = dataclasses.replace(
             plan,
@@ -327,48 +323,36 @@ def _simulate_markdown(summary: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_field(src: str, kind: str, data, dotted: str):
-    """The value at a dotted key path; a missing key names the file and the path."""
-    value = data
-    for key in dotted.split("."):
-        if not isinstance(value, dict) or key not in value:
-            raise ValidationError(f"{src}: {kind} lacks {dotted!r}")
-        value = value[key]
-    return value
-
-
 def _read_plan_report(src: str, data: dict) -> dict:
     """Every field of a plan report that `gdps report` uses, read up front.
 
     A missing key or a value of the wrong kind raises ValidationError naming
     the file and the field.
     """
-
-    def field(dotted: str):
-        return _json_field(src, "plan report", data, dotted)
-
+    number_list = (lambda v: isinstance(v, list) and all(is_json_number(x) for x in v),
+                   "a list of finite numbers")
+    low, high, delta, shared_ratio = (
+        json_field(src, data, f"conflict.{name}", is_json_number, "a finite number")
+        for name in ("thresholds.low", "thresholds.high", "delta", "shared_ratio"))
+    ratios = json_field(src, data, "conflict.thresholds.ratios", *number_list)
+    sigma = json_field(src, data, "subspace.sigma", *number_list)
+    grouping = gr.GroupingPlan.from_dict(json_field(src, data, "grouping", dict, "an object"),
+                                         f"{src}: grouping")
+    tasks, similarity, merges = (json_field(src, data, name)
+                                 for name in ("tasks", "similarity", "merges"))
     try:
-        thresholds = cf.RatioThresholds(
-            low=field("conflict.thresholds.low"),
-            high=field("conflict.thresholds.high"),
-            ratios=tuple(field("conflict.thresholds.ratios")),
-        )
-        delta = field("conflict.delta")
-        sigma = np.asarray(field("subspace.sigma"), dtype=np.float64)
-        if sigma.ndim != 1:
-            raise ValueError(f"subspace.sigma has shape {sigma.shape}, expected a list")
         return {
             "delta": delta,
-            "branch": cf.ratio_branch(delta, thresholds),
-            "shared_ratio": field("conflict.shared_ratio"),
-            "groups": field("grouping.groups"),
-            "method": field("grouping.method"),
+            "branch": cf.ratio_branch(delta, cf.RatioThresholds(low, high, tuple(ratios))),
+            "shared_ratio": shared_ratio,
+            "groups": [list(g) for g in grouping.groups],
+            "method": grouping.method,
             "grouping": data["grouping"],
-            "similarity_csv": rp.similarity_csv(field("tasks"), field("similarity")),
-            "merges_csv": rp.merges_csv(field("merges")),
-            "spectrum_csv": sb.spectrum_csv(sigma),
+            "similarity_csv": rp.similarity_csv(tasks, similarity),
+            "merges_csv": rp.merges_csv(merges),
+            "spectrum_csv": sb.spectrum_csv(np.asarray(sigma, dtype=np.float64)),
         }
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ValidationError) as exc:
         raise ValidationError(f"{src}: malformed plan report: {exc}") from exc
 
 
@@ -379,29 +363,18 @@ def _read_sim_summary(src: str, data: dict) -> dict:
     final mean loss or None.  A missing key or a value of the wrong kind
     raises ValidationError naming the file and the field.
     """
-    params = _json_field(src, "simulate summary", data, "params")
-    runs = _json_field(src, "simulate summary", data, "runs")
-    if not isinstance(params, dict):
-        raise ValidationError(f"{src}: simulate summary field 'params' is not an object")
-    if not isinstance(runs, list):
-        raise ValidationError(f"{src}: simulate summary field 'runs' is not a list")
+    params = json_field(src, data, "params", dict, "an object")
     rows = []
-    for i, run in enumerate(runs):
-        if not isinstance(run, dict):
-            raise ValidationError(f"{src}: simulate summary field 'runs[{i}]' is not an object")
-        seed = run.get("seed")
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ValidationError(
-                f"{src}: simulate summary field 'runs[{i}].seed' is missing or not an integer"
-            )
-        row = {"seed": seed}
+    for i in range(len(json_field(src, data, "runs", list, "a list"))):
+        run = json_field(src, data, f"runs[{i}]", dict, "an object")
+        row = {"seed": json_field(src, data, f"runs[{i}].seed", is_json_int, "an integer")}
         for mode in ("unified", "specialized"):
-            entry = run.get(mode, {})
-            if not isinstance(entry, dict):
-                raise ValidationError(
-                    f"{src}: simulate summary field 'runs[{i}].{mode}' is not an object"
-                )
-            row[mode] = entry.get("final_mean_loss")
+            # a mode that was skipped, or whose entry records a divergence, has no loss
+            row[mode] = None
+            if mode in run and "final_mean_loss" in json_field(src, data, f"runs[{i}].{mode}",
+                                                               dict, "an object"):
+                row[mode] = json_field(src, data, f"runs[{i}].{mode}.final_mean_loss",
+                                       is_json_number, "a finite number")
         rows.append(row)
     return {"params": params, "runs": rows}
 
@@ -419,12 +392,7 @@ def cmd_report(args) -> int:
                     break
         if not path.is_file():
             raise ValidationError(f"input not found: {raw}")
-        try:
-            data = json.loads(path.read_text())
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-            raise ValidationError(f"unreadable JSON in {path}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ValidationError(f"{path}: not a recognized plan report or simulate summary")
+        data = read_json(path, "JSON input")
         if "conflict" in data:
             plans.append((str(path), data))
         elif "runs" in data:

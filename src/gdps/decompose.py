@@ -24,7 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bundle import read_matrix_file, write_matrix_file
+from .bundle import (is_json_int, is_json_number, json_field, read_json, read_matrix_file,
+                     write_matrix_file)
 from .errors import ValidationError
 from .grouping import GroupingPlan
 from .linalg import SvdResult, svd
@@ -119,8 +120,13 @@ class DecompositionPlan:
             )
         if len(self.p_g) != n:
             raise ValidationError(f"{len(self.p_g)} group energies for {n} groups")
-        if abs(sum(self.p_g) - 1.0) > 1e-9 or any(p < 0 for p in self.p_g):
-            raise ValidationError(f"group energies must be non-negative and sum to 1: {self.p_g}")
+        # written so that a NaN, which fails every comparison, fails the test
+        if not (all(p >= 0 for p in self.p_g) and abs(sum(self.p_g) - 1.0) <= 1e-9):
+            raise ValidationError(
+                f"group energies must be finite, non-negative and sum to 1: {self.p_g}"
+            )
+        if not 0 < self.shared_ratio <= 1:
+            raise ValidationError(f"shared_ratio must be in (0, 1], got {self.shared_ratio}")
         if not 1 <= self.r <= min(self.d_model, self.d_s):
             raise ValidationError(
                 f"truncation rank r={self.r} outside [1, min(d_model, d_s) = "
@@ -151,44 +157,33 @@ class DecompositionPlan:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "DecompositionPlan":
-        """Inverse of to_dict; a missing or malformed field raises ValidationError.
+    def from_dict(cls, d: dict, src: str = "plan") -> "DecompositionPlan":
+        """Inverse of to_dict; a missing field, one of the wrong kind or a
+        violated invariant raises ValidationError naming `src` and the field.
 
-        The integer fields must be JSON integers (not bools or floats), and
-        the seed must be non-negative.
+        The integer fields must be JSON integers (not bools or floats), the
+        seed non-negative, and shared_ratio, noise_scale and each p_g entry
+        finite JSON numbers.
         """
         if not isinstance(d, dict):
-            raise ValidationError(f"a plan is a JSON object, got {type(d).__name__}")
-
-        def field(name: str, cast):
-            if name not in d:
-                raise ValidationError(f"plan lacks field {name!r}")
-            try:
-                return cast(d[name])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValidationError(f"plan field {name!r} is malformed: {exc!r}") from exc
-
-        def integer(name: str, minimum: int | None = None) -> int:
-            value = field(name, lambda v: v)
-            if (isinstance(value, bool) or not isinstance(value, int)
-                    or (minimum is not None and value < minimum)):
-                kind = "an integer" if minimum is None else f"an integer >= {minimum}"
-                raise ValidationError(f"plan field {name!r} must be {kind}, got {value!r}")
-            return value
-
-        return cls(
-            grouping=field("grouping", GroupingPlan.from_dict),
-            shared_ratio=field("shared_ratio", float),
-            d_model=integer("d_model"),
-            d_ff=integer("d_ff"),
-            d_s=integer("d_s"),
-            d_p=integer("d_p"),
-            p_g=field("p_g", lambda v: tuple(float(x) for x in v)),
-            r=integer("r"),
-            noise_scale=field("noise_scale", float),
-            seed=integer("seed", minimum=0),
-            activation=field("activation", str),
-        )
+            raise ValidationError(f"{src}: a plan is a JSON object, got {type(d).__name__}")
+        grouping = GroupingPlan.from_dict(
+            json_field(src, d, "grouping", dict, "an object"), f"{src}: grouping")
+        fields = {name: json_field(src, d, name, is_json_int, "an integer")
+                  for name in ("d_model", "d_ff", "d_s", "d_p", "r")}
+        fields["seed"] = json_field(src, d, "seed", lambda v: is_json_int(v, minimum=0),
+                                    "an integer >= 0")
+        for name in ("shared_ratio", "noise_scale"):
+            fields[name] = float(json_field(src, d, name, is_json_number, "a finite number"))
+        p_g = json_field(src, d, "p_g",
+                         lambda v: isinstance(v, list) and all(is_json_number(x) for x in v),
+                         "a list of finite numbers")
+        activation = json_field(src, d, "activation", str, "a string")
+        try:
+            return cls(grouping=grouping, p_g=tuple(float(x) for x in p_g),
+                       activation=activation, **fields)
+        except ValidationError as exc:
+            raise ValidationError(f"{src}: {exc}") from exc
 
 
 def split_widths(d_ff: int, shared_ratio: float, n_groups: int) -> tuple[int, int]:
@@ -502,36 +497,19 @@ def save_ffn(ffn: SpecializedFfn, path) -> None:
 
 def _read_ffn_meta(meta_path: Path) -> dict:
     """The fields of ffn.json that load_ffn uses; a bad one names the file and key."""
-    try:
-        meta = json.loads(meta_path.read_text())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise ValidationError(f"unreadable JSON in {meta_path}: {exc}") from exc
-    if not isinstance(meta, dict):
-        raise ValidationError(f"{meta_path}: expected a JSON object")
-
-    def field(key: str, ok, kind: str):
-        if key not in meta:
-            raise ValidationError(f"{meta_path}: lacks {key!r}")
-        if not ok(meta[key]):
-            raise ValidationError(f"{meta_path}: {key!r} must be {kind}, got {meta[key]!r}")
-        return meta[key]
-
-    def count(v):
-        return isinstance(v, int) and not isinstance(v, bool) and v >= 0
-
-    def routing(v):
-        return isinstance(v, dict) and all(count(g) for g in v.values())
-
-    out = {key: field(key, count, "a non-negative integer")
+    meta = read_json(meta_path, "block metadata")
+    src = str(meta_path)
+    out = {key: json_field(src, meta, key, lambda v: is_json_int(v, minimum=0),
+                           "a non-negative integer")
            for key in ("n_groups", "d_model", "d_s", "d_p")}
-    out["routing"] = field("routing", routing, "an object of task -> group index")
-    out["activation"] = field("activation", lambda v: v in ACTIVATIONS,
-                              f"one of {ACTIVATIONS}")
+    out["routing"] = json_field(
+        src, meta, "routing",
+        lambda v: isinstance(v, dict) and all(is_json_int(g, minimum=0) for g in v.values()),
+        "an object of task -> group index")
+    out["activation"] = json_field(src, meta, "activation", lambda v: v in ACTIVATIONS,
+                                   f"one of {ACTIVATIONS}")
     plan = meta.get("plan")
-    try:
-        out["plan"] = DecompositionPlan.from_dict(plan) if plan else None
-    except ValidationError as exc:
-        raise ValidationError(f"{meta_path}: 'plan': {exc}") from exc
+    out["plan"] = None if plan is None else DecompositionPlan.from_dict(plan, f"{src}: plan")
     return out
 
 

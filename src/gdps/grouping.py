@@ -91,13 +91,24 @@ class GroupingPlan:
         return {"method": self.method, "k": self.k, "groups": [list(g) for g in self.groups]}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "GroupingPlan":
+    def from_dict(cls, d: dict, src: str = "grouping") -> "GroupingPlan":
+        """Inverse of to_dict; a missing field, one of the wrong kind or an
+        invalid partition raises ValidationError naming `src` and the field.
+        """
+        groups = gb.json_field(
+            src, d, "groups",
+            lambda v: isinstance(v, list) and all(
+                isinstance(g, list) and all(isinstance(t, str) for t in g) for g in v),
+            "a list of lists of task names")
         plan = cls(
-            groups=tuple(tuple(g) for g in d["groups"]),
-            method=str(d["method"]),
-            k=int(d["k"]),
+            groups=tuple(tuple(g) for g in groups),
+            method=gb.json_field(src, d, "method", str, "a string"),
+            k=gb.json_field(src, d, "k", gb.is_json_int, "an integer"),
         )
-        plan.validate()
+        try:
+            plan.validate()
+        except ValidationError as exc:
+            raise ValidationError(f"{src}: {exc}") from exc
         return plan
 
 

@@ -167,9 +167,6 @@ class SyntheticSuite:
         blob = json.dumps(self.params_dict(), sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
-    def target_map(self, task: str) -> np.ndarray:
-        return np.outer(self.directions[task], self.v0)
-
     def sample_batch(self, task: str, size: int, rng: np.random.Generator, clean: bool = False):
         """Inputs and targets for one task; clean=True drops the target noise."""
         if task not in self.tasks:

@@ -1,15 +1,23 @@
+import ast
 import json
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gdps
 from gdps.bundle import (
     GradientBundle,
     GradientMatrix,
     bundle_fingerprint,
+    is_json_int,
+    is_json_number,
+    json_field,
     mean_gradient,
     read_bundle,
+    read_json,
     read_matrix_file,
     sample_gradients,
     write_bundle,
@@ -260,3 +268,55 @@ def test_fingerprint_depends_only_on_content(tmp_path, rng):
     raw[12] ^= 1  # lowest mantissa bit of the first float32: still finite
     gdm.write_bytes(bytes(raw))
     assert bundle_fingerprint(root) != expected
+
+
+@pytest.mark.parametrize("text,match", [
+    ('{"a": NaN}', "NaN"),
+    ('{"a": [1, Infinity]}', "Infinity"),
+    ('{"a": -Infinity}', "-Infinity"),
+    ("[1, 2]", "not a JSON object"),
+    ("{", "unreadable"),
+])
+def test_read_json_strict(tmp_path, text, match):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    with pytest.raises(BundleFormatError, match=match) as info:
+        read_json(path, "manifest", BundleFormatError)
+    assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("data,dotted,ok,message", [
+    ({"a": {"b": 1}}, "a.c", None, "lacks 'a.c'"),
+    ({"a": [{"b": 1}]}, "a[1].b", None, "lacks 'a[1].b'"),
+    ({"a": [{"b": True}]}, "a[0].b", is_json_int, "'a[0].b' must be"),
+    ({"a": 1e999}, "a", is_json_number, "'a' must be"),
+    ({"a": 10**400}, "a", is_json_number, "'a' must be"),
+    ({"a": "1"}, "a", is_json_number, "'a' must be"),
+    ({"a": -1}, "a", lambda v: is_json_int(v, minimum=0), "'a' must be"),
+    ({"a": ["x", 1]}, "a", str, "'a' must be"),
+])
+def test_json_field_names_source_and_field(data, dotted, ok, message):
+    with pytest.raises(ValidationError, match=f"^src.json: {re.escape(message)}"):
+        json_field("src.json", data, dotted, ok, "right")
+    assert json_field("src.json", {"a": [{"b": 2}]}, "a[0].b", is_json_int, "an int") == 2
+
+
+def test_one_json_reader():
+    # read_json is the one place src/gdps parses a file; hash_excluding_timestamp
+    # parses a string its caller hands it
+    found = set()
+
+    def visit(node, module, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, child.name)
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr in ("load", "loads")
+                    and isinstance(child.value, ast.Name) and child.value.id == "json"
+                    or isinstance(child, ast.ImportFrom) and child.module == "json"):
+                found.add((module, where))
+            visit(child, module, where)
+
+    for path in Path(gdps.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text()), path.name, "<module>")
+    assert found == {("bundle.py", "read_json"), ("report.py", "hash_excluding_timestamp")}

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from gdps.bundle import bundle_fingerprint, write_bundle, write_matrix_file
+from gdps.bundle import read_json as bundle_read_json
 from gdps.cli import main
 from gdps.errors import BundleFormatError
 from gdps.report import hash_excluding_timestamp
@@ -512,6 +513,23 @@ def test_report_plan_report_wrong_types_exit_1(tmp_path, capsys):
     assert str(bad) in err and "Traceback" not in err
 
 
+def test_report_plan_report_non_finite_exit_1(tmp_path, capsys):
+    # json.dumps writes NaN unasked; a NaN read back would reach consolidated.json
+    make_disk_bundle(tmp_path / "b")
+    main(["plan", "--bundle", str(tmp_path / "b"), "--out", str(tmp_path / "p")])
+    report = read_json(tmp_path / "p" / "report.json")
+    report["conflict"]["delta"] = float("nan")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(report))
+    capsys.readouterr()
+    rc = main(["report", "--inputs", str(bad), "--format", "json", "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert str(bad) in err and "NaN" in err
+    assert not (tmp_path / "r").exists()
+
+
 @pytest.mark.parametrize("edit,field", [
     (lambda plan: {**plan, "d_model": "abc"}, "d_model"),
     (lambda plan: [plan], "JSON object"),
@@ -522,6 +540,14 @@ def test_report_plan_report_wrong_types_exit_1(tmp_path, capsys):
     (lambda plan: {**plan, "d_p": float(plan["d_p"])}, "'d_p'"),
     (lambda plan: {**plan, "r": True}, "'r'"),
     (lambda plan: "[" * 100_000, "unreadable plan"),
+    (lambda plan: json.dumps(plan).replace('"p_g": [0.4, 0.6]', '"p_g": [NaN, 0.6]'), "NaN"),
+    (lambda plan: {**plan, "grouping": {**plan["grouping"], "groups": ["ab", "c"]}}, "'groups'"),
+    (lambda plan: {**plan, "grouping": {**plan["grouping"], "k": 2.9}}, "'k'"),
+    (lambda plan: {**plan, "grouping": {**plan["grouping"], "k": "2"}}, "'k'"),
+    (lambda plan: {**plan, "grouping": {**plan["grouping"], "method": 3}}, "'method'"),
+    (lambda plan: {**plan, "p_g": ["0.4", "0.6"]}, "'p_g'"),
+    (lambda plan: json.dumps(plan).replace('"shared_ratio": 0.5', '"shared_ratio": NaN'), "NaN"),
+    (lambda plan: {**plan, "shared_ratio": 5.0}, "shared_ratio"),
 ])
 def test_decompose_malformed_plan_exit_1(tmp_path, capsys, rng, edit, field):
     write_desk_weights(tmp_path, rng)
@@ -546,6 +572,10 @@ def test_decompose_malformed_plan_exit_1(tmp_path, capsys, rng, edit, field):
     ({"runs": [{"unified": {}}], "params": {}}, "runs[0].seed"),
     ({"runs": [{"seed": "one"}], "params": {}}, "runs[0].seed"),
     ({"runs": [{"seed": 1, "unified": 0.5}], "params": {}}, "runs[0].unified"),
+    ({"runs": [{"seed": 1, "unified": {"final_mean_loss": "abc"}}], "params": {}},
+     "runs[0].unified.final_mean_loss"),
+    pytest.param(b"{\"params\": {}, \"runs\": [{\"seed\": 1, "
+                 b"\"unified\": {\"final_mean_loss\": NaN}}]}", "NaN", id="nan-loss"),
     pytest.param(b"{\"runs\": \xff}", "unreadable JSON", id="not-utf8"),
     pytest.param(b"[" * 200_000, "unreadable JSON", id="too-deep"),
 ])
@@ -572,6 +602,29 @@ def test_report_simulate_summary_missing_losses(tmp_path, capsys):
     assert main(["report", "--inputs", str(ok), "--out", str(tmp_path / "c"),
                  "--format", "csv"]) == 0
     assert "simulate,{},,,,2,0.25,\n".format(ok) in (tmp_path / "c" / "consolidated.csv").read_text()
+
+
+def test_every_written_json_file_reads_back(tmp_path, rng, capsys):
+    # every JSON file a command writes is strict JSON that the one reader accepts
+    make_disk_bundle(tmp_path / "b")
+    bundle = ["--bundle", str(tmp_path / "b")]
+    out = tmp_path / "out"
+    write_desk_weights(tmp_path, rng, d_model=16, d_ff=32)
+    for argv in (["inspect", *bundle, "--out", str(out / "inspect")],
+                 *([cmd, *bundle, "--out", str(out / cmd)]
+                   for cmd in ("group", "conflict", "subspace", "plan")),
+                 ["decompose", "--w1", str(tmp_path / "w1.gdm"), "--w2", str(tmp_path / "w2.gdm"),
+                  "--plan", str(out / "plan" / "plan.json"), "--out", str(out / "ffn")],
+                 ["simulate", "--theta", "80", "--steps", "2", "--seeds", "3",
+                  "--out", str(out / "sim")],
+                 ["report", "--inputs", f"{out / 'plan'},{out / 'sim'}", "--format", "json",
+                  "--out", str(out / "report")]):
+        assert main(argv) == 0, capsys.readouterr().err
+    written = {p.name for p in out.rglob("*.json")}
+    assert written >= {"inspect.json", "plan.json", "report.json", "summary.json", "ffn.json",
+                       "consolidated.json"}
+    for path in out.rglob("*.json"):
+        assert bundle_read_json(path, "output") == json.loads(path.read_text())
 
 
 @pytest.mark.parametrize("command", ["inspect", "plan"])

@@ -96,6 +96,20 @@ def test_plan_validation():
         DecompositionPlan(two_groups(), 0.5, 8, 12, d_s=6, d_p=3, p_g=(0.5, 0.5), r=7)
 
 
+@pytest.mark.parametrize("p_g,ratio,match", [
+    ((float("nan"), 0.6), 0.5, "sum to 1"),
+    ((float("nan"), float("nan")), 0.5, "sum to 1"),
+    ((0.4, 0.6), float("nan"), "shared_ratio"),
+    ((0.4, 0.6), float("inf"), "shared_ratio"),
+    ((0.4, 0.6), 5.0, "shared_ratio"),
+    ((0.4, 0.6), 0.0, "shared_ratio"),
+])
+def test_plan_validation_non_finite(p_g, ratio, match):
+    # NaN fails every comparison, so the checks must be written to fail on it
+    with pytest.raises(ValidationError, match=match):
+        DecompositionPlan(two_groups(), ratio, 8, 12, d_s=6, d_p=3, p_g=p_g, r=1)
+
+
 def test_plan_json_round_trip():
     plan = make_plan(two_groups(), 0.5, 8, 12, p_g=(0.4, 0.6), seed=7)
     d = plan.to_dict()
@@ -369,6 +383,8 @@ def test_load_ffn_missing_key(tmp_path, rng, key):
     ("routing", {"a": "zero"}),
     ("activation", "gelu"),
     ("activation", 3),
+    ("plan", False),
+    ("plan", {}),
 ])
 def test_load_ffn_malformed_key(tmp_path, rng, key, value):
     meta, meta_path = _saved_ffn_meta(tmp_path, rng)
