@@ -1,10 +1,10 @@
 """The whole pipeline on a synthetic conflict problem, library-only.
 
 Generates a 4-task suite with an 80 degree cross-group conflict, collects
-per-sample gradients from the toy model, runs all three analysis methods,
-materializes the resulting plan, and trains unified vs specialized variants
-from the same initialization. Under high conflict the specialized block
-reaches a visibly lower loss.
+per-sample gradients from the toy model, runs all three analysis methods
+through the library pipeline `gdps.pipeline.plan`, and trains unified vs
+specialized variants from the same initialization. Under high conflict the
+specialized block reaches a visibly lower loss.
 
     python demos/06_end_to_end.py
 
@@ -15,10 +15,9 @@ The same flow is available from the shell:
 
 import numpy as np
 
-from gdps import consensus_group, make_plan, similarity_delta, train
-from gdps.conflict import conflict_report
-from gdps.subspace import group_energy, subspace_report
-from gdps.synth import PROBE_LAYER, collect_bundle, make_model, make_suite
+from gdps import similarity_delta, train
+from gdps.pipeline import PlanOptions, plan as plan_pipeline
+from gdps.synth import collect_bundle, make_model, make_suite
 
 SEED = 2343
 
@@ -28,18 +27,12 @@ print(f"suite: tasks={suite.tasks}, planted groups={suite.grouping.groups}, "
       f"theta={suite.theta_deg}")
 
 bundle = collect_bundle(model, suite, n_samples=32, seed=SEED)
-grouping = consensus_group(bundle, PROBE_LAYER, k=2, seed=SEED)
-print(f"\nrecovered grouping ({grouping.method}): {grouping.groups}")
-
-conflict = conflict_report(bundle, seed=SEED)
-print(f"delta = {conflict.delta:.4f} -> shared ratio {conflict.shared_ratio}")
-
-sub = subspace_report(bundle, PROBE_LAYER)
-p_g = group_energy(sub.proportions, grouping, bundle.tasks)
-print(f"group energies p_g = {np.round(p_g, 4)}")
-
-plan = make_plan(grouping, conflict.shared_ratio, model.d_model, model.d_ff,
-                 tuple(p_g), seed=SEED)
+plan, report = plan_pipeline(
+    bundle, PlanOptions(seed=SEED, k_groups=2, d_model=model.d_model, d_ff=model.d_ff)
+)
+print(f"\nrecovered grouping ({plan.grouping.method}): {plan.grouping.groups}")
+print(f"delta = {report.conflict.delta:.4f} -> shared ratio {plan.shared_ratio}")
+print(f"group energies p_g = {np.round(plan.p_g, 4)}")
 print(f"plan: d_s={plan.d_s}, d_p={plan.d_p}, r={plan.r}")
 
 unified = train(model, suite, "unified", steps=500, lr=0.05, seed=SEED)

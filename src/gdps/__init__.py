@@ -79,7 +79,6 @@ from .synth import (
     SyntheticSuite,
     ToyModel,
     TrainLog,
-    analytic_gradients,
     collect_bundle,
     make_model,
     make_suite,

@@ -7,9 +7,11 @@ one ``<task>__<layer>.gdm`` file per entry; the ``.gdm`` payload is the magic
 float32 values in row-major order.  Storage is float32 for bit-exact
 portability; all downstream arithmetic converts to float64 on use.
 
-This module also owns how gdps reads every JSON file (manifest, plan,
-``ffn.json``, report inputs): `read_json` parses it strictly and
-`json_field` judges each field, both naming the file.
+This module also owns how gdps reads and writes every JSON file
+(manifest, plan, ``ffn.json``, reports): `read_json` parses it strictly
+and `json_field` judges each field, both naming the file; `dump_json` is
+the one format written, and `write_text` and `write_matrix_file` the one
+rule for writing a file.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BundleFormatError, ValidationError
+from .errors import AnalysisError, BundleFormatError, ValidationError
 
 MAGIC = b"GDM1"
 HEADER = struct.Struct("<4sII")
@@ -197,11 +199,17 @@ def _manifest(bundle: GradientBundle) -> dict:
     }
 
 
-def write_matrix_file(path: Path, data: np.ndarray) -> None:
+def write_matrix_file(path, data: np.ndarray) -> None:
+    """Write one .gdm file under the rule of `write_text`."""
     arr = np.ascontiguousarray(data, dtype="<f4")
-    with open(path, "wb") as fh:
-        fh.write(HEADER.pack(MAGIC, arr.shape[0], arr.shape[1]))
-        fh.write(arr.tobytes(order="C"))
+    path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "wb") as fh:
+            fh.write(HEADER.pack(MAGIC, arr.shape[0], arr.shape[1]))
+            fh.write(arr.tobytes(order="C"))
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
 def read_matrix_file(path: Path) -> np.ndarray:
@@ -234,18 +242,10 @@ def write_bundle(bundle: GradientBundle, path) -> None:
     for layer in bundle.layers:
         _check_identifier("layer", layer)
     root = Path(path)
-    try:
-        root.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ValidationError(f"cannot create bundle directory {root}: {exc}") from exc
-
     manifest = _manifest(bundle)
     for rec in manifest["records"]:
-        try:
-            write_matrix_file(root / rec["path"], bundle.entries[rec["task"], rec["layer"]].data)
-        except OSError as exc:
-            raise ValidationError(f"cannot write {root / rec['path']}: {exc}") from exc
-    (root / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        write_matrix_file(root / rec["path"], bundle.entries[rec["task"], rec["layer"]].data)
+    write_text(root / MANIFEST_NAME, dump_json(manifest))
 
 
 RECORD_KEYS = ("task", "layer", "rows", "cols", "path")
@@ -253,6 +253,32 @@ RECORD_KEYS = ("task", "layer", "rows", "cols", "path")
 
 def _refuse_constant(literal: str):
     raise ValueError(f"{literal} is not JSON; gdps never writes it")
+
+
+def dump_json(obj) -> str:
+    """The text of every JSON file gdps writes: sorted keys, indent 2, a final newline.
+
+    A NaN or Infinity anywhere in `obj` raises AnalysisError: gdps never
+    writes them, and `read_json` refuses them.
+    """
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise AnalysisError(f"refusing to write JSON: {exc}") from exc
+
+
+def write_text(path, text: str) -> None:
+    """Write `text` to the file at `path`, making its parent directories.
+
+    An OSError (a parent that is a file, a path that is a directory)
+    raises ValidationError naming the path.
+    """
+    path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
 def read_json(path, kind: str, error=ValidationError) -> dict:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -25,8 +24,8 @@ from . import report as rp
 from . import subspace as sb
 from . import pipeline as pl
 from . import synth as sy
-from .bundle import (is_json_int, is_json_number, json_field, read_bundle, read_json,
-                     read_matrix_file)
+from .bundle import (dump_json, is_json_int, is_json_number, json_field, read_bundle,
+                     read_json, read_matrix_file, write_text)
 from .errors import AnalysisError, GdpsError, TrainingDivergence, ValidationError
 
 DEFAULTS = pl.PlanOptions()
@@ -71,11 +70,6 @@ def _parse_groups(text: str, n_tasks: int):
     return groups
 
 
-def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
-
-
 def _load_bundle(path: str):
     with pl.stage("bundle-load"):
         return read_bundle(path)
@@ -95,9 +89,9 @@ def cmd_inspect(args) -> int:
             for lay in bundle.layers
         ],
     }
-    print(json.dumps(info, indent=2, sort_keys=True))
+    print(dump_json(info), end="")
     if args.out:
-        _write(Path(args.out) / "inspect.json", json.dumps(info, indent=2, sort_keys=True) + "\n")
+        write_text(Path(args.out) / "inspect.json", dump_json(info))
     return 0
 
 
@@ -110,10 +104,10 @@ def cmd_group(args) -> int:
         plan = gr.consensus_from_distance(dist, k=args.k_groups, seed=args.seed)
         merges = gr.linkage_merges(dist)
     out = Path(args.out)
-    _write(out / "grouping.json", json.dumps(plan.to_dict(), indent=2, sort_keys=True) + "\n")
-    _write(out / "similarity.csv", rp.similarity_csv(sim.tasks, sim.s))
-    _write(out / "distance.csv", rp.similarity_csv(dist.tasks, dist.d))
-    _write(out / "merges.csv", rp.merges_csv(merges))
+    write_text(out / "grouping.json", dump_json(plan.to_dict()))
+    write_text(out / "similarity.csv", rp.similarity_csv(sim.tasks, sim.s))
+    write_text(out / "distance.csv", rp.similarity_csv(dist.tasks, dist.d))
+    write_text(out / "merges.csv", rp.merges_csv(merges))
     print(f"method={plan.method} k={plan.k}")
     for i, g in enumerate(plan.groups):
         print(f"group {i}: {', '.join(g)}")
@@ -128,7 +122,7 @@ def cmd_conflict(args) -> int:
     thresholds = pl.parse_thresholds(args.thresholds)
     with pl.stage("conflict"):
         report = cf.conflict_report(bundle, candidates, thresholds, seed=args.seed)
-    _write(Path(args.out) / "conflict.json", json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+    write_text(Path(args.out) / "conflict.json", dump_json(report.to_dict()))
     for lc in report.layers:
         print(
             f"{lc.layer}: s_self={lc.s_self:.4f} s_cross={lc.s_cross:.4f} "
@@ -147,8 +141,8 @@ def cmd_subspace(args) -> int:
             bundle, layer, k=args.top_k, lam=args.lam, normalize_rows=args.normalize_rows
         )
     out = Path(args.out)
-    _write(out / "subspace.json", json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
-    _write(out / "spectrum.csv", sb.spectrum_csv(report.sigma))
+    write_text(out / "subspace.json", dump_json(report.to_dict()))
+    write_text(out / "spectrum.csv", sb.spectrum_csv(report.sigma))
     print(f"layer={layer} k={report.k} top1_share={report.top1_share:.4f} gini={report.gini:.4f}")
     for t, p in zip(report.tasks, report.proportions):
         print(f"p[{t}] = {p:.4f}")
@@ -168,9 +162,9 @@ def cmd_plan(args) -> int:
     plan, report = pl.plan(bundle, _plan_options(args))
     report = dataclasses.replace(report, flags={"bundle": args.bundle, **report.flags})
     out = Path(args.out)
-    _write(out / "plan.json", json.dumps(plan.to_dict(), indent=2, sort_keys=True) + "\n")
-    _write(out / "report.json", report.to_json())
-    _write(out / "report.md", report.to_markdown())
+    write_text(out / "plan.json", dump_json(plan.to_dict()))
+    write_text(out / "report.json", report.to_json())
+    write_text(out / "report.md", report.to_markdown())
     print(f"groups: {[list(g) for g in plan.grouping.groups]} (method={plan.grouping.method})")
     print(f"delta={report.conflict.delta:.6f} shared_ratio={plan.shared_ratio}")
     print(f"d_s={plan.d_s} d_p={plan.d_p} r={plan.r} p_g={[round(x, 4) for x in plan.p_g]}")
@@ -263,7 +257,7 @@ def cmd_simulate(args) -> int:
                 continue
             logs[(seed, mode)] = log
             entry[mode] = log.summary_dict()
-            _write(out / f"log_{mode}_{seed}.csv", log.to_csv())
+            write_text(out / f"log_{mode}_{seed}.csv", log.to_csv())
         if (seed, "specialized") in logs and (seed, "unified") in logs:
             delta = sy.similarity_delta(logs[(seed, "specialized")], logs[(seed, "unified")])
             entry["similarity_delta"] = {t: float(v) for t, v in delta.items()}
@@ -288,8 +282,8 @@ def cmd_simulate(args) -> int:
         },
         "runs": runs,
     }
-    _write(out / "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    _write(out / "summary.md", _simulate_markdown(summary))
+    write_text(out / "summary.json", dump_json(summary))
+    write_text(out / "summary.md", _simulate_markdown(summary))
     print(_simulate_markdown(summary))
     return 0
 
@@ -419,9 +413,9 @@ def cmd_report(args) -> int:
             {"source": src, "delta": plan["delta"], "branch": plan["branch"],
              "shared_ratio": plan["shared_ratio"], "grouping": plan["grouping"]}
         )
-        _write(out / f"similarity_{i}.csv", plan["similarity_csv"])
-        _write(out / f"merges_{i}.csv", plan["merges_csv"])
-        _write(out / f"spectrum_{i}.csv", plan["spectrum_csv"])
+        write_text(out / f"similarity_{i}.csv", plan["similarity_csv"])
+        write_text(out / f"merges_{i}.csv", plan["merges_csv"])
+        write_text(out / f"spectrum_{i}.csv", plan["spectrum_csv"])
 
     if sims:
         lines += ["## Simulations", ""]
@@ -446,10 +440,10 @@ def cmd_report(args) -> int:
 
     text = "\n".join(lines) + "\n"
     if args.format == "md":
-        _write(out / "consolidated.md", text)
+        write_text(out / "consolidated.md", text)
         print(text)
     elif args.format == "json":
-        _write(out / "consolidated.json", json.dumps(consolidated, indent=2, sort_keys=True) + "\n")
+        write_text(out / "consolidated.json", dump_json(consolidated))
     else:
         rows = ["kind,source,delta,branch,shared_ratio,seed,unified,specialized"]
         for p_ in consolidated["plans"]:
@@ -462,7 +456,7 @@ def cmd_report(args) -> int:
                 uni = "" if run["unified"] is None else run["unified"]
                 spec = "" if run["specialized"] is None else run["specialized"]
                 rows.append(f"simulate,{src_},,,,{run['seed']},{uni},{spec}")
-        _write(out / "consolidated.csv", "\n".join(rows) + "\n")
+        write_text(out / "consolidated.csv", "\n".join(rows) + "\n")
     return 0
 
 

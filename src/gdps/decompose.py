@@ -18,14 +18,13 @@ concatenated hidden layer of width d_s + d_p with a split down-projection).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .bundle import (is_json_int, is_json_number, json_field, read_json, read_matrix_file,
-                     write_matrix_file)
+from .bundle import (dump_json, is_json_int, is_json_number, json_field, read_json,
+                     read_matrix_file, write_matrix_file, write_text)
 from .errors import ValidationError
 from .grouping import GroupingPlan
 from .linalg import SvdResult, svd
@@ -477,7 +476,6 @@ FFN_META_NAME = "ffn.json"
 def save_ffn(ffn: SpecializedFfn, path) -> None:
     """Directory layout: ffn.json + one .gdm file per weight matrix."""
     root = Path(path)
-    root.mkdir(parents=True, exist_ok=True)
     write_matrix_file(root / "shared_up.gdm", ffn.shared_up)
     write_matrix_file(root / "shared_down.gdm", ffn.shared_down)
     for g in range(len(ffn.private_up)):
@@ -492,7 +490,7 @@ def save_ffn(ffn: SpecializedFfn, path) -> None:
         "activation": ffn.activation,
         "plan": ffn.plan.to_dict() if ffn.plan is not None else None,
     }
-    (root / FFN_META_NAME).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    write_text(root / FFN_META_NAME, dump_json(meta))
 
 
 def _read_ffn_meta(meta_path: Path) -> dict:

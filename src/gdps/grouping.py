@@ -221,20 +221,18 @@ def kmeans(
     return KmeansState(cent, assign, inertia, it, restarts=restarts)
 
 
-def _single_linkage_merges(dist: DistanceMatrix, n_merges: int | None = None):
-    """Agglomeration trace: list of (distance, cluster_a, cluster_b) merges.
+def linkage_merges(dist: DistanceMatrix):
+    """Agglomeration trace: all n - 1 (distance, cluster_a, cluster_b) merges.
 
     Clusters are named by their lexicographically smallest member; when several
     pairs tie on distance, the pair with the smallest (name_a, name_b) merges.
-    Stops after `n_merges` merges (default: all n - 1).
     """
     dist.validate()
     tasks = dist.tasks
     clusters: list[set[str]] = [{t} for t in tasks]
     idx = {t: i for i, t in enumerate(tasks)}
-    stop = 1 if n_merges is None else len(tasks) - n_merges
     merges = []
-    while len(clusters) > stop:
+    while len(clusters) > 1:
         best = None
         for a in range(len(clusters)):
             for b in range(a + 1, len(clusters)):
@@ -259,20 +257,15 @@ def _replay_merges(tasks, merges) -> list[set[str]]:
 
 
 def single_linkage(dist: DistanceMatrix, k: int) -> GroupingPlan:
-    """Agglomerate by minimum inter-cluster distance until k clusters remain."""
+    """Merge the closest clusters until k remain: the first n - k merges of `linkage_merges`."""
     dist.validate()
     n = len(dist.tasks)
     if not 1 <= k <= n:
         raise ValidationError(f"single_linkage needs 1 <= k <= {n}, got {k}")
-    clusters = _replay_merges(dist.tasks, _single_linkage_merges(dist, n - k))
+    clusters = _replay_merges(dist.tasks, linkage_merges(dist)[: n - k])
     plan = GroupingPlan(_canonical_groups(clusters), method="hierarchical", k=k)
     plan.validate(dist.tasks)
     return plan
-
-
-def linkage_merges(dist: DistanceMatrix):
-    """Dendrogram merge list for reporting."""
-    return _single_linkage_merges(dist)
 
 
 def kmeans_grouping(dist: DistanceMatrix, k: int, seed: int) -> GroupingPlan:

@@ -14,6 +14,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
+from .bundle import dump_json
 from .conflict import ConflictReport, ratio_branch
 from .decompose import DecompositionPlan
 from .grouping import GroupingPlan
@@ -71,7 +72,7 @@ class PipelineReport:
         return d
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return dump_json(self.to_dict())
 
     def to_markdown(self) -> str:
         c = self.conflict

@@ -10,8 +10,9 @@ measured similarities.
 
 The toy model is trunk -> probe FFN (up, activation, down) -> head, with
 trunk and head frozen semi-orthogonal maps so they preserve angles; only the
-probe block is analyzed, decomposed, and trained.  All gradients are closed
-form, which keeps the finite-difference oracle in the test suite tight.
+probe block is analyzed, decomposed, and trained.  One closed-form backward,
+`_routed_step`, serves training, the alignment probe and gradient collection,
+which keeps the finite-difference oracle in the test suite tight.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ from .grouping import GroupingPlan
 from .linalg import unit_rows
 
 PROBE_LAYER = "probe"
-PROBE_UP_LAYER = "probe.up"
-PROBE_DOWN_LAYER = "probe.down"
 
 
 def _orthonormal_columns(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -290,61 +289,25 @@ def _pack(weights, lead: int = 0):
 def _per_sample_probe_grads(model: ToyModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Closed-form per-sample gradients of 1/2 ||err||^2 w.r.t. (w1, w2).
 
-    Returns one flattened row [vec(grad w1); vec(grad w2)] per sample.
+    Returns one flattened row [vec(grad w1); vec(grad w2)] per sample: the
+    trainer's step with each sample as its own batch of one.
     """
-    z = x @ model.trunk.T  # B x d_model
-    w1, w2 = model.probe.w1, model.probe.w2
-    p, (h,), (dh,) = routed_forward(z, [(w1, w2)], model.activation)
-    dp = (p @ model.head.T - y) @ model.head  # B x d_model
-    g_w2 = np.einsum("bi,bj->bij", dp, h)  # B x d_model x d_ff
-    da = (dp @ w2) * dh  # B x d_ff
-    g_w1 = np.einsum("bi,bj->bij", da, z)  # B x d_ff x d_model
-    b = x.shape[0]
-    return np.concatenate([g_w1.reshape(b, -1), g_w2.reshape(b, -1)], axis=1)
-
-
-def analytic_gradients(
-    model: ToyModel, suite: SyntheticSuite, task: str, n_samples: int, seed: int = 2343
-) -> GradientMatrix:
-    """Per-sample probe-block gradients for one task as a GradientMatrix."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(17,)))
-    x, y = suite.sample_batch(task, n_samples, rng)
-    rows = _per_sample_probe_grads(model, x, y)
-    return GradientMatrix(task, PROBE_LAYER, rows)
+    z = x @ model.trunk.T
+    branches = [(model.probe.w1, model.probe.w2)]
+    return _routed_step(z[:, None, :], y[:, None, :], model.head, branches, model.activation)[1]
 
 
 def collect_bundle(
-    model: ToyModel,
-    suite: SyntheticSuite,
-    layers=(PROBE_LAYER,),
-    n_samples: int = 32,
-    seed: int = 2343,
+    model: ToyModel, suite: SyntheticSuite, n_samples: int = 32, seed: int = 2343
 ) -> GradientBundle:
-    """Gradient bundle over the probe block, ready for the analysis modules.
-
-    Layer ids: "probe" is the full flattened block; "probe.up"/"probe.down"
-    slice the up- and down-projection gradients for layer-ranking runs.
-    """
+    """Per-sample gradients of the whole probe block, as one "probe" layer per task."""
     if n_samples < 1:
         raise ValidationError(f"n_samples must be >= 1, got {n_samples}")
-    up_len = model.d_ff * model.d_model
-    known = {PROBE_LAYER, PROBE_UP_LAYER, PROBE_DOWN_LAYER}
-    bad = set(layers) - known
-    if bad:
-        raise ValidationError(f"unknown layers {sorted(bad)}; available: {sorted(known)}")
     matrices = []
     for i, task in enumerate(suite.tasks):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(19, i)))
         x, y = suite.sample_batch(task, n_samples, rng)
-        rows = _per_sample_probe_grads(model, x, y)
-        for layer in layers:
-            if layer == PROBE_LAYER:
-                data = rows
-            elif layer == PROBE_UP_LAYER:
-                data = rows[:, :up_len]
-            else:
-                data = rows[:, up_len:]
-            matrices.append(GradientMatrix(task, layer, data))
+        matrices.append(GradientMatrix(task, PROBE_LAYER, _per_sample_probe_grads(model, x, y)))
     return GradientBundle.from_matrices(matrices)
 
 

@@ -12,6 +12,7 @@ from gdps.bundle import (
     GradientBundle,
     GradientMatrix,
     bundle_fingerprint,
+    dump_json,
     is_json_int,
     is_json_number,
     json_field,
@@ -21,8 +22,9 @@ from gdps.bundle import (
     read_matrix_file,
     sample_gradients,
     write_bundle,
+    write_text,
 )
-from gdps.errors import BundleFormatError, ValidationError
+from gdps.errors import AnalysisError, BundleFormatError, ValidationError
 
 
 def make_bundle(rng, tasks=("a", "b"), layers=("L0",), rows=3, cols=4):
@@ -301,9 +303,8 @@ def test_json_field_names_source_and_field(data, dotted, ok, message):
     assert json_field("src.json", {"a": [{"b": 2}]}, "a[0].b", is_json_int, "an int") == 2
 
 
-def test_one_json_reader():
-    # read_json is the one place src/gdps parses a file; hash_excluding_timestamp
-    # parses a string its caller hands it
+def gdps_nodes(match) -> set:
+    """(module, enclosing function) of every AST node in src/gdps that `match` accepts."""
     found = set()
 
     def visit(node, module, where):
@@ -311,12 +312,52 @@ def test_one_json_reader():
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, module, child.name)
                 continue
-            if (isinstance(child, ast.Attribute) and child.attr in ("load", "loads")
-                    and isinstance(child.value, ast.Name) and child.value.id == "json"
-                    or isinstance(child, ast.ImportFrom) and child.module == "json"):
+            if match(child):
                 found.add((module, where))
             visit(child, module, where)
 
     for path in Path(gdps.__file__).parent.glob("*.py"):
         visit(ast.parse(path.read_text()), path.name, "<module>")
+    return found
+
+
+def test_one_json_reader():
+    # read_json is the one place src/gdps parses a file; hash_excluding_timestamp
+    # parses a string its caller hands it
+    found = gdps_nodes(lambda node: (
+        isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+        and isinstance(node.value, ast.Name) and node.value.id == "json"
+        or isinstance(node, ast.ImportFrom) and node.module == "json"))
     assert found == {("bundle.py", "read_json"), ("report.py", "hash_excluding_timestamp")}
+
+
+def test_one_json_format():
+    # dump_json is the one place src/gdps lays out a JSON file; the
+    # fingerprint and hash dumps, which have no indent, are not files
+    found = gdps_nodes(lambda node: (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("dump", "dumps")
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"
+        and any(kw.arg == "indent" for kw in node.keywords)))
+    assert found == {("bundle.py", "dump_json")}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_dump_json_refuses_non_finite(value):
+    with pytest.raises(AnalysisError, match="refusing to write JSON"):
+        dump_json({"a": [1.0, {"b": value}]})
+
+
+def test_dump_json_layout():
+    assert dump_json({"b": 1, "a": [0.5]}) == '{\n  "a": [\n    0.5\n  ],\n  "b": 1\n}\n'
+
+
+@pytest.mark.parametrize("where", ["file", "file/sub"])
+def test_writers_name_the_path_of_an_unwritable_file(tmp_path, where):
+    (tmp_path / "file").write_text("x")
+    target = tmp_path / where / "out.json"
+    with pytest.raises(ValidationError, match=re.escape(f"cannot write {target}")):
+        write_text(target, "{}\n")
+    with pytest.raises(ValidationError, match=re.escape(f"cannot write {tmp_path / where}")):
+        write_bundle(make_bundle(np.random.default_rng(0)), tmp_path / where)
+    assert (tmp_path / "file").read_text() == "x"

@@ -705,3 +705,40 @@ def test_stage_prefix_keeps_error_type_and_exit_code(tmp_path, capsys):
     rc = main(["group", "--bundle", str(tmp_path / "none"), "--out", str(tmp_path / "o")])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: [stage: bundle-load] ")
+
+
+@pytest.mark.parametrize("where", ["file", "file/sub"])
+@pytest.mark.parametrize("command", ["inspect", "group", "conflict", "subspace", "plan",
+                                     "decompose", "simulate", "report"])
+def test_out_naming_a_file_exit_1(tmp_path, capsys, rng, command, where):
+    make_disk_bundle(tmp_path / "b")
+    write_desk_weights(tmp_path, rng)
+    _, plan_path = write_plan_file(tmp_path)
+    summary = tmp_path / "summary.json"
+    summary.write_text(json.dumps({"params": {}, "runs": []}))
+    (tmp_path / "file").write_text("keep")
+    out = tmp_path / where
+    argv = {
+        "decompose": ["--w1", str(tmp_path / "w1.gdm"), "--w2", str(tmp_path / "w2.gdm"),
+                      "--plan", str(plan_path)],
+        "simulate": ["--theta", "80", "--steps", "2", "--seeds", "3"],
+        "report": ["--inputs", str(summary)],
+    }.get(command, ["--bundle", str(tmp_path / "b")])
+    rc = main([command, *argv, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1 and err.startswith("error: cannot write ")
+    assert str(out) in err and "Traceback" not in err
+    assert (tmp_path / "file").read_text() == "keep"
+
+
+def test_non_finite_output_exit_2(tmp_path, capsys, monkeypatch):
+    from gdps.conflict import ConflictReport
+
+    make_disk_bundle(tmp_path / "b")
+    monkeypatch.setattr(ConflictReport, "to_dict", lambda self: {"delta": float("nan")})
+    rc = main(["conflict", "--bundle", str(tmp_path / "b"), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and err.startswith("analysis error: refusing to write JSON")
+    assert not (tmp_path / "o" / "conflict.json").exists()

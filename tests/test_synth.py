@@ -3,14 +3,14 @@ import pytest
 
 from gdps.bundle import GradientBundle
 from gdps.conflict import layer_conflict, map_shared_ratio
-from gdps.decompose import activation_fn, make_plan
+from gdps.decompose import ACTIVATIONS, activation_fn, make_plan
 from gdps.errors import ValidationError
 from gdps.grouping import consensus_group
 from gdps.synth import (
+    _routed_step,
     _xtask_cosines,
     PROBE_LAYER,
     ToyModel,
-    analytic_gradients,
     collect_bundle,
     equiangular_directions,
     make_model,
@@ -115,7 +115,7 @@ def test_planted_bundle_theta_90_cross_group_cosines():
 
 def test_analytic_gradients_shapes_and_zero_case():
     suite, model = small_model()
-    gm = analytic_gradients(model, suite, "t0", n_samples=7, seed=3)
+    gm = collect_bundle(model, suite, n_samples=7, seed=3).matrix("t0", PROBE_LAYER)
     assert gm.rows == 7
     assert gm.cols == 2 * 6 * 7
     # zero weights, zero targets, identity activation -> zero gradients
@@ -152,6 +152,44 @@ def test_analytic_gradients_match_finite_differences(rng):
     assert worst < 1e-4
 
 
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+def test_routed_step_two_branches_match_finite_differences(activation):
+    # the layout specialized training uses: a shared 2-D pair plus each task's
+    # private pair gathered by route; row t holds task t's loss gradient
+    gen = np.random.default_rng(37)
+    n_tasks, batch, d_model, d_s, d_p, d_out = 3, 4, 5, 6, 3, 4
+    head = np.linalg.qr(gen.standard_normal((d_model, d_out)))[0].T
+    shared = [0.5 * gen.standard_normal((d_s, d_model)), 0.5 * gen.standard_normal((d_model, d_s))]
+    private_up = 0.5 * gen.standard_normal((2, d_p, d_model))
+    private_down = 0.5 * gen.standard_normal((2, d_model, d_p))
+    route = np.array([1, 0, 1])
+    z = gen.standard_normal((n_tasks, batch, d_model))
+    y = gen.standard_normal((n_tasks, batch, d_out))
+    losses, grads = _routed_step(
+        z, y, head, [shared, (private_up[route], private_down[route])], activation
+    )
+    act = activation_fn(activation)
+
+    for t, g in enumerate(route):
+        weights = [*shared, private_up[g], private_down[g]]
+        theta = np.concatenate([w.ravel() for w in weights])
+        cuts = np.cumsum([w.size for w in weights])[:-1]
+
+        def loss_at(flat):
+            su, sd, pu, pd = (part.reshape(w.shape) for part, w in zip(np.split(flat, cuts), weights))
+            e = (act(z[t] @ su.T) @ sd.T + act(z[t] @ pu.T) @ pd.T) @ head.T - y[t]
+            return float((e**2).sum()) / (2 * batch)
+
+        numeric = np.zeros_like(theta)
+        for i in range(theta.size):
+            plus, minus = theta.copy(), theta.copy()
+            plus[i] += 1e-6
+            minus[i] -= 1e-6
+            numeric[i] = (loss_at(plus) - loss_at(minus)) / 2e-6
+        assert losses[t] == pytest.approx(loss_at(theta), rel=1e-12)
+        assert np.linalg.norm(grads[t] - numeric) <= 1e-6 * np.linalg.norm(numeric)
+
+
 def test_collect_bundle_valid_and_consumable():
     suite = make_suite(4, [[0], [1, 2, 3]], 75.0, seed=4)
     model = make_model(suite, seed=4)
@@ -160,16 +198,6 @@ def test_collect_bundle_valid_and_consumable():
     bundle.validate()
     assert bundle.layers == (PROBE_LAYER,)
     assert bundle.matrix("t0", PROBE_LAYER).rows == 16
-
-
-def test_collect_bundle_layer_slices():
-    suite = make_suite(2, [[0], [1]], 30.0, seed=1)
-    model = make_model(suite, d_model=8, d_ff=12, seed=1)
-    b = collect_bundle(model, suite, layers=("probe.up", "probe.down"), n_samples=4, seed=1)
-    assert b.layer_dim("probe.up") == 12 * 8
-    assert b.layer_dim("probe.down") == 8 * 12
-    with pytest.raises(ValidationError):
-        collect_bundle(model, suite, layers=("nope",), n_samples=4, seed=1)
 
 
 def test_collect_bundle_recovery_theta75():
