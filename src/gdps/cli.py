@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from pathlib import Path
 
@@ -52,9 +53,13 @@ def _non_negative_int(text: str) -> int:
 
 def _parse_seeds(text: str) -> list[int]:
     try:
-        return [_non_negative_int(s) for s in text.split(",") if s != ""]
+        seeds = [_non_negative_int(s) for s in text.split(",") if s != ""]
     except argparse.ArgumentTypeError as exc:
         raise _UsageError(f"--seeds: {exc}") from exc
+    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+    if repeated:
+        raise _UsageError(f"--seeds lists seed {repeated[0]} more than once")
+    return seeds
 
 
 def _parse_groups(text: str, n_tasks: int):
@@ -68,6 +73,21 @@ def _parse_groups(text: str, n_tasks: int):
             raise _UsageError(f"--groups indices out of range for {n_tasks} tasks: {part!r}")
         groups.append(idx)
     return groups
+
+
+def _check_out(out: Path) -> None:
+    """Fail before any work when `out` is not, and cannot be made, a directory.
+
+    Nothing is created here, so a usage error found later leaves no
+    directory behind; the writers make it.
+    """
+    for p in (out, *out.parents):
+        if p.exists():
+            if not p.is_dir():
+                raise ValidationError(f"cannot write {out}: {p} is not a directory")
+            if not os.access(p, os.W_OK | os.X_OK):
+                raise ValidationError(f"cannot write {out}: {p} is not writable")
+            return
 
 
 def _load_bundle(path: str):
@@ -220,8 +240,7 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     plan_options = _plan_options(args, k_groups=len(groups))
 
-    runs = []
-    logs = {}
+    runs, jobs = [], []
     for seed in seeds:
         suite = sy.make_suite(
             args.tasks,
@@ -239,30 +258,26 @@ def cmd_simulate(args) -> int:
             bundle = sy.collect_bundle(model, suite, n_samples=args.samples, seed=seed)
             plan, _ = pl.plan(bundle, dataclasses.replace(plan_options, seed=seed))
             entry["plan"] = plan.to_dict()
+        jobs += [sy.Run(model, suite, mode, plan if mode == "specialized" else None, seed)
+                 for mode in modes]
+        runs.append(entry)
+    results = iter(sy.train_runs(jobs, steps=args.steps, lr=args.lr, batch_size=args.batch_size))
+
+    for seed, entry in zip(seeds, runs):
+        logs = {}
         for mode in modes:
-            try:
-                log = sy.train(
-                    model,
-                    suite,
-                    mode,
-                    plan=plan if mode == "specialized" else None,
-                    steps=args.steps,
-                    lr=args.lr,
-                    batch_size=args.batch_size,
-                    seed=seed,
-                )
-            except TrainingDivergence as exc:
-                entry[mode] = {"diverged": str(exc)}
-                print(f"seed {seed} {mode}: diverged ({exc})", file=sys.stderr)
+            log = next(results)
+            if isinstance(log, TrainingDivergence):
+                entry[mode] = {"diverged": str(log)}
+                print(f"seed {seed} {mode}: diverged ({log})", file=sys.stderr)
                 continue
-            logs[(seed, mode)] = log
+            logs[mode] = log
             entry[mode] = log.summary_dict()
             write_text(out / f"log_{mode}_{seed}.csv", log.to_csv())
-        if (seed, "specialized") in logs and (seed, "unified") in logs:
-            delta = sy.similarity_delta(logs[(seed, "specialized")], logs[(seed, "unified")])
+        if len(logs) == 2:
+            delta = sy.similarity_delta(logs["specialized"], logs["unified"])
             entry["similarity_delta"] = {t: float(v) for t, v in delta.items()}
             entry["similarity_delta_mean"] = float(np.mean(list(delta.values())))
-        runs.append(entry)
 
     summary = {
         "params": {
@@ -560,6 +575,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.out is not None:
+            _check_out(Path(args.out))
         return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

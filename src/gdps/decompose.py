@@ -427,13 +427,15 @@ def assemble(w: UnifiedFfnWeights, plan: DecompositionPlan, private_rank: int | 
 
 
 def routed_forward(x: np.ndarray, branches, act: str):
-    """The routed block on x, (batch, d) or (tasks, batch, d): all branches summed.
+    """The routed block on x, (batch, d) or (..., batch, d): all branches summed.
 
-    `branches` lists (up, down) weight pairs: a 2-D pair is shared by every
-    row of x, a 3-D pair holds each task's own weights (its group's private
-    branch, gathered by route).  The activation and its derivative are
-    evaluated once over all branches' pre-activations.  Returns the output
-    and, per branch, the activations and their derivatives.
+    `branches` lists (up, down) weight pairs that broadcast against the
+    leading axes of x, such as (runs, tasks): a 2-D pair is shared by every
+    row of x, and a (tasks, ., .) pair holds each task's own weights (its
+    group's private branch, gathered by route).  The activation and its
+    derivative are evaluated once over all branches' pre-activations.
+    Returns the output and, per branch, the activations and their
+    derivatives.
     """
     pre = [x @ up.swapaxes(-1, -2) for up, _ in branches]
     h, dh = activation_pair(act)(pre[0] if len(pre) == 1 else np.concatenate(pre, axis=-1))

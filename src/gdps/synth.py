@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bundle import GradientBundle, GradientMatrix
-from .decompose import UnifiedFfnWeights, assemble, routed_forward
+from .decompose import DecompositionPlan, UnifiedFfnWeights, assemble, routed_forward
 from .errors import TrainingDivergence, ValidationError
 from .grouping import GroupingPlan
 from .linalg import unit_rows
@@ -253,37 +254,43 @@ def make_model(
 
 
 def _routed_step(z: np.ndarray, y: np.ndarray, head: np.ndarray, branches, act_name: str):
-    """Per-task mean-over-batch losses and gradients on stacked (tasks, batch, d) data.
+    """Per-task mean-over-batch losses and gradients on stacked (..., batch, d) data.
 
-    Row t of the gradient is task t's [vec(up); vec(down)] of every branch in
-    turn, the layout `_pack` gives the parameters.
+    Any number of leading axes, (tasks,) or (runs, tasks), index the
+    problems; `head` and each branch pair broadcast against them.  Entry
+    [..., t] of the losses is problem t's loss and row [..., t, :] of the
+    gradient is its [vec(up); vec(down)] of every branch in turn, the layout
+    `_pack` gives the parameters.
     """
     p, hs, dhs = routed_forward(z, branches, act_name)
-    n, b = z.shape[:2]
-    e = p @ head.T - y
-    losses = (e**2).reshape(n, -1).sum(axis=1) / (2 * b)
+    lead, b = z.shape[:-2], z.shape[-2]
+    e = p @ head.swapaxes(-1, -2) - y
+    losses = (e**2).reshape(*lead, -1).sum(axis=-1) / (2 * b)
     dp = (e @ head) / b
     grads = []
     for (_, down), h_k, dh_k in zip(branches, hs, dhs):
         da = (dp @ down) * dh_k
-        grads.append((da.swapaxes(-1, -2) @ z).reshape(n, -1))
-        grads.append((dp.swapaxes(-1, -2) @ h_k).reshape(n, -1))
-    return losses, np.concatenate(grads, axis=1)
+        grads.append((da.swapaxes(-1, -2) @ z).reshape(*lead, -1))
+        grads.append((dp.swapaxes(-1, -2) @ h_k).reshape(*lead, -1))
+    return losses, np.concatenate(grads, axis=-1)
 
 
-def _pack(weights, lead: int = 0):
-    """Copy weights into one buffer, flat past the first `lead` axes.
+def _pack(weights, lead: int = 0) -> np.ndarray:
+    """Copy weights into one buffer, flat past the first `lead` axes."""
+    return np.concatenate([w.reshape(*w.shape[:lead], -1) for w in weights], axis=-1)
 
-    Returns the buffer and one view of it per weight, shaped like the weight,
-    so an update of the buffer moves every view.
+
+def _views(buf: np.ndarray, shapes):
+    """One view of `buf` per shape, cut in turn from its last axis.
+
+    The inverse of `_pack`: an update of the buffer moves every view.
     """
-    buf = np.concatenate([w.reshape(*w.shape[:lead], -1) for w in weights], axis=-1)
     views, lo = [], 0
-    for w in weights:
-        hi = lo + int(np.prod(w.shape[lead:]))
-        views.append(buf[..., lo:hi].reshape(w.shape))
+    for shape in shapes:
+        hi = lo + math.prod(shape)
+        views.append(buf[..., lo:hi].reshape(*buf.shape[:-1], *shape))
         lo = hi
-    return buf, views
+    return views
 
 
 def _per_sample_probe_grads(model: ToyModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -372,21 +379,160 @@ def _stack_batches(suite: SyntheticSuite, size: int, rng, clean: bool = False):
     return np.stack([x for x, _ in pairs]), np.stack([y for _, y in pairs])
 
 
-def train(
-    model: ToyModel,
-    suite: SyntheticSuite,
-    mode: str,
-    plan=None,
-    steps: int = 500,
-    lr: float = 0.05,
-    batch_size: int = 32,
-    seed: int = 2343,
-) -> TrainLog:
-    """Full-batch gradient descent on the probe block only (trunk/head frozen).
+@dataclass(frozen=True)
+class Run:
+    """One training run: a model on a suite in one mode, with its batch seed.
+
+    `plan` is the decomposition plan of a specialized run and None for a
+    unified one.
+    """
+
+    model: ToyModel
+    suite: SyntheticSuite
+    mode: str
+    plan: DecompositionPlan | None = None
+    seed: int = 2343
+
+
+def _eval_batch(run: Run):
+    """The run's noise-free alignment batch, (tasks, EVAL_BATCH, d), past the trunk."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=run.seed, spawn_key=(29,)))
+    x, y = _stack_batches(run.suite, EVAL_BATCH, rng, clean=True)
+    return x @ run.model.trunk.T, y
+
+
+def _run_state(run: Run, batch_size: int):
+    """One run's data and trainable weights as arrays, and its layout.
+
+    The weights live in two flat buffers: `shared`, the weights every task
+    updates, and `private`, one row per group; `order` lists the task
+    indices group by group.  Runs whose layouts and array shapes agree can be
+    stacked.
+    """
+    model, suite, tasks = run.model, run.suite, run.suite.tasks
+    batch_rng = np.random.default_rng(np.random.SeedSequence(entropy=run.seed, spawn_key=(23,)))
+    x, y = _stack_batches(suite, batch_size, batch_rng)
+    # the trunk is frozen, so its features are computed once
+    state = {"z": x @ model.trunk.T, "y": y, "head": model.head[None]}
+    if run.mode == "unified":
+        weights, act, private, sizes = [model.probe.w1, model.probe.w2], model.activation, [], ()
+    else:
+        run.plan.grouping.validate(tasks)
+        ffn = assemble(model.probe, run.plan)
+        weights, act = [ffn.shared_up, ffn.shared_down], ffn.activation
+        private = [np.stack(ffn.private_up), np.stack(ffn.private_down)]
+        sizes = tuple(len(g) for g in run.plan.grouping.groups)
+        state["private"] = _pack(private, lead=1)
+        state["route"] = np.array([ffn.routing[t] for t in tasks])
+        state["order"] = np.array([tasks.index(t) for g in run.plan.grouping.groups for t in g])
+    state["shared"] = _pack(weights)
+    layout = (run.mode, act, tuple(w.shape for w in weights),
+              tuple(w.shape[1:] for w in private), sizes)
+    return state, layout
+
+
+def _train_stack(runs, states, layout, steps: int, lr: float) -> list:
+    """Train runs of one layout through one step loop, stacked on a leading axis.
+
+    Returns, per run, its TrainLog or the TrainingDivergence that a lone run
+    raises.  No arithmetic mixes two runs, so each run's numbers are those it
+    gets alone; a run that diverges leaves the stack and the rest go on.
+    """
+    mode, act, shared_shapes, private_shapes, sizes = layout
+    n = len(runs[0].suite.tasks)
+    s = {key: np.stack([state[key] for state in states]) for key in states[0]}
+    s["row"] = np.arange(len(runs))
+    n_shared = s["shared"].shape[-1]
+    bounds = np.cumsum([0, *sizes]).tolist()
+
+    def bind(s):
+        """The step and the update of stack `s`, over views of its buffers."""
+        shared = tuple(w[:, None] for w in _views(s["shared"], shared_shapes))
+        if not private_shapes:
+            def update(grads):
+                # (lr * sum) / n, not lr * mean: the order the losses are pinned to
+                s["shared"] -= lr * grads.sum(axis=1) / n
+
+            return lambda z, y: _routed_step(z, y, s["head"], [shared], act), update
+        up, down = _views(s["private"], private_shapes)
+        lane, route = np.arange(len(s["row"]))[:, None], s["route"]
+        # one (runs, size) index array per group position keeps each run's
+        # summation order, however differently the runs route
+        members = [(s["order"][:, lo:hi], hi - lo) for lo, hi in zip(bounds, bounds[1:])]
+
+        def step(z, y):
+            private = (up[lane, route], down[lane, route])
+            return _routed_step(z, y, s["head"], [shared, private], act)
+
+        def update(grads):
+            means = np.stack([grads[lane, idx].sum(axis=1) / size for idx, size in members], axis=1)
+            s["shared"] -= lr * means[..., :n_shared].mean(axis=1)
+            s["private"] -= lr * means[..., n_shared:]
+
+        return step, update
+
+    def eval_xtask(s):
+        # Alignment on the weights every task updates, the shared buffer, one
+        # run at a time: stacked, the EVAL_BATCH pass would raise peak memory.
+        cosines = []
+        for r, row in enumerate(s["row"]):
+            z, y = _eval_batch(runs[row])
+            _, grads = bind({key: v[r:r + 1] for key, v in s.items()})[0](z[None], y[None])
+            tasks = runs[row].suite.tasks
+            cosines.append(_xtask_cosines({t: grads[0, j, :n_shared] for j, t in enumerate(tasks)}))
+        return cosines
+
+    results = [None] * len(runs)
+    losses = np.zeros((len(runs), max(steps, 1), n))
+    step, update = bind(s)
+    before = eval_xtask(s)
+    for i in range(max(steps, 1)):
+        step_losses, grads = step(s["z"], s["y"])
+        losses[s["row"], i] = step_losses
+        bad = ~np.isfinite(step_losses) | (step_losses > DIVERGENCE_GUARD)
+        if bad.any():
+            dead = bad.any(axis=1)
+            for r in np.flatnonzero(dead):
+                j, row = int(np.argmax(bad[r])), s["row"][r]
+                results[row] = TrainingDivergence(
+                    f"{mode} run diverged at step {i}, task {runs[row].suite.tasks[j]}: "
+                    f"loss={float(step_losses[r, j])}"
+                )
+            s = {key: v[~dead] for key, v in s.items()}
+            if not s["row"].size:
+                return results
+            grads = grads[~dead]
+            step, update = bind(s)
+        if steps > 0:
+            update(grads)
+    after = eval_xtask(s)
+
+    for row, a in zip(s["row"], after):
+        run = runs[row]
+        results[row] = TrainLog(
+            mode=mode,
+            seed=run.seed,
+            tasks=run.suite.tasks,
+            losses=losses[row],
+            final_losses=losses[row, -1].copy(),
+            xtask_cosine_before=before[row],
+            xtask_cosine_after=a,
+            suite_fingerprint=run.suite.fingerprint(),
+            suite_params=run.suite.params_dict(),
+            steps=steps,
+            lr=lr,
+        )
+    return results
+
+
+def train_runs(runs, steps: int = 500, lr: float = 0.05, batch_size: int = 32) -> list:
+    """Full-batch gradient descent of many runs, each on its probe block only.
 
     Each task gets one fixed training batch of `batch_size` samples drawn up
-    front, so the loss series is deterministic and constant at lr=0.  Every
-    step runs one forward/backward over all tasks' stacked batches.
+    front from its run's seed, so the loss series is deterministic and
+    constant at lr=0.  Every step runs one forward/backward over all tasks'
+    stacked batches, and over every run that shares the layout: mode,
+    activation, weight shapes and group sizes in order.
 
     unified: one probe block, updated with the mean of all tasks' gradients.
     specialized: requires a plan; the shared branch moves by the mean of the
@@ -397,13 +543,17 @@ def train(
     task updates (whole probe for unified, shared branch for specialized)
     against noise-free targets: sampled target noise would swamp the
     systematic alignment signal near convergence.
+
+    Returns, in the order of `runs`, each run's TrainLog or the
+    TrainingDivergence that `train` raises for that run alone.
     """
-    if mode not in ("unified", "specialized"):
-        raise ValidationError(f"mode must be unified|specialized, got {mode!r}")
-    if mode == "specialized" and plan is None:
-        raise ValidationError("specialized mode requires a decomposition plan")
-    if mode == "unified" and plan is not None:
-        raise ValidationError("unified mode does not accept a plan")
+    for run in runs:
+        if run.mode not in ("unified", "specialized"):
+            raise ValidationError(f"mode must be unified|specialized, got {run.mode!r}")
+        if run.mode == "specialized" and run.plan is None:
+            raise ValidationError("specialized mode requires a decomposition plan")
+        if run.mode == "unified" and run.plan is not None:
+            raise ValidationError("unified mode does not accept a plan")
     if steps < 0:
         raise ValidationError(f"steps must be >= 0, got {steps}")
     if batch_size < 1:
@@ -411,77 +561,36 @@ def train(
     if not (np.isfinite(lr) and lr >= 0):
         raise ValidationError(f"lr must be finite and >= 0, got {lr}")
 
-    tasks = suite.tasks
-    batch_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(23,)))
-    eval_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(29,)))
-    x, y = _stack_batches(suite, batch_size, batch_rng)
-    eval_x, eval_y = _stack_batches(suite, EVAL_BATCH, eval_rng, clean=True)
-    # the trunk is frozen, so its features are computed once
-    z, eval_z = x @ model.trunk.T, eval_x @ model.trunk.T
+    stacks = {}
+    for i, run in enumerate(runs):
+        state, layout = _run_state(run, batch_size)
+        key = (layout, tuple((k, v.shape) for k, v in state.items()))
+        stacks.setdefault(key, []).append((i, state))
+    results = [None] * len(runs)
+    for (layout, _), members in stacks.items():
+        idx = [i for i, _ in members]
+        stack = _train_stack([runs[i] for i in idx], [st for _, st in members], layout, steps, lr)
+        for i, result in zip(idx, stack):
+            results[i] = result
+    return results
 
-    # Trainable weights live in two buffers: `shared` (flat) and `private`
-    # (one flat row per group); the matrices below are views into them.
-    if mode == "unified":
-        shared, shared_w = _pack([model.probe.w1, model.probe.w2])
-        private = None
-        act_name = model.activation
-    else:
-        plan.grouping.validate(tasks)
-        ffn = assemble(model.probe, plan)
-        shared, shared_w = _pack([ffn.shared_up, ffn.shared_down])
-        private, (private_up, private_down) = _pack(
-            [np.stack(ffn.private_up), np.stack(ffn.private_down)], lead=1
-        )
-        route = np.array([ffn.routing[t] for t in tasks])
-        members = [np.array([tasks.index(t) for t in g]) for g in plan.grouping.groups]
-        act_name = ffn.activation
 
-    def step(z, y):
-        branches = [shared_w]
-        if private is not None:
-            branches.append((private_up[route], private_down[route]))
-        return _routed_step(z, y, model.head, branches, act_name)
-
-    def eval_xtask():
-        # alignment on the weights every task updates: the shared buffer
-        _, grads = step(eval_z, eval_y)
-        return _xtask_cosines({t: grads[j, : shared.size] for j, t in enumerate(tasks)})
-
-    losses = np.zeros((max(steps, 1), len(tasks)))
-    before = eval_xtask()
-    for i in range(max(steps, 1)):
-        step_losses, grads = step(z, y)
-        bad = ~np.isfinite(step_losses) | (step_losses > DIVERGENCE_GUARD)
-        if bad.any():
-            j = int(np.argmax(bad))
-            raise TrainingDivergence(
-                f"{mode} run diverged at step {i}, task {tasks[j]}: loss={float(step_losses[j])}"
-            )
-        losses[i] = step_losses
-        if steps == 0:
-            break
-        if private is None:
-            # (lr * sum) / n, not lr * mean: the order the losses are pinned to
-            shared -= lr * grads.sum(axis=0) / len(tasks)
-            continue
-        means = np.array([grads[idx].sum(axis=0) / len(idx) for idx in members])
-        shared -= lr * means[:, : shared.size].mean(axis=0)
-        private -= lr * means[:, shared.size :]
-    after = eval_xtask()
-
-    return TrainLog(
-        mode=mode,
-        seed=seed,
-        tasks=tasks,
-        losses=losses,
-        final_losses=losses[-1].copy(),
-        xtask_cosine_before=before,
-        xtask_cosine_after=after,
-        suite_fingerprint=suite.fingerprint(),
-        suite_params=suite.params_dict(),
-        steps=steps,
-        lr=lr,
-    )
+def train(
+    model: ToyModel,
+    suite: SyntheticSuite,
+    mode: str,
+    plan=None,
+    steps: int = 500,
+    lr: float = 0.05,
+    batch_size: int = 32,
+    seed: int = 2343,
+) -> TrainLog:
+    """One run of `train_runs`; a divergence raises TrainingDivergence."""
+    result = train_runs([Run(model, suite, mode, plan, seed)], steps=steps, lr=lr,
+                        batch_size=batch_size)[0]
+    if isinstance(result, TrainingDivergence):
+        raise result
+    return result
 
 
 def similarity_delta(log_a: TrainLog, log_b: TrainLog) -> dict:

@@ -489,6 +489,15 @@ def test_negative_seed_exit_1(tmp_path, capsys, command, flag):
     assert not (tmp_path / "o").exists()
 
 
+def test_duplicate_seeds_exit_1(tmp_path, capsys):
+    rc = main(["simulate", "--theta", "80", "--seeds", "3,4,3", "--steps", "5",
+               "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == "error: --seeds lists seed 3 more than once\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_report_malformed_plan_report_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"conflict": {"delta": 0.1}}))
@@ -710,7 +719,14 @@ def test_stage_prefix_keeps_error_type_and_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("where", ["file", "file/sub"])
 @pytest.mark.parametrize("command", ["inspect", "group", "conflict", "subspace", "plan",
                                      "decompose", "simulate", "report"])
-def test_out_naming_a_file_exit_1(tmp_path, capsys, rng, command, where):
+def test_out_naming_a_file_exit_1(tmp_path, capsys, monkeypatch, rng, command, where):
+    import gdps.synth as synth
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    # --out is judged before any work: simulate builds no suite, inspect prints nothing
+    monkeypatch.setattr(synth, "make_suite", no_work)
     make_disk_bundle(tmp_path / "b")
     write_desk_weights(tmp_path, rng)
     _, plan_path = write_plan_file(tmp_path)
@@ -725,8 +741,9 @@ def test_out_naming_a_file_exit_1(tmp_path, capsys, rng, command, where):
         "report": ["--inputs", str(summary)],
     }.get(command, ["--bundle", str(tmp_path / "b")])
     rc = main([command, *argv, "--out", str(out)])
-    err = capsys.readouterr().err
-    assert rc == 1
+    captured = capsys.readouterr()
+    err = captured.err
+    assert rc == 1 and captured.out == ""
     assert err.count("\n") == 1 and err.startswith("error: cannot write ")
     assert str(out) in err and "Traceback" not in err
     assert (tmp_path / "file").read_text() == "keep"

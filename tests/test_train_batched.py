@@ -237,7 +237,7 @@ def test_divergence_guard_names_first_task_in_order(monkeypatch, step_losses, fi
         losses, grads = real_step(z, y, *args)
         calls.append(None)
         if len(calls) == 3:  # eval, step 0, step 1
-            losses = np.array(step_losses)
+            losses = np.array(step_losses).reshape(losses.shape)  # (1 run, 4 tasks)
         return losses, grads
 
     monkeypatch.setattr(synth, "_routed_step", fake_step)
