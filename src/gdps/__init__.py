@@ -65,6 +65,7 @@ from .grouping import (
     to_distance,
 )
 from .linalg import SvdResult, gini, svd, unit_rows
+from .report import TOOL_VERSION as __version__
 from .subspace import (
     CcaResult,
     SubspaceReport,
@@ -86,5 +87,3 @@ from .synth import (
     similarity_delta,
     train,
 )
-
-__version__ = "0.1.0"

@@ -578,9 +578,6 @@ def main(argv=None) -> int:
         if args.out is not None:
             _check_out(Path(args.out))
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -103,13 +103,13 @@ class ConflictReport:
         }
 
 
-def _maybe_subsample(matrix: np.ndarray, cap: int, seed: int, task: str) -> np.ndarray:
-    """At most `cap` rows, drawn from (seed, task) only: the same in every pair."""
-    if matrix.shape[0] <= cap:
+def _maybe_subsample(matrix: np.ndarray, seed: int, task: str) -> np.ndarray:
+    """At most `SAMPLE_CAP` rows, drawn from (seed, task) only: the same in every pair."""
+    if matrix.shape[0] <= SAMPLE_CAP:
         return matrix
     task_key = int.from_bytes(task.encode("utf-8"), "little")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, task_key]))
-    pick = np.sort(rng.choice(matrix.shape[0], size=cap, replace=False))
+    pick = np.sort(rng.choice(matrix.shape[0], size=SAMPLE_CAP, replace=False))
     return matrix[pick]
 
 
@@ -130,11 +130,11 @@ class _TaskRows:
         return self.unit.shape[0]
 
 
-def _task_rows(bundle, task, layer, cap, seed, need_pairs=False) -> _TaskRows:
+def _task_rows(bundle, task, layer, seed, need_pairs=False) -> _TaskRows:
     g = gb.sample_gradients(bundle, task, layer)
     if need_pairs and g.shape[0] < 2:
         raise ValidationError(f"self_similarity needs >= 2 samples for ({task}, {layer})")
-    g = _maybe_subsample(g, cap, seed, task)
+    g = _maybe_subsample(g, seed, task)
     unit, ok = unit_rows(g)
     if not ok.all():
         unit = unit[ok]
@@ -161,11 +161,9 @@ def _nonneg_pairs(a: _TaskRows, b: _TaskRows) -> int:
     return int(np.count_nonzero(a.unit @ b.unit.T >= 0.0))
 
 
-def self_similarity(
-    bundle: gb.GradientBundle, task: str, layer: str, cap: int = SAMPLE_CAP, seed: int = 2343
-) -> float:
+def self_similarity(bundle: gb.GradientBundle, task: str, layer: str, seed: int = 2343) -> float:
     """Mean cosine over all unordered sample pairs within one task."""
-    return _self_mean(_task_rows(bundle, task, layer, cap, seed, need_pairs=True))
+    return _self_mean(_task_rows(bundle, task, layer, seed, need_pairs=True))
 
 
 def cross_similarity(
@@ -173,7 +171,6 @@ def cross_similarity(
     task_a: str,
     task_b: str,
     layer: str,
-    cap: int = SAMPLE_CAP,
     seed: int = 2343,
 ) -> float:
     """Mean cosine over the full cross product of two tasks' sample rows.
@@ -183,13 +180,11 @@ def cross_similarity(
     """
     task_a, task_b = sorted((task_a, task_b))
     return _cross_mean(
-        _task_rows(bundle, task_a, layer, cap, seed), _task_rows(bundle, task_b, layer, cap, seed)
+        _task_rows(bundle, task_a, layer, seed), _task_rows(bundle, task_b, layer, seed)
     )
 
 
-def layer_conflict(
-    bundle: gb.GradientBundle, layer: str, cap: int = SAMPLE_CAP, seed: int = 2343
-) -> LayerConflict:
+def layer_conflict(bundle: gb.GradientBundle, layer: str, seed: int = 2343) -> LayerConflict:
     """Per-layer S_self, S_cross, their gap delta, and cross-pair purity.
 
     Each task's rows are subsampled and normalised once, and reduced to
@@ -201,7 +196,7 @@ def layer_conflict(
     if len(tasks) < 2:
         raise ValidationError(">= 2 tasks required for cross-task conflict analysis")
 
-    parts = [_task_rows(bundle, t, layer, cap, seed, need_pairs=True) for t in tasks]
+    parts = [_task_rows(bundle, t, layer, seed, need_pairs=True) for t in tasks]
     pairs = list(combinations(parts, 2))
 
     s_self = float(np.mean([_self_mean(t) for t in parts]))
@@ -256,14 +251,15 @@ def ratio_branch(delta: float, thresholds: RatioThresholds = RatioThresholds()) 
     return f"delta >= {thresholds.high}"
 
 
-def rank_layers(
-    bundle: gb.GradientBundle, layers=None, cap: int = SAMPLE_CAP, seed: int = 2343
-) -> list[LayerConflict]:
+def rank_layers(bundle: gb.GradientBundle, layers=None, seed: int = 2343) -> list[LayerConflict]:
     """Layers sorted by delta desc; ties broken by lower purity, then id."""
     layers = list(layers) if layers is not None else list(bundle.layers)
     if not layers:
         raise ValidationError("rank_layers needs at least one layer")
-    reports = [layer_conflict(bundle, l, cap, seed) for l in layers]
+    repeated = [l for i, l in enumerate(layers) if l in layers[:i]]
+    if repeated:
+        raise ValidationError(f"candidate layers list {repeated[0]} more than once")
+    reports = [layer_conflict(bundle, l, seed) for l in layers]
     return sorted(reports, key=lambda r: (-r.delta, r.purity, r.layer))
 
 
@@ -271,12 +267,11 @@ def conflict_report(
     bundle: gb.GradientBundle,
     candidate_layers=None,
     thresholds: RatioThresholds = RatioThresholds(),
-    cap: int = SAMPLE_CAP,
     seed: int = 2343,
 ) -> ConflictReport:
     """Full Method-B result: ranked layers, aggregate delta, shared ratio."""
     candidates = tuple(candidate_layers) if candidate_layers else tuple(bundle.layers)
-    ranked = rank_layers(bundle, candidates, cap, seed)
+    ranked = rank_layers(bundle, candidates, seed)
     delta = aggregate_delta(ranked, candidates)
     ratio = map_shared_ratio(delta, thresholds)
     warnings = []

@@ -11,7 +11,7 @@ reproducible across platforms and thread counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,41 +20,45 @@ from .errors import ValidationError
 from .linalg import unit_rows
 
 DEFAULT_GROUPS = 2
+MATRIX_TOL = 1e-12
+KMEANS_RESTARTS = 10
+KMEANS_MAX_ITER = 100
+
+
+def _check_matrix(kind: str, tasks, m: np.ndarray, diag: float, lo: float, hi: float) -> None:
+    """Square over `tasks`, symmetric, `diag` on the diagonal, entries in [lo, hi]."""
+    n = len(tasks)
+    if m.shape != (n, n):
+        raise ValidationError(f"{kind} matrix shape {m.shape} != ({n}, {n})")
+    if not np.allclose(m, m.T, atol=MATRIX_TOL):
+        raise ValidationError(f"{kind} matrix is not symmetric")
+    if not np.allclose(np.diag(m), diag, atol=MATRIX_TOL):
+        raise ValidationError(f"{kind} matrix diagonal is not {diag:g}")
+    if m.min() < lo - MATRIX_TOL or m.max() > hi + MATRIX_TOL:
+        raise ValidationError(f"{kind} entries outside [{lo:g}, {hi:g}]")
 
 
 @dataclass(frozen=True)
 class SimilarityMatrix:
+    """Task cosines; checked when built."""
+
     tasks: tuple[str, ...]
     s: np.ndarray
     degenerate_count: int = 0
 
-    def validate(self, tol: float = 1e-12) -> None:
-        n = len(self.tasks)
-        if self.s.shape != (n, n):
-            raise ValidationError(f"similarity matrix shape {self.s.shape} != ({n}, {n})")
-        if not np.allclose(self.s, self.s.T, atol=tol):
-            raise ValidationError("similarity matrix is not symmetric")
-        if not np.allclose(np.diag(self.s), 1.0, atol=tol):
-            raise ValidationError("similarity matrix diagonal is not 1")
-        if self.s.max() > 1 + tol or self.s.min() < -1 - tol:
-            raise ValidationError("similarity entries outside [-1, 1]")
+    def __post_init__(self):
+        _check_matrix("similarity", self.tasks, self.s, 1.0, -1.0, 1.0)
 
 
 @dataclass(frozen=True)
 class DistanceMatrix:
+    """Task distances d = 1 - s; checked when built."""
+
     tasks: tuple[str, ...]
     d: np.ndarray
 
-    def validate(self, tol: float = 1e-12) -> None:
-        n = len(self.tasks)
-        if self.d.shape != (n, n):
-            raise ValidationError(f"distance matrix shape {self.d.shape} != ({n}, {n})")
-        if not np.allclose(self.d, self.d.T, atol=tol):
-            raise ValidationError("distance matrix is not symmetric")
-        if not np.allclose(np.diag(self.d), 0.0, atol=tol):
-            raise ValidationError("distance matrix diagonal is not 0")
-        if self.d.min() < -tol or self.d.max() > 2 + tol:
-            raise ValidationError("distance entries outside [0, 2]")
+    def __post_init__(self):
+        _check_matrix("distance", self.tasks, self.d, 0.0, 0.0, 2.0)
 
 
 @dataclass(frozen=True)
@@ -131,19 +135,14 @@ def similarity_matrix(bundle: gb.GradientBundle, layer: str) -> SimilarityMatrix
     np.fill_diagonal(s, 1.0)
     n, c = len(tasks), int(ok.sum())
     degenerate = n * (n - 1) // 2 - c * (c - 1) // 2
-    out = SimilarityMatrix(tuple(tasks), s, degenerate_count=degenerate)
-    out.validate()
-    return out
+    return SimilarityMatrix(tuple(tasks), s, degenerate_count=degenerate)
 
 
 def to_distance(sim: SimilarityMatrix) -> DistanceMatrix:
     """Elementwise d = 1 - s with an exactly-zero diagonal."""
-    sim.validate()
     d = 1.0 - sim.s
     np.fill_diagonal(d, 0.0)
-    out = DistanceMatrix(sim.tasks, d)
-    out.validate()
-    return out
+    return DistanceMatrix(sim.tasks, d)
 
 
 @dataclass(frozen=True)
@@ -152,10 +151,9 @@ class KmeansState:
     assignments: np.ndarray
     inertia: float
     iterations: int
-    restarts: int = field(default=1)
 
 
-def _kmeans_once(points: np.ndarray, k: int, rng: np.random.Generator, max_iter: int):
+def _kmeans_once(points: np.ndarray, k: int, rng: np.random.Generator):
     n = points.shape[0]
     # k-means++ seeding.
     centroids = np.empty((k, points.shape[1]))
@@ -174,7 +172,7 @@ def _kmeans_once(points: np.ndarray, k: int, rng: np.random.Generator, max_iter:
 
     assign = np.full(n, -1)
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, KMEANS_MAX_ITER + 1):
         dist2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         new_assign = dist2.argmin(axis=1)
         if (new_assign == assign).all():
@@ -194,14 +192,8 @@ def _kmeans_once(points: np.ndarray, k: int, rng: np.random.Generator, max_iter:
     return centroids, assign, inertia, it
 
 
-def kmeans(
-    points,
-    k: int,
-    seed: int,
-    restarts: int = 10,
-    max_iter: int = 100,
-) -> KmeansState:
-    """Lloyd k-means, best of `restarts` seeded runs by inertia."""
+def kmeans(points, k: int, seed: int) -> KmeansState:
+    """Lloyd k-means, best of `KMEANS_RESTARTS` seeded k-means++ runs by inertia."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
         raise ValidationError("kmeans expects a 2-D array of feature vectors")
@@ -210,15 +202,15 @@ def kmeans(
         raise ValidationError("kmeans needs k >= 1")
     if k > n:
         raise ValidationError(f"kmeans needs k <= n ({k} > {n})")
-    streams = np.random.SeedSequence(seed).spawn(restarts)
+    streams = np.random.SeedSequence(seed).spawn(KMEANS_RESTARTS)
     best = None
     for stream in streams:
         rng = np.random.default_rng(stream)
-        cent, assign, inertia, it = _kmeans_once(pts, k, rng, max_iter)
+        cent, assign, inertia, it = _kmeans_once(pts, k, rng)
         if best is None or inertia < best[2] - 1e-15:
             best = (cent, assign, inertia, it)
     cent, assign, inertia, it = best
-    return KmeansState(cent, assign, inertia, it, restarts=restarts)
+    return KmeansState(cent, assign, inertia, it)
 
 
 def linkage_merges(dist: DistanceMatrix):
@@ -227,7 +219,6 @@ def linkage_merges(dist: DistanceMatrix):
     Clusters are named by their lexicographically smallest member; when several
     pairs tie on distance, the pair with the smallest (name_a, name_b) merges.
     """
-    dist.validate()
     tasks = dist.tasks
     clusters: list[set[str]] = [{t} for t in tasks]
     idx = {t: i for i, t in enumerate(tasks)}
@@ -258,7 +249,6 @@ def _replay_merges(tasks, merges) -> list[set[str]]:
 
 def single_linkage(dist: DistanceMatrix, k: int) -> GroupingPlan:
     """Merge the closest clusters until k remain: the first n - k merges of `linkage_merges`."""
-    dist.validate()
     n = len(dist.tasks)
     if not 1 <= k <= n:
         raise ValidationError(f"single_linkage needs 1 <= k <= {n}, got {k}")

@@ -50,8 +50,8 @@ class PipelineReport:
     warnings: tuple[str, ...] = field(default=())
     tool_version: str = TOOL_VERSION
 
-    def to_dict(self, with_timestamp: bool = True) -> dict:
-        d = {
+    def to_dict(self) -> dict:
+        return {
             "tool_version": self.tool_version,
             "bundle_fingerprint": self.bundle_fingerprint,
             "tasks": list(self.tasks),
@@ -66,10 +66,8 @@ class PipelineReport:
             "flags": self.flags,
             "flag_provenance": default_provenance(),
             "warnings": list(self.warnings),
+            "timestamp": datetime.now(timezone.utc).isoformat(),
         }
-        if with_timestamp:
-            d["timestamp"] = datetime.now(timezone.utc).isoformat()
-        return d
 
     def to_json(self) -> str:
         return dump_json(self.to_dict())

@@ -53,17 +53,16 @@ def energy_proportions(
     layer: str,
     k: int = DEFAULT_TOP_K,
     joint: SvdResult | None = None,
-    normalize_rows: bool = False,
 ):
     """Per-task energies E_i = sum_{j<k} ||G_i v_j||^2 and shares p_i.
 
     G_i v_j = sigma_j U[rows_i, j], so E_i = sum_{j<k} sigma_j^2 ||U[rows_i, j]||^2
     comes from the joint factor alone; no task is read again.  `joint` must
-    come from `joint_svd` of the same bundle and layer; `normalize_rows` only
-    applies when `joint` is computed here.
+    come from `joint_svd` of the same bundle and layer, and carries its
+    `normalize_rows`; without it the raw rows are factored here.
     """
     if joint is None:
-        joint = joint_svd(bundle, layer, normalize_rows=normalize_rows)
+        joint = joint_svd(bundle, layer)
     available = joint.sigma.size
     if not 1 <= k <= available:
         raise ValidationError(f"top-k must be in [1, {available}], got {k}")
@@ -80,20 +79,13 @@ def energy_proportions(
     return energies, energies / total
 
 
-def spectrum_stats(sigma, k: int | None = None) -> tuple[float, float]:
-    """(top1 energy share, Gini) over squared singular values.
-
-    With k set, only the leading k values enter; default is the full spectrum.
-    """
+def spectrum_stats(sigma) -> tuple[float, float]:
+    """(top1 energy share, Gini) over the full spectrum of squared singular values."""
     s = np.asarray(sigma, dtype=np.float64).ravel()
     if s.size == 0:
         raise ValidationError("empty spectrum")
     if (np.diff(s) > 1e-12).any():
         raise ValidationError("spectrum must be non-increasing")
-    if k is not None:
-        if not 1 <= k <= s.size:
-            raise ValidationError(f"k must be in [1, {s.size}], got {k}")
-        s = s[:k]
     energies = s**2
     total = energies.sum()
     if total <= 0.0:
@@ -109,12 +101,11 @@ class CcaResult:
     lam: float
 
 
-def _dual_factor(a: np.ndarray, center: bool, lam: float) -> SvdResult:
-    """Per-side factor of ridge CCA: thin SVD of A/sqrt(m).
+def _dual_factor(a: np.ndarray, lam: float) -> SvdResult:
+    """Per-side factor of ridge CCA: thin SVD of A/sqrt(m), A column-centred.
 
-    A is column-centred first when `center` is set.  It depends on one task
-    and its row count only, so a pairwise report computes it once per task.
-    It comes from the Gram matrix of the short side (`gram_svd`), so a wide
+    It depends on one task and its row count only, so a pairwise report
+    computes it once per task.  It comes from the Gram matrix of the short side (`gram_svd`), so a wide
     side costs an m x m eigenproblem, not a d-wide SVD.  At lam = 0 the
     side's covariance V diag(s^2) V^T must be invertible: a factor with
     fewer sigma than columns, or with sigma_min^2 at the floor
@@ -122,10 +113,9 @@ def _dual_factor(a: np.ndarray, center: bool, lam: float) -> SvdResult:
     SingularCovarianceError.
     """
     m, cols = a.shape
-    if center:
-        if m < 2:
-            raise ValidationError("centered covariance needs at least 2 rows")
-        a = a - a.mean(axis=0)
+    if m < 2:
+        raise ValidationError("centered covariance needs at least 2 rows")
+    a = a - a.mean(axis=0)
     f = gram_svd(a / np.sqrt(m))
     if lam <= 0.0:
         floor = max(cols * f.sigma[0] ** 2, 1.0) * np.finfo(np.float64).eps
@@ -153,7 +143,7 @@ def _dual_core(ua, sa, ub, sb, lam: float):
     return float(np.clip(s[0], 0.0, 1.0)), u[:, 0], vh[0, :]
 
 
-def ridge_cca(g_a, g_b, lam: float = DEFAULT_LAMBDA, center: bool = True) -> CcaResult:
+def ridge_cca(g_a, g_b, lam: float = DEFAULT_LAMBDA) -> CcaResult:
     """Leading canonical correlation with ridge lam*I on both auto-covariances.
 
     rho is the leading singular value of the whitened cross-covariance
@@ -174,8 +164,8 @@ def ridge_cca(g_a, g_b, lam: float = DEFAULT_LAMBDA, center: bool = True) -> Cca
         raise ValidationError(f"row-count mismatch: {a.shape[0]} vs {b.shape[0]}")
     if not (np.isfinite(lam) and lam >= 0):
         raise ValidationError(f"lambda must be finite and >= 0, got {lam}")
-    fa = _dual_factor(a, center, lam)
-    fb = _dual_factor(b, center, lam)
+    fa = _dual_factor(a, lam)
+    fb = _dual_factor(b, lam)
     rho, x, y = _dual_core(fa.u, fa.sigma, fb.u, fb.sigma, lam)
     w_a = fa.v @ (x / np.sqrt(fa.sigma**2 + lam))
     w_b = fb.v @ (y / np.sqrt(fb.sigma**2 + lam))
@@ -208,7 +198,6 @@ class SubspaceReport:
     layer: str
     k: int
     sigma: np.ndarray
-    v_k: np.ndarray
     energies: np.ndarray
     proportions: np.ndarray
     top1_share: float
@@ -251,9 +240,7 @@ def subspace_report(
     warnings = []
     if k_eff != k:
         warnings.append(f"top-k clipped from {k} to the spectrum size {k_eff}")
-    energies, proportions = energy_proportions(
-        bundle, layer, k_eff, joint=joint, normalize_rows=normalize_rows
-    )
+    energies, proportions = energy_proportions(bundle, layer, k_eff, joint=joint)
     top1, g = spectrum_stats(joint.sigma)
 
     tasks = bundle.tasks
@@ -264,7 +251,7 @@ def subspace_report(
 
     def factor(i, m):
         if (i, m) not in factors:
-            f = _dual_factor(samples[i][:m], center=True, lam=lam)
+            f = _dual_factor(samples[i][:m], lam)
             factors[i, m] = f.u, f.sigma
         return factors[i, m]
 
@@ -293,7 +280,6 @@ def subspace_report(
         layer=layer,
         k=k_eff,
         sigma=joint.sigma,
-        v_k=joint.v[:, :k_eff],
         energies=energies,
         proportions=proportions,
         top1_share=top1,

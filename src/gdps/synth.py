@@ -31,6 +31,8 @@ from .grouping import GroupingPlan
 from .linalg import unit_rows
 
 PROBE_LAYER = "probe"
+SCALE_JITTER = 0.1  # sd of a planted row's scale around 1
+INIT_SCALE = 0.3  # probe FFN weights are INIT_SCALE / sqrt(fan_in) times N(0, 1)
 
 
 def _orthonormal_columns(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -110,15 +112,13 @@ def planted_bundle(
     m: int,
     seed: int,
     spread_deg: float = 5.0,
-    scale_jitter: float = 0.1,
-    sample_noise: float = 0.0,
     layer: str = PROBE_LAYER,
     task_names=None,
 ) -> GradientBundle:
     """Gradient bundle whose rows are planted directions times positive scales.
 
-    With sample_noise=0 every mean gradient is exactly proportional to its
-    task direction, so measured similarities equal the planted cosines.
+    Every mean gradient is exactly proportional to its task direction, so
+    measured similarities equal the planted cosines.
     """
     tasks = list(task_names) if task_names else [f"t{i}" for i in range(n_tasks)]
     if len(tasks) != n_tasks:
@@ -128,10 +128,8 @@ def planted_bundle(
     dirs = _planted_directions(plan, tasks, theta_deg, spread_deg, d, rng)
     matrices = []
     for task in tasks:
-        scales = np.abs(1.0 + scale_jitter * rng.standard_normal(m))
-        rows = scales[:, None] * dirs[task][None, :]
-        rows += sample_noise * rng.standard_normal((m, d))
-        matrices.append(GradientMatrix(task, layer, rows))
+        scales = np.abs(1.0 + SCALE_JITTER * rng.standard_normal(m))
+        matrices.append(GradientMatrix(task, layer, scales[:, None] * dirs[task][None, :]))
     return GradientBundle.from_matrices(matrices)
 
 
@@ -236,7 +234,6 @@ def make_model(
     d_model: int = 16,
     d_ff: int = 32,
     seed: int = 2343,
-    init_scale: float = 0.3,
     activation: str = "silu",
 ) -> ToyModel:
     if d_model < max(suite.d_in, suite.d_out):
@@ -247,8 +244,8 @@ def make_model(
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(13,)))
     trunk = _orthonormal_columns(d_model, suite.d_in, rng)  # d_model x d_in
     head = _orthonormal_columns(d_model, suite.d_out, rng).T  # d_out x d_model
-    w1 = init_scale / np.sqrt(d_model) * rng.standard_normal((d_ff, d_model))
-    w2 = init_scale / np.sqrt(d_ff) * rng.standard_normal((d_model, d_ff))
+    w1 = INIT_SCALE / np.sqrt(d_model) * rng.standard_normal((d_ff, d_model))
+    w2 = INIT_SCALE / np.sqrt(d_ff) * rng.standard_normal((d_model, d_ff))
     probe = UnifiedFfnWeights(d_model=d_model, d_ff=d_ff, w1=w1, w2=w2)
     return ToyModel(trunk=trunk, head=head, probe=probe, activation=activation)
 

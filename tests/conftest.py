@@ -16,6 +16,17 @@ def tiny_bundle(rows_by_task, layer="L0"):
     return GradientBundle.from_matrices(mats)
 
 
+def two_layer_bundle():
+    """Two planted tasks at 75 degrees on L0 and 10 degrees on L1."""
+    from gdps.synth import planted_bundle
+
+    mats = []
+    for theta, layer in ((75.0, "L0"), (10.0, "L1")):
+        b = planted_bundle(2, [[0], [1]], theta, d=8, m=4, seed=7, spread_deg=0.0, layer=layer)
+        mats += list(b.entries.values())
+    return GradientBundle.from_matrices(mats)
+
+
 def four_language_distances():
     """Distance fixture completed from the two published separations.
 

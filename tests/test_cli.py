@@ -14,6 +14,8 @@ from gdps.errors import BundleFormatError
 from gdps.report import hash_excluding_timestamp
 from gdps.synth import planted_bundle
 
+from conftest import two_layer_bundle
+
 CANONICAL_THETA = float(np.degrees(np.arccos(0.925)))
 
 
@@ -495,6 +497,18 @@ def test_duplicate_seeds_exit_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert err == "error: --seeds lists seed 3 more than once\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["conflict", "plan"])
+def test_repeated_candidate_layer_exit_1(tmp_path, capsys, command):
+    write_bundle(two_layer_bundle(), tmp_path / "b")
+    rc = main([command, "--bundle", str(tmp_path / "b"), "--layers", "L0,L1,L1",
+               "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "candidate layers list L1 more than once" in captured.err
+    assert captured.out == ""
     assert not (tmp_path / "o").exists()
 
 

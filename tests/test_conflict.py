@@ -19,7 +19,7 @@ from gdps.conflict import (
 from gdps.errors import ValidationError
 from gdps.synth import planted_bundle
 
-from conftest import tiny_bundle
+from conftest import tiny_bundle, two_layer_bundle
 
 
 def brute_self(rows):
@@ -247,6 +247,16 @@ def test_rank_layers_purity_tiebreak():
     assert [r.layer for r in ordered] == ["B", "A"]
 
 
+def test_conflict_report_rejects_a_repeated_candidate_layer():
+    b = two_layer_bundle()
+    rep = conflict_report(b, ["L0", "L1"])
+    assert [lc.layer for lc in rep.layers] == ["L0", "L1"]
+    with pytest.raises(ValidationError, match="candidate layers list L1 more than once"):
+        conflict_report(b, ["L0", "L1", "L1"])
+    with pytest.raises(ValidationError, match="L0 more than once"):
+        rank_layers(b, ["L0", "L1", "L0"])
+
+
 def test_conflict_report_end_to_end():
     theta = float(np.degrees(np.arccos(0.925)))
     b = planted_bundle(4, [[0], [1], [2], [3]], theta, d=16, m=4, seed=9,
@@ -261,12 +271,15 @@ def test_conflict_report_end_to_end():
 
 
 def test_subsample_cap_applies_and_deterministic(rng):
-    rows = rng.standard_normal((40, 6))
+    # 600 rows exceed SAMPLE_CAP, so self_similarity draws SAMPLE_CAP of them
+    rows = rng.standard_normal((600, 6)).astype(np.float32).astype(np.float64)
     b = tiny_bundle({"a": rows, "b": rows[:5]})
-    full = self_similarity(b, "a", "L0")
-    capped_1 = self_similarity(b, "a", "L0", cap=12, seed=3)
-    capped_2 = self_similarity(b, "a", "L0", cap=12, seed=3)
+    unit = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    full = float((unit @ unit.T)[np.triu_indices(600, 1)].mean())
+    capped_1 = self_similarity(b, "a", "L0", seed=3)
+    capped_2 = self_similarity(b, "a", "L0", seed=3)
     assert capped_1 == capped_2
+    assert abs(capped_1 - full) > 1e-9  # not the mean over all 600 rows
     assert abs(capped_1 - full) < 0.5  # subsample approximates, deterministically
 
 

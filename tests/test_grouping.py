@@ -97,6 +97,30 @@ def test_to_distance_published_values():
         assert dist.d[0, 0] == 0.0
 
 
+def _bad_matrices(ok):
+    """`ok` made asymmetric, off on the diagonal, and out of range in turn."""
+    asym = ok.copy()
+    asym[0, 1] += 0.1
+    diag = ok.copy()
+    diag[1, 1] += 0.1
+    wide = ok.copy()
+    wide[0, 2] = wide[2, 0] = 2.5
+    return {"not symmetric": asym, "diagonal is not": diag, "outside": wide}
+
+
+@pytest.mark.parametrize("kind", ["similarity", "distance"])
+def test_matrices_are_checked_when_built(kind):
+    tasks = ("a", "b", "c")
+    ok = np.eye(3) if kind == "similarity" else 1.0 - np.eye(3)
+    build = SimilarityMatrix if kind == "similarity" else DistanceMatrix
+    build(tasks, ok)
+    for message, bad in _bad_matrices(ok).items():
+        with pytest.raises(ValidationError, match=f"{kind} .*{message}"):
+            build(tasks, bad)
+    with pytest.raises(ValidationError, match="shape"):
+        build(tasks[:2], ok)
+
+
 def test_kmeans_separated_1d():
     pts = np.array([[0.0], [0.1], [10.0], [10.1]])
     state = kmeans(pts, 2, seed=5)

@@ -160,7 +160,9 @@ def test_energy_normalized_rows_from_the_joint_factor(rng):
     rows = {t: rng.standard_normal((m, 9)) * (1.0 + 10.0 * rng.random((m, 1)))
             for t, m in (("a", 4), ("b", 6))}
     unit = {t: g / np.linalg.norm(g, axis=1, keepdims=True) for t, g in rows.items()}
-    energies, props = energy_proportions(tiny_bundle(rows), "L0", k=3, normalize_rows=True)
+    b = tiny_bundle(rows)
+    joint = joint_svd(b, "L0", normalize_rows=True)
+    energies, props = energy_proportions(b, "L0", k=3, joint=joint)
     want, want_props = energy_proportions(tiny_bundle(unit), "L0", k=3)
     assert np.allclose(energies, want, rtol=1e-6)
     assert np.allclose(props, want_props, rtol=1e-6)
@@ -209,8 +211,6 @@ def test_spectrum_stats_validation():
         spectrum_stats([0.0, 0.0])
     with pytest.raises(ValidationError):
         spectrum_stats([1.0, 2.0])  # increasing
-    top1, _ = spectrum_stats([3.0, 1.0, 1.0, 1.0], k=2)
-    assert abs(top1 - 0.9) < 1e-12  # truncated spectrum
 
 
 def test_cca_self_correlation_full_rank(rng):
@@ -348,8 +348,6 @@ def test_subspace_report_fields(rng):
     rep = subspace_report(b, "L0", k=4, lam=1e-3)
     assert rep.k == 4
     assert abs(rep.proportions.sum() - 1.0) < 1e-9
-    assert rep.v_k.shape == (10, 4)
-    assert np.allclose(rep.v_k.T @ rep.v_k, np.eye(4), atol=1e-8)
     assert 0.0 < rep.top1_share <= 1.0
     assert np.allclose(rep.cca, rep.cca.T, atol=1e-10)
     assert np.all(rep.cca >= -1e-12) and np.all(rep.cca <= 1.0 + 1e-12)
