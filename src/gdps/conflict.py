@@ -219,11 +219,19 @@ def layer_conflict(bundle: gb.GradientBundle, layer: str, seed: int = 2343) -> L
     )
 
 
+def _reject_repeats(layers: list) -> None:
+    """A candidate layer listed twice would count twice in every mean over the set."""
+    repeated = [l for i, l in enumerate(layers) if l in layers[:i]]
+    if repeated:
+        raise ValidationError(f"candidate layers list {repeated[0]} more than once")
+
+
 def aggregate_delta(reports, candidate_layers) -> float:
     """Arithmetic mean of per-layer deltas over the candidate set."""
     candidates = list(candidate_layers)
     if not candidates:
         raise ValidationError("candidate layer set is empty")
+    _reject_repeats(candidates)
     by_layer = {r.layer: r for r in reports}
     missing = [l for l in candidates if l not in by_layer]
     if missing:
@@ -256,9 +264,7 @@ def rank_layers(bundle: gb.GradientBundle, layers=None, seed: int = 2343) -> lis
     layers = list(layers) if layers is not None else list(bundle.layers)
     if not layers:
         raise ValidationError("rank_layers needs at least one layer")
-    repeated = [l for i, l in enumerate(layers) if l in layers[:i]]
-    if repeated:
-        raise ValidationError(f"candidate layers list {repeated[0]} more than once")
+    _reject_repeats(layers)
     reports = [layer_conflict(bundle, l, seed) for l in layers]
     return sorted(reports, key=lambda r: (-r.delta, r.purity, r.layer))
 

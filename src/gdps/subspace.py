@@ -1,18 +1,19 @@
 """Joint gradient subspace analysis: stacked SVD, energy shares, ridge CCA.
 
 All tasks' gradient matrices at a layer are stacked row-wise (in bundle task
-order, row-normalised on request) and factored once.  Each task's energy is
-its rows' part of the top-k joint energy, read from that one factor, and the
+order, row-normalised on request) and factored once, from one `eigh` of the
+Gram matrix of the stack's short side: sigma = sqrt(max(lambda, 0)) and the
+left factor U, with no long-side projection.  Each task's energy is its
+rows' part of the top-k joint energy, read from sigma and U alone, and the
 energy proportions p_i decide how much residual capacity each group later
 receives.  Pairwise subspace alignment is measured by the leading
 ridge-regularized canonical correlation, computed one way for every shape:
-each side's centred rows are factored once and every pair only solves a
-small core built from the two factors (canonical correlations from the
-factors of each side, Bjorck & Golub 1973; the factor-then-correlate
-structure of SVCCA).  Both the joint stack and each task's centred rows are
-factored from the Gram matrix of their short side (`linalg.gram_svd`); for a
-task's rows that is the dual, kernel form of ridge CCA (Hardoon et al.
-2004).  At lambda = 0 a rank-deficient factor has no whitening and raises
+each side's centred rows are factored once (`linalg.gram_svd`; the dual,
+kernel form of ridge CCA, Hardoon et al. 2004) and every pair only builds a
+small core from the two factors (canonical correlations from the factors of
+each side, Bjorck & Golub 1973; the factor-then-correlate structure of
+SVCCA).  A report takes every rho from one values-only SVD call per core
+shape.  At lambda = 0 a rank-deficient factor has no whitening and raises
 SingularCovarianceError.
 """
 
@@ -32,20 +33,69 @@ DEFAULT_TOP_K = 10
 DEFAULT_LAMBDA = 1e-3
 
 
+def _samples(bundle: gb.GradientBundle, layer: str) -> list[np.ndarray]:
+    """Each task's sample rows at a layer, in bundle task order, as float64."""
+    return [gb.sample_gradients(bundle, t, layer).astype(np.float64) for t in bundle.tasks]
+
+
+def _stack(samples: list[np.ndarray], normalize_rows: bool) -> np.ndarray:
+    """The row-wise stack of all tasks' samples, each row made unit on request."""
+    return np.vstack([unit_rows(g)[0] if normalize_rows else g for g in samples])
+
+
+def _joint_factor(x: np.ndarray):
+    """(sigma, u, v) of the stack x from one eigh of its short-side Gram.
+
+    sigma = sqrt(max(lambda, 0)) from the eigenvalues, non-increasing.  For a
+    wide x (rows <= cols) u is the eigenvector matrix itself and v is None:
+    no long-side projection is formed.  For a tall x v is the eigenvector
+    matrix and u = x v / sigma, zero where sigma is 0.
+    """
+    wide = x.shape[0] <= x.shape[1]
+    lam, q = np.linalg.eigh(x @ x.T if wide else x.T @ x)
+    sigma = np.sqrt(np.maximum(lam[::-1], 0.0))
+    q = q[:, ::-1]
+    if wide:
+        return sigma, q, None
+    return sigma, (x @ q) * _reciprocal(sigma), q
+
+
+def _reciprocal(sigma: np.ndarray) -> np.ndarray:
+    """1 / sigma, and 0 where sigma is 0."""
+    return np.divide(1.0, sigma, out=np.zeros_like(sigma), where=sigma > 0.0)
+
+
 def joint_svd(bundle: gb.GradientBundle, layer: str, normalize_rows: bool = False) -> SvdResult:
     """Thin SVD of the row-wise stack of all tasks' matrices at a layer.
 
-    It comes from the Gram matrix of the stack's short side (`gram_svd`):
-    sigma**2, and so every energy, share, Gini and top-1 value taken from
-    it, is accurate to about eps * sigma[0]**2.  A sigma below about
-    sqrt(eps) * sigma[0] resolves only to about 1e-8 * sigma[0], and where
-    sigma is 0 the matching column of v is zero.
+    sigma and u are the factor `subspace_report` reads, from one `eigh` of
+    the Gram matrix of the stack's short side; for a wide stack v = X^T u /
+    sigma, zero where sigma is 0.  sigma**2, and so every energy, share,
+    Gini and top-1 value taken from it, is accurate to about
+    eps * sigma[0]**2.  A tail sigma resolves only to about sqrt(eps) *
+    sigma[0] (a zero direction reported up to 2.9e-8 * sigma[0] on stacks
+    with duplicated tasks), and its column of v is only as accurate as that.
     """
-    blocks = []
-    for task in bundle.tasks:
-        g = gb.sample_gradients(bundle, task, layer).astype(np.float64)
-        blocks.append(unit_rows(g)[0] if normalize_rows else g)
-    return gram_svd(np.vstack(blocks))
+    x = _stack(_samples(bundle, layer), normalize_rows)
+    sigma, u, v = _joint_factor(x)
+    if v is None:
+        v = (x.T @ u) * _reciprocal(sigma)
+    return SvdResult(u, sigma, v)
+
+
+def _task_energies(u: np.ndarray, sigma: np.ndarray, rows: list[int], k: int, layer: str):
+    """(E_i, p_i) of tasks whose rows are consecutive blocks of `rows` rows of u."""
+    available = sigma.size
+    if not 1 <= k <= available:
+        raise ValidationError(f"top-k must be in [1, {available}], got {k}")
+    if sum(rows) != u.shape[0]:
+        raise ValidationError(f"joint factor has {u.shape[0]} rows, layer {layer!r} has {sum(rows)}")
+    row_energy = u[:, :k] ** 2 @ sigma[:k] ** 2
+    energies = np.add.reduceat(row_energy, np.cumsum([0] + rows[:-1]))
+    total = energies.sum()
+    if total <= 0.0:
+        raise ValidationError(f"all task energies are zero at layer {layer!r}")
+    return energies, energies / total
 
 
 def energy_proportions(
@@ -63,20 +113,8 @@ def energy_proportions(
     """
     if joint is None:
         joint = joint_svd(bundle, layer)
-    available = joint.sigma.size
-    if not 1 <= k <= available:
-        raise ValidationError(f"top-k must be in [1, {available}], got {k}")
     rows = [bundle.matrix(task, layer).rows for task in bundle.tasks]
-    if sum(rows) != joint.u.shape[0]:
-        raise ValidationError(
-            f"joint factor has {joint.u.shape[0]} rows, layer {layer!r} has {sum(rows)}"
-        )
-    row_energy = joint.u[:, :k] ** 2 @ joint.sigma[:k] ** 2
-    energies = np.add.reduceat(row_energy, np.cumsum([0] + rows[:-1]))
-    total = energies.sum()
-    if total <= 0.0:
-        raise ValidationError(f"all task energies are zero at layer {layer!r}")
-    return energies, energies / total
+    return _task_energies(joint.u, joint.sigma, rows, k, layer)
 
 
 def spectrum_stats(sigma) -> tuple[float, float]:
@@ -126,8 +164,8 @@ def _dual_factor(a: np.ndarray, lam: float) -> SvdResult:
     return f
 
 
-def _dual_core(ua, sa, ub, sb, lam: float):
-    """Per-pair core of ridge CCA: (rho, left, right) singular triplet.
+def _dual_core(ua, sa, ub, sb, lam: float) -> np.ndarray:
+    """Per-pair core of ridge CCA.
 
     The whitened cross-covariance has the same nonzero singular values as
     K = diag(sa/sqrt(sa^2+lam)) Ua^T Ub diag(sb/sqrt(sb^2+lam)), a problem of
@@ -138,9 +176,17 @@ def _dual_core(ua, sa, ub, sb, lam: float):
     # Ua^T is copied so that numpy never sees Ua^T @ Ua as one buffer and
     # takes its symmetric (syrk) kernel on a report's diagonal: the entry then
     # rounds as ridge_cca(a, a) does, which factors each side separately.
-    core = (fa[:, None] * (ua.T.copy() @ ub)) * fb[None, :]
-    u, s, vh = np.linalg.svd(core, full_matrices=False)
-    return float(np.clip(s[0], 0.0, 1.0)), u[:, 0], vh[0, :]
+    return (fa[:, None] * (ua.T.copy() @ ub)) * fb[None, :]
+
+
+def _leading_rho(cores: np.ndarray) -> np.ndarray:
+    """The leading singular value of each core of a (pairs, ra, rb) stack, in [0, 1].
+
+    One values-only SVD call serves the whole stack.  Each core's values do
+    not depend on the others in the stack, so `ridge_cca`, which calls this
+    on a stack of one, gives the same rho as a report's batched call.
+    """
+    return np.clip(np.linalg.svd(cores, compute_uv=False)[:, 0], 0.0, 1.0)
 
 
 def ridge_cca(g_a, g_b, lam: float = DEFAULT_LAMBDA) -> CcaResult:
@@ -149,8 +195,9 @@ def ridge_cca(g_a, g_b, lam: float = DEFAULT_LAMBDA) -> CcaResult:
     rho is the leading singular value of the whitened cross-covariance
     (Gamma_aa + lam I)^(-1/2) Gamma_ab (Gamma_bb + lam I)^(-1/2).  It is taken
     the same way for every shape: each side is factored once,
-    A/sqrt(m) = U diag(s) V^T, and `_dual_core` solves the small core of the
-    two factors.  The back-transformed singular vectors
+    A/sqrt(m) = U diag(s) V^T, and `_dual_core` builds the small core of the
+    two factors; rho comes from `_leading_rho`, the directions from the
+    core's leading singular vectors x, y.  The back-transformed
     w = V diag(1/sqrt(s^2+lam)) x are the projection directions (unit
     regularized norm).  At lam = 0 a side with fewer sigma than columns, or
     with sigma_min^2 <= max(cols * sigma_max^2, 1) * eps, raises
@@ -166,10 +213,11 @@ def ridge_cca(g_a, g_b, lam: float = DEFAULT_LAMBDA) -> CcaResult:
         raise ValidationError(f"lambda must be finite and >= 0, got {lam}")
     fa = _dual_factor(a, lam)
     fb = _dual_factor(b, lam)
-    rho, x, y = _dual_core(fa.u, fa.sigma, fb.u, fb.sigma, lam)
-    w_a = fa.v @ (x / np.sqrt(fa.sigma**2 + lam))
-    w_b = fb.v @ (y / np.sqrt(fb.sigma**2 + lam))
-    return CcaResult(rho=rho, w_a=w_a, w_b=w_b, lam=lam)
+    core = _dual_core(fa.u, fa.sigma, fb.u, fb.sigma, lam)
+    x, _, yh = np.linalg.svd(core, full_matrices=False)
+    w_a = fa.v @ (x[:, 0] / np.sqrt(fa.sigma**2 + lam))
+    w_b = fb.v @ (yh[0, :] / np.sqrt(fb.sigma**2 + lam))
+    return CcaResult(rho=float(_leading_rho(core[None])[0]), w_a=w_a, w_b=w_b, lam=lam)
 
 
 def group_energy(proportions, grouping: GroupingPlan, tasks) -> np.ndarray:
@@ -235,18 +283,18 @@ def subspace_report(
     """Full Method-C result for one layer: spectrum, energies, pairwise CCA."""
     if not (np.isfinite(lam) and lam >= 0):
         raise ValidationError(f"lambda must be finite and >= 0, got {lam}")
-    joint = joint_svd(bundle, layer, normalize_rows=normalize_rows)
-    k_eff = min(k, joint.sigma.size)
+    samples = _samples(bundle, layer)
+    sigma, u, _ = _joint_factor(_stack(samples, normalize_rows))
+    k_eff = min(k, sigma.size)
     warnings = []
     if k_eff != k:
         warnings.append(f"top-k clipped from {k} to the spectrum size {k_eff}")
-    energies, proportions = energy_proportions(bundle, layer, k_eff, joint=joint)
-    top1, g = spectrum_stats(joint.sigma)
+    rows = [g.shape[0] for g in samples]
+    energies, proportions = _task_energies(u, sigma, rows, k_eff, layer)
+    top1, g = spectrum_stats(sigma)
 
     tasks = bundle.tasks
     n = len(tasks)
-    cca = np.eye(n)
-    samples = [gb.sample_gradients(bundle, t, layer).astype(np.float64) for t in tasks]
     factors = {}  # (task index, row count) -> (U, s) of the task's ridge-CCA factor
 
     def factor(i, m):
@@ -255,31 +303,35 @@ def subspace_report(
             factors[i, m] = f.u, f.sigma
         return factors[i, m]
 
-    def rho(i, j):
+    def core(i, j):
         # Rows are paired by index; unequal sample counts truncate to the min.
-        # Each entry equals ridge_cca(samples[i][:m], samples[j][:m], lam).rho.
-        m = min(samples[i].shape[0], samples[j].shape[0])
-        return _dual_core(*factor(i, m), *factor(j, m), lam)[0]
+        # Each rho equals ridge_cca(samples[i][:m], samples[j][:m], lam).rho.
+        m = min(rows[i], rows[j])
+        return _dual_core(*factor(i, m), *factor(j, m), lam)
 
-    truncated_any = False
-    for i, j in combinations(range(n), 2):
-        cca[i, j] = cca[j, i] = rho(i, j)
-        truncated_any = truncated_any or samples[i].shape[0] != samples[j].shape[0]
-    if truncated_any:
+    cores = {(i, j): core(i, j) for i, j in combinations(range(n), 2)}
+    for i in range(n):
+        try:
+            cores[i, i] = core(i, i)
+        except SingularCovarianceError:
+            pass  # no whitening at lambda = 0: the entry stays 1
+    by_shape = {}
+    for pair, c in cores.items():
+        by_shape.setdefault(c.shape, []).append(pair)
+    cca = np.eye(n)
+    for pairs in by_shape.values():
+        for (i, j), r in zip(pairs, _leading_rho(np.stack([cores[p] for p in pairs]))):
+            cca[i, j] = cca[j, i] = r
+    if len(set(rows)) > 1:
         warnings.append(
             "cca pairing: unequal sample counts truncated to the smaller task "
             "(index pairing is a toolkit choice, not part of the published method)"
         )
-    for i in range(n):
-        try:
-            cca[i, i] = rho(i, i)
-        except SingularCovarianceError:
-            cca[i, i] = 1.0
 
     return SubspaceReport(
         layer=layer,
         k=k_eff,
-        sigma=joint.sigma,
+        sigma=sigma,
         energies=energies,
         proportions=proportions,
         top1_share=top1,

@@ -187,6 +187,8 @@ def test_aggregate_delta():
         aggregate_delta([lc], [])
     with pytest.raises(ValidationError):
         aggregate_delta([lc], ["L9"])
+    with pytest.raises(ValidationError, match="candidate layers list L1 more than once"):
+        aggregate_delta([lc, lc2], ["L0", "L1", "L1"])
 
 
 def test_map_shared_ratio_branches():

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 import gdps.bundle
+import gdps.subspace
 from gdps.errors import SingularCovarianceError, ValidationError
 from gdps.grouping import GroupingPlan
 from gdps.linalg import gini as linalg_gini
@@ -430,10 +431,94 @@ def test_subspace_report_factors_each_task_once(rng, monkeypatch):
     counting("svd")
     counting("eigh")
     subspace_report(b, "L0", k=3)
+
+    def matrices(name, shape):
+        # a batched call over a (..., r, c) stack counts each matrix in it
+        return sum(int(np.prod(s[:-2])) for s in shapes[name] if s[-2:] == shape)
+
     assert shapes["eigh"].count((m, m)) == n  # one m x m sample Gram per task
     assert shapes["eigh"].count((n * m, n * m)) == 1  # the joint stack's Gram
-    assert shapes["svd"].count((m, d)) == 0  # no d-wide SVD is left
-    assert shapes["svd"].count((m, m)) == n * (n + 1) // 2  # one core per pair and diagonal entry
+    assert matrices("svd", (m, d)) == 0  # no d-wide SVD is left
+    assert matrices("svd", (m, m)) == n * (n + 1) // 2  # one core per pair and diagonal entry
+    assert len(shapes["svd"]) == 1  # every core, of one shape, in one values-only call
+
+
+def assert_parts_reproduce_the_report(b, k, normalize_rows=False):
+    report = subspace_report(b, "L0", k=k, normalize_rows=normalize_rows)
+    joint = joint_svd(b, "L0", normalize_rows=normalize_rows)
+    _, props = energy_proportions(b, "L0", k, joint=joint)
+    assert np.array_equal(joint.sigma, report.sigma)
+    assert np.array_equal(props, report.proportions)
+    assert np.array_equal(ridge_cca_loop(b, "L0", DEFAULT_LAMBDA), report.cca)
+
+
+def test_joint_svd_and_energy_proportions_reproduce_the_report_bit_for_bit(rng):
+    # the traced benchmark rebuilds a report from its public parts with array_equal
+    wide = tiny_bundle({t: rng.standard_normal((m, 70)) for t, m in (("a", 6), ("b", 9), ("c", 6))})
+    tall = tiny_bundle({t: rng.standard_normal((m, 7)) for t, m in (("a", 12), ("b", 10))})
+    scaled = tiny_bundle({t: rng.standard_normal((8, 30)) * (1.0 + 10.0 * rng.random((8, 1)))
+                          for t in "abc"})
+    assert_parts_reproduce_the_report(wide, 4)
+    assert_parts_reproduce_the_report(tall, 3)
+    assert_parts_reproduce_the_report(scaled, 5, normalize_rows=True)
+
+
+def test_subspace_report_factors_only_the_task_samples(rng, monkeypatch):
+    n, m, d = 4, 6, 50
+    b = tiny_bundle({f"t{i}": rng.standard_normal((m, d)) for i in range(n)})
+    shapes = []
+    real = gdps.subspace.gram_svd
+
+    def spy(matrix):
+        shapes.append(np.shape(matrix))
+        return real(matrix)
+
+    def no_joint(*args, **kwargs):
+        raise AssertionError("subspace_report called joint_svd")
+
+    monkeypatch.setattr(gdps.subspace, "gram_svd", spy)
+    monkeypatch.setattr(gdps.subspace, "joint_svd", no_joint)
+    subspace_report(b, "L0", k=3)
+    assert shapes == [(m, d)] * n  # one CCA factor per task; the stack never goes through gram_svd
+
+
+def direct_energies(b, layer, k):
+    """Energies and shares from np.linalg.svd of the float64 stack."""
+    samples = [b.matrix(t, layer).data.astype(np.float64) for t in b.tasks]
+    _, _, vh = np.linalg.svd(np.vstack(samples), full_matrices=False)
+    energies = np.array([float(((g @ vh[:k].T) ** 2).sum()) for g in samples])
+    return energies, energies / energies.sum()
+
+
+def test_subspace_report_energies_match_a_direct_svd(rng):
+    a = rng.standard_normal((12, 40))
+    cases = [
+        # rank-deficient stack: two identical tasks, rank 24 of 36 rows
+        (tiny_bundle({"a": a, "b": rng.standard_normal((12, 40)), "c": a}), (1, 5, 20)),
+        # tall stack: 45 rows of 9 columns
+        (tiny_bundle({t: rng.standard_normal((15, 9)) for t in "abc"}), (1, 4, 9)),
+    ]
+    for b, ks in cases:
+        for k in ks:
+            report = subspace_report(b, "L0", k=k)
+            want, want_props = direct_energies(b, "L0", k)
+            assert np.allclose(report.energies, want, rtol=1e-12, atol=0.0)
+            assert np.allclose(report.proportions, want_props, rtol=1e-12, atol=0.0)
+
+
+def test_subspace_report_zero_direction_sigma_bound(rng):
+    # The joint sigma are square roots of Gram eigenvalues, so a zero direction
+    # reports up to about sqrt(eps) * sigma_0, not 0: measured at most
+    # 2.0e-8 * sigma_0 here and 2.9e-8 * sigma_0 on 16 x 64 x 4096 stacks of
+    # 8 duplicated tasks.
+    for _ in range(20):
+        m = int(rng.integers(4, 40))
+        d = int(rng.integers(3 * m + 1, 300))
+        a = rng.standard_normal((m, d)) * rng.uniform(0.01, 100.0)
+        b = tiny_bundle({"a": a, "b": a, "c": rng.standard_normal((m, d))})
+        sigma = subspace_report(b, "L0", k=3).sigma
+        assert sigma.size == 3 * m
+        assert np.all(sigma[2 * m:] <= 1e-7 * sigma[0])
 
 
 def test_subspace_report_rejects_negative_lambda(rng):
