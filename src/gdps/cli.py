@@ -343,7 +343,6 @@ def _read_plan_report(src: str, data: dict) -> dict:
     low, high, delta, shared_ratio = (
         json_field(src, data, f"conflict.{name}", is_json_number, "a finite number")
         for name in ("thresholds.low", "thresholds.high", "delta", "shared_ratio"))
-    ratios = json_field(src, data, "conflict.thresholds.ratios", *number_list)
     sigma = json_field(src, data, "subspace.sigma", *number_list)
     grouping = gr.GroupingPlan.from_dict(json_field(src, data, "grouping", dict, "an object"),
                                          f"{src}: grouping")
@@ -352,7 +351,7 @@ def _read_plan_report(src: str, data: dict) -> dict:
     try:
         return {
             "delta": delta,
-            "branch": cf.ratio_branch(delta, cf.RatioThresholds(low, high, tuple(ratios))),
+            "branch": cf.ratio_branch(delta, cf.RatioThresholds(low, high)),
             "shared_ratio": shared_ratio,
             "groups": [list(g) for g in grouping.groups],
             "method": grouping.method,
@@ -495,7 +494,8 @@ def build_parser() -> _Parser:
         p.add_argument("--d-model", type=int, default=DEFAULTS.d_model)
         p.add_argument("--d-ff", type=int, default=DEFAULTS.d_ff)
         p.add_argument("--activation", choices=dc.ACTIVATIONS, default=DEFAULTS.activation)
-        p.add_argument("--private-rank", type=_non_negative_int, default=DEFAULTS.private_rank)
+        p.add_argument("--private-rank", type=_non_negative_int, default=DEFAULTS.private_rank,
+                       help="the plan's shared truncation rank r (0: d_s // 4, capped at d_model)")
 
     p = sub.add_parser("inspect", help="summarize a bundle")
     p.add_argument("--bundle", required=True)
@@ -543,7 +543,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--noise", type=float, default=None)
     p.add_argument("--seed", type=_non_negative_int, default=None)
-    p.add_argument("--private-rank", type=_non_negative_int, default=DEFAULTS.private_rank)
+    p.add_argument("--private-rank", type=_non_negative_int, default=DEFAULTS.private_rank,
+                   help="rank t of each private branch (0: d_p // groups, capped at d_model)")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("simulate", help="train unified vs specialized on a synthetic suite")

@@ -36,7 +36,8 @@ from .linalg import unit_rows
 
 DEFAULT_LOW = 0.05
 DEFAULT_HIGH = 0.15
-DEFAULT_RATIOS = (0.75, 0.50, 0.25)
+# shared ratios for delta below low, in [low, high), and at or above high
+RATIOS = (0.75, 0.50, 0.25)
 SAMPLE_CAP = 512
 DEGENERATE_WARN_FRACTION = 0.10
 
@@ -45,19 +46,15 @@ DEGENERATE_WARN_FRACTION = 0.10
 class RatioThresholds:
     low: float = DEFAULT_LOW
     high: float = DEFAULT_HIGH
-    ratios: tuple[float, float, float] = DEFAULT_RATIOS
 
     def __post_init__(self):
         if not (np.isfinite(self.low) and np.isfinite(self.high) and 0 < self.low < self.high):
             raise ValidationError(
                 f"thresholds need finite 0 < low < high, got {self.low}, {self.high}"
             )
-        r = self.ratios
-        if len(r) != 3 or not (r[0] > r[1] > r[2]) or not all(0 < x < 1 for x in r):
-            raise ValidationError(f"ratios must be strictly decreasing in (0,1), got {r}")
 
     def to_dict(self) -> dict:
-        return {"low": self.low, "high": self.high, "ratios": list(self.ratios)}
+        return {"low": self.low, "high": self.high, "ratios": list(RATIOS)}
 
 
 @dataclass(frozen=True)
@@ -244,10 +241,10 @@ def map_shared_ratio(delta: float, thresholds: RatioThresholds = RatioThresholds
     if not np.isfinite(delta):
         raise ValidationError(f"delta must be finite, got {delta}")
     if delta < thresholds.low:
-        return thresholds.ratios[0]
+        return RATIOS[0]
     if delta < thresholds.high:
-        return thresholds.ratios[1]
-    return thresholds.ratios[2]
+        return RATIOS[1]
+    return RATIOS[2]
 
 
 def ratio_branch(delta: float, thresholds: RatioThresholds = RatioThresholds()) -> str:
@@ -264,6 +261,8 @@ def rank_layers(bundle: gb.GradientBundle, layers=None, seed: int = 2343) -> lis
     layers = list(layers) if layers is not None else list(bundle.layers)
     if not layers:
         raise ValidationError("rank_layers needs at least one layer")
+    for l in layers:  # an unknown name, even an empty one, is named before any repeat
+        bundle._check_layer(l)
     _reject_repeats(layers)
     reports = [layer_conflict(bundle, l, seed) for l in layers]
     return sorted(reports, key=lambda r: (-r.delta, r.purity, r.layer))

@@ -18,7 +18,8 @@ concatenated hidden layer of width d_s + d_p with a split down-projection).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import reprlib
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -140,6 +141,11 @@ class DecompositionPlan:
     def n_groups(self) -> int:
         return len(self.grouping.groups)
 
+    @property
+    def routing(self) -> dict:
+        """task -> index of its group in the grouping."""
+        return {task: g for g, group in enumerate(self.grouping.groups) for task in group}
+
     def to_dict(self) -> dict:
         return {
             "grouping": self.grouping.to_dict(),
@@ -237,33 +243,38 @@ def make_plan(
 
 @dataclass(frozen=True)
 class SpecializedFfn:
-    """Shared + per-group private branches with a task -> group routing table."""
+    """A plan and its weights: a shared branch and one private pair per group.
 
-    d_model: int
-    d_s: int
-    d_p: int
+    Widths, `routing` (task -> group) and `activation` are read from the plan.
+    """
+
+    plan: DecompositionPlan
     shared_up: np.ndarray  # d_s x d_model
     shared_down: np.ndarray  # d_model x d_s
     private_up: tuple[np.ndarray, ...]  # each d_p x d_model
     private_down: tuple[np.ndarray, ...]  # each d_model x d_p
-    routing: dict  # task -> group index
-    activation: str = DEFAULT_ACTIVATION
-    plan: DecompositionPlan | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.shared_up.shape != (self.d_s, self.d_model):
-            raise ValidationError(f"shared_up shape {self.shared_up.shape}")
-        if self.shared_down.shape != (self.d_model, self.d_s):
-            raise ValidationError(f"shared_down shape {self.shared_down.shape}")
+        p, n_up, n_down = self.plan, len(self.private_up), len(self.private_down)
+        if not n_up == n_down == p.n_groups:
+            raise ValidationError(
+                f"{n_up} private up and {n_down} down branches for a plan of {p.n_groups} groups")
+        shapes = [("shared_up", self.shared_up, (p.d_s, p.d_model)),
+                  ("shared_down", self.shared_down, (p.d_model, p.d_s))]
         for g, (up, down) in enumerate(zip(self.private_up, self.private_down)):
-            if up.shape != (self.d_p, self.d_model):
-                raise ValidationError(f"group {g} up shape {up.shape}")
-            if down.shape != (self.d_model, self.d_p):
-                raise ValidationError(f"group {g} down shape {down.shape}")
-        n = len(self.private_up)
-        for task, g in self.routing.items():
-            if not 0 <= g < n:
-                raise ValidationError(f"task {task!r} routed to missing group {g}")
+            shapes += [(f"group {g} up", up, (p.d_p, p.d_model)),
+                       (f"group {g} down", down, (p.d_model, p.d_p))]
+        for name, w, want in shapes:
+            if w.shape != want:
+                raise ValidationError(f"{name} shape {w.shape} != {want}")
+
+    @property
+    def routing(self) -> dict:
+        return self.plan.routing
+
+    @property
+    def activation(self) -> str:
+        return self.plan.activation
 
 
 def equiv_weight(w: UnifiedFfnWeights) -> np.ndarray:
@@ -400,24 +411,9 @@ def factor_block(w: UnifiedFfnWeights, plan: DecompositionPlan, private_rank: in
     dec = _factor_equiv(equiv_weight(w), plan)
     _, _, w1_factor, w2_factor = _shared_branch(dec, plan)
     branches = _private_branches(dec, plan.r, plan, private_rank)
-
-    routing = {}
-    for g, group in enumerate(plan.grouping.groups):
-        for task in group:
-            routing[task] = g
-
-    ffn = SpecializedFfn(
-        d_model=plan.d_model,
-        d_s=plan.d_s,
-        d_p=plan.d_p,
-        shared_up=w2_factor,
-        shared_down=w1_factor,
-        private_up=tuple(up for up, _ in branches),
-        private_down=tuple(down for _, down in branches),
-        routing=routing,
-        activation=plan.activation,
-        plan=plan,
-    )
+    ffn = SpecializedFfn(plan, shared_up=w2_factor, shared_down=w1_factor,
+                         private_up=tuple(up for up, _ in branches),
+                         private_down=tuple(down for _, down in branches))
     return ffn, dec
 
 
@@ -454,8 +450,8 @@ def forward(ffn: SpecializedFfn, x, task: str) -> np.ndarray:
     squeeze = x.ndim == 1
     if squeeze:
         x = x[None, :]
-    if x.shape[1] != ffn.d_model:
-        raise ValidationError(f"input width {x.shape[1]} != d_model {ffn.d_model}")
+    if x.shape[1] != ffn.plan.d_model:
+        raise ValidationError(f"input width {x.shape[1]} != d_model {ffn.plan.d_model}")
     if not np.isfinite(x).all():
         raise ValidationError("forward input contains non-finite entries")
     if task not in ffn.routing:
@@ -475,6 +471,12 @@ def unified_forward(w: UnifiedFfnWeights, x, activation: str = "identity") -> np
 FFN_META_NAME = "ffn.json"
 
 
+def _ffn_meta(plan: DecompositionPlan) -> dict:
+    """The ffn.json of a block built to `plan`: the plan echo and the layout keys."""
+    return {"d_model": plan.d_model, "d_s": plan.d_s, "d_p": plan.d_p, "n_groups": plan.n_groups,
+            "routing": plan.routing, "activation": plan.activation, "plan": plan.to_dict()}
+
+
 def save_ffn(ffn: SpecializedFfn, path) -> None:
     """Directory layout: ffn.json + one .gdm file per weight matrix."""
     root = Path(path)
@@ -483,57 +485,37 @@ def save_ffn(ffn: SpecializedFfn, path) -> None:
     for g in range(len(ffn.private_up)):
         write_matrix_file(root / f"group{g}_up.gdm", ffn.private_up[g])
         write_matrix_file(root / f"group{g}_down.gdm", ffn.private_down[g])
-    meta = {
-        "d_model": ffn.d_model,
-        "d_s": ffn.d_s,
-        "d_p": ffn.d_p,
-        "n_groups": len(ffn.private_up),
-        "routing": dict(sorted(ffn.routing.items())),
-        "activation": ffn.activation,
-        "plan": ffn.plan.to_dict() if ffn.plan is not None else None,
-    }
-    write_text(root / FFN_META_NAME, dump_json(meta))
-
-
-def _read_ffn_meta(meta_path: Path) -> dict:
-    """The fields of ffn.json that load_ffn uses; a bad one names the file and key."""
-    meta = read_json(meta_path, "block metadata")
-    src = str(meta_path)
-    out = {key: json_field(src, meta, key, lambda v: is_json_int(v, minimum=0),
-                           "a non-negative integer")
-           for key in ("n_groups", "d_model", "d_s", "d_p")}
-    out["routing"] = json_field(
-        src, meta, "routing",
-        lambda v: isinstance(v, dict) and all(is_json_int(g, minimum=0) for g in v.values()),
-        "an object of task -> group index")
-    out["activation"] = json_field(src, meta, "activation", lambda v: v in ACTIVATIONS,
-                                   f"one of {ACTIVATIONS}")
-    plan = meta.get("plan")
-    out["plan"] = None if plan is None else DecompositionPlan.from_dict(plan, f"{src}: plan")
-    return out
+    write_text(root / FFN_META_NAME, dump_json(_ffn_meta(ffn.plan)))
 
 
 def load_ffn(path) -> SpecializedFfn:
-    """Inverse of save_ffn; weights come back as float64 of their float32 storage."""
+    """Inverse of save_ffn; weights come back as float64 of their float32 storage.
+
+    The plan echo in ffn.json is required and says how many group files to
+    read.  Every other key must have the JSON text that save_ffn writes for
+    that plan (so `true` is not `1` and `8.0` is not `8`); a key that
+    contradicts the plan raises ValidationError naming the file and the key.
+    """
     root = Path(path)
     meta_path = root / FFN_META_NAME
     if not meta_path.is_file():
         raise ValidationError(f"no {FFN_META_NAME} in {root}")
-    meta = _read_ffn_meta(meta_path)
-    n = meta["n_groups"]
-    return SpecializedFfn(
-        d_model=meta["d_model"],
-        d_s=meta["d_s"],
-        d_p=meta["d_p"],
-        shared_up=read_matrix_file(root / "shared_up.gdm").astype(np.float64),
-        shared_down=read_matrix_file(root / "shared_down.gdm").astype(np.float64),
-        private_up=tuple(
-            read_matrix_file(root / f"group{g}_up.gdm").astype(np.float64) for g in range(n)
-        ),
-        private_down=tuple(
-            read_matrix_file(root / f"group{g}_down.gdm").astype(np.float64) for g in range(n)
-        ),
-        routing=dict(meta["routing"]),
-        activation=meta["activation"],
-        plan=meta["plan"],
-    )
+    meta = read_json(meta_path, "block metadata")
+    src = str(meta_path)
+    plan = DecompositionPlan.from_dict(json_field(src, meta, "plan"), f"{src}: plan")
+    for key, want in _ffn_meta(plan).items():
+        if key != "plan":
+            text = dump_json(want)
+            json_field(src, meta, key, lambda v: v == want and dump_json(v) == text,
+                       f"{reprlib.repr(want)} to agree with its plan")
+
+    def read(name):
+        return read_matrix_file(root / f"{name}.gdm").astype(np.float64)
+
+    shared_up, shared_down = read("shared_up"), read("shared_down")
+    private_up = tuple(read(f"group{g}_up") for g in range(plan.n_groups))
+    private_down = tuple(read(f"group{g}_down") for g in range(plan.n_groups))
+    try:
+        return SpecializedFfn(plan, shared_up, shared_down, private_up, private_down)
+    except ValidationError as exc:
+        raise ValidationError(f"{root}: {exc}") from exc

@@ -45,7 +45,7 @@ class PipelineReport:
     grouping: GroupingPlan
     conflict: ConflictReport
     subspace: SubspaceReport
-    plan: DecompositionPlan | None
+    plan: DecompositionPlan
     flags: dict
     warnings: tuple[str, ...] = field(default=())
     tool_version: str = TOOL_VERSION
@@ -62,7 +62,7 @@ class PipelineReport:
             "grouping": self.grouping.to_dict(),
             "conflict": self.conflict.to_dict(),
             "subspace": self.subspace.to_dict(),
-            "plan": self.plan.to_dict() if self.plan is not None else None,
+            "plan": self.plan.to_dict(),
             "flags": self.flags,
             "flag_provenance": default_provenance(),
             "warnings": list(self.warnings),
@@ -114,16 +114,15 @@ class PipelineReport:
         ]
         for t, p in zip(self.subspace.tasks, self.subspace.proportions):
             lines.append(f"- p[{t}] = {p:.4f}")
-        if self.plan is not None:
-            p = self.plan
-            lines += [
-                "",
-                "## Decomposition plan",
-                "",
-                f"- d_model={p.d_model}, d_ff={p.d_ff}, d_s={p.d_s}, d_p={p.d_p}, r={p.r}",
-                f"- group energies p_g = {[round(x, 4) for x in p.p_g]}",
-                f"- noise_scale={p.noise_scale}, seed={p.seed}, activation={p.activation}",
-            ]
+        p = self.plan
+        lines += [
+            "",
+            "## Decomposition plan",
+            "",
+            f"- d_model={p.d_model}, d_ff={p.d_ff}, d_s={p.d_s}, d_p={p.d_p}, r={p.r}",
+            f"- group energies p_g = {[round(x, 4) for x in p.p_g]}",
+            f"- noise_scale={p.noise_scale}, seed={p.seed}, activation={p.activation}",
+        ]
         if self.warnings:
             lines += ["", "## Warnings", ""]
             lines += [f"- {w}" for w in self.warnings]

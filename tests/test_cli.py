@@ -512,6 +512,19 @@ def test_repeated_candidate_layer_exit_1(tmp_path, capsys, command):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["conflict", "plan"])
+def test_empty_candidate_layer_is_named_unknown(tmp_path, capsys, command):
+    write_bundle(two_layer_bundle(), tmp_path / "b")
+    rc = main([command, "--bundle", str(tmp_path / "b"), "--layers", ",",
+               "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "unknown layer ''; bundle has ['L0', 'L1']" in captured.err
+    assert "more than once" not in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "o").exists()
+
+
 def test_report_malformed_plan_report_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"conflict": {"delta": 0.1}}))

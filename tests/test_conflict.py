@@ -212,8 +212,6 @@ def test_map_shared_ratio_step_function():
 def test_ratio_thresholds_validation():
     with pytest.raises(ValidationError):
         RatioThresholds(low=0.2, high=0.1)
-    with pytest.raises(ValidationError):
-        RatioThresholds(ratios=(0.5, 0.5, 0.25))
     custom = RatioThresholds(low=0.01, high=0.5)
     assert map_shared_ratio(0.075, custom) == 0.50
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from gdps.bundle import dump_json, write_matrix_file
 from gdps.decompose import (
     DecompositionPlan,
     SpecializedFfn,
@@ -417,15 +418,64 @@ def test_load_ffn_malformed_plan_names_file(tmp_path, rng):
 def test_specialized_ffn_shape_validation(rng):
     plan = make_plan(two_groups(), 0.5, 8, 12, p_g=(0.5, 0.5))
     ffn = assemble(random_weights(rng), plan)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="shared_up shape"):
         SpecializedFfn(
-            d_model=8, d_s=6, d_p=3,
+            plan=plan,
             shared_up=ffn.shared_up[:, :4],
             shared_down=ffn.shared_down,
             private_up=ffn.private_up,
             private_down=ffn.private_down,
-            routing=ffn.routing,
         )
+
+
+def test_specialized_ffn_needs_one_branch_pair_per_group(rng):
+    plan = make_plan(two_groups(), 0.5, 8, 12, p_g=(0.5, 0.5))
+    ffn = assemble(random_weights(rng), plan)
+    with pytest.raises(ValidationError, match="3 private up and 3 down branches for a plan of 2"):
+        SpecializedFfn(plan, ffn.shared_up, ffn.shared_down,
+                       ffn.private_up + ffn.private_up[:1], ffn.private_down + ffn.private_down[:1])
+
+
+def test_specialized_ffn_reads_its_layout_from_the_plan(rng):
+    plan = make_plan(two_groups(), 0.5, 8, 12, p_g=(0.5, 0.5), activation="tanh")
+    ffn = assemble(random_weights(rng), plan)
+    assert ffn.routing == plan.routing == {"a": 0, "b": 1, "c": 1}
+    assert ffn.activation == "tanh"
+    with pytest.raises(AttributeError):
+        ffn.routing = {"a": 1, "b": 0, "c": 0}
+
+
+def test_save_ffn_writes_the_documented_layout(tmp_path, rng):
+    plan = make_plan(two_groups(), 0.5, 8, 12, p_g=(0.5, 0.5), seed=11)
+    save_ffn(assemble(random_weights(rng), plan), tmp_path / "ffn")
+    want = {"d_model": 8, "d_s": 6, "d_p": 3, "n_groups": 2,
+            "routing": {"a": 0, "b": 1, "c": 1}, "activation": "silu", "plan": plan.to_dict()}
+    assert (tmp_path / "ffn" / "ffn.json").read_text() == dump_json(want)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("routing", {"a": 1, "b": 0, "c": 1}),
+    ("routing", {"a": 0, "b": 1}),
+    ("routing", {"a": 0, "b": 1, "c": True}),
+    ("activation", "relu"),
+    ("d_s", 4),
+    ("d_s", 6.0),
+    ("n_groups", 3),
+    ("d_model", 8.0),
+])
+def test_load_ffn_rejects_a_key_that_contradicts_the_plan(tmp_path, rng, key, value):
+    meta, meta_path = _saved_ffn_meta(tmp_path, rng)
+    meta[key] = value
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(ValidationError, match=f"ffn.json: '{key}' must be .* to agree with its plan"):
+        load_ffn(tmp_path / "ffn")
+
+
+def test_load_ffn_names_the_directory_of_a_weight_that_contradicts_the_plan(tmp_path, rng):
+    _, meta_path = _saved_ffn_meta(tmp_path, rng)
+    write_matrix_file(tmp_path / "ffn" / "group1_down.gdm", np.zeros((8, 4)))
+    with pytest.raises(ValidationError, match=r"ffn: group 1 down shape \(8, 4\) != \(8, 3\)"):
+        load_ffn(tmp_path / "ffn")
 
 
 def test_assemble_branches_follow_eckart_young(rng):
