@@ -5,13 +5,15 @@ A bundle holds one matrix of flattened per-sample gradients for every
 one ``<task>__<layer>.gdm`` file per entry; the ``.gdm`` payload is the magic
 ``GDM1``, a little-endian u32 row count, u32 column count, then rows*cols
 float32 values in row-major order.  Storage is float32 for bit-exact
-portability; all downstream arithmetic converts to float64 on use.
+portability; downstream arithmetic converts to float64 on use, except
+Method B's purity signs (see `gdps.conflict`).
 
 This module also owns how gdps reads and writes every JSON file
 (manifest, plan, ``ffn.json``, reports): `read_json` parses it strictly
 and `json_field` judges each field, both naming the file; `dump_json` is
 the one format written, and `write_text` and `write_matrix_file` the one
-rule for writing a file.
+rule for writing a file.  `check_finite` is the one rule for a matrix's
+values; `read_matrix_file` applies it to every .gdm file it reads.
 """
 
 from __future__ import annotations
@@ -44,6 +46,13 @@ def _as_float32(data) -> np.ndarray:
     return arr
 
 
+def check_finite(data: np.ndarray, what: str, error=ValidationError) -> None:
+    """Raise `error` naming `what` and the first non-finite entry of a 2-D matrix."""
+    if not np.isfinite(data).all():
+        row, col = np.argwhere(~np.isfinite(data))[0]
+        raise error(f"{what}: non-finite entry at row {row}, col {col}")
+
+
 @dataclass(frozen=True)
 class GradientMatrix:
     """m x d matrix of per-sample gradients for one (task, layer) pair."""
@@ -63,12 +72,7 @@ class GradientMatrix:
             raise ValidationError(
                 f"gradient matrix ({self.task}, {self.layer}): empty shape {self.data.shape}"
             )
-        if not np.isfinite(self.data).all():
-            bad = np.argwhere(~np.isfinite(self.data))[0]
-            raise ValidationError(
-                f"gradient matrix ({self.task}, {self.layer}): non-finite entry "
-                f"at row {bad[0]}, col {bad[1]}"
-            )
+        check_finite(self.data, f"gradient matrix ({self.task}, {self.layer})")
 
     @property
     def rows(self) -> int:
@@ -212,7 +216,12 @@ def write_matrix_file(path, data: np.ndarray) -> None:
         raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
-def read_matrix_file(path: Path) -> np.ndarray:
+def read_matrix_file(path: Path, finite: bool = True) -> np.ndarray:
+    """The read-only float32 matrix in one .gdm file.
+
+    A file that cannot be read, is malformed, or (with `finite`) holds a
+    NaN or infinity raises BundleFormatError naming the file.
+    """
     try:
         blob = Path(path).read_bytes()
     except OSError as exc:
@@ -231,6 +240,8 @@ def read_matrix_file(path: Path) -> np.ndarray:
             f"{rows}x{cols} (expected {expected} bytes)"
         )
     arr = np.frombuffer(blob, dtype="<f4", offset=HEADER.size).reshape(rows, cols)
+    if finite:
+        check_finite(arr, str(path), BundleFormatError)
     return arr
 
 
@@ -398,7 +409,7 @@ def read_bundle(path) -> GradientBundle:
     for rec in _manifest_records(root, src, manifest):
         task, layer = rec["task"], rec["layer"]
         fpath = rec["file"]
-        arr = read_matrix_file(fpath)
+        arr = read_matrix_file(fpath, finite=False)  # GradientMatrix checks it once, below
         if arr.shape != rec["shape"]:
             raise BundleFormatError(
                 f"{fpath}: file shape {arr.shape} disagrees with manifest record "

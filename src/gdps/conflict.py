@@ -12,15 +12,22 @@ Purity is this toolkit's own bounded stand-in for "how benign are the
 cross-task interactions": the fraction of non-degenerate cross-task sample
 pairs whose cosine is >= 0.  It is labeled non-standard in every report.
 
-No Gram matrix is formed for the means.  With s_t the sum of task t's c_t
-non-degenerate unit rows, sum_{i<j} u_i.u_j = (|s_t|^2 - c_t) / 2, so
+Method B reads the stored float32 rows and makes no float64 copy of them.
+Each task keeps its c_t non-degenerate rows g_i (`ZERO_NORM_EPS`, the rule
+of `unit_rows`), their float64 norms, and s_t = sum_i g_i / |g_i|, one
+weighted row sum in float64.  No Gram matrix is formed for the means: with
+sum_{i<j} u_i.u_j = (|s_t|^2 - c_t) / 2,
 
     S_self_t  = (|s_t|^2 - c_t) / (c_t (c_t - 1))
     S_cross_ab = s_a.s_b / (c_a c_b)
 
 in O(n m d), with a rounding error of a few eps in practice and about
-(2m + d) eps at worst.  Purity needs each cross pair's sign, so it takes
-one float64 product of the unit rows per task pair.
+(2m + d) eps at worst.  Purity needs each cross pair's sign, and
+sign(u_a.u_b) = sign(g_a.g_b), so it takes one float32 product of the
+stored rows per task pair.  A value that does not clear the float32 error
+bound of its dot product, or is not finite, is re-decided in float64; the
+count then equals the float64 unit-row count for every pair whose cosine is
+farther than about d * 2^-52 from 0.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ import numpy as np
 
 from . import bundle as gb
 from .errors import ValidationError
-from .linalg import unit_rows
+from .linalg import ZERO_NORM_EPS
 
 DEFAULT_LOW = 0.05
 DEFAULT_HIGH = 0.15
@@ -40,6 +47,8 @@ DEFAULT_HIGH = 0.15
 RATIOS = (0.75, 0.50, 0.25)
 SAMPLE_CAP = 512
 DEGENERATE_WARN_FRACTION = 0.10
+F32_UNIT = 2.0**-24  # unit roundoff of float32
+F32_SUBNORMAL = 2.0**-149  # the smallest float32 subnormal
 
 
 @dataclass(frozen=True)
@@ -114,17 +123,19 @@ def _maybe_subsample(matrix: np.ndarray, seed: int, task: str) -> np.ndarray:
 class _TaskRows:
     """One task's rows at one layer, reduced once for every block it enters.
 
-    `unit` holds the non-degenerate unit rows (see `unit_rows`), so its row
-    count is c_t; `sampled` is m_t, the row count after subsampling.
+    `rows` holds the stored float32 rows that are not degenerate (norm below
+    `ZERO_NORM_EPS`, the rule of `unit_rows`), so its row count is c_t;
+    `sampled` is m_t, the row count after subsampling.
     """
 
     sampled: int
-    unit: np.ndarray
-    total: np.ndarray  # s_t, the sum of the unit rows
+    rows: np.ndarray
+    norms: np.ndarray  # float64 norm of each row
+    total: np.ndarray  # s_t = sum_i g_i / |g_i|, in float64
 
     @property
     def count(self) -> int:
-        return self.unit.shape[0]
+        return self.rows.shape[0]
 
 
 def _task_rows(bundle, task, layer, seed, need_pairs=False) -> _TaskRows:
@@ -132,10 +143,11 @@ def _task_rows(bundle, task, layer, seed, need_pairs=False) -> _TaskRows:
     if need_pairs and g.shape[0] < 2:
         raise ValidationError(f"self_similarity needs >= 2 samples for ({task}, {layer})")
     g = _maybe_subsample(g, seed, task)
-    unit, ok = unit_rows(g)
-    if not ok.all():
-        unit = unit[ok]
-    return _TaskRows(g.shape[0], unit, unit.sum(axis=0))
+    norms = np.sqrt(np.einsum("ij,ij->i", g, g, dtype=np.float64))
+    ok = norms >= ZERO_NORM_EPS
+    rows, norms = (g, norms) if ok.all() else (g[ok], norms[ok])
+    total = np.einsum("i,ij->j", 1.0 / norms, rows, dtype=np.float64)
+    return _TaskRows(g.shape[0], rows, norms, total)
 
 
 def _self_mean(t: _TaskRows) -> float:
@@ -154,8 +166,32 @@ def _cross_mean(a: _TaskRows, b: _TaskRows) -> float:
 
 
 def _nonneg_pairs(a: _TaskRows, b: _TaskRows) -> int:
-    """How many cross pairs of non-degenerate rows have a cosine >= 0."""
-    return int(np.count_nonzero(a.unit @ b.unit.T >= 0.0))
+    """How many cross pairs of non-degenerate rows have a cosine >= 0.
+
+    The cosine has the sign of g_a.g_b, taken from one float32 product.
+    Under IEEE gradual underflow a float32 dot product of length d is off
+    by at most gamma |g_a| |g_b| + d * 2^-149 (gamma = n u / (1 - n u),
+    u = 2^-24, with n = d + 1 also covering the float64 rounding of the
+    bound; each of at most d roundings into the subnormal range is off by
+    2^-150), so a value beyond that has the exact sign.  Values inside it,
+    and the non-finite values of a float32 overflow, are re-decided by one
+    float64 product of the rows they touch.
+    """
+    d = a.rows.shape[1]
+    n_u = (d + 1) * F32_UNIT
+    gamma = n_u / (1.0 - n_u) if n_u < 1.0 else np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        dots = a.rows @ b.rows.T
+        bound = gamma * np.outer(a.norms, b.norms) + d * F32_SUBNORMAL
+        decided = np.isfinite(dots) & (np.abs(dots) > bound)
+    nonneg = np.count_nonzero(decided & (dots >= 0.0))
+    i, j = np.nonzero(~decided)
+    if i.size:
+        ri, i = np.unique(i, return_inverse=True)
+        rj, j = np.unique(j, return_inverse=True)
+        exact = a.rows[ri].astype(np.float64) @ b.rows[rj].astype(np.float64).T
+        nonneg += np.count_nonzero(exact[i, j] >= 0.0)
+    return int(nonneg)
 
 
 def self_similarity(bundle: gb.GradientBundle, task: str, layer: str, seed: int = 2343) -> float:
@@ -184,10 +220,11 @@ def cross_similarity(
 def layer_conflict(bundle: gb.GradientBundle, layer: str, seed: int = 2343) -> LayerConflict:
     """Per-layer S_self, S_cross, their gap delta, and cross-pair purity.
 
-    Each task's rows are subsampled and normalised once, and reduced to
-    their sum s_t and count c_t.  S_self and S_cross come from those sums
-    (no Gram matrix), to a few eps; pair counts come from m_t and c_t.
-    Purity counts the signs of one float64 product per task pair.
+    Each task's float32 rows are subsampled once and reduced to their
+    norms, the sum s_t of the unit rows, and the count c_t.  S_self and
+    S_cross come from those sums (no Gram matrix), to a few eps; pair
+    counts come from m_t and c_t.  Purity counts the signs of one float32
+    product per task pair, re-deciding in float64 those within rounding.
     """
     tasks = bundle.tasks
     if len(tasks) < 2:

@@ -89,6 +89,7 @@ class UnifiedFfnWeights:
             raise ValidationError(
                 f"w2 shape {self.w2.shape} != (d_model, d_ff) = ({self.d_model}, {self.d_ff})"
             )
+        # read_matrix_file names the file of a stored weight; this covers weights built in memory
         if not (np.isfinite(self.w1).all() and np.isfinite(self.w2).all()):
             raise ValidationError("unified weights contain non-finite entries")
 

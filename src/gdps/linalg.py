@@ -1,7 +1,8 @@
 """Dense kernels with explicit numerical contracts.
 
-Everything here is a pure function on float64 arrays: unit rows under the
-one zero-norm rule that every cosine in the toolkit uses, thin SVD (direct,
+Everything here is a pure function on float64 arrays: unit rows under
+`ZERO_NORM_EPS`, the one zero-norm rule that every cosine in the toolkit
+uses (Method B applies it to row norms and forms no unit rows), thin SVD (direct,
 or from the Gram matrix of the short side), and the Gini concentration
 statistic used on singular-value spectra.
 """

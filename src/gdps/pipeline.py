@@ -66,8 +66,7 @@ def parse_thresholds(text: str) -> cf.RatioThresholds:
 def resolve_layer(bundle: GradientBundle, layer: str | None) -> str:
     if layer is None:
         return bundle.layers[0]
-    if layer not in bundle.layers:
-        raise ValidationError(f"layer {layer!r} not in bundle; available: {list(bundle.layers)}")
+    bundle._check_layer(layer)
     return layer
 
 

@@ -22,6 +22,7 @@ from gdps.bundle import (
     read_matrix_file,
     sample_gradients,
     write_bundle,
+    write_matrix_file,
     write_text,
 )
 from gdps.errors import AnalysisError, BundleFormatError, ValidationError
@@ -121,6 +122,18 @@ def test_non_finite_payload_rejected(tmp_path, rng):
     with pytest.raises(BundleFormatError, match="non-finite entry at row 0, col 1") as info:
         read_bundle(tmp_path / "b")
     assert "a__L0.gdm" in str(info.value)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_read_matrix_file_rejects_non_finite_naming_the_file(tmp_path, value):
+    path = tmp_path / "w.gdm"
+    data = np.arange(6.0).reshape(2, 3)
+    data[1, 2] = value
+    write_matrix_file(path, data)
+    with pytest.raises(BundleFormatError, match="non-finite entry at row 1, col 2") as info:
+        read_matrix_file(path)
+    assert str(path) in str(info.value)
+    assert read_matrix_file(path, finite=False).shape == (2, 3)
 
 
 def test_manifest_shape_disagreement_rejected(tmp_path, rng):

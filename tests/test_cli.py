@@ -525,6 +525,34 @@ def test_empty_candidate_layer_is_named_unknown(tmp_path, capsys, command):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("plan", "--layer"), ("plan", "--layers"), ("group", "--layer"),
+    ("subspace", "--layer"), ("conflict", "--layers"),
+])
+def test_unknown_layer_has_one_message(tmp_path, capsys, command, flag):
+    write_bundle(two_layer_bundle(), tmp_path / "b")
+    rc = main([command, "--bundle", str(tmp_path / "b"), flag, "X", "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "unknown layer 'X'; bundle has ['L0', 'L1']" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "o").exists()
+
+
+def test_decompose_non_finite_weight_exit_1_names_the_file(tmp_path, capsys, rng):
+    w1, _ = write_desk_weights(tmp_path, rng)
+    w1[2, 5] = np.inf
+    write_matrix_file(tmp_path / "w1.gdm", w1)
+    _, plan_path = write_plan_file(tmp_path)
+    rc = main([
+        "decompose", "--w1", str(tmp_path / "w1.gdm"), "--w2", str(tmp_path / "w2.gdm"),
+        "--plan", str(plan_path), "--out", str(tmp_path / "ffn"),
+    ])
+    assert rc == 1
+    assert f"{tmp_path / 'w1.gdm'}: non-finite entry at row 2, col 5" in capsys.readouterr().err
+    assert not (tmp_path / "ffn").exists()
+
+
 def test_report_malformed_plan_report_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"conflict": {"delta": 0.1}}))

@@ -21,7 +21,7 @@ from gdps.decompose import (
     split_widths,
     unified_forward,
 )
-from gdps.errors import ValidationError
+from gdps.errors import BundleFormatError, ValidationError
 from gdps.grouping import GroupingPlan
 from gdps.linalg import svd
 
@@ -476,6 +476,17 @@ def test_load_ffn_names_the_directory_of_a_weight_that_contradicts_the_plan(tmp_
     write_matrix_file(tmp_path / "ffn" / "group1_down.gdm", np.zeros((8, 4)))
     with pytest.raises(ValidationError, match=r"ffn: group 1 down shape \(8, 4\) != \(8, 3\)"):
         load_ffn(tmp_path / "ffn")
+
+
+def test_load_ffn_rejects_a_non_finite_weight_naming_its_file(tmp_path, rng):
+    _saved_ffn_meta(tmp_path, rng)
+    path = tmp_path / "ffn" / "shared_up.gdm"
+    raw = bytearray(path.read_bytes())
+    raw[12:16] = np.array([np.nan], dtype="<f4").tobytes()  # entry (0, 0)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(BundleFormatError, match="non-finite entry at row 0, col 0") as info:
+        load_ffn(tmp_path / "ffn")
+    assert str(path) in str(info.value)
 
 
 def test_assemble_branches_follow_eckart_young(rng):
