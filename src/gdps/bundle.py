@@ -5,8 +5,7 @@ A bundle holds one matrix of flattened per-sample gradients for every
 one ``<task>__<layer>.gdm`` file per entry; the ``.gdm`` payload is the magic
 ``GDM1``, a little-endian u32 row count, u32 column count, then rows*cols
 float32 values in row-major order.  Storage is float32 for bit-exact
-portability; downstream arithmetic converts to float64 on use, except
-Method B's purity signs (see `gdps.conflict`).
+portability; all downstream arithmetic converts to float64 on use.
 
 This module also owns how gdps reads and writes every JSON file
 (manifest, plan, ``ffn.json``, reports): `read_json` parses it strictly

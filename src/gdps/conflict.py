@@ -12,22 +12,21 @@ Purity is this toolkit's own bounded stand-in for "how benign are the
 cross-task interactions": the fraction of non-degenerate cross-task sample
 pairs whose cosine is >= 0.  It is labeled non-standard in every report.
 
-Method B reads the stored float32 rows and makes no float64 copy of them.
-Each task keeps its c_t non-degenerate rows g_i (`ZERO_NORM_EPS`, the rule
-of `unit_rows`), their float64 norms, and s_t = sum_i g_i / |g_i|, one
-weighted row sum in float64.  No Gram matrix is formed for the means: with
-sum_{i<j} u_i.u_j = (|s_t|^2 - c_t) / 2,
+Method B casts the stored float32 rows of all tasks to one float64 stack
+per layer and does not normalise them.  Each task keeps its c_t
+non-degenerate rows g_i (`ZERO_NORM_EPS`, the rule of `unit_rows`) and
+s_t = sum_i g_i / |g_i|, one weighted row sum.  No Gram matrix is formed
+for the means: with sum_{i<j} u_i.u_j = (|s_t|^2 - c_t) / 2,
 
     S_self_t  = (|s_t|^2 - c_t) / (c_t (c_t - 1))
     S_cross_ab = s_a.s_b / (c_a c_b)
 
 in O(n m d), with a rounding error of a few eps in practice and about
 (2m + d) eps at worst.  Purity needs each cross pair's sign, and
-sign(u_a.u_b) = sign(g_a.g_b), so it takes one float32 product of the
-stored rows per task pair.  A value that does not clear the float32 error
-bound of its dot product, or is not finite, is re-decided in float64; the
-count then equals the float64 unit-row count for every pair whose cosine is
-farther than about d * 2^-52 from 0.
+sign(u_a.u_b) = sign(g_a.g_b), so it takes one float64 product per task,
+of its rows against those of every later task.  A product of two float32
+values is exact in float64, so only the summation rounds: every sign is
+exact for a cosine farther than about d * 2^-53 from 0.
 """
 
 from __future__ import annotations
@@ -47,8 +46,6 @@ DEFAULT_HIGH = 0.15
 RATIOS = (0.75, 0.50, 0.25)
 SAMPLE_CAP = 512
 DEGENERATE_WARN_FRACTION = 0.10
-F32_UNIT = 2.0**-24  # unit roundoff of float32
-F32_SUBNORMAL = 2.0**-149  # the smallest float32 subnormal
 
 
 @dataclass(frozen=True)
@@ -120,37 +117,43 @@ def _maybe_subsample(matrix: np.ndarray, seed: int, task: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _TaskRows:
+class _Task:
     """One task's rows at one layer, reduced once for every block it enters.
 
-    `rows` holds the stored float32 rows that are not degenerate (norm below
-    `ZERO_NORM_EPS`, the rule of `unit_rows`), so its row count is c_t;
-    `sampled` is m_t, the row count after subsampling.
+    `sampled` is m_t, the row count after subsampling; `count` is c_t, the
+    rows that are not degenerate (norm below `ZERO_NORM_EPS`, the rule of
+    `unit_rows`).
     """
 
     sampled: int
-    rows: np.ndarray
-    norms: np.ndarray  # float64 norm of each row
-    total: np.ndarray  # s_t = sum_i g_i / |g_i|, in float64
-
-    @property
-    def count(self) -> int:
-        return self.rows.shape[0]
+    count: int
+    total: np.ndarray  # s_t = sum_i g_i / |g_i|
 
 
-def _task_rows(bundle, task, layer, seed, need_pairs=False) -> _TaskRows:
-    g = gb.sample_gradients(bundle, task, layer)
-    if need_pairs and g.shape[0] < 2:
-        raise ValidationError(f"self_similarity needs >= 2 samples for ({task}, {layer})")
-    g = _maybe_subsample(g, seed, task)
-    norms = np.sqrt(np.einsum("ij,ij->i", g, g, dtype=np.float64))
+def _layer_rows(bundle, tasks, layer, seed, need_pairs=False) -> tuple[list[_Task], np.ndarray]:
+    """Each task's reduction, and its non-degenerate rows stacked task after task.
+
+    The stack is the rows cast to float64 once, not normalised.
+    """
+    drawn = []
+    for task in tasks:
+        g = gb.sample_gradients(bundle, task, layer)
+        if need_pairs and g.shape[0] < 2:
+            raise ValidationError(f"self_similarity needs >= 2 samples for ({task}, {layer})")
+        drawn.append(_maybe_subsample(g, seed, task))
+    sampled = [g.shape[0] for g in drawn]
+    rows = np.concatenate(drawn, dtype=np.float64)
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
     ok = norms >= ZERO_NORM_EPS
-    rows, norms = (g, norms) if ok.all() else (g[ok], norms[ok])
-    total = np.einsum("i,ij->j", 1.0 / norms, rows, dtype=np.float64)
-    return _TaskRows(g.shape[0], rows, norms, total)
+    if not ok.all():
+        rows, norms = rows[ok], norms[ok]
+    counts = [int(np.count_nonzero(k)) for k in np.split(ok, np.cumsum(sampled)[:-1])]
+    cuts = np.cumsum(counts)[:-1]
+    totals = [w @ r for w, r in zip(np.split(1.0 / norms, cuts), np.split(rows, cuts))]
+    return [_Task(*t) for t in zip(sampled, counts, totals)], rows
 
 
-def _self_mean(t: _TaskRows) -> float:
+def _self_mean(t: _Task) -> float:
     """Mean cosine over unordered pairs: sum_{i<j} u_i.u_j = (|s|^2 - c) / 2."""
     c = t.count
     if c < 2:
@@ -158,45 +161,31 @@ def _self_mean(t: _TaskRows) -> float:
     return float((t.total @ t.total - c) / (c * (c - 1)))
 
 
-def _cross_mean(a: _TaskRows, b: _TaskRows) -> float:
+def _cross_mean(a: _Task, b: _Task) -> float:
     """Mean cosine over the cross product: sum_ij u_i.v_j = s_a.s_b."""
     if a.count == 0 or b.count == 0:
         return 0.0
     return float(a.total @ b.total / (a.count * b.count))
 
 
-def _nonneg_pairs(a: _TaskRows, b: _TaskRows) -> int:
-    """How many cross pairs of non-degenerate rows have a cosine >= 0.
+def _cross_nonneg(parts: list[_Task], rows: np.ndarray) -> int:
+    """How many cross-task pairs of non-degenerate rows have a cosine >= 0.
 
-    The cosine has the sign of g_a.g_b, taken from one float32 product.
-    Under IEEE gradual underflow a float32 dot product of length d is off
-    by at most gamma |g_a| |g_b| + d * 2^-149 (gamma = n u / (1 - n u),
-    u = 2^-24, with n = d + 1 also covering the float64 rounding of the
-    bound; each of at most d roundings into the subnormal range is off by
-    2^-150), so a value beyond that has the exact sign.  Values inside it,
-    and the non-finite values of a float32 overflow, are re-decided by one
-    float64 product of the rows they touch.
+    The cosine has the sign of g_a.g_b.  Each task's rows meet the rows of
+    every later task in one product.
     """
-    d = a.rows.shape[1]
-    n_u = (d + 1) * F32_UNIT
-    gamma = n_u / (1.0 - n_u) if n_u < 1.0 else np.inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        dots = a.rows @ b.rows.T
-        bound = gamma * np.outer(a.norms, b.norms) + d * F32_SUBNORMAL
-        decided = np.isfinite(dots) & (np.abs(dots) > bound)
-    nonneg = np.count_nonzero(decided & (dots >= 0.0))
-    i, j = np.nonzero(~decided)
-    if i.size:
-        ri, i = np.unique(i, return_inverse=True)
-        rj, j = np.unique(j, return_inverse=True)
-        exact = a.rows[ri].astype(np.float64) @ b.rows[rj].astype(np.float64).T
-        nonneg += np.count_nonzero(exact[i, j] >= 0.0)
+    nonneg, start = 0, 0
+    for t in parts[:-1]:
+        end = start + t.count
+        nonneg += np.count_nonzero(rows[start:end] @ rows[end:].T >= 0.0)
+        start = end
     return int(nonneg)
 
 
 def self_similarity(bundle: gb.GradientBundle, task: str, layer: str, seed: int = 2343) -> float:
     """Mean cosine over all unordered sample pairs within one task."""
-    return _self_mean(_task_rows(bundle, task, layer, seed, need_pairs=True))
+    (part,), _ = _layer_rows(bundle, [task], layer, seed, need_pairs=True)
+    return _self_mean(part)
 
 
 def cross_similarity(
@@ -211,26 +200,24 @@ def cross_similarity(
     The pair is taken in name order, so swapping the arguments gives the
     same value bit for bit.
     """
-    task_a, task_b = sorted((task_a, task_b))
-    return _cross_mean(
-        _task_rows(bundle, task_a, layer, seed), _task_rows(bundle, task_b, layer, seed)
-    )
+    parts, _ = _layer_rows(bundle, sorted((task_a, task_b)), layer, seed)
+    return _cross_mean(*parts)
 
 
 def layer_conflict(bundle: gb.GradientBundle, layer: str, seed: int = 2343) -> LayerConflict:
     """Per-layer S_self, S_cross, their gap delta, and cross-pair purity.
 
-    Each task's float32 rows are subsampled once and reduced to their
-    norms, the sum s_t of the unit rows, and the count c_t.  S_self and
+    Each task's rows are subsampled and cast to float64 once, and reduced
+    to the sum s_t of their unit rows and the count c_t.  S_self and
     S_cross come from those sums (no Gram matrix), to a few eps; pair
-    counts come from m_t and c_t.  Purity counts the signs of one float32
-    product per task pair, re-deciding in float64 those within rounding.
+    counts come from m_t and c_t.  Purity counts the signs of one float64
+    product per task, of its rows against those of every later task.
     """
     tasks = bundle.tasks
     if len(tasks) < 2:
         raise ValidationError(">= 2 tasks required for cross-task conflict analysis")
 
-    parts = [_task_rows(bundle, t, layer, seed, need_pairs=True) for t in tasks]
+    parts, rows = _layer_rows(bundle, tasks, layer, seed, need_pairs=True)
     pairs = list(combinations(parts, 2))
 
     s_self = float(np.mean([_self_mean(t) for t in parts]))
@@ -239,8 +226,7 @@ def layer_conflict(bundle: gb.GradientBundle, layer: str, seed: int = 2343) -> L
     valid = sum(t.count * (t.count - 1) // 2 for t in parts) + cross_valid
     total = sum(t.sampled * (t.sampled - 1) // 2 for t in parts)
     total += sum(a.sampled * b.sampled for a, b in pairs)
-    cross_nonneg = sum(_nonneg_pairs(a, b) for a, b in pairs)
-    purity = float(cross_nonneg / cross_valid) if cross_valid else 1.0
+    purity = float(_cross_nonneg(parts, rows) / cross_valid) if cross_valid else 1.0
 
     return LayerConflict(
         layer=layer,

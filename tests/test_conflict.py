@@ -442,7 +442,7 @@ def unit_row_purity(bundle, layer="L0"):
     units = explicit_unit_rows(bundle, layer)
     products = [ua @ ub.T for ua, ub in itertools.combinations(units, 2)]
     nonneg = sum(int(np.count_nonzero(p >= 0.0)) for p in products)
-    return nonneg / sum(p.size for p in products), products
+    return nonneg / sum(p.size for p in products)
 
 
 def walsh_rows(ks, n):
@@ -455,95 +455,61 @@ def walsh_rows(ks, n):
     return 1.0 - 2.0 * parity
 
 
-def test_purity_exact_on_orthogonal_integer_rows():
-    # Walsh rows of length 4**6 scaled by odd integers near 2**20: the float32
-    # dot of two orthogonal rows lies inside its error bound, so it is
-    # re-decided in float64, and the unit rows (+-1/64) give exactly 0 there,
-    # which counts as non-negative
+def orthogonal_integer_rows():
+    # Walsh rows of length 4**6 scaled by odd integers near 2**20: every
+    # cross dot is exactly 0 but two, so the count hinges on exact zeros
     rng = np.random.default_rng(5)
     scales = 2.0**20 + 2 * rng.integers(0, 2**18, size=(2, 6)) + 1
     signs = np.array([1, -1, 1, -1, -1, 1])
     a = scales[0][:, None] * walsh_rows([1, 2, 3, 4, 5, 6], 4096)
     b = (signs * scales[1])[:, None] * walsh_rows([7, 8, 9, 10, 2, 3], 4096)
-    b = np.vstack([b, np.zeros((1, 4096))])
-    bundle = tiny_bundle({"a": a, "b": b})
-    purity, (product,) = unit_row_purity(bundle)
-    assert np.count_nonzero(product == 0.0) == 34  # every cross pair but two, exactly 0
-    lc = layer_conflict(bundle, "L0")
-    assert lc.purity == purity == 35 / 36
-    assert_matches_unrolled(lc, bundle)
+    return tiny_bundle({"a": a, "b": np.vstack([b, np.zeros((1, 4096))])})
 
 
-def test_purity_exact_on_cosines_inside_the_float32_band():
-    # cross cosines of +-1e-6 at d = 8192, well inside the float32 error
-    # bound of every product (about 4.9e-4), so every sign is re-decided
-    gamma = 8192 * 2.0**-24
-    for seed in range(3):
-        b = near_orthogonal_bundle(seed, rows=16, cols=8192, cosine=1e-6)
-        purity, (product,) = unit_row_purity(b)
-        assert np.abs(np.abs(product) - 1e-6).max() < 1e-7  # float32 storage keeps every sign
-        assert np.abs(product).max() < gamma
-        assert layer_conflict(b, "L0").purity == purity
-
-
-def test_purity_exact_when_float32_products_overflow():
-    # entries of 1.7e19 give float32 products just below the float32 maximum,
-    # entries of 1e20 give products beyond it: a float32 dot of such rows is
-    # an infinity of either sign, or NaN, whatever its exact sign
+def huge_rows():
+    # entries up to 3e20: every product is far beyond the float32 maximum
     s = 1.7e19
-    big = np.array([
-        [s, s, s, s, s],
-        [2e20, 1e20, 0.0, 3e19, 0.0],
-        [-3e20, 1e19, 1e20, 1e20, 0.0],
-        [0.0, 0.0, 0.0, 0.0, 0.0],
-    ])
-    cross = np.array([
-        [s, s, -s, -s, -s],  # exact dot with row 0 is -s**2; summed in order it overflows to +inf
-        [1e20, -1e20, 2e19, 1e19, 0.0],
-        [1e20, -3e20, 1e20, 1e20, 1e20],
-    ])
-    b = tiny_bundle({"a": big, "b": cross})
-    with np.errstate(over="ignore", invalid="ignore"):
-        dots32 = big.astype(np.float32) @ cross.astype(np.float32).T
-    assert not np.isfinite(dots32[:3]).any()
-    purity, (product,) = unit_row_purity(b)
-    assert np.abs(product).min() > 1e-3  # every sign is clear in float64
-    lc = layer_conflict(b, "L0")
-    assert lc.purity == purity
-    assert_matches_unrolled(lc, b)
+    return tiny_bundle({
+        "a": np.array([[s, s, s, s, s], [2e20, 1e20, 0.0, 3e19, 0.0], [0.0] * 5]),
+        "b": np.array([[s, s, -s, -s, -s], [1e20, -1e20, 2e19, 1e19, 0.0]]),
+    })
 
 
-def test_purity_exact_on_subnormal_scale_rows(rng):
-    # rows near 1e-41 have float32 products that underflow to 0.  Rows of
-    # 2**-76 against 2**-75 have products on the subnormal grid of 2**-149:
-    # (2 + 2 + 2 - 5) / 4 = 1/4 > 0 in units of 2**-149, while the products
-    # rounded to that grid (0.5 to 0 by ties to even, -1.25 to -1) sum to -1
-    x = np.ones(4) * 2.0**-76
+def tiny_rows():
+    # rows of 2**-76 and 2**-75, and rows near 1e-41 (float32 subnormals)
+    rng = np.random.default_rng(3)
     y = np.array([2.0, 2.0, 2.0, -5.0]) * 2.0**-75
-    b = tiny_bundle({
-        "a": np.vstack([x, np.zeros(4)]),
+    return tiny_bundle({
+        "a": np.vstack([np.ones(4) * 2.0**-76, np.zeros(4)]),
         "b": y[[[0, 1, 2, 3], [3, 0, 1, 2], [1, 2, 0, 3]]],
         "c": np.vstack([rng.standard_normal((3, 4)) * 1e-41, np.zeros((1, 4))]),
     })
-    assert np.abs(b.matrix("c", "L0").data).max() < np.finfo(np.float32).tiny
-    purity, products = unit_row_purity(b)
-    assert products[0].min() > 0.05  # every (a, b) cosine is clearly positive
-    lc = layer_conflict(b, "L0")
-    assert lc.purity == purity
-    assert_matches_unrolled(lc, b)
 
 
-def test_purity_ignores_all_zero_rows():
-    # zero rows are degenerate: no cross pair of theirs is counted
+def zero_rows():
     row = np.array([[1.0, -2.0, 0.5]])
-    b = tiny_bundle({
+    return tiny_bundle({
         "a": np.vstack([row, np.zeros((2, 3)), -row]),
         "b": np.vstack([np.zeros((1, 3)), row]),
         "z": np.zeros((2, 3)),
     })
-    purity, _ = unit_row_purity(b)
+
+
+@pytest.mark.parametrize("make, expected", [
+    (orthogonal_integer_rows, 35 / 36),
+    (lambda: near_orthogonal_bundle(1, rows=16, cols=8192, cosine=1e-6), None),
+    (huge_rows, None),
+    (tiny_rows, None),
+    (zero_rows, 0.5),  # zero rows are degenerate: no cross pair of theirs counts
+], ids=["orthogonal-integer", "cosine-1e-6-d8192", "huge", "tiny", "zero-rows"])
+def test_purity_equals_the_unit_row_count(make, expected):
+    # purity takes the signs of the rows' own products; they must count as
+    # the float64 unit rows do, at every scale and at exact zeros
+    b = make()
+    purity = unit_row_purity(b)
     lc = layer_conflict(b, "L0")
-    assert lc.purity == purity == 0.5
+    assert lc.purity == purity
+    assert expected is None or purity == expected
     assert_matches_unrolled(lc, b)
 
 
@@ -584,4 +550,4 @@ def test_means_match_unit_rows_with_zero_rows(rows, drawn):
     assert abs(lc.s_self - s_self) <= 1e-12
     assert abs(lc.s_cross - s_cross) <= 1e-12
     assert abs(lc.delta - (s_self - s_cross)) <= 1e-12
-    assert lc.purity == unit_row_purity(drawn_rows)[0]
+    assert lc.purity == unit_row_purity(drawn_rows)
