@@ -7,6 +7,15 @@ one ``<task>__<layer>.gdm`` file per entry; the ``.gdm`` payload is the magic
 float32 values in row-major order.  Storage is float32 for bit-exact
 portability; all downstream arithmetic converts to float64 on use.
 
+`read_bundle` maps each payload read-only from the page cache, so every
+matrix of a loaded bundle is a read-only view of a mapping, not a copy.
+Each mapping holds a duplicate of its file's descriptor, so a bundle with
+more entries than half the soft ``RLIMIT_NOFILE`` is copied instead.
+gdps writes every file by replacing it (a sibling file, then `os.replace`),
+so rewriting a mapped file leaves the mapping intact; a ``.gdm`` that
+another process truncates in place while gdps holds it mapped ends the
+process with SIGBUS.
+
 This module also owns how gdps reads and writes every JSON file
 (manifest, plan, ``ffn.json``, reports): `read_json` parses it strictly
 and `json_field` judges each field, both naming the file; `dump_json` is
@@ -17,10 +26,14 @@ values; `read_matrix_file` applies it to every .gdm file it reads.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
+import mmap
+import os
 import reprlib
+import resource
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -205,25 +218,30 @@ def _manifest(bundle: GradientBundle) -> dict:
 def write_matrix_file(path, data: np.ndarray) -> None:
     """Write one .gdm file under the rule of `write_text`."""
     arr = np.ascontiguousarray(data, dtype="<f4")
-    path = Path(path)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "wb") as fh:
-            fh.write(HEADER.pack(MAGIC, arr.shape[0], arr.shape[1]))
-            fh.write(arr.tobytes(order="C"))
-    except OSError as exc:
-        raise ValidationError(f"cannot write {path}: {exc}") from exc
+    _replace_file(path, HEADER.pack(MAGIC, arr.shape[0], arr.shape[1]), arr)
 
 
-def read_matrix_file(path: Path, finite: bool = True) -> np.ndarray:
-    """The read-only float32 matrix in one .gdm file.
+def _read_payload(path, mapped: bool):
+    """The bytes of the file at `path`: a read-only mapping if `mapped`, else a copy.
+
+    A file shorter than the header is always copied (an empty file cannot
+    be mapped, and the header check rejects it either way).
+    """
+    with open(path, "rb") as fh:
+        if mapped and os.fstat(fh.fileno()).st_size >= HEADER.size:
+            return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        return fh.read()
+
+
+def read_matrix_file(path: Path, finite: bool = True, mapped: bool = False) -> np.ndarray:
+    """The read-only float32 matrix in one .gdm file; a view of a mapping if `mapped`.
 
     A file that cannot be read, is malformed, or (with `finite`) holds a
     NaN or infinity raises BundleFormatError naming the file.
     """
     try:
-        blob = Path(path).read_bytes()
-    except OSError as exc:
+        blob = _read_payload(path, mapped)
+    except (OSError, ValueError) as exc:
         raise BundleFormatError(f"cannot read matrix file {path}: {exc}") from exc
     if len(blob) < HEADER.size:
         raise BundleFormatError(f"{path}: file shorter than the 12-byte header")
@@ -278,16 +296,32 @@ def dump_json(obj) -> str:
 
 
 def write_text(path, text: str) -> None:
-    """Write `text` to the file at `path`, making its parent directories.
+    """Write `text` to the file at `path` by replacing it, making its parent directories.
 
     An OSError (a parent that is a file, a path that is a directory)
     raises ValidationError naming the path.
     """
+    _replace_file(path, text.encode("utf-8"))
+
+
+def _replace_file(path, *chunks) -> None:
+    """Write `chunks` to a sibling file, then rename it over `path`.
+
+    The old file is never truncated in place, so a mapping of it (a bundle
+    read by `read_bundle`) keeps its pages.  An OSError removes the sibling
+    and raises ValidationError naming `path`.
+    """
     path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
     except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
         raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
@@ -385,6 +419,13 @@ def _manifest_layers(src: str, manifest: dict) -> list[tuple]:
             for i in range(len(specs))]
 
 
+def _mappings_fit(count: int) -> bool:
+    """Whether `count` mappings, each holding a duplicate descriptor, fit in half
+    the soft RLIMIT_NOFILE, leaving the other half to the rest of the process."""
+    soft, _ = resource.getrlimit(resource.RLIMIT_NOFILE)
+    return soft == resource.RLIM_INFINITY or count <= soft // 2
+
+
 def read_bundle(path) -> GradientBundle:
     """Load and fully validate a bundle directory written by write_bundle."""
     root = Path(path)
@@ -404,11 +445,14 @@ def read_bundle(path) -> GradientBundle:
     layers = [layer for layer, _ in layer_specs]
     declared_cols = dict(layer_specs)
 
+    records = _manifest_records(root, src, manifest)
+    mapped = _mappings_fit(len(records))
     matrices = []
-    for rec in _manifest_records(root, src, manifest):
+    for rec in records:
         task, layer = rec["task"], rec["layer"]
         fpath = rec["file"]
-        arr = read_matrix_file(fpath, finite=False)  # GradientMatrix checks it once, below
+        # GradientMatrix checks finiteness once, below
+        arr = read_matrix_file(fpath, finite=False, mapped=mapped)
         if arr.shape != rec["shape"]:
             raise BundleFormatError(
                 f"{fpath}: file shape {arr.shape} disagrees with manifest record "

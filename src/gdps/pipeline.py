@@ -5,12 +5,16 @@ self/cross-task conflict (B), weights the groups by subspace energy (C) and
 returns the `DecompositionPlan` with the `PipelineReport` that explains it.
 `PlanOptions` has one field per `gdps plan` flag.  Each step runs inside
 `stage(name)`, which prefixes any GdpsError with ``[stage: name]`` and keeps
-its type, so the CLI exit code does not change.
+its type, so the CLI exit code does not change.  The bundle fingerprint is
+hashed on a second thread while the methods run: sha256 and the methods'
+BLAS products both release the GIL, so a process's CPU time may exceed its
+wall time.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -78,22 +82,33 @@ def plan(bundle: GradientBundle, options: PlanOptions = PlanOptions()):
     """
     layer = resolve_layer(bundle, options.layer)
     candidates = options.layers.split(",") if options.layers else list(bundle.layers)
+    for name in candidates:
+        bundle._check_layer(name)
+    cf._reject_repeats(candidates)
     thresholds = parse_thresholds(options.thresholds)
     if len(bundle.tasks) < 2:
         raise ValidationError(">= 2 tasks required for cross-task analysis")
 
-    with stage("grouping"):
-        sim = gr.similarity_matrix(bundle, layer)
-        dist = gr.to_distance(sim)
-        grouping = gr.consensus_from_distance(dist, k=options.k_groups, seed=options.seed)
-        merges = gr.linkage_merges(dist)
-    with stage("conflict"):
-        conflict = cf.conflict_report(bundle, candidates, thresholds, seed=options.seed)
-    with stage("subspace"):
-        subspace = sb.subspace_report(
-            bundle, layer, k=options.top_k, lam=options.lam, normalize_rows=options.normalize_rows
-        )
-        p_g = sb.group_energy(subspace.proportions, grouping, bundle.tasks)
+    fingerprint = []
+    hasher = threading.Thread(target=lambda: fingerprint.append(bundle.fingerprint()),
+                              name="gdps-fingerprint")
+    hasher.start()
+    try:
+        with stage("grouping"):
+            sim = gr.similarity_matrix(bundle, layer)
+            dist = gr.to_distance(sim)
+            grouping = gr.consensus_from_distance(dist, k=options.k_groups, seed=options.seed)
+            merges = gr.linkage_merges(dist)
+        with stage("conflict"):
+            conflict = cf.conflict_report(bundle, candidates, thresholds, seed=options.seed)
+        with stage("subspace"):
+            subspace = sb.subspace_report(
+                bundle, layer, k=options.top_k, lam=options.lam,
+                normalize_rows=options.normalize_rows,
+            )
+            p_g = sb.group_energy(subspace.proportions, grouping, bundle.tasks)
+    finally:
+        hasher.join()
 
     warnings = [*grouping.warnings, *conflict.warnings, *subspace.warnings]
     shared_ratio = conflict.shared_ratio
@@ -126,7 +141,8 @@ def plan(bundle: GradientBundle, options: PlanOptions = PlanOptions()):
     flags.update(layer=layer, layers=",".join(candidates), ratio=options.ratio or 0.0)
     flags["lambda"] = flags.pop("lam")
     report = rp.PipelineReport(
-        bundle_fingerprint=bundle.fingerprint(),
+        # a hash that raised on its thread is taken again here, to raise in the caller
+        bundle_fingerprint=fingerprint[0] if fingerprint else bundle.fingerprint(),
         tasks=bundle.tasks,
         layer=layer,
         similarity=sim.s,

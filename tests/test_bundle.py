@@ -1,7 +1,13 @@
 import ast
 import json
+import mmap
+import os
 import re
+import resource
+import signal
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -374,3 +380,56 @@ def test_writers_name_the_path_of_an_unwritable_file(tmp_path, where):
     with pytest.raises(ValidationError, match=re.escape(f"cannot write {tmp_path / where}")):
         write_bundle(make_bundle(np.random.default_rng(0)), tmp_path / where)
     assert (tmp_path / "file").read_text() == "x"
+
+
+def test_a_failed_write_leaves_no_sibling_file(tmp_path):
+    (tmp_path / "dir").mkdir()
+    with pytest.raises(ValidationError, match=re.escape(f"cannot write {tmp_path / 'dir'}")):
+        write_text(tmp_path / "dir", "{}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir"]
+
+
+def _is_mapped(arr) -> bool:
+    while isinstance(arr, np.ndarray):
+        arr = arr.base
+    return isinstance(arr, memoryview) and isinstance(arr.obj, mmap.mmap)
+
+
+@pytest.mark.parametrize("soft,mapped", [(resource.RLIM_INFINITY, True), (4, True), (3, False)])
+def test_bundle_maps_only_within_half_the_descriptor_limit(tmp_path, rng, monkeypatch, soft, mapped):
+    # two entries: mapped while they fit in half the soft limit, copied beyond it
+    bundle = make_bundle(rng)
+    write_bundle(bundle, tmp_path / "b")
+    monkeypatch.setattr(gdps.bundle.resource, "getrlimit", lambda which: (soft, soft))
+    loaded = read_bundle(tmp_path / "b")
+    assert [_is_mapped(m.data) for m in loaded.entries.values()] == [mapped, mapped]
+    assert all(not m.data.flags.writeable for m in loaded.entries.values())
+    assert loaded.fingerprint() == bundle.fingerprint()
+
+
+REWRITE_MAPPED_BUNDLE = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_CORE, (0, 0))
+from gdps import bundle as gb
+if sys.argv[2] == "in-place":
+    def write_in_place(path, data):
+        with open(path, "wb") as fh:
+            fh.write(gb.HEADER.pack(gb.MAGIC, *data.shape))
+            fh.write(data.tobytes())
+    gb.write_matrix_file = write_in_place
+gb.write_bundle(gb.read_bundle(sys.argv[1]), sys.argv[1])
+"""
+
+
+@pytest.mark.parametrize("writer,returncode", [("replace", 0), ("in-place", -signal.SIGBUS)])
+def test_rewriting_a_bundle_over_its_own_mapping(tmp_path, rng, writer, returncode):
+    # in a child, because truncating a mapped payload in place ends the process with SIGBUS;
+    # payloads span several pages, so the writer reads past the truncated file's end
+    write_bundle(make_bundle(rng, rows=4, cols=2048), tmp_path / "b")
+    before = {p.name: p.read_bytes() for p in (tmp_path / "b").iterdir()}
+    env = {**os.environ, "PYTHONPATH": str(Path(gdps.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", REWRITE_MAPPED_BUNDLE, str(tmp_path / "b"), writer],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == returncode, proc.stderr
+    if writer == "replace":
+        assert {p.name: p.read_bytes() for p in (tmp_path / "b").iterdir()} == before

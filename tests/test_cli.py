@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gdps.bundle import bundle_fingerprint, write_bundle, write_matrix_file
+from gdps import bundle as gdps_bundle
+from gdps import grouping as gdps_grouping
+from gdps.bundle import GradientBundle, bundle_fingerprint, write_bundle, write_matrix_file
 from gdps.bundle import read_json as bundle_read_json
 from gdps.cli import main
 from gdps.errors import BundleFormatError
@@ -539,6 +541,56 @@ def test_unknown_layer_has_one_message(tmp_path, capsys, command, flag):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--layer", "X", "unknown layer 'X'; bundle has ['L0', 'L1']"),
+    ("--layers", "X", "unknown layer 'X'; bundle has ['L0', 'L1']"),
+    ("--layers", "L0,L1,L1", "candidate layers list L1 more than once"),
+])
+def test_plan_rejects_a_layer_before_any_stage(tmp_path, capsys, monkeypatch, flag, value, message):
+    write_bundle(two_layer_bundle(), tmp_path / "b")
+    calls = []
+    monkeypatch.setattr(gdps_grouping, "similarity_matrix", lambda *args: calls.append(args))
+    rc = main(["plan", "--bundle", str(tmp_path / "b"), flag, value, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert calls == []
+
+
+DESCRIPTOR_LIMITED_PLAN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_NOFILE, (64, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
+from gdps import bundle as gb
+if sys.argv[1] == "always-map":
+    gb._mappings_fit = lambda count: True
+from gdps.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("mode, returncode", [("budget", 0), ("always-map", 1)])
+def test_plan_under_a_descriptor_limit(tmp_path, mode, returncode):
+    # 4 tasks x 20 layers: 80 mappings would not fit in a soft limit of 64 descriptors
+    mats = []
+    for i in range(20):
+        b = planted_bundle(4, [[0], [1, 2, 3]], 75.0, d=8, m=4, seed=i, layer=f"L{i}")
+        mats += list(b.entries.values())
+    write_bundle(GradientBundle.from_matrices(mats), tmp_path / "b")
+    assert main(["plan", "--bundle", str(tmp_path / "b"), "--out", str(tmp_path / "free")]) == 0
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1", "PYTHONPATH": str(Path(gdps_bundle.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", DESCRIPTOR_LIMITED_PLAN, mode, "plan", "--bundle",
+                           str(tmp_path / "b"), "--out", str(tmp_path / "limited")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == returncode, proc.stderr
+    if returncode:
+        assert "Too many open files" in proc.stderr
+        return
+    free, limited = tmp_path / "free", tmp_path / "limited"
+    assert (limited / "plan.json").read_bytes() == (free / "plan.json").read_bytes()
+    assert (read_json(limited / "report.json")["bundle_fingerprint"]
+            == read_json(free / "report.json")["bundle_fingerprint"])
+
+
 def test_decompose_non_finite_weight_exit_1_names_the_file(tmp_path, capsys, rng):
     w1, _ = write_desk_weights(tmp_path, rng)
     w1[2, 5] = np.inf
@@ -693,16 +745,16 @@ def test_every_written_json_file_reads_back(tmp_path, rng, capsys):
 
 @pytest.mark.parametrize("command", ["inspect", "plan"])
 def test_each_gdm_file_read_once(tmp_path, monkeypatch, command):
+    # every payload, mapped or copied, is opened by the reader
     make_disk_bundle(tmp_path / "b")
     reads = []
-    real_read_bytes = Path.read_bytes
 
-    def counting_read_bytes(self):
-        if self.suffix == ".gdm":
-            reads.append(self.name)
-        return real_read_bytes(self)
+    def counting_open(file, *args, **kwargs):
+        if Path(file).suffix == ".gdm":
+            reads.append(Path(file).name)
+        return open(file, *args, **kwargs)
 
-    monkeypatch.setattr(Path, "read_bytes", counting_read_bytes)
+    monkeypatch.setattr(gdps_bundle, "open", counting_open, raising=False)
     argv = [command, "--bundle", str(tmp_path / "b")]
     if command == "plan":
         argv += ["--out", str(tmp_path / "p")]

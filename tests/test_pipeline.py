@@ -1,10 +1,13 @@
 import dataclasses
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from gdps import pipeline
-from gdps.cli import build_parser
+from gdps import conflict, grouping, pipeline, subspace
+from gdps.bundle import GradientBundle, write_bundle
+from gdps.cli import build_parser, main
 from gdps.errors import (
     AnalysisError,
     BundleFormatError,
@@ -88,6 +91,32 @@ def test_stage_leaves_other_errors_alone():
         with stage("grouping"):
             raise KeyError("x")
     assert not isinstance(info.value, GdpsError) and info.value.__cause__ is None
+
+
+@pytest.mark.parametrize("name, module, function, error, prefix, rc", [
+    ("grouping", grouping, "similarity_matrix", ValidationError, "error", 1),
+    ("conflict", conflict, "conflict_report", AnalysisError, "analysis error", 2),
+    ("subspace", subspace, "subspace_report", SingularCovarianceError, "analysis error", 2),
+])
+def test_failing_stage_outlives_no_hash_thread(tmp_path, capsys, monkeypatch,
+                                              name, module, function, error, prefix, rc):
+    suite = make_suite(4, [[0], [1, 2, 3]], 80.0, seed=5)
+    write_bundle(collect_bundle(make_model(suite, seed=5), suite, seed=5), tmp_path / "b")
+    real_fingerprint = GradientBundle.fingerprint
+
+    def slow_fingerprint(bundle):  # still hashing when the stage fails
+        time.sleep(0.2)
+        return real_fingerprint(bundle)
+
+    def fail(*args, **kwargs):
+        raise error("boom")
+
+    monkeypatch.setattr(GradientBundle, "fingerprint", slow_fingerprint)
+    monkeypatch.setattr(module, function, fail)
+    before = threading.active_count()
+    assert main(["plan", "--bundle", str(tmp_path / "b"), "--out", str(tmp_path / "o")]) == rc
+    assert capsys.readouterr().err == f"{prefix}: [stage: {name}] boom\n"
+    assert threading.active_count() == before
 
 
 def test_plan_rejects_single_task_bundle():
