@@ -138,7 +138,7 @@ def cmd_group(args) -> int:
 
 def cmd_conflict(args) -> int:
     bundle = _load_bundle(args.bundle)
-    candidates = args.layers.split(",") if args.layers else None
+    candidates = pl.resolve_candidates(bundle, args.layers)
     thresholds = pl.parse_thresholds(args.thresholds)
     with pl.stage("conflict"):
         report = cf.conflict_report(bundle, candidates, thresholds, seed=args.seed)

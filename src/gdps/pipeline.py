@@ -5,10 +5,15 @@ self/cross-task conflict (B), weights the groups by subspace energy (C) and
 returns the `DecompositionPlan` with the `PipelineReport` that explains it.
 `PlanOptions` has one field per `gdps plan` flag.  Each step runs inside
 `stage(name)`, which prefixes any GdpsError with ``[stage: name]`` and keeps
-its type, so the CLI exit code does not change.  The bundle fingerprint is
-hashed on a second thread while the methods run: sha256 and the methods'
-BLAS products both release the GIL, so a process's CPU time may exceed its
-wall time.
+its type, so the CLI exit code does not change.
+
+Two jobs run on second threads beside Methods A, B and the CCA half of C:
+the bundle fingerprint, always, and Method C's spectrum half (the joint
+Gram and its `eigh`) when the layer's float64 stack holds at least
+`OVERLAP_MIN_BYTES`.  sha256 and the BLAS and LAPACK calls release the GIL,
+so a process's CPU time may exceed its wall time.  Errors are reported as
+if the stages ran one after another: grouping, conflict, spectrum, CCA.
+Every thread is joined before `plan` returns or raises.
 """
 
 from __future__ import annotations
@@ -27,6 +32,15 @@ from . import report as rp
 from . import subspace as sb
 from .bundle import GradientBundle
 from .errors import GdpsError, ValidationError
+
+# Method C's spectrum half runs on a second thread only for a layer stack of
+# at least this many bytes.  A thread that allocates or calls BLAS costs peak
+# RSS, which a small plan never wins back.  Measured with one BLAS thread on a
+# 2-core host: simulate's plans stack 1 MB and spend 2.5 ms in the spectrum,
+# and with every plan threaded `gdps simulate`'s two benchmark calls peaked
+# 1.5 MB (3 %) higher; plan-deep's 16 MB stack spends 0.02 s in it and
+# plan-wide's 32 MB one 0.34 s.
+OVERLAP_MIN_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -74,6 +88,58 @@ def resolve_layer(bundle: GradientBundle, layer: str | None) -> str:
     return layer
 
 
+def resolve_candidates(bundle: GradientBundle, layers: str | None) -> list[str]:
+    """Method B's candidate layers from a comma-separated --layers value.
+
+    None is every layer of the bundle; an unknown or repeated name is a
+    ValidationError, raised before any stage runs.
+    """
+    candidates = layers.split(",") if layers else list(bundle.layers)
+    for name in candidates:
+        bundle._check_layer(name)
+    cf._reject_repeats(candidates)
+    return candidates
+
+
+@contextmanager
+def beside(job, threaded: bool = True):
+    """Run `job()` on a second thread for the body of the with block.
+
+    Yields `result()`, which waits for the job and returns its value or
+    raises its exception on the caller.  Without `threaded` the job runs on
+    the caller at the first `result()` call instead.  The thread is joined
+    when the block exits, normally or by an exception, so no thread outlives
+    it; an outcome that no one asks for is dropped.
+    """
+    outcome = []
+
+    def run():
+        try:
+            outcome.append((job(), None))
+        except BaseException as exc:  # handed to the caller by result()
+            outcome.append((None, exc))
+
+    thread = threading.Thread(target=run, name="gdps-beside") if threaded else None
+    if thread is not None:
+        thread.start()
+
+    def result():
+        if thread is not None:
+            thread.join()
+        elif not outcome:
+            run()
+        value, error = outcome[0]
+        if error is not None:
+            raise error
+        return value
+
+    try:
+        yield result
+    finally:
+        if thread is not None:
+            thread.join()
+
+
 def plan(bundle: GradientBundle, options: PlanOptions = PlanOptions()):
     """(DecompositionPlan, PipelineReport) of Methods A+B+C on `bundle`.
 
@@ -81,19 +147,16 @@ def plan(bundle: GradientBundle, options: PlanOptions = PlanOptions()):
     layers resolved against the bundle.
     """
     layer = resolve_layer(bundle, options.layer)
-    candidates = options.layers.split(",") if options.layers else list(bundle.layers)
-    for name in candidates:
-        bundle._check_layer(name)
-    cf._reject_repeats(candidates)
+    candidates = resolve_candidates(bundle, options.layers)
     thresholds = parse_thresholds(options.thresholds)
     if len(bundle.tasks) < 2:
         raise ValidationError(">= 2 tasks required for cross-task analysis")
 
-    fingerprint = []
-    hasher = threading.Thread(target=lambda: fingerprint.append(bundle.fingerprint()),
-                              name="gdps-fingerprint")
-    hasher.start()
-    try:
+    stack = sb.layer_stack(bundle, layer)
+    with beside(bundle.fingerprint) as fingerprint, beside(
+        lambda: sb.joint_spectrum(stack, options.top_k, options.normalize_rows),
+        threaded=stack.x.nbytes >= OVERLAP_MIN_BYTES,
+    ) as spectrum:
         with stage("grouping"):
             sim = gr.similarity_matrix(bundle, layer)
             dist = gr.to_distance(sim)
@@ -102,13 +165,14 @@ def plan(bundle: GradientBundle, options: PlanOptions = PlanOptions()):
         with stage("conflict"):
             conflict = cf.conflict_report(bundle, candidates, thresholds, seed=options.seed)
         with stage("subspace"):
-            subspace = sb.subspace_report(
-                bundle, layer, k=options.top_k, lam=options.lam,
-                normalize_rows=options.normalize_rows,
-            )
+            sb.check_lambda(options.lam)
+            try:
+                cca = sb.pairwise_cca(stack, options.lam)
+            finally:
+                # the spectrum comes before the CCA: its error replaces the CCA's
+                joint = spectrum()
+            subspace = sb.assemble_report(stack, joint, cca, options.lam)
             p_g = sb.group_energy(subspace.proportions, grouping, bundle.tasks)
-    finally:
-        hasher.join()
 
     warnings = [*grouping.warnings, *conflict.warnings, *subspace.warnings]
     shared_ratio = conflict.shared_ratio
@@ -141,8 +205,7 @@ def plan(bundle: GradientBundle, options: PlanOptions = PlanOptions()):
     flags.update(layer=layer, layers=",".join(candidates), ratio=options.ratio or 0.0)
     flags["lambda"] = flags.pop("lam")
     report = rp.PipelineReport(
-        # a hash that raised on its thread is taken again here, to raise in the caller
-        bundle_fingerprint=fingerprint[0] if fingerprint else bundle.fingerprint(),
+        bundle_fingerprint=fingerprint(),
         tasks=bundle.tasks,
         layer=layer,
         similarity=sim.s,

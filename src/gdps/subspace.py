@@ -1,20 +1,24 @@
 """Joint gradient subspace analysis: stacked SVD, energy shares, ridge CCA.
 
-All tasks' gradient matrices at a layer are stacked row-wise (in bundle task
-order, row-normalised on request) and factored once, from one `eigh` of the
-Gram matrix of the stack's short side: sigma = sqrt(max(lambda, 0)) and the
-left factor U, with no long-side projection.  Each task's energy is its
-rows' part of the top-k joint energy, read from sigma and U alone, and the
-energy proportions p_i decide how much residual capacity each group later
-receives.  Pairwise subspace alignment is measured by the leading
-ridge-regularized canonical correlation, computed one way for every shape:
-each side's centred rows are factored once (`linalg.gram_svd`; the dual,
-kernel form of ridge CCA, Hardoon et al. 2004) and every pair only builds a
-small core from the two factors (canonical correlations from the factors of
-each side, Bjorck & Golub 1973; the factor-then-correlate structure of
-SVCCA).  A report takes every rho from one values-only SVD call per core
-shape.  At lambda = 0 a rank-deficient factor has no whitening and raises
-SingularCovarianceError.
+All tasks' gradient matrices at a layer are cast once into one float64 row
+stack (in bundle task order, `layer_stack`), and each task is a row-block
+view of it.  Method C reads that stack in two halves that share nothing but
+it.  The spectrum half (`joint_spectrum`) factors the stack, row-normalised
+on request, from one `eigh` of the Gram matrix of its short side: sigma =
+sqrt(max(lambda, 0)) and the left factor U, with no long-side projection.
+Each task's energy is its rows' part of the top-k joint energy, read from
+sigma and U alone, and the energy proportions p_i decide how much residual
+capacity each group later receives.  The CCA half (`pairwise_cca`) measures
+pairwise subspace alignment by the leading ridge-regularized canonical
+correlation of the raw task blocks, computed one way for every shape: each
+side's centred rows are factored once (`linalg.gram_svd`; the dual, kernel
+form of ridge CCA, Hardoon et al. 2004) and every pair only builds a small
+core from the two factors (canonical correlations from the factors of each
+side, Bjorck & Golub 1973; the factor-then-correlate structure of SVCCA).
+It takes every rho from one values-only SVD call per core shape.  At
+lambda = 0 a rank-deficient factor has no whitening and raises
+SingularCovarianceError.  `subspace_report` runs the two halves one after
+the other; `gdps.pipeline.plan` may run the spectrum half on a second thread.
 """
 
 from __future__ import annotations
@@ -33,14 +37,39 @@ DEFAULT_TOP_K = 10
 DEFAULT_LAMBDA = 1e-3
 
 
-def _samples(bundle: gb.GradientBundle, layer: str) -> list[np.ndarray]:
-    """Each task's sample rows at a layer, in bundle task order, as float64."""
-    return [gb.sample_gradients(bundle, t, layer).astype(np.float64) for t in bundle.tasks]
+def check_lambda(lam: float) -> None:
+    if not (np.isfinite(lam) and lam >= 0):
+        raise ValidationError(f"lambda must be finite and >= 0, got {lam}")
 
 
-def _stack(samples: list[np.ndarray], normalize_rows: bool) -> np.ndarray:
-    """The row-wise stack of all tasks' samples, each row made unit on request."""
-    return np.vstack([unit_rows(g)[0] if normalize_rows else g for g in samples])
+@dataclass(frozen=True)
+class LayerStack:
+    """Every task's sample rows at one layer as one float64 stack `x`.
+
+    `blocks[i]` is task i's rows, a view of `x`, in bundle task order.
+    """
+
+    layer: str
+    tasks: tuple[str, ...]
+    x: np.ndarray
+    blocks: tuple[np.ndarray, ...]
+
+    @property
+    def rows(self) -> list[int]:
+        return [b.shape[0] for b in self.blocks]
+
+
+def layer_stack(bundle: gb.GradientBundle, layer: str) -> LayerStack:
+    """The float64 row stack of all tasks' samples at a layer, cast once."""
+    samples = [gb.sample_gradients(bundle, t, layer) for t in bundle.tasks]
+    x = np.concatenate(samples, axis=0, dtype=np.float64)
+    ends = np.cumsum([g.shape[0] for g in samples])[:-1]
+    return LayerStack(layer, tuple(bundle.tasks), x, tuple(np.split(x, ends)))
+
+
+def _joint_rows(stack: LayerStack, normalize_rows: bool) -> np.ndarray:
+    """The stack Method C factors: its rows made unit on request."""
+    return unit_rows(stack.x)[0] if normalize_rows else stack.x
 
 
 def _joint_factor(x: np.ndarray):
@@ -76,7 +105,7 @@ def joint_svd(bundle: gb.GradientBundle, layer: str, normalize_rows: bool = Fals
     sigma[0] (a zero direction reported up to 2.9e-8 * sigma[0] on stacks
     with duplicated tasks), and its column of v is only as accurate as that.
     """
-    x = _stack(_samples(bundle, layer), normalize_rows)
+    x = _joint_rows(layer_stack(bundle, layer), normalize_rows)
     sigma, u, v = _joint_factor(x)
     if v is None:
         v = (x.T @ u) * _reciprocal(sigma)
@@ -209,8 +238,7 @@ def ridge_cca(g_a, g_b, lam: float = DEFAULT_LAMBDA) -> CcaResult:
         raise ValidationError("ridge_cca expects 2-D sample matrices")
     if a.shape[0] != b.shape[0]:
         raise ValidationError(f"row-count mismatch: {a.shape[0]} vs {b.shape[0]}")
-    if not (np.isfinite(lam) and lam >= 0):
-        raise ValidationError(f"lambda must be finite and >= 0, got {lam}")
+    check_lambda(lam)
     fa = _dual_factor(a, lam)
     fb = _dual_factor(b, lam)
     core = _dual_core(fa.u, fa.sigma, fb.u, fb.sigma, lam)
@@ -273,28 +301,46 @@ class SubspaceReport:
         }
 
 
-def subspace_report(
-    bundle: gb.GradientBundle,
-    layer: str,
-    k: int = DEFAULT_TOP_K,
-    lam: float = DEFAULT_LAMBDA,
-    normalize_rows: bool = False,
-) -> SubspaceReport:
-    """Full Method-C result for one layer: spectrum, energies, pairwise CCA."""
-    if not (np.isfinite(lam) and lam >= 0):
-        raise ValidationError(f"lambda must be finite and >= 0, got {lam}")
-    samples = _samples(bundle, layer)
-    sigma, u, _ = _joint_factor(_stack(samples, normalize_rows))
+@dataclass(frozen=True)
+class JointSpectrum:
+    """The spectrum half of a `SubspaceReport`, in fields of the same names."""
+
+    sigma: np.ndarray
+    k: int
+    energies: np.ndarray
+    proportions: np.ndarray
+    top1_share: float
+    gini: float
+    normalize_rows: bool
+    warnings: tuple[str, ...]
+
+
+def joint_spectrum(stack: LayerStack, k: int = DEFAULT_TOP_K,
+                   normalize_rows: bool = False) -> JointSpectrum:
+    """Method C's spectrum half: sigma, the top-k energies and shares, spectrum stats.
+
+    k is clipped to the spectrum size, with a warning.
+    """
+    sigma, u, _ = _joint_factor(_joint_rows(stack, normalize_rows))
     k_eff = min(k, sigma.size)
     warnings = []
     if k_eff != k:
         warnings.append(f"top-k clipped from {k} to the spectrum size {k_eff}")
-    rows = [g.shape[0] for g in samples]
-    energies, proportions = _task_energies(u, sigma, rows, k_eff, layer)
+    energies, proportions = _task_energies(u, sigma, stack.rows, k_eff, stack.layer)
     top1, g = spectrum_stats(sigma)
+    return JointSpectrum(sigma, k_eff, energies, proportions, top1, g, normalize_rows,
+                         tuple(warnings))
 
-    tasks = bundle.tasks
-    n = len(tasks)
+
+def pairwise_cca(stack: LayerStack, lam: float = DEFAULT_LAMBDA) -> np.ndarray:
+    """Method C's CCA half: the symmetric matrix of leading ridge-CCA rho.
+
+    Rows are paired by index; unequal sample counts truncate to the smaller
+    task.  Every entry equals `ridge_cca(a[:m], b[:m], lam).rho` of the two
+    task blocks; a diagonal entry without whitening at lambda = 0 stays 1.
+    """
+    samples, rows = stack.blocks, stack.rows
+    n = len(samples)
     factors = {}  # (task index, row count) -> (U, s) of the task's ridge-CCA factor
 
     def factor(i, m):
@@ -304,8 +350,6 @@ def subspace_report(
         return factors[i, m]
 
     def core(i, j):
-        # Rows are paired by index; unequal sample counts truncate to the min.
-        # Each rho equals ridge_cca(samples[i][:m], samples[j][:m], lam).rho.
         m = min(rows[i], rows[j])
         return _dual_core(*factor(i, m), *factor(j, m), lam)
 
@@ -322,23 +366,31 @@ def subspace_report(
     for pairs in by_shape.values():
         for (i, j), r in zip(pairs, _leading_rho(np.stack([cores[p] for p in pairs]))):
             cca[i, j] = cca[j, i] = r
-    if len(set(rows)) > 1:
+    return cca
+
+
+def assemble_report(stack: LayerStack, spectrum: JointSpectrum, cca: np.ndarray,
+                    lam: float) -> SubspaceReport:
+    """The `SubspaceReport` of a layer from its two halves."""
+    warnings = list(spectrum.warnings)
+    if len(set(stack.rows)) > 1:
         warnings.append(
             "cca pairing: unequal sample counts truncated to the smaller task "
             "(index pairing is a toolkit choice, not part of the published method)"
         )
+    fields = {**vars(spectrum), "warnings": tuple(warnings)}
+    return SubspaceReport(layer=stack.layer, tasks=stack.tasks, cca=cca, lam=lam, **fields)
 
-    return SubspaceReport(
-        layer=layer,
-        k=k_eff,
-        sigma=sigma,
-        energies=energies,
-        proportions=proportions,
-        top1_share=top1,
-        gini=g,
-        cca=cca,
-        lam=lam,
-        tasks=tuple(tasks),
-        normalize_rows=normalize_rows,
-        warnings=tuple(warnings),
-    )
+
+def subspace_report(
+    bundle: gb.GradientBundle,
+    layer: str,
+    k: int = DEFAULT_TOP_K,
+    lam: float = DEFAULT_LAMBDA,
+    normalize_rows: bool = False,
+) -> SubspaceReport:
+    """Full Method-C result for one layer: spectrum, energies, pairwise CCA."""
+    check_lambda(lam)
+    stack = layer_stack(bundle, layer)
+    return assemble_report(stack, joint_spectrum(stack, k, normalize_rows),
+                           pairwise_cca(stack, lam), lam)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,8 @@ import pytest
 
 from gdps import bundle as gdps_bundle
 from gdps import grouping as gdps_grouping
+from gdps import pipeline as gdps_pipeline
+from gdps import subspace as gdps_subspace
 from gdps.bundle import GradientBundle, bundle_fingerprint, write_bundle, write_matrix_file
 from gdps.bundle import read_json as bundle_read_json
 from gdps.cli import main
@@ -172,20 +175,41 @@ def test_plan_single_task_exit_1(tmp_path, capsys):
     assert "2 tasks" in capsys.readouterr().err
 
 
-def test_plan_deterministic_across_threads(tmp_path):
+@pytest.mark.parametrize("slow", ["spectrum", "grouping"])
+def test_plan_deterministic_in_either_finishing_order(tmp_path, monkeypatch, slow):
+    # the spectrum half on its thread finishes after Methods A, B and the CCA
+    # half, or before the grouping stage does: the artifacts are those of the
+    # inline path either way
     make_disk_bundle(tmp_path / "b")
-    hashes = []
-    for threads, sub in (("1", "o1"), ("1", "o2"), ("4", "o4")):
-        os.environ["GDPS_THREADS"] = threads
-        try:
-            rc = main(["plan", "--bundle", str(tmp_path / "b"), "--out", str(tmp_path / sub)])
-        finally:
-            os.environ.pop("GDPS_THREADS", None)
-        assert rc == 0
-        plan_bytes = (tmp_path / sub / "plan.json").read_bytes()
-        rep_hash = hash_excluding_timestamp((tmp_path / sub / "report.json").read_text())
-        hashes.append((plan_bytes, rep_hash))
-    assert hashes[0] == hashes[1] == hashes[2]
+
+    def artifacts(sub):
+        assert main(["plan", "--bundle", str(tmp_path / "b"), "--out", str(tmp_path / sub)]) == 0
+        return ((tmp_path / sub / "plan.json").read_bytes(),
+                hash_excluding_timestamp((tmp_path / sub / "report.json").read_text()))
+
+    monkeypatch.setattr(gdps_pipeline, "OVERLAP_MIN_BYTES", 1 << 62)
+    inline = artifacts("inline")
+
+    finished = []
+
+    def delayed(module, name, event, delay):
+        real = getattr(module, name)
+
+        def call(*args, **kwargs):
+            time.sleep(delay)
+            value = real(*args, **kwargs)
+            finished.append(event)
+            return value
+
+        monkeypatch.setattr(module, name, call)
+
+    delayed(gdps_subspace, "joint_spectrum", "spectrum", 0.3 if slow == "spectrum" else 0.0)
+    delayed(gdps_grouping, "similarity_matrix", "grouping", 0.3 if slow == "grouping" else 0.0)
+    delayed(gdps_subspace, "pairwise_cca", "cca", 0.0)
+    monkeypatch.setattr(gdps_pipeline, "OVERLAP_MIN_BYTES", 0)
+    assert artifacts("threaded") == inline
+    assert finished == (["grouping", "cca", "spectrum"] if slow == "spectrum"
+                        else ["spectrum", "grouping", "cca"])
 
 
 def write_desk_weights(tmp_path, rng, d_model=8, d_ff=12):
@@ -554,6 +578,11 @@ def test_plan_rejects_a_layer_before_any_stage(tmp_path, capsys, monkeypatch, fl
     assert rc == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert calls == []
+    if flag == "--layers":  # gdps conflict checks its candidates the same way
+        rc = main(["conflict", "--bundle", str(tmp_path / "b"), flag, value,
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 DESCRIPTOR_LIMITED_PLAN = """

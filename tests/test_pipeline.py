@@ -93,30 +93,89 @@ def test_stage_leaves_other_errors_alone():
     assert not isinstance(info.value, GdpsError) and info.value.__cause__ is None
 
 
+def _write_stage_bundle(path):
+    suite = make_suite(4, [[0], [1, 2, 3]], 80.0, seed=5)
+    write_bundle(collect_bundle(make_model(suite, seed=5), suite, seed=5), path)
+
+
+def _fail_after(seconds, error, message="boom"):
+    def fail(*args, **kwargs):
+        time.sleep(seconds)
+        raise error(message)
+    return fail
+
+
 @pytest.mark.parametrize("name, module, function, error, prefix, rc", [
     ("grouping", grouping, "similarity_matrix", ValidationError, "error", 1),
     ("conflict", conflict, "conflict_report", AnalysisError, "analysis error", 2),
-    ("subspace", subspace, "subspace_report", SingularCovarianceError, "analysis error", 2),
+    ("subspace", subspace, "joint_spectrum", SingularCovarianceError, "analysis error", 2),
+    ("subspace", subspace, "pairwise_cca", SingularCovarianceError, "analysis error", 2),
 ])
 def test_failing_stage_outlives_no_hash_thread(tmp_path, capsys, monkeypatch,
                                               name, module, function, error, prefix, rc):
-    suite = make_suite(4, [[0], [1, 2, 3]], 80.0, seed=5)
-    write_bundle(collect_bundle(make_model(suite, seed=5), suite, seed=5), tmp_path / "b")
+    _write_stage_bundle(tmp_path / "b")
     real_fingerprint = GradientBundle.fingerprint
 
     def slow_fingerprint(bundle):  # still hashing when the stage fails
         time.sleep(0.2)
         return real_fingerprint(bundle)
 
-    def fail(*args, **kwargs):
-        raise error("boom")
-
     monkeypatch.setattr(GradientBundle, "fingerprint", slow_fingerprint)
-    monkeypatch.setattr(module, function, fail)
+    monkeypatch.setattr(pipeline, "OVERLAP_MIN_BYTES", 0)  # the spectrum on its thread too
+    monkeypatch.setattr(module, function, _fail_after(0.0, error))
     before = threading.active_count()
     assert main(["plan", "--bundle", str(tmp_path / "b"), "--out", str(tmp_path / "o")]) == rc
     assert capsys.readouterr().err == f"{prefix}: [stage: {name}] boom\n"
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("threaded", [True, False])
+@pytest.mark.parametrize("failing, name", [
+    (("similarity_matrix", "joint_spectrum"), "grouping"),
+    (("conflict_report", "joint_spectrum"), "conflict"),
+    (("joint_spectrum", "pairwise_cca"), "subspace"),
+], ids=["grouping", "conflict", "subspace"])
+def test_first_error_in_stage_order_wins(tmp_path, capsys, monkeypatch, threaded, failing, name):
+    # a spectrum still running when an earlier stage fails, or failing after
+    # the CCA did, is reported as if the stages ran one after another
+    _write_stage_bundle(tmp_path / "b")
+    errors = {"similarity_matrix": ValidationError, "conflict_report": AnalysisError,
+              "joint_spectrum": SingularCovarianceError, "pairwise_cca": AnalysisError}
+    modules = {"similarity_matrix": grouping, "conflict_report": conflict,
+               "joint_spectrum": subspace, "pairwise_cca": subspace}
+    monkeypatch.setattr(pipeline, "OVERLAP_MIN_BYTES", 0 if threaded else 1 << 62)
+    for function in failing:
+        delay = 0.3 if function == "joint_spectrum" else 0.0
+        monkeypatch.setattr(modules[function], function,
+                            _fail_after(delay, errors[function], f"{function} failed"))
+    before = threading.active_count()
+    rc = main(["plan", "--bundle", str(tmp_path / "b"), "--out", str(tmp_path / "o")])
+    prefix = "error" if errors[failing[0]] is ValidationError else "analysis error"
+    assert capsys.readouterr().err == f"{prefix}: [stage: {name}] {failing[0]} failed\n"
+    assert rc == (1 if prefix == "error" else 2)
+    assert threading.active_count() == before
+    assert not (tmp_path / "o").exists()
+
+
+def test_beside_runs_the_job_once_and_raises_on_the_caller():
+    calls = []
+
+    def job():
+        calls.append(threading.current_thread())
+        raise KeyError("job")
+
+    for threaded in (True, False):
+        calls.clear()
+        with pipeline.beside(job, threaded=threaded) as result:
+            for _ in range(2):
+                with pytest.raises(KeyError, match="job"):
+                    result()
+        assert len(calls) == 1
+        assert (calls[0] is threading.current_thread()) is not threaded
+    calls.clear()
+    with pipeline.beside(job, threaded=False):
+        pass
+    assert calls == []  # an inline job no one asks for never runs
 
 
 def test_plan_rejects_single_task_bundle():

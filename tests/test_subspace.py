@@ -4,6 +4,7 @@ import scipy.linalg
 
 import gdps.bundle
 import gdps.subspace
+from gdps import pipeline
 from gdps.errors import SingularCovarianceError, ValidationError
 from gdps.grouping import GroupingPlan
 from gdps.linalg import gini as linalg_gini
@@ -13,6 +14,7 @@ from gdps.subspace import (
     energy_proportions,
     group_energy,
     joint_svd,
+    layer_stack,
     ridge_cca,
     spectrum_csv,
     spectrum_stats,
@@ -444,23 +446,52 @@ def test_subspace_report_factors_each_task_once(rng, monkeypatch):
 
 
 def assert_parts_reproduce_the_report(b, k, normalize_rows=False):
-    report = subspace_report(b, "L0", k=k, normalize_rows=normalize_rows)
     joint = joint_svd(b, "L0", normalize_rows=normalize_rows)
-    _, props = energy_proportions(b, "L0", k, joint=joint)
-    assert np.array_equal(joint.sigma, report.sigma)
-    assert np.array_equal(props, report.proportions)
-    assert np.array_equal(ridge_cca_loop(b, "L0", DEFAULT_LAMBDA), report.cca)
+    energies, props = energy_proportions(b, "L0", k, joint=joint)
+    top1, g = spectrum_stats(joint.sigma)
+    rho = ridge_cca_loop(b, "L0", DEFAULT_LAMBDA)
+    options = pipeline.PlanOptions(top_k=k, normalize_rows=normalize_rows, k_groups=2)
+    for report in (subspace_report(b, "L0", k=k, normalize_rows=normalize_rows),
+                   pipeline.plan(b, options)[1].subspace):
+        assert np.array_equal(joint.sigma, report.sigma)
+        assert np.array_equal(energies, report.energies)
+        assert np.array_equal(props, report.proportions)
+        assert (top1, g) == (report.top1_share, report.gini)
+        assert np.array_equal(rho, report.cca)
 
 
-def test_joint_svd_and_energy_proportions_reproduce_the_report_bit_for_bit(rng):
-    # the traced benchmark rebuilds a report from its public parts with array_equal
+def test_joint_svd_and_energy_proportions_reproduce_the_report_bit_for_bit(rng, monkeypatch):
+    # the traced benchmark rebuilds a report from its public parts with
+    # array_equal; plan's spectrum half on its thread or inline changes no bit
     wide = tiny_bundle({t: rng.standard_normal((m, 70)) for t, m in (("a", 6), ("b", 9), ("c", 6))})
     tall = tiny_bundle({t: rng.standard_normal((m, 7)) for t, m in (("a", 12), ("b", 10))})
     scaled = tiny_bundle({t: rng.standard_normal((8, 30)) * (1.0 + 10.0 * rng.random((8, 1)))
                           for t in "abc"})
-    assert_parts_reproduce_the_report(wide, 4)
-    assert_parts_reproduce_the_report(tall, 3)
-    assert_parts_reproduce_the_report(scaled, 5, normalize_rows=True)
+    for gate in (0, 1 << 62):  # every stack on the thread, then none
+        monkeypatch.setattr(pipeline, "OVERLAP_MIN_BYTES", gate)
+        assert_parts_reproduce_the_report(wide, 4)
+        assert_parts_reproduce_the_report(tall, 3)
+        assert_parts_reproduce_the_report(scaled, 5, normalize_rows=True)
+
+
+def test_report_above_the_overlap_gate_is_bit_for_bit_its_parts(rng):
+    # a stack large enough that plan runs the spectrum half on its own thread
+    rows = {t: rng.standard_normal((m, 4096)).astype(np.float32)
+            for t, m in (("a", 64), ("b", 80), ("c", 48), ("d", 64))}
+    b = tiny_bundle(rows)
+    assert layer_stack(b, "L0").x.nbytes >= pipeline.OVERLAP_MIN_BYTES
+    assert_parts_reproduce_the_report(b, 10)
+    assert_parts_reproduce_the_report(b, 10, normalize_rows=True)
+
+
+def test_layer_stack_blocks_are_views_of_one_float64_stack(rng):
+    rows = {t: rng.standard_normal((m, 5)).astype(np.float32) for t, m in (("a", 3), ("b", 4))}
+    stack = layer_stack(tiny_bundle(rows), "L0")
+    assert stack.x.dtype == np.float64 and stack.x.shape == (7, 5)
+    assert stack.rows == [3, 4]
+    for block, want in zip(stack.blocks, rows.values()):
+        assert np.shares_memory(block, stack.x)
+        assert np.array_equal(block, want.astype(np.float64))
 
 
 def test_subspace_report_factors_only_the_task_samples(rng, monkeypatch):
