@@ -5,7 +5,7 @@ A bundle holds one matrix of flattened per-sample gradients for every
 one ``<task>__<layer>.gdm`` file per entry; the ``.gdm`` payload is the magic
 ``GDM1``, a little-endian u32 row count, u32 column count, then rows*cols
 float32 values in row-major order.  Storage is float32 for bit-exact
-portability; all downstream arithmetic converts to float64 on use.
+portability; `layer_stack` is the one place the rows become float64.
 
 `read_bundle` maps each payload read-only from the page cache, so every
 matrix of a loaded bundle is a read-only view of a mapping, not a copy.
@@ -35,6 +35,7 @@ import os
 import reprlib
 import resource
 import struct
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -102,6 +103,9 @@ class GradientBundle:
     tasks: tuple[str, ...]
     layers: tuple[str, ...]
     entries: dict = field(repr=False)
+    # layer -> the `layer_stack` result that some caller still holds
+    _stacks: weakref.WeakValueDictionary = field(
+        default_factory=weakref.WeakValueDictionary, init=False, compare=False, repr=False)
 
     @classmethod
     def from_matrices(cls, matrices) -> "GradientBundle":
@@ -185,8 +189,40 @@ def sample_gradients(bundle: GradientBundle, task: str, layer: str) -> np.ndarra
 
 
 def mean_gradient(bundle: GradientBundle, task: str, layer: str) -> np.ndarray:
-    """Arithmetic mean over sample rows, computed in float64."""
-    return bundle.matrix(task, layer).data.astype(np.float64).mean(axis=0)
+    """Arithmetic mean over sample rows, in float64, from the layer's `layer_stack`;
+    a caller that holds that stack across calls has the layer cast only once."""
+    bundle._check_task(task)
+    return layer_stack(bundle, layer).blocks[bundle.tasks.index(task)].mean(axis=0)
+
+
+@dataclass(frozen=True)
+class LayerStack:
+    """Every task's sample rows at one layer as one read-only float64 stack `x`.
+
+    `blocks[i]` is task i's rows, a view of `x`, in bundle task order.
+    """
+
+    layer: str
+    tasks: tuple[str, ...]
+    x: np.ndarray
+    blocks: tuple[np.ndarray, ...]
+
+    @property
+    def rows(self) -> list[int]:
+        return [b.shape[0] for b in self.blocks]
+
+
+def layer_stack(bundle: GradientBundle, layer: str) -> LayerStack:
+    """The float64 row stack of all tasks' samples at a layer, cast once and
+    shared: while any caller holds a layer's stack, every call returns it."""
+    stack = bundle._stacks.get(layer)
+    if stack is None:
+        samples = [sample_gradients(bundle, t, layer) for t in bundle.tasks]
+        x = np.concatenate(samples, axis=0, dtype=np.float64)
+        x.flags.writeable = False  # before the split, so every block is read-only too
+        ends = np.cumsum([g.shape[0] for g in samples])[:-1]
+        stack = bundle._stacks[layer] = LayerStack(layer, bundle.tasks, x, tuple(np.split(x, ends)))
+    return stack
 
 
 def _entry_filename(task: str, layer: str) -> str:

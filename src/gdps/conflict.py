@@ -12,10 +12,10 @@ Purity is this toolkit's own bounded stand-in for "how benign are the
 cross-task interactions": the fraction of non-degenerate cross-task sample
 pairs whose cosine is >= 0.  It is labeled non-standard in every report.
 
-Method B casts the stored float32 rows of all tasks to one float64 stack
-per layer and does not normalise them.  Each task keeps its c_t
-non-degenerate rows g_i (`ZERO_NORM_EPS`, the rule of `unit_rows`) and
-s_t = sum_i g_i / |g_i|, one weighted row sum.  No Gram matrix is formed
+Method B reads each layer's float64 row stack (`gdps.bundle.layer_stack`,
+shared with Methods A and C) and does not normalise it.  Each task keeps
+its c_t non-degenerate rows g_i (`ZERO_NORM_EPS`, the rule of `unit_rows`)
+and s_t = sum_i g_i / |g_i|, one weighted row sum.  No Gram matrix is formed
 for the means: with sum_{i<j} u_i.u_j = (|s_t|^2 - c_t) / 2,
 
     S_self_t  = (|s_t|^2 - c_t) / (c_t (c_t - 1))
@@ -133,16 +133,18 @@ class _Task:
 def _layer_rows(bundle, tasks, layer, seed, need_pairs=False) -> tuple[list[_Task], np.ndarray]:
     """Each task's reduction, and its non-degenerate rows stacked task after task.
 
-    The stack is the rows cast to float64 once, not normalised.
+    They are the layer's float64 stack itself if no task is subsampled.
     """
-    drawn = []
     for task in tasks:
-        g = gb.sample_gradients(bundle, task, layer)
-        if need_pairs and g.shape[0] < 2:
-            raise ValidationError(f"self_similarity needs >= 2 samples for ({task}, {layer})")
-        drawn.append(_maybe_subsample(g, seed, task))
+        m = bundle.matrix(task, layer).rows
+        if need_pairs and m < 2:
+            raise ValidationError(f"task {task} has {m} sample row at layer {layer}; "
+                                  "Method B needs >= 2 samples per task")
+    stack = gb.layer_stack(bundle, layer)
+    drawn = [_maybe_subsample(stack.blocks[stack.tasks.index(t)], seed, t) for t in tasks]
     sampled = [g.shape[0] for g in drawn]
-    rows = np.concatenate(drawn, dtype=np.float64)
+    whole = tuple(tasks) == stack.tasks and sum(sampled) == stack.x.shape[0]
+    rows = stack.x if whole else np.concatenate(drawn)
     norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
     ok = norms >= ZERO_NORM_EPS
     if not ok.all():
@@ -207,8 +209,8 @@ def cross_similarity(
 def layer_conflict(bundle: gb.GradientBundle, layer: str, seed: int = 2343) -> LayerConflict:
     """Per-layer S_self, S_cross, their gap delta, and cross-pair purity.
 
-    Each task's rows are subsampled and cast to float64 once, and reduced
-    to the sum s_t of their unit rows and the count c_t.  S_self and
+    Each task's rows of the layer's float64 stack are subsampled and
+    reduced to the sum s_t of their unit rows and the count c_t.  S_self and
     S_cross come from those sums (no Gram matrix), to a few eps; pair
     counts come from m_t and c_t.  Purity counts the signs of one float64
     product per task, of its rows against those of every later task.

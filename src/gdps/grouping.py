@@ -130,7 +130,7 @@ def similarity_matrix(bundle: gb.GradientBundle, layer: str) -> SimilarityMatrix
     counted in `degenerate_count`.
     """
     tasks = bundle.tasks
-    unit, ok = unit_rows(np.stack([gb.mean_gradient(bundle, t, layer) for t in tasks]))
+    unit, ok = unit_rows(np.stack([b.mean(axis=0) for b in gb.layer_stack(bundle, layer).blocks]))
     s = np.clip(unit @ unit.T, -1.0, 1.0)
     np.fill_diagonal(s, 1.0)
     n, c = len(tasks), int(ok.sum())

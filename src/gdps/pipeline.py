@@ -5,7 +5,8 @@ self/cross-task conflict (B), weights the groups by subspace energy (C) and
 returns the `DecompositionPlan` with the `PipelineReport` that explains it.
 `PlanOptions` has one field per `gdps plan` flag.  Each step runs inside
 `stage(name)`, which prefixes any GdpsError with ``[stage: name]`` and keeps
-its type, so the CLI exit code does not change.
+its type, so the CLI exit code does not change.  Methods A, B and C read the
+one float64 stack of the layer (`gdps.bundle.layer_stack`) that `plan` holds.
 
 Two jobs run on second threads beside Methods A, B and the CCA half of C:
 the bundle fingerprint, always, and Method C's spectrum half (the joint
@@ -30,7 +31,7 @@ from . import decompose as dc
 from . import grouping as gr
 from . import report as rp
 from . import subspace as sb
-from .bundle import GradientBundle
+from .bundle import GradientBundle, layer_stack
 from .errors import GdpsError, ValidationError
 
 # Method C's spectrum half runs on a second thread only for a layer stack of
@@ -152,7 +153,7 @@ def plan(bundle: GradientBundle, options: PlanOptions = PlanOptions()):
     if len(bundle.tasks) < 2:
         raise ValidationError(">= 2 tasks required for cross-task analysis")
 
-    stack = sb.layer_stack(bundle, layer)
+    stack = layer_stack(bundle, layer)
     with beside(bundle.fingerprint) as fingerprint, beside(
         lambda: sb.joint_spectrum(stack, options.top_k, options.normalize_rows),
         threaded=stack.x.nbytes >= OVERLAP_MIN_BYTES,

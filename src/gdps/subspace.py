@@ -1,11 +1,11 @@
 """Joint gradient subspace analysis: stacked SVD, energy shares, ridge CCA.
 
-All tasks' gradient matrices at a layer are cast once into one float64 row
-stack (in bundle task order, `layer_stack`), and each task is a row-block
-view of it.  Method C reads that stack in two halves that share nothing but
-it.  The spectrum half (`joint_spectrum`) factors the stack, row-normalised
-on request, from one `eigh` of the Gram matrix of its short side: sigma =
-sqrt(max(lambda, 0)) and the left factor U, with no long-side projection.
+Method C reads a layer's float64 row stack (`gdps.bundle.layer_stack`, which
+Methods A and B read too; each task is a row-block view) in two halves that
+share nothing but it.  The spectrum half (`joint_spectrum`) factors the
+stack, row-normalised on request, from one `eigh` of the Gram matrix of its
+short side: sigma = sqrt(max(lambda, 0)) and the left factor U, with no
+long-side projection.
 Each task's energy is its rows' part of the top-k joint energy, read from
 sigma and U alone, and the energy proportions p_i decide how much residual
 capacity each group later receives.  The CCA half (`pairwise_cca`) measures
@@ -28,7 +28,7 @@ from itertools import combinations
 
 import numpy as np
 
-from . import bundle as gb
+from .bundle import GradientBundle, LayerStack, layer_stack
 from .errors import SingularCovarianceError, ValidationError
 from .grouping import GroupingPlan
 from .linalg import SvdResult, gini, gram_svd, unit_rows
@@ -40,31 +40,6 @@ DEFAULT_LAMBDA = 1e-3
 def check_lambda(lam: float) -> None:
     if not (np.isfinite(lam) and lam >= 0):
         raise ValidationError(f"lambda must be finite and >= 0, got {lam}")
-
-
-@dataclass(frozen=True)
-class LayerStack:
-    """Every task's sample rows at one layer as one float64 stack `x`.
-
-    `blocks[i]` is task i's rows, a view of `x`, in bundle task order.
-    """
-
-    layer: str
-    tasks: tuple[str, ...]
-    x: np.ndarray
-    blocks: tuple[np.ndarray, ...]
-
-    @property
-    def rows(self) -> list[int]:
-        return [b.shape[0] for b in self.blocks]
-
-
-def layer_stack(bundle: gb.GradientBundle, layer: str) -> LayerStack:
-    """The float64 row stack of all tasks' samples at a layer, cast once."""
-    samples = [gb.sample_gradients(bundle, t, layer) for t in bundle.tasks]
-    x = np.concatenate(samples, axis=0, dtype=np.float64)
-    ends = np.cumsum([g.shape[0] for g in samples])[:-1]
-    return LayerStack(layer, tuple(bundle.tasks), x, tuple(np.split(x, ends)))
 
 
 def _joint_rows(stack: LayerStack, normalize_rows: bool) -> np.ndarray:
@@ -94,7 +69,7 @@ def _reciprocal(sigma: np.ndarray) -> np.ndarray:
     return np.divide(1.0, sigma, out=np.zeros_like(sigma), where=sigma > 0.0)
 
 
-def joint_svd(bundle: gb.GradientBundle, layer: str, normalize_rows: bool = False) -> SvdResult:
+def joint_svd(bundle: GradientBundle, layer: str, normalize_rows: bool = False) -> SvdResult:
     """Thin SVD of the row-wise stack of all tasks' matrices at a layer.
 
     sigma and u are the factor `subspace_report` reads, from one `eigh` of
@@ -128,7 +103,7 @@ def _task_energies(u: np.ndarray, sigma: np.ndarray, rows: list[int], k: int, la
 
 
 def energy_proportions(
-    bundle: gb.GradientBundle,
+    bundle: GradientBundle,
     layer: str,
     k: int = DEFAULT_TOP_K,
     joint: SvdResult | None = None,
@@ -383,7 +358,7 @@ def assemble_report(stack: LayerStack, spectrum: JointSpectrum, cca: np.ndarray,
 
 
 def subspace_report(
-    bundle: gb.GradientBundle,
+    bundle: GradientBundle,
     layer: str,
     k: int = DEFAULT_TOP_K,
     lam: float = DEFAULT_LAMBDA,

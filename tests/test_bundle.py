@@ -1,4 +1,5 @@
 import ast
+import gc
 import json
 import mmap
 import os
@@ -8,6 +9,7 @@ import signal
 import struct
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,7 @@ from gdps.bundle import (
     is_json_int,
     is_json_number,
     json_field,
+    layer_stack,
     mean_gradient,
     read_bundle,
     read_json,
@@ -199,6 +202,31 @@ def test_sample_gradients_identity_and_consistency(rng):
     # cross-operation consistency: mean of rows equals mean_gradient
     manual = view.astype(np.float64).sum(axis=0) / view.shape[0]
     assert np.max(np.abs(manual - mean_gradient(b, "a", "L0"))) < 1e-12
+
+
+def test_layer_stack_is_shared_while_held(rng):
+    b = make_bundle(rng, layers=("L0", "L1"))
+    stack = layer_stack(b, "L0")
+    assert layer_stack(b, "L0") is stack
+    assert layer_stack(b, "L1") is not stack
+
+
+def test_layer_stack_dies_with_its_last_holder(rng):
+    b = make_bundle(rng)
+    stack = layer_stack(b, "L0")
+    ref = weakref.ref(stack)
+    del stack
+    gc.collect()
+    assert ref() is None
+    assert layer_stack(b, "L0").x.shape == (6, 4)  # cast again, not served dead
+
+
+def test_layer_stack_is_read_only(rng):
+    stack = layer_stack(make_bundle(rng), "L0")
+    with pytest.raises(ValueError):
+        stack.x[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        stack.blocks[1][0, 0] = 1.0
 
 
 def test_unknown_task_layer_errors(rng):

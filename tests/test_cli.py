@@ -19,7 +19,7 @@ from gdps.errors import BundleFormatError
 from gdps.report import hash_excluding_timestamp
 from gdps.synth import planted_bundle
 
-from conftest import two_layer_bundle
+from conftest import tiny_bundle, two_layer_bundle
 
 CANONICAL_THETA = float(np.degrees(np.arccos(0.925)))
 
@@ -524,6 +524,52 @@ def test_duplicate_seeds_exit_1(tmp_path, capsys):
     assert rc == 1
     assert err == "error: --seeds lists seed 3 more than once\n"
     assert not (tmp_path / "o").exists()
+
+
+def test_conflict_one_row_task_exit_1(tmp_path, capsys):
+    write_bundle(tiny_bundle({"a": [[1.0, 0.0], [0.0, 1.0]], "b": [[1.0, 1.0]]}), tmp_path / "b")
+    rc = main(["conflict", "--bundle", str(tmp_path / "b"), "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == ("error: [stage: conflict] task b has 1 sample row at layer L0; "
+                            "Method B needs >= 2 samples per task\n")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("gate", [0, gdps_pipeline.OVERLAP_MIN_BYTES])
+def test_stage_commands_agree_with_plan(tmp_path, monkeypatch, gate):
+    # group, conflict and subspace read the same layer stacks as plan; with
+    # the same flags each writes what plan reports.  --layer is not the
+    # first layer, and --layers lists it with another, out of bundle order.
+    mats = []
+    for theta, layer in ((80.0, "L0"), (30.0, "L1"), (60.0, "L2")):
+        b = planted_bundle(4, [[0], [1, 2, 3]], theta, d=24, m=6, seed=3, spread_deg=5.0,
+                           layer=layer)
+        mats += list(b.entries.values())
+    write_bundle(GradientBundle.from_matrices(mats), tmp_path / "b")
+    monkeypatch.setattr(gdps_pipeline, "OVERLAP_MIN_BYTES", gate)
+    given = ["--bundle", str(tmp_path / "b"), "--seed", "11"]
+    a = ["--layer", "L1", "--k-groups", "2"]
+    b = ["--layers", "L2,L1", "--thresholds", "0.1,0.3"]
+    c = ["--top-k", "3", "--lambda", "0.01", "--normalize-rows"]
+    for argv in (["group", *a], ["conflict", *b], ["subspace", "--layer", "L1", *c],
+                 ["plan", *a, *b, *c]):
+        assert main([*argv, *given, "--out", str(tmp_path / argv[0])]) == 0
+    rep = read_json(tmp_path / "plan" / "report.json")
+
+    def matrix(name):
+        rows = _csv_rows((tmp_path / "group" / name).read_text())
+        return [[float(x) for x in row[1:]] for row in rows]
+
+    assert read_json(tmp_path / "group" / "grouping.json") == rep["grouping"]
+    assert matrix("similarity.csv") == rep["similarity"]
+    assert matrix("distance.csv") == rep["distance"]
+    merges = _csv_rows((tmp_path / "group" / "merges.csv").read_text())
+    assert [[float(d), x, y] for _, d, x, y in merges] == rep["merges"]
+    assert read_json(tmp_path / "conflict" / "conflict.json") == rep["conflict"]
+    assert read_json(tmp_path / "subspace" / "subspace.json") == rep["subspace"]
+    assert (tmp_path / "subspace" / "spectrum.csv").read_text() == gdps_subspace.spectrum_csv(
+        np.asarray(rep["subspace"]["sigma"]))
 
 
 @pytest.mark.parametrize("command", ["conflict", "plan"])

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import threading
 import time
@@ -5,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+import gdps.bundle
 from gdps import conflict, grouping, pipeline, subspace
 from gdps.bundle import GradientBundle, write_bundle
 from gdps.cli import build_parser, main
@@ -23,6 +25,26 @@ from conftest import tiny_bundle
 from test_acceptance import SEEDS_5, _auto_plan
 
 OPTION_NAMES = {f.name for f in dataclasses.fields(PlanOptions)}
+
+
+def test_plan_casts_each_payload_once(rng, monkeypatch):
+    # Methods A, B and C share the plan layer's stack; each other candidate
+    # layer of Method B is cast on its own
+    rows = {f"t{i}": rng.standard_normal((5, 12)) for i in range(3)}
+    mats = [gdps.bundle.GradientMatrix(t, layer, g * (j + 1))
+            for j, layer in enumerate(("L0", "L1", "L2")) for t, g in rows.items()]
+    b = GradientBundle.from_matrices(mats)
+    reads = collections.Counter()
+    read = gdps.bundle.sample_gradients
+
+    def counting_read(bundle, task, layer):
+        reads[task, layer] += 1
+        return read(bundle, task, layer)
+
+    monkeypatch.setattr(gdps.bundle, "sample_gradients", counting_read)
+    monkeypatch.setattr(pipeline, "OVERLAP_MIN_BYTES", 0)
+    pipeline.plan(b, PlanOptions(layer="L1", layers="L2,L1"))
+    assert reads == {(t, layer): 1 for t in rows for layer in ("L1", "L2")}
 
 
 def _subparser(name):
