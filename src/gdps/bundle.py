@@ -5,7 +5,8 @@ A bundle holds one matrix of flattened per-sample gradients for every
 one ``<task>__<layer>.gdm`` file per entry; the ``.gdm`` payload is the magic
 ``GDM1``, a little-endian u32 row count, u32 column count, then rows*cols
 float32 values in row-major order.  Storage is float32 for bit-exact
-portability; `layer_stack` is the one place the rows become float64.
+portability; `layer_stack` casts a whole layer to float64 once and shares
+it while any caller holds it.
 
 `read_bundle` maps each payload read-only from the page cache, so every
 matrix of a loaded bundle is a read-only view of a mapping, not a copy.
@@ -189,10 +190,9 @@ def sample_gradients(bundle: GradientBundle, task: str, layer: str) -> np.ndarra
 
 
 def mean_gradient(bundle: GradientBundle, task: str, layer: str) -> np.ndarray:
-    """Arithmetic mean over sample rows, in float64, from the layer's `layer_stack`;
-    a caller that holds that stack across calls has the layer cast only once."""
-    bundle._check_task(task)
-    return layer_stack(bundle, layer).blocks[bundle.tasks.index(task)].mean(axis=0)
+    """Arithmetic mean over sample rows, accumulated in float64 from the stored
+    rows: bit for bit the mean of the task's `layer_stack` block, with no copy."""
+    return sample_gradients(bundle, task, layer).mean(axis=0, dtype=np.float64)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ decompose, simulate, report.  Exit codes: 0 success, 1 input/validation
 error, 2 numerical/analysis error; an error raised inside a stage carries
 the prefix ``[stage: name]`` and keeps its exit code.  All configuration
 flows through flags.  `plan` and `simulate` both run `gdps.pipeline.plan`,
-and their shared flags take their defaults from `gdps.pipeline.PlanOptions`.
+and `group`, `conflict` and `subspace` its stage calls.  Each flag of a
+`gdps.pipeline.PlanOptions` field is declared once, in `PLAN_FLAGS`.
 """
 
 from __future__ import annotations
@@ -118,11 +119,7 @@ def cmd_inspect(args) -> int:
 def cmd_group(args) -> int:
     bundle = _load_bundle(args.bundle)
     layer = pl.resolve_layer(bundle, args.layer)
-    with pl.stage("grouping"):
-        sim = gr.similarity_matrix(bundle, layer)
-        dist = gr.to_distance(sim)
-        plan = gr.consensus_from_distance(dist, k=args.k_groups, seed=args.seed)
-        merges = gr.linkage_merges(dist)
+    sim, dist, plan, merges = pl.group_tasks(bundle, layer, _plan_options(args))
     out = Path(args.out)
     write_text(out / "grouping.json", dump_json(plan.to_dict()))
     write_text(out / "similarity.csv", rp.similarity_csv(sim.tasks, sim.s))
@@ -474,67 +471,57 @@ def cmd_report(args) -> int:
     return 0
 
 
+# Each PlanOptions field's flag and argparse keywords; its default is the field's.
+PLAN_FLAGS = {
+    "seed": ("--seed", {"type": _non_negative_int}),
+    "layer": ("--layer", {}),
+    "layers": ("--layers", {"help": "comma-separated candidate layers"}),
+    "k_groups": ("--k-groups", {"type": int}),
+    "thresholds": ("--thresholds", {}),
+    "top_k": ("--top-k", {"type": int}),
+    "lam": ("--lambda", {"type": float}),
+    "normalize_rows": ("--normalize-rows", {"action": "store_true"}),
+    "noise": ("--noise", {"type": float}),
+    "d_model": ("--d-model", {"type": int}),
+    "d_ff": ("--d-ff", {"type": int}),
+    "activation": ("--activation", {"choices": dc.ACTIVATIONS}),
+    "private_rank": ("--private-rank", {"type": _non_negative_int, "help":
+                     "the plan's shared truncation rank r (0: d_s // 4, capped at d_model)"}),
+    "ratio": ("--ratio", {"type": float, "help":
+              "force the shared ratio instead of deriving it from delta"}),
+    "cca_noise_coupling": ("--cca-noise-coupling", {"action": "store_true", "help":
+                           "scale private-init noise by (1 - mean off-diagonal CCA rho)"}),
+}
+
+
+def _plan_flags(p, *names) -> None:
+    for name in names:
+        flag, keywords = PLAN_FLAGS[name]
+        p.add_argument(flag, dest=name, default=getattr(DEFAULTS, name), **keywords)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="gdps", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, bundle=True):
-        if bundle:
-            p.add_argument("--bundle", required=True, help="bundle directory")
-        p.add_argument("--seed", type=_non_negative_int, default=DEFAULTS.seed)
-        p.add_argument("--out", required=True, help="output directory")
-
-    def analysis(p):
-        p.add_argument("--thresholds", default=DEFAULTS.thresholds)
-        p.add_argument("--top-k", type=int, default=DEFAULTS.top_k)
-        p.add_argument("--lambda", dest="lam", type=float, default=DEFAULTS.lam)
-
-    def block(p):
-        p.add_argument("--noise", type=float, default=DEFAULTS.noise)
-        p.add_argument("--d-model", type=int, default=DEFAULTS.d_model)
-        p.add_argument("--d-ff", type=int, default=DEFAULTS.d_ff)
-        p.add_argument("--activation", choices=dc.ACTIVATIONS, default=DEFAULTS.activation)
-        p.add_argument("--private-rank", type=_non_negative_int, default=DEFAULTS.private_rank,
-                       help="the plan's shared truncation rank r (0: d_s // 4, capped at d_model)")
 
     p = sub.add_parser("inspect", help="summarize a bundle")
     p.add_argument("--bundle", required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_inspect)
 
-    p = sub.add_parser("group", help="Method A: cluster tasks")
-    common(p)
-    p.add_argument("--layer", default=DEFAULTS.layer)
-    p.add_argument("--k-groups", type=int, default=DEFAULTS.k_groups)
-    p.set_defaults(func=cmd_group)
+    def analysis(name, help, func, *flags):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--bundle", required=True, help="bundle directory")
+        p.add_argument("--out", required=True, help="output directory")
+        _plan_flags(p, *flags)
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("conflict", help="Method B: conflict scores and ratio")
-    common(p)
-    p.add_argument("--layers", default=DEFAULTS.layers, help="comma-separated candidate layers")
-    p.add_argument("--thresholds", default=DEFAULTS.thresholds)
-    p.set_defaults(func=cmd_conflict)
-
-    p = sub.add_parser("subspace", help="Method C: joint spectrum and CCA")
-    common(p)
-    p.add_argument("--layer", default=DEFAULTS.layer)
-    p.add_argument("--top-k", type=int, default=DEFAULTS.top_k)
-    p.add_argument("--lambda", dest="lam", type=float, default=DEFAULTS.lam)
-    p.add_argument("--normalize-rows", action="store_true")
-    p.set_defaults(func=cmd_subspace)
-
-    p = sub.add_parser("plan", help="compose Methods A+B+C into a decomposition plan")
-    common(p)
-    p.add_argument("--layer", default=DEFAULTS.layer)
-    p.add_argument("--layers", default=DEFAULTS.layers)
-    p.add_argument("--k-groups", type=int, default=DEFAULTS.k_groups)
-    analysis(p)
-    p.add_argument("--normalize-rows", action="store_true")
-    block(p)
-    p.add_argument("--ratio", type=float, default=DEFAULTS.ratio,
-                   help="force the shared ratio instead of deriving it from delta")
-    p.add_argument("--cca-noise-coupling", action="store_true",
-                   help="scale private-init noise by (1 - mean off-diagonal CCA rho)")
-    p.set_defaults(func=cmd_plan)
+    analysis("group", "Method A: cluster tasks", cmd_group, "seed", "layer", "k_groups")
+    analysis("conflict", "Method B: conflict scores and ratio", cmd_conflict,
+             "seed", "layers", "thresholds")
+    analysis("subspace", "Method C: joint spectrum and CCA", cmd_subspace,
+             "seed", "layer", "top_k", "lam", "normalize_rows")
+    analysis("plan", "compose Methods A+B+C into a decomposition plan", cmd_plan, *PLAN_FLAGS)
 
     p = sub.add_parser("decompose", help="materialize a plan on unified weights")
     p.add_argument("--w1", required=True, help=".gdm file, d_ff x d_model")
@@ -557,8 +544,8 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", type=int, default=32, help="gradient samples per task")
     p.add_argument("--seeds", default=str(DEFAULTS.seed))
     p.add_argument("--mode", choices=["unified", "specialized", "both"], default="both")
-    analysis(p)
-    block(p)
+    _plan_flags(p, "thresholds", "top_k", "lam", "noise", "d_model", "d_ff", "activation",
+                "private_rank")
     p.add_argument("--target-noise", type=float, default=0.05)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)

@@ -13,7 +13,8 @@ cross-task interactions": the fraction of non-degenerate cross-task sample
 pairs whose cosine is >= 0.  It is labeled non-standard in every report.
 
 Method B reads each layer's float64 row stack (`gdps.bundle.layer_stack`,
-shared with Methods A and C) and does not normalise it.  Each task keeps
+shared with Methods A and C; only the drawn rows are cast when a task is
+above `SAMPLE_CAP`) and does not normalise it.  Each task keeps
 its c_t non-degenerate rows g_i (`ZERO_NORM_EPS`, the rule of `unit_rows`)
 and s_t = sum_i g_i / |g_i|, one weighted row sum.  No Gram matrix is formed
 for the means: with sum_{i<j} u_i.u_j = (|s_t|^2 - c_t) / 2,
@@ -133,18 +134,19 @@ class _Task:
 def _layer_rows(bundle, tasks, layer, seed, need_pairs=False) -> tuple[list[_Task], np.ndarray]:
     """Each task's reduction, and its non-degenerate rows stacked task after task.
 
-    They are the layer's float64 stack itself if no task is subsampled.
+    They are the layer's shared float64 stack if every bundle task is read whole.
     """
-    for task in tasks:
-        m = bundle.matrix(task, layer).rows
+    stored = [bundle.matrix(task, layer).rows for task in tasks]
+    for task, m in zip(tasks, stored):
         if need_pairs and m < 2:
             raise ValidationError(f"task {task} has {m} sample row at layer {layer}; "
                                   "Method B needs >= 2 samples per task")
-    stack = gb.layer_stack(bundle, layer)
-    drawn = [_maybe_subsample(stack.blocks[stack.tasks.index(t)], seed, t) for t in tasks]
-    sampled = [g.shape[0] for g in drawn]
-    whole = tuple(tasks) == stack.tasks and sum(sampled) == stack.x.shape[0]
-    rows = stack.x if whole else np.concatenate(drawn)
+    sampled = [min(m, SAMPLE_CAP) for m in stored]
+    if tuple(tasks) == bundle.tasks and sampled == stored:
+        rows = gb.layer_stack(bundle, layer).x
+    else:
+        rows = np.concatenate([_maybe_subsample(gb.sample_gradients(bundle, t, layer), seed, t)
+                               for t in tasks], dtype=np.float64)
     norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
     ok = norms >= ZERO_NORM_EPS
     if not ok.all():
@@ -209,10 +211,10 @@ def cross_similarity(
 def layer_conflict(bundle: gb.GradientBundle, layer: str, seed: int = 2343) -> LayerConflict:
     """Per-layer S_self, S_cross, their gap delta, and cross-pair purity.
 
-    Each task's rows of the layer's float64 stack are subsampled and
-    reduced to the sum s_t of their unit rows and the count c_t.  S_self and
-    S_cross come from those sums (no Gram matrix), to a few eps; pair
-    counts come from m_t and c_t.  Purity counts the signs of one float64
+    Each task's rows, subsampled and in float64, are reduced to the sum s_t
+    of their unit rows and the count c_t.  S_self and S_cross come from
+    those sums (no Gram matrix), to a few eps; pair counts come from m_t
+    and c_t.  Purity counts the signs of one float64
     product per task, of its rows against those of every later task.
     """
     tasks = bundle.tasks

@@ -3,10 +3,12 @@
 `plan(bundle, options)` groups the tasks (A), sets the shared ratio from
 self/cross-task conflict (B), weights the groups by subspace energy (C) and
 returns the `DecompositionPlan` with the `PipelineReport` that explains it.
-`PlanOptions` has one field per `gdps plan` flag.  Each step runs inside
-`stage(name)`, which prefixes any GdpsError with ``[stage: name]`` and keeps
-its type, so the CLI exit code does not change.  Methods A, B and C read the
-one float64 stack of the layer (`gdps.bundle.layer_stack`) that `plan` holds.
+`PlanOptions` has one field per `gdps plan` flag.  Each stage is one call
+(`group_tasks`, `conflict_report`, `subspace_report`), which the `gdps
+group`, `conflict` and `subspace` commands make too, inside `stage(name)`:
+it prefixes any GdpsError with ``[stage: name]`` and keeps its type, so the
+CLI exit code does not change.  Methods A, B and C read the one float64
+stack of the layer (`gdps.bundle.layer_stack`) that `plan` holds.
 
 Two jobs run on second threads beside Methods A, B and the CCA half of C:
 the bundle fingerprint, always, and Method C's spectrum half (the joint
@@ -141,6 +143,15 @@ def beside(job, threaded: bool = True):
             thread.join()
 
 
+def group_tasks(bundle: GradientBundle, layer: str, options: PlanOptions):
+    """Method A at `layer`: (similarity, distance, consensus grouping, merges)."""
+    with stage("grouping"):
+        sim = gr.similarity_matrix(bundle, layer)
+        dist = gr.to_distance(sim)
+        grouping = gr.consensus_from_distance(dist, k=options.k_groups, seed=options.seed)
+        return sim, dist, grouping, gr.linkage_merges(dist)
+
+
 def plan(bundle: GradientBundle, options: PlanOptions = PlanOptions()):
     """(DecompositionPlan, PipelineReport) of Methods A+B+C on `bundle`.
 
@@ -158,21 +169,12 @@ def plan(bundle: GradientBundle, options: PlanOptions = PlanOptions()):
         lambda: sb.joint_spectrum(stack, options.top_k, options.normalize_rows),
         threaded=stack.x.nbytes >= OVERLAP_MIN_BYTES,
     ) as spectrum:
-        with stage("grouping"):
-            sim = gr.similarity_matrix(bundle, layer)
-            dist = gr.to_distance(sim)
-            grouping = gr.consensus_from_distance(dist, k=options.k_groups, seed=options.seed)
-            merges = gr.linkage_merges(dist)
+        sim, dist, grouping, merges = group_tasks(bundle, layer, options)
         with stage("conflict"):
             conflict = cf.conflict_report(bundle, candidates, thresholds, seed=options.seed)
         with stage("subspace"):
-            sb.check_lambda(options.lam)
-            try:
-                cca = sb.pairwise_cca(stack, options.lam)
-            finally:
-                # the spectrum comes before the CCA: its error replaces the CCA's
-                joint = spectrum()
-            subspace = sb.assemble_report(stack, joint, cca, options.lam)
+            subspace = sb.subspace_report(bundle, layer, options.top_k, options.lam,
+                                          options.normalize_rows, spectrum=spectrum)
             p_g = sb.group_energy(subspace.proportions, grouping, bundle.tasks)
 
     warnings = [*grouping.warnings, *conflict.warnings, *subspace.warnings]

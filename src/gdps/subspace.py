@@ -17,8 +17,8 @@ core from the two factors (canonical correlations from the factors of each
 side, Bjorck & Golub 1973; the factor-then-correlate structure of SVCCA).
 It takes every rho from one values-only SVD call per core shape.  At
 lambda = 0 a rank-deficient factor has no whitening and raises
-SingularCovarianceError.  `subspace_report` runs the two halves one after
-the other; `gdps.pipeline.plan` may run the spectrum half on a second thread.
+SingularCovarianceError.  `subspace_report` joins the two halves; it may
+take the spectrum half that `gdps.pipeline.plan` runs on a second thread.
 """
 
 from __future__ import annotations
@@ -344,28 +344,33 @@ def pairwise_cca(stack: LayerStack, lam: float = DEFAULT_LAMBDA) -> np.ndarray:
     return cca
 
 
-def assemble_report(stack: LayerStack, spectrum: JointSpectrum, cca: np.ndarray,
-                    lam: float) -> SubspaceReport:
-    """The `SubspaceReport` of a layer from its two halves."""
-    warnings = list(spectrum.warnings)
-    if len(set(stack.rows)) > 1:
-        warnings.append(
-            "cca pairing: unequal sample counts truncated to the smaller task "
-            "(index pairing is a toolkit choice, not part of the published method)"
-        )
-    fields = {**vars(spectrum), "warnings": tuple(warnings)}
-    return SubspaceReport(layer=stack.layer, tasks=stack.tasks, cca=cca, lam=lam, **fields)
-
-
 def subspace_report(
     bundle: GradientBundle,
     layer: str,
     k: int = DEFAULT_TOP_K,
     lam: float = DEFAULT_LAMBDA,
     normalize_rows: bool = False,
+    spectrum=None,
 ) -> SubspaceReport:
-    """Full Method-C result for one layer: spectrum, energies, pairwise CCA."""
+    """Full Method-C result for one layer: spectrum, energies, pairwise CCA.
+
+    `spectrum()`, if given, returns this layer's `joint_spectrum` for the same
+    k and normalize_rows.  It is awaited after the CCA, and its error replaces
+    the CCA's, as if it ran first.
+    """
     check_lambda(lam)
     stack = layer_stack(bundle, layer)
-    return assemble_report(stack, joint_spectrum(stack, k, normalize_rows),
-                           pairwise_cca(stack, lam), lam)
+    if spectrum is None:
+        spectrum = lambda: joint_spectrum(stack, k, normalize_rows)
+    try:
+        cca = pairwise_cca(stack, lam)
+    finally:
+        joint = spectrum()
+    warnings = list(joint.warnings)
+    if len(set(stack.rows)) > 1:
+        warnings.append(
+            "cca pairing: unequal sample counts truncated to the smaller task "
+            "(index pairing is a toolkit choice, not part of the published method)"
+        )
+    fields = {**vars(joint), "warnings": tuple(warnings)}
+    return SubspaceReport(layer=stack.layer, tasks=stack.tasks, cca=cca, lam=lam, **fields)

@@ -204,6 +204,23 @@ def test_sample_gradients_identity_and_consistency(rng):
     assert np.max(np.abs(manual - mean_gradient(b, "a", "L0"))) < 1e-12
 
 
+def test_mean_gradient_reads_the_stored_rows_without_a_stack(rng, monkeypatch):
+    # a loop over tasks must not cast the whole layer once per call
+    shapes = {"a": (3, 5), "b": (1, 7), "c": (513, 33), "d": (64, 8192)}
+    want = {}
+    for task, shape in shapes.items():
+        b = GradientBundle.from_matrices(
+            [GradientMatrix(task, "L0", rng.standard_normal(shape).astype(np.float32))])
+        want[task] = (b, layer_stack(b, "L0").blocks[0].mean(axis=0))
+    calls = []
+    monkeypatch.setattr(gdps.bundle, "layer_stack", lambda *args: calls.append(args))
+    for task, (b, mean) in want.items():
+        for _ in range(2):
+            got = mean_gradient(b, task, "L0")
+            assert got.dtype == np.float64 and np.array_equal(got, mean)
+    assert calls == []
+
+
 def test_layer_stack_is_shared_while_held(rng):
     b = make_bundle(rng, layers=("L0", "L1"))
     stack = layer_stack(b, "L0")

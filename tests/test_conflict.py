@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gdps.bundle
 from gdps.conflict import (
     SAMPLE_CAP,
     RatioThresholds,
@@ -551,3 +552,16 @@ def test_means_match_unit_rows_with_zero_rows(rows, drawn):
     assert abs(lc.s_cross - s_cross) <= 1e-12
     assert abs(lc.delta - (s_self - s_cross)) <= 1e-12
     assert lc.purity == unit_row_purity(drawn_rows)
+
+
+def test_capped_task_never_casts_the_whole_layer(rng, monkeypatch):
+    # a task above SAMPLE_CAP: Method B casts only the rows it draws
+    b = tiny_bundle({"t0": rng.standard_normal((SAMPLE_CAP + 88, 16)),
+                     "t1": rng.standard_normal((40, 16)), "t2": rng.standard_normal((40, 16))})
+    calls = []
+    monkeypatch.setattr(gdps.bundle, "layer_stack", lambda *args: calls.append(args))
+    report = conflict_report(b, seed=5)
+    assert calls == []
+    assert report.layers[0].total_pairs == (
+        SAMPLE_CAP * (SAMPLE_CAP - 1) // 2 + 2 * (40 * 39 // 2)
+        + 2 * SAMPLE_CAP * 40 + 40 * 40)

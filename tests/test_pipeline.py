@@ -85,6 +85,83 @@ def test_flag_defaults_come_from_plan_options(argv):
         assert args["seeds"] == str(PlanOptions().seed)
 
 
+ACT = ("identity", "relu", "silu", "tanh")
+NNI = "_non_negative_int"
+BUNDLE_OUT = {("--bundle", "bundle", None, None, None, True),
+              ("--out", "out", None, None, None, True)}
+SEED = ("--seed", "seed", 2343, NNI, None, False)
+# every subcommand's options: (flag, dest, default, type, choices, required)
+PARSER = {
+    "inspect": {("--bundle", "bundle", None, None, None, True),
+                ("--out", "out", None, None, None, False)},
+    "group": BUNDLE_OUT | {SEED, ("--layer", "layer", None, None, None, False),
+                           ("--k-groups", "k_groups", 2, "int", None, False)},
+    "conflict": BUNDLE_OUT | {SEED, ("--layers", "layers", None, None, None, False),
+                              ("--thresholds", "thresholds", "0.05,0.15", None, None, False)},
+    "subspace": BUNDLE_OUT | {
+        SEED, ("--layer", "layer", None, None, None, False),
+        ("--top-k", "top_k", 10, "int", None, False),
+        ("--lambda", "lam", 0.001, "float", None, False),
+        ("--normalize-rows", "normalize_rows", False, None, None, False)},
+    "plan": BUNDLE_OUT | {
+        SEED, ("--layer", "layer", None, None, None, False),
+        ("--layers", "layers", None, None, None, False),
+        ("--k-groups", "k_groups", 2, "int", None, False),
+        ("--thresholds", "thresholds", "0.05,0.15", None, None, False),
+        ("--top-k", "top_k", 10, "int", None, False),
+        ("--lambda", "lam", 0.001, "float", None, False),
+        ("--normalize-rows", "normalize_rows", False, None, None, False),
+        ("--noise", "noise", 0.0001, "float", None, False),
+        ("--d-model", "d_model", 16, "int", None, False),
+        ("--d-ff", "d_ff", 32, "int", None, False),
+        ("--activation", "activation", "silu", None, ACT, False),
+        ("--private-rank", "private_rank", 0, NNI, None, False),
+        ("--ratio", "ratio", None, "float", None, False),
+        ("--cca-noise-coupling", "cca_noise_coupling", False, None, None, False)},
+    "decompose": {
+        ("--w1", "w1", None, None, None, True), ("--w2", "w2", None, None, None, True),
+        ("--plan", "plan", None, None, None, True), ("--out", "out", None, None, None, True),
+        ("--noise", "noise", None, "float", None, False),
+        ("--seed", "seed", None, NNI, None, False),
+        ("--private-rank", "private_rank", 0, NNI, None, False)},
+    "simulate": {
+        ("--theta", "theta", None, "float", None, True),
+        ("--tasks", "tasks", 4, "int", None, False),
+        ("--groups", "groups", "0|1,2,3", None, None, False),
+        ("--steps", "steps", 500, "int", None, False),
+        ("--lr", "lr", 0.05, "float", None, False),
+        ("--batch-size", "batch_size", 8, "int", None, False),
+        ("--samples", "samples", 32, "int", None, False),
+        ("--seeds", "seeds", "2343", None, None, False),
+        ("--mode", "mode", "both", None, ("unified", "specialized", "both"), False),
+        ("--thresholds", "thresholds", "0.05,0.15", None, None, False),
+        ("--top-k", "top_k", 10, "int", None, False),
+        ("--lambda", "lam", 0.001, "float", None, False),
+        ("--noise", "noise", 0.0001, "float", None, False),
+        ("--d-model", "d_model", 16, "int", None, False),
+        ("--d-ff", "d_ff", 32, "int", None, False),
+        ("--activation", "activation", "silu", None, ACT, False),
+        ("--private-rank", "private_rank", 0, NNI, None, False),
+        ("--target-noise", "target_noise", 0.05, "float", None, False),
+        ("--out", "out", None, None, None, True)},
+    "report": {
+        ("--inputs", "inputs", None, None, None, True),
+        ("--format", "format", "md", None, ("json", "md", "csv"), False),
+        ("--out", "out", None, None, None, True)},
+}
+
+
+def test_every_subcommand_parses_to_the_pinned_options():
+    parsers = build_parser()._subparsers._group_actions[0].choices
+    assert set(parsers) == set(PARSER)
+    for name, parser in parsers.items():
+        options = {("/".join(a.option_strings), a.dest, a.default,
+                    getattr(a.type, "__name__", a.type), a.choices and tuple(a.choices),
+                    a.required)
+                   for a in parser._actions if a.dest != "help"}
+        assert options == PARSER[name], name
+
+
 def test_report_flags_echo_every_option():
     suite = make_suite(4, [[0], [1, 2, 3]], 80.0, seed=5)
     bundle = collect_bundle(make_model(suite, seed=5), suite, seed=5)
