@@ -21,8 +21,8 @@ This module also owns how gdps reads and writes every JSON file
 (manifest, plan, ``ffn.json``, reports): `read_json` parses it strictly
 and `json_field` judges each field, both naming the file; `dump_json` is
 the one format written, and `write_text` and `write_matrix_file` the one
-rule for writing a file.  `check_finite` is the one rule for a matrix's
-values; `read_matrix_file` applies it to every .gdm file it reads.
+rule for writing a file.  `read_matrix_file` refuses a path that is not a
+regular file and applies `gdps.linalg.check_finite` to every .gdm file it reads.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ import mmap
 import os
 import reprlib
 import resource
+import stat
 import struct
 import weakref
 from dataclasses import dataclass, field
@@ -43,6 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AnalysisError, BundleFormatError, ValidationError
+from .linalg import check_finite
 
 MAGIC = b"GDM1"
 HEADER = struct.Struct("<4sII")
@@ -58,13 +60,6 @@ def _as_float32(data) -> np.ndarray:
     arr = np.array(arr, dtype=np.float32, order="C")
     arr.flags.writeable = False
     return arr
-
-
-def check_finite(data: np.ndarray, what: str, error=ValidationError) -> None:
-    """Raise `error` naming `what` and the first non-finite entry of a 2-D matrix."""
-    if not np.isfinite(data).all():
-        row, col = np.argwhere(~np.isfinite(data))[0]
-        raise error(f"{what}: non-finite entry at row {row}, col {col}")
 
 
 @dataclass(frozen=True)
@@ -261,10 +256,14 @@ def _read_payload(path, mapped: bool):
     """The bytes of the file at `path`: a read-only mapping if `mapped`, else a copy.
 
     A file shorter than the header is always copied (an empty file cannot
-    be mapped, and the header check rejects it either way).
+    be mapped, and the header check rejects it either way).  A FIFO or a
+    device, whose open may block or whose read may never end, is refused.
     """
-    with open(path, "rb") as fh:
-        if mapped and os.fstat(fh.fileno()).st_size >= HEADER.size:
+    with open(path, "rb", opener=lambda p, f: os.open(p, f | os.O_NONBLOCK)) as fh:
+        info = os.fstat(fh.fileno())
+        if not stat.S_ISREG(info.st_mode):
+            raise ValueError("not a regular file")
+        if mapped and info.st_size >= HEADER.size:
             return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
         return fh.read()
 
@@ -483,10 +482,13 @@ def read_bundle(path) -> GradientBundle:
 
     records = _manifest_records(root, src, manifest)
     mapped = _mappings_fit(len(records))
-    matrices = []
+    entries = {}
     for rec in records:
         task, layer = rec["task"], rec["layer"]
         fpath = rec["file"]
+        if (task, layer) in entries:
+            raise BundleFormatError(
+                f"{manifest_path}: duplicate entry for (task, layer) = {(task, layer)}")
         # GradientMatrix checks finiteness once, below
         arr = read_matrix_file(fpath, finite=False, mapped=mapped)
         if arr.shape != rec["shape"]:
@@ -501,17 +503,13 @@ def read_bundle(path) -> GradientBundle:
                 f"in {manifest_path} but file has cols={arr.shape[1]}"
             )
         try:
-            matrices.append(GradientMatrix(task, layer, arr))
+            entries[task, layer] = GradientMatrix(task, layer, arr)
         except ValidationError as exc:
             raise BundleFormatError(f"{fpath}: {exc}") from exc
 
+    bundle = GradientBundle(tuple(tasks), tuple(layers), entries)
     try:
-        bundle = GradientBundle.from_matrices(matrices)
-        if list(bundle.tasks) != tasks or list(bundle.layers) != layers:
-            # Preserve the manifest's declared ordering, then re-validate the grid.
-            entries = {(m.task, m.layer): m for m in matrices}
-            bundle = GradientBundle(tuple(tasks), tuple(layers), entries)
-            bundle.validate()
+        bundle.validate()
     except ValidationError as exc:
         raise BundleFormatError(f"{manifest_path}: {exc}") from exc
     return bundle

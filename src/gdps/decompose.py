@@ -28,7 +28,7 @@ from .bundle import (dump_json, is_json_int, is_json_number, json_field, read_js
                      read_matrix_file, write_matrix_file, write_text)
 from .errors import ValidationError
 from .grouping import GroupingPlan
-from .linalg import SvdResult, svd
+from .linalg import SvdResult, check_finite, svd
 
 DEFAULT_NOISE_SCALE = 1e-4
 DEFAULT_SEED = 2343
@@ -37,11 +37,10 @@ ACTIVATIONS = ("identity", "relu", "silu", "tanh")
 
 
 def _sigmoid(a):
-    # exp(-|a|) never overflows; both quotients are finite, where() picks one
+    # exp(-|a|) never overflows; where() picks the numerator, 1 or e, of one division
     a = np.asarray(a, dtype=np.float64)
     e = np.exp(-np.abs(a))
-    d = 1.0 + e
-    return np.where(a >= 0, 1.0 / d, e / d)
+    return np.where(a >= 0, 1.0, e) / (1.0 + e)
 
 
 def activation_pair(name: str):
@@ -90,8 +89,8 @@ class UnifiedFfnWeights:
                 f"w2 shape {self.w2.shape} != (d_model, d_ff) = ({self.d_model}, {self.d_ff})"
             )
         # read_matrix_file names the file of a stored weight; this covers weights built in memory
-        if not (np.isfinite(self.w1).all() and np.isfinite(self.w2).all()):
-            raise ValidationError("unified weights contain non-finite entries")
+        check_finite(self.w1, "unified weights w1")
+        check_finite(self.w2, "unified weights w2")
 
 
 @dataclass(frozen=True)
@@ -451,10 +450,11 @@ def forward(ffn: SpecializedFfn, x, task: str) -> np.ndarray:
     squeeze = x.ndim == 1
     if squeeze:
         x = x[None, :]
+    if x.ndim != 2:
+        raise ValidationError(f"forward expects a vector or a 2-D batch, got shape {x.shape}")
     if x.shape[1] != ffn.plan.d_model:
         raise ValidationError(f"input width {x.shape[1]} != d_model {ffn.plan.d_model}")
-    if not np.isfinite(x).all():
-        raise ValidationError("forward input contains non-finite entries")
+    check_finite(x, "forward input")
     if task not in ffn.routing:
         raise ValidationError(f"task {task!r} has no route; known: {sorted(ffn.routing)}")
     g = ffn.routing[task]

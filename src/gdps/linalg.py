@@ -1,10 +1,10 @@
 """Dense kernels with explicit numerical contracts.
 
-Everything here is a pure function on float64 arrays: unit rows under
-`ZERO_NORM_EPS`, the one zero-norm rule that every cosine in the toolkit
-uses (Method B applies it to row norms and forms no unit rows), thin SVD (direct,
-or from the Gram matrix of the short side), and the Gini concentration
-statistic used on singular-value spectra.
+Everything here is a pure function on float64 arrays: `check_finite`, the
+one finiteness rule of every matrix, unit rows under `ZERO_NORM_EPS`, the
+one zero-norm rule that every cosine in the toolkit uses (Method B applies
+it to row norms and forms no unit rows), thin SVD (direct, or from the Gram
+matrix of the short side), and the Gini statistic of singular-value spectra.
 """
 
 from __future__ import annotations
@@ -59,12 +59,18 @@ class SvdResult:
         return SvdResult(self.u[:, :r], self.sigma[:r], self.v[:, :r])
 
 
+def check_finite(data: np.ndarray, what: str, error=ValidationError) -> None:
+    """Raise `error` naming `what` and the first non-finite entry of a 2-D matrix."""
+    if not np.isfinite(data).all():
+        row, col = np.argwhere(~np.isfinite(data))[0]
+        raise error(f"{what}: non-finite entry at row {row}, col {col}")
+
+
 def _finite_matrix(matrix, name: str) -> np.ndarray:
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2 or min(m.shape) < 1:
         raise ValidationError(f"{name} expects a non-empty 2-D matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValidationError(f"{name} input contains non-finite entries")
+    check_finite(m, f"{name} input")
     return m
 
 

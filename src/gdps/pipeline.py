@@ -13,9 +13,10 @@ stack of the layer (`gdps.bundle.layer_stack`) that `plan` holds.
 Two jobs run on second threads beside Methods A, B and the CCA half of C:
 the bundle fingerprint, always, and Method C's spectrum half (the joint
 Gram and its `eigh`) when the layer's float64 stack holds at least
-`OVERLAP_MIN_BYTES`.  sha256 and the BLAS and LAPACK calls release the GIL,
-so a process's CPU time may exceed its wall time.  Errors are reported as
-if the stages ran one after another: grouping, conflict, spectrum, CCA.
+`OVERLAP_MIN_BYTES`; below it `subspace_report` computes the spectrum
+inline, after the CCA.  sha256 and the BLAS and LAPACK calls release the
+GIL, so a process's CPU time may exceed its wall time.  Errors are reported
+as if the stages ran one after another: grouping, conflict, spectrum, CCA.
 Every thread is joined before `plan` returns or raises.
 """
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,14 +106,13 @@ def resolve_candidates(bundle: GradientBundle, layers: str | None) -> list[str]:
 
 
 @contextmanager
-def beside(job, threaded: bool = True):
+def beside(job):
     """Run `job()` on a second thread for the body of the with block.
 
     Yields `result()`, which waits for the job and returns its value or
-    raises its exception on the caller.  Without `threaded` the job runs on
-    the caller at the first `result()` call instead.  The thread is joined
-    when the block exits, normally or by an exception, so no thread outlives
-    it; an outcome that no one asks for is dropped.
+    raises its exception on the caller.  The thread is joined when the block
+    exits, normally or by an exception, so no thread outlives it; an outcome
+    that no one asks for is dropped.
     """
     outcome = []
 
@@ -122,15 +122,11 @@ def beside(job, threaded: bool = True):
         except BaseException as exc:  # handed to the caller by result()
             outcome.append((None, exc))
 
-    thread = threading.Thread(target=run, name="gdps-beside") if threaded else None
-    if thread is not None:
-        thread.start()
+    thread = threading.Thread(target=run, name="gdps-beside")
+    thread.start()
 
     def result():
-        if thread is not None:
-            thread.join()
-        elif not outcome:
-            run()
+        thread.join()
         value, error = outcome[0]
         if error is not None:
             raise error
@@ -139,8 +135,7 @@ def beside(job, threaded: bool = True):
     try:
         yield result
     finally:
-        if thread is not None:
-            thread.join()
+        thread.join()
 
 
 def group_tasks(bundle: GradientBundle, layer: str, options: PlanOptions):
@@ -165,9 +160,9 @@ def plan(bundle: GradientBundle, options: PlanOptions = PlanOptions()):
         raise ValidationError(">= 2 tasks required for cross-task analysis")
 
     stack = layer_stack(bundle, layer)
-    with beside(bundle.fingerprint) as fingerprint, beside(
-        lambda: sb.joint_spectrum(stack, options.top_k, options.normalize_rows),
-        threaded=stack.x.nbytes >= OVERLAP_MIN_BYTES,
+    with beside(bundle.fingerprint) as fingerprint, (
+        beside(lambda: sb.joint_spectrum(stack, options.top_k, options.normalize_rows))
+        if stack.x.nbytes >= OVERLAP_MIN_BYTES else nullcontext()
     ) as spectrum:
         sim, dist, grouping, merges = group_tasks(bundle, layer, options)
         with stage("conflict"):

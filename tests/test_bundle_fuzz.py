@@ -11,6 +11,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import shutil
 import struct
 import tempfile
@@ -230,4 +231,13 @@ def test_gdm_wrong_shape(template, name, rows, cols):
 def test_gdm_missing(template, name):
     with damaged_copy(template) as root:
         (root / name).unlink()
+        assert_clean_exit_1(root, name)
+
+
+@pytest.mark.parametrize("name", FILES)
+def test_gdm_not_a_regular_file(template, name):
+    # opening a FIFO with no writer blocks, and reading one never ends
+    with damaged_copy(template) as root:
+        (root / name).unlink()
+        os.mkfifo(root / name)
         assert_clean_exit_1(root, name)

@@ -12,7 +12,8 @@ from gdps import bundle as gdps_bundle
 from gdps import grouping as gdps_grouping
 from gdps import pipeline as gdps_pipeline
 from gdps import subspace as gdps_subspace
-from gdps.bundle import GradientBundle, bundle_fingerprint, write_bundle, write_matrix_file
+from gdps.bundle import (GradientBundle, GradientMatrix, bundle_fingerprint, write_bundle,
+                         write_matrix_file)
 from gdps.bundle import read_json as bundle_read_json
 from gdps.cli import main
 from gdps.errors import BundleFormatError
@@ -22,6 +23,12 @@ from gdps.synth import planted_bundle
 from conftest import tiny_bundle, two_layer_bundle
 
 CANONICAL_THETA = float(np.degrees(np.arccos(0.925)))
+
+
+def cli_env(threads="1"):
+    """The environment of a `gdps` subprocess: this source tree, `threads` BLAS threads."""
+    return {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+            "MKL_NUM_THREADS": threads, "PYTHONPATH": str(Path(gdps_bundle.__file__).parents[1])}
 
 
 def make_disk_bundle(path, theta=80.0, groups=((0,), (1, 2, 3)), m=24, d=64, seed=17,
@@ -212,6 +219,34 @@ def test_plan_deterministic_in_either_finishing_order(tmp_path, monkeypatch, slo
                         else ["spectrum", "grouping", "cca"])
 
 
+def test_plan_agrees_across_blas_thread_counts(tmp_path):
+    # byte-identical re-runs assume one BLAS thread count; another count may
+    # sum in another order, which moves sigma, the energies and p_g by a few
+    # ulp and no discrete result.  16 x 64 x 4096 is the plan-wide shape,
+    # whose 32 MB stack runs the spectrum on its own thread.
+    rng = np.random.default_rng(31)
+    write_bundle(GradientBundle.from_matrices(
+        GradientMatrix(f"t{i}", "L0", rng.standard_normal((64, 4096))) for i in range(16)
+    ), tmp_path / "b")
+    reports = []
+    for threads in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-m", "gdps.cli", "plan", "--bundle",
+                               str(tmp_path / "b"), "--out", str(tmp_path / threads)],
+                              env=cli_env(threads), capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        reports.append(read_json(tmp_path / threads / "report.json"))
+    one, two = reports
+    assert one["grouping"] == two["grouping"]
+    for key in ("shared_ratio", "d_s", "d_p", "r"):
+        assert one["plan"][key] == two["plan"][key], key
+    np.testing.assert_allclose(two["plan"]["p_g"], one["plan"]["p_g"], rtol=1e-12, atol=0)
+    for key in ("energies", "proportions"):
+        np.testing.assert_allclose(two["subspace"][key], one["subspace"][key],
+                                   rtol=1e-12, atol=0, err_msg=key)
+    sigma = one["subspace"]["sigma"]
+    np.testing.assert_allclose(two["subspace"]["sigma"], sigma, rtol=0, atol=1e-12 * sigma[0])
+
+
 def write_desk_weights(tmp_path, rng, d_model=8, d_ff=12):
     w1 = rng.standard_normal((d_ff, d_model))
     w2 = rng.standard_normal((d_model, d_ff))
@@ -291,7 +326,6 @@ def test_decompose_rank_deficient_residual_converges(tmp_path):
     # A 1024 x 4096 block whose rank-r residual p_g * (W - W_r) made LAPACK's
     # gesdd fail, with one BLAS thread, when it was factored on its own; one
     # SVD of W avoids it.  A fresh interpreter pins the BLAS thread count.
-    import gdps
     from gdps.decompose import make_plan
     from gdps.grouping import GroupingPlan
 
@@ -302,13 +336,11 @@ def test_decompose_rank_deficient_residual_converges(tmp_path):
     plan = make_plan(GroupingPlan((("t0", "t1"), ("t2", "t3")), "consensus", 2),
                      0.25, d_model, d_ff, p_g=(0.5, 0.5))
     (tmp_path / "plan.json").write_text(json.dumps(plan.to_dict()))
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-           "MKL_NUM_THREADS": "1", "PYTHONPATH": str(Path(gdps.__file__).parents[1])}
     proc = subprocess.run([
         sys.executable, "-m", "gdps.cli",
         "decompose", "--w1", str(tmp_path / "w1.gdm"), "--w2", str(tmp_path / "w2.gdm"),
         "--plan", str(tmp_path / "plan.json"), "--out", str(tmp_path / "ffn"),
-    ], env=env, capture_output=True, text=True)
+    ], env=cli_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -651,11 +683,9 @@ def test_plan_under_a_descriptor_limit(tmp_path, mode, returncode):
         mats += list(b.entries.values())
     write_bundle(GradientBundle.from_matrices(mats), tmp_path / "b")
     assert main(["plan", "--bundle", str(tmp_path / "b"), "--out", str(tmp_path / "free")]) == 0
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-           "MKL_NUM_THREADS": "1", "PYTHONPATH": str(Path(gdps_bundle.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", DESCRIPTOR_LIMITED_PLAN, mode, "plan", "--bundle",
                            str(tmp_path / "b"), "--out", str(tmp_path / "limited")],
-                          env=env, capture_output=True, text=True, timeout=300)
+                          env=cli_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == returncode, proc.stderr
     if returncode:
         assert "Too many open files" in proc.stderr
@@ -677,6 +707,31 @@ def test_decompose_non_finite_weight_exit_1_names_the_file(tmp_path, capsys, rng
     ])
     assert rc == 1
     assert f"{tmp_path / 'w1.gdm'}: non-finite entry at row 2, col 5" in capsys.readouterr().err
+    assert not (tmp_path / "ffn").exists()
+
+
+# A reader that copied /dev/zero would never reach its end: the run is capped
+# at 1 GiB of address space, so such a reader fails in seconds.
+ADDRESS_LIMITED_MAIN = """
+import resource, sys
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+soft = 1 << 30 if hard == resource.RLIM_INFINITY else min(hard, 1 << 30)
+resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+from gdps.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_decompose_device_weight_exit_1_names_the_file(tmp_path, rng):
+    write_desk_weights(tmp_path, rng)
+    _, plan_path = write_plan_file(tmp_path)
+    proc = subprocess.run([sys.executable, "-c", ADDRESS_LIMITED_MAIN, "decompose",
+                           "--w1", "/dev/zero", "--w2", str(tmp_path / "w2.gdm"),
+                           "--plan", str(plan_path), "--out", str(tmp_path / "ffn")],
+                          env=cli_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == "error: cannot read matrix file /dev/zero: not a regular file\n"
     assert not (tmp_path / "ffn").exists()
 
 

@@ -292,6 +292,8 @@ def test_forward_unknown_task(rng):
         forward(ffn, np.zeros(8), "zz")
     with pytest.raises(ValidationError, match="width"):
         forward(ffn, np.zeros(9), "a")
+    with pytest.raises(ValidationError, match="2-D batch"):  # its axis 1 is not the width
+        forward(ffn, np.full((2, 8, 8), np.nan), "a")
 
 
 def test_forward_single_vector_round_trip(rng):

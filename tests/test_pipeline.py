@@ -263,18 +263,12 @@ def test_beside_runs_the_job_once_and_raises_on_the_caller():
         calls.append(threading.current_thread())
         raise KeyError("job")
 
-    for threaded in (True, False):
-        calls.clear()
-        with pipeline.beside(job, threaded=threaded) as result:
-            for _ in range(2):
-                with pytest.raises(KeyError, match="job"):
-                    result()
-        assert len(calls) == 1
-        assert (calls[0] is threading.current_thread()) is not threaded
-    calls.clear()
-    with pipeline.beside(job, threaded=False):
-        pass
-    assert calls == []  # an inline job no one asks for never runs
+    with pipeline.beside(job) as result:
+        for _ in range(2):
+            with pytest.raises(KeyError, match="job"):
+                result()
+    assert len(calls) == 1
+    assert calls[0] is not threading.current_thread()
 
 
 def test_plan_rejects_single_task_bundle():
