@@ -186,37 +186,20 @@ def sample_gradients(bundle: GradientBundle, task: str, layer: str) -> np.ndarra
 
 def mean_gradient(bundle: GradientBundle, task: str, layer: str) -> np.ndarray:
     """Arithmetic mean over sample rows, accumulated in float64 from the stored
-    rows: bit for bit the mean of the task's `layer_stack` block, with no copy."""
+    rows: bit for bit the mean of the task's rows of `layer_stack`, with no copy."""
     return sample_gradients(bundle, task, layer).mean(axis=0, dtype=np.float64)
 
 
-@dataclass(frozen=True)
-class LayerStack:
-    """Every task's sample rows at one layer as one read-only float64 stack `x`.
-
-    `blocks[i]` is task i's rows, a view of `x`, in bundle task order.
-    """
-
-    layer: str
-    tasks: tuple[str, ...]
-    x: np.ndarray
-    blocks: tuple[np.ndarray, ...]
-
-    @property
-    def rows(self) -> list[int]:
-        return [b.shape[0] for b in self.blocks]
-
-
-def layer_stack(bundle: GradientBundle, layer: str) -> LayerStack:
-    """The float64 row stack of all tasks' samples at a layer, cast once and
-    shared: while any caller holds a layer's stack, every call returns it."""
+def layer_stack(bundle: GradientBundle, layer: str) -> np.ndarray:
+    """Every task's sample rows at a layer, in bundle task order, as one
+    read-only float64 stack, cast once and shared: while any caller holds a
+    layer's stack, every call returns it."""
     stack = bundle._stacks.get(layer)
     if stack is None:
-        samples = [sample_gradients(bundle, t, layer) for t in bundle.tasks]
-        x = np.concatenate(samples, axis=0, dtype=np.float64)
-        x.flags.writeable = False  # before the split, so every block is read-only too
-        ends = np.cumsum([g.shape[0] for g in samples])[:-1]
-        stack = bundle._stacks[layer] = LayerStack(layer, bundle.tasks, x, tuple(np.split(x, ends)))
+        stack = np.concatenate([sample_gradients(bundle, t, layer) for t in bundle.tasks],
+                               axis=0, dtype=np.float64)
+        stack.flags.writeable = False
+        bundle._stacks[layer] = stack
     return stack
 
 

@@ -13,8 +13,8 @@ cross-task interactions": the fraction of non-degenerate cross-task sample
 pairs whose cosine is >= 0.  It is labeled non-standard in every report.
 
 Method B reads each layer's float64 row stack (`gdps.bundle.layer_stack`,
-shared with Methods A and C; only the drawn rows are cast when a task is
-above `SAMPLE_CAP`) and does not normalise it.  Each task keeps
+shared with Method C's spectrum half; only the drawn rows are cast when a
+task is above `SAMPLE_CAP`) and does not normalise it.  Each task keeps
 its c_t non-degenerate rows g_i (`ZERO_NORM_EPS`, the rule of `unit_rows`)
 and s_t = sum_i g_i / |g_i|, one weighted row sum.  No Gram matrix is formed
 for the means: with sum_{i<j} u_i.u_j = (|s_t|^2 - c_t) / 2,
@@ -143,7 +143,7 @@ def _layer_rows(bundle, tasks, layer, seed, need_pairs=False) -> tuple[list[_Tas
                                   "Method B needs >= 2 samples per task")
     sampled = [min(m, SAMPLE_CAP) for m in stored]
     if tuple(tasks) == bundle.tasks and sampled == stored:
-        rows = gb.layer_stack(bundle, layer).x
+        rows = gb.layer_stack(bundle, layer)
     else:
         rows = np.concatenate([_maybe_subsample(gb.sample_gradients(bundle, t, layer), seed, t)
                                for t in tasks], dtype=np.float64)

@@ -1,9 +1,11 @@
 """Task grouping from mean-gradient geometry.
 
-Builds the task-level cosine similarity matrix, converts it to distances
-(d = 1 - s), and partitions tasks two ways: Lloyd k-means on the distance
-profiles and single-linkage agglomeration on the distance matrix.  The two
-partitions are cross-checked; agreement is tagged ``consensus``.
+Builds the task-level cosine similarity matrix from each task's mean
+gradient (`gdps.bundle.mean_gradient`, accumulated in float64 from the
+stored float32 rows, so the layer is never cast whole), converts it to
+distances (d = 1 - s), and partitions tasks two ways: Lloyd k-means on the
+distance profiles and single-linkage agglomeration on the distance matrix.
+The two partitions are cross-checked; agreement is tagged ``consensus``.
 
 All tie-breaks are lexicographic on task identifiers so results are
 reproducible across platforms and thread counts.
@@ -130,7 +132,7 @@ def similarity_matrix(bundle: gb.GradientBundle, layer: str) -> SimilarityMatrix
     counted in `degenerate_count`.
     """
     tasks = bundle.tasks
-    unit, ok = unit_rows(np.stack([b.mean(axis=0) for b in gb.layer_stack(bundle, layer).blocks]))
+    unit, ok = unit_rows(np.stack([gb.mean_gradient(bundle, t, layer) for t in tasks]))
     s = np.clip(unit @ unit.T, -1.0, 1.0)
     np.fill_diagonal(s, 1.0)
     n, c = len(tasks), int(ok.sum())

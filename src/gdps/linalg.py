@@ -60,10 +60,13 @@ class SvdResult:
 
 
 def check_finite(data: np.ndarray, what: str, error=ValidationError) -> None:
-    """Raise `error` naming `what` and the first non-finite entry of a 2-D matrix."""
-    if not np.isfinite(data).all():
-        row, col = np.argwhere(~np.isfinite(data))[0]
-        raise error(f"{what}: non-finite entry at row {row}, col {col}")
+    """Raise `error` naming `what` and the first non-finite entry, in row-major
+    order, of an array of any rank: by row and col for a matrix, else by index."""
+    finite = np.isfinite(data)
+    if not finite.all():
+        index = [int(i) for i in np.unravel_index(np.argmin(finite), finite.shape)]
+        where = "row {}, col {}".format(*index) if len(index) == 2 else f"index {index}"
+        raise error(f"{what}: non-finite entry at {where}")
 
 
 def _finite_matrix(matrix, name: str) -> np.ndarray:

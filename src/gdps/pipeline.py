@@ -7,17 +7,25 @@ returns the `DecompositionPlan` with the `PipelineReport` that explains it.
 (`group_tasks`, `conflict_report`, `subspace_report`), which the `gdps
 group`, `conflict` and `subspace` commands make too, inside `stage(name)`:
 it prefixes any GdpsError with ``[stage: name]`` and keeps its type, so the
-CLI exit code does not change.  Methods A, B and C read the one float64
-stack of the layer (`gdps.bundle.layer_stack`) that `plan` holds.
+CLI exit code does not change.
+
+`plan` casts the layer to its float64 stack (`gdps.bundle.layer_stack`)
+once, and holds it only while a stage reads all of it: Method B, and the
+Gram of Method C's spectrum half, which lets go of a wide stack before its
+`eigh`.  Method A takes each task's mean, and the CCA half of C centres
+each task, from the stored float32 rows.
 
 Two jobs run on second threads beside Methods A, B and the CCA half of C:
 the bundle fingerprint, always, and Method C's spectrum half (the joint
 Gram and its `eigh`) when the layer's float64 stack holds at least
-`OVERLAP_MIN_BYTES`; below it `subspace_report` computes the spectrum
-inline, after the CCA.  sha256 and the BLAS and LAPACK calls release the
-GIL, so a process's CPU time may exceed its wall time.  Errors are reported
-as if the stages ran one after another: grouping, conflict, spectrum, CCA.
-Every thread is joined before `plan` returns or raises.
+`OVERLAP_MIN_BYTES`.  The spectrum thread starts while `plan` holds the
+stack, and takes it from the bundle's registry (a thread held back until
+after Method B would cast the layer again).  Below the gate the spectrum
+runs inline after Method B, before `plan` lets the stack go.
+sha256 and the BLAS and LAPACK calls release the GIL, so a process's CPU
+time may exceed its wall time.  Errors are reported as if the stages ran
+one after another: grouping, conflict, spectrum, CCA.  Every thread is
+joined before `plan` returns or raises.
 """
 
 from __future__ import annotations
@@ -42,8 +50,8 @@ from .errors import GdpsError, ValidationError
 # RSS, which a small plan never wins back.  Measured with one BLAS thread on a
 # 2-core host: simulate's plans stack 1 MB and spend 2.5 ms in the spectrum,
 # and with every plan threaded `gdps simulate`'s two benchmark calls peaked
-# 1.5 MB (3 %) higher; plan-deep's 16 MB stack spends 0.02 s in it and
-# plan-wide's 32 MB one 0.34 s.
+# 1.5 MB (3 %) higher; plan-deep's 16.8 MB stack spends 0.02 s in it and
+# plan-wide's 33.5 MB one 0.34 s.
 OVERLAP_MIN_BYTES = 8 << 20
 
 
@@ -159,15 +167,21 @@ def plan(bundle: GradientBundle, options: PlanOptions = PlanOptions()):
     if len(bundle.tasks) < 2:
         raise ValidationError(">= 2 tasks required for cross-task analysis")
 
+    # Held until Method B and the spectrum's Gram have read it; the spectrum
+    # job fetches the stack itself, so that only its own frame keeps it.
     stack = layer_stack(bundle, layer)
+    job = lambda: sb.joint_spectrum(bundle, layer, options.top_k, options.normalize_rows)
     with beside(bundle.fingerprint) as fingerprint, (
-        beside(lambda: sb.joint_spectrum(stack, options.top_k, options.normalize_rows))
-        if stack.x.nbytes >= OVERLAP_MIN_BYTES else nullcontext()
+        beside(job) if stack.nbytes >= OVERLAP_MIN_BYTES else nullcontext()
     ) as spectrum:
         sim, dist, grouping, merges = group_tasks(bundle, layer, options)
         with stage("conflict"):
             conflict = cf.conflict_report(bundle, candidates, thresholds, seed=options.seed)
         with stage("subspace"):
+            if spectrum is None:
+                joint = job()
+                spectrum = lambda: joint
+            del stack
             subspace = sb.subspace_report(bundle, layer, options.top_k, options.lam,
                                           options.normalize_rows, spectrum=spectrum)
             p_g = sb.group_energy(subspace.proportions, grouping, bundle.tasks)

@@ -1,24 +1,25 @@
 """Joint gradient subspace analysis: stacked SVD, energy shares, ridge CCA.
 
-Method C reads a layer's float64 row stack (`gdps.bundle.layer_stack`, which
-Methods A and B read too; each task is a row-block view) in two halves that
-share nothing but it.  The spectrum half (`joint_spectrum`) factors the
+Method C has two halves that share no intermediate.  The spectrum half
+(`joint_spectrum`) is the one that reads a layer's whole float64 row stack
+(`gdps.bundle.layer_stack`, which Method B reads too).  It factors the
 stack, row-normalised on request, from one `eigh` of the Gram matrix of its
 short side: sigma = sqrt(max(lambda, 0)) and the left factor U, with no
-long-side projection.
+long-side projection, and a wide stack is let go once its Gram is formed.
 Each task's energy is its rows' part of the top-k joint energy, read from
 sigma and U alone, and the energy proportions p_i decide how much residual
 capacity each group later receives.  The CCA half (`pairwise_cca`) measures
 pairwise subspace alignment by the leading ridge-regularized canonical
-correlation of the raw task blocks, computed one way for every shape: each
-side's centred rows are factored once (`linalg.gram_svd`; the dual, kernel
-form of ridge CCA, Hardoon et al. 2004) and every pair only builds a small
-core from the two factors (canonical correlations from the factors of each
-side, Bjorck & Golub 1973; the factor-then-correlate structure of SVCCA).
-It takes every rho from one values-only SVD call per core shape.  At
-lambda = 0 a rank-deficient factor has no whitening and raises
-SingularCovarianceError.  `subspace_report` joins the two halves; it may
-take the spectrum half that `gdps.pipeline.plan` runs on a second thread.
+correlation of the raw task samples, computed one way for every shape:
+each side's stored rows, centred in float64, are factored once
+(`linalg.gram_svd`; the dual, kernel form of ridge CCA, Hardoon et al.
+2004) and every pair only builds a small core from the two factors
+(canonical correlations from the factors of each side, Bjorck & Golub
+1973; the factor-then-correlate structure of SVCCA).  It takes every rho
+from one values-only SVD call per core shape.  At lambda = 0 a
+rank-deficient factor has no whitening and raises SingularCovarianceError.
+`subspace_report` joins the two halves; it may take the spectrum half that
+`gdps.pipeline.plan` runs on a second thread.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .bundle import GradientBundle, LayerStack, layer_stack
+from .bundle import GradientBundle, layer_stack, sample_gradients
 from .errors import SingularCovarianceError, ValidationError
 from .grouping import GroupingPlan
 from .linalg import SvdResult, gini, gram_svd, unit_rows
@@ -42,26 +43,25 @@ def check_lambda(lam: float) -> None:
         raise ValidationError(f"lambda must be finite and >= 0, got {lam}")
 
 
-def _joint_rows(stack: LayerStack, normalize_rows: bool) -> np.ndarray:
-    """The stack Method C factors: its rows made unit on request."""
-    return unit_rows(stack.x)[0] if normalize_rows else stack.x
+def _task_rows(bundle: GradientBundle, layer: str) -> list[int]:
+    """Each task's stored row count at `layer`, in bundle task order."""
+    return [bundle.matrix(task, layer).rows for task in bundle.tasks]
 
 
-def _joint_factor(x: np.ndarray):
-    """(sigma, u, v) of the stack x from one eigh of its short-side Gram.
+def _joint_rows(bundle: GradientBundle, layer: str, normalize_rows: bool) -> np.ndarray:
+    """The stack Method C factors: the layer's stack, its rows made unit on request."""
+    x = layer_stack(bundle, layer)
+    return unit_rows(x)[0] if normalize_rows else x
 
-    sigma = sqrt(max(lambda, 0)) from the eigenvalues, non-increasing.  For a
-    wide x (rows <= cols) u is the eigenvector matrix itself and v is None:
-    no long-side projection is formed.  For a tall x v is the eigenvector
-    matrix and u = x v / sigma, zero where sigma is 0.
+
+def _eigh_factor(gram: np.ndarray):
+    """(sigma, q) of a short-side Gram matrix, from one eigh.
+
+    sigma = sqrt(max(lambda, 0)) from the eigenvalues, non-increasing, and q
+    the eigenvectors in the same order.
     """
-    wide = x.shape[0] <= x.shape[1]
-    lam, q = np.linalg.eigh(x @ x.T if wide else x.T @ x)
-    sigma = np.sqrt(np.maximum(lam[::-1], 0.0))
-    q = q[:, ::-1]
-    if wide:
-        return sigma, q, None
-    return sigma, (x @ q) * _reciprocal(sigma), q
+    lam, q = np.linalg.eigh(gram)
+    return np.sqrt(np.maximum(lam[::-1], 0.0)), q[:, ::-1]
 
 
 def _reciprocal(sigma: np.ndarray) -> np.ndarray:
@@ -80,11 +80,12 @@ def joint_svd(bundle: GradientBundle, layer: str, normalize_rows: bool = False) 
     sigma[0] (a zero direction reported up to 2.9e-8 * sigma[0] on stacks
     with duplicated tasks), and its column of v is only as accurate as that.
     """
-    x = _joint_rows(layer_stack(bundle, layer), normalize_rows)
-    sigma, u, v = _joint_factor(x)
-    if v is None:
-        v = (x.T @ u) * _reciprocal(sigma)
-    return SvdResult(u, sigma, v)
+    x = _joint_rows(bundle, layer, normalize_rows)
+    if x.shape[0] <= x.shape[1]:
+        sigma, u = _eigh_factor(x @ x.T)
+        return SvdResult(u, sigma, (x.T @ u) * _reciprocal(sigma))
+    sigma, v = _eigh_factor(x.T @ x)
+    return SvdResult((x @ v) * _reciprocal(sigma), sigma, v)
 
 
 def _task_energies(u: np.ndarray, sigma: np.ndarray, rows: list[int], k: int, layer: str):
@@ -117,8 +118,7 @@ def energy_proportions(
     """
     if joint is None:
         joint = joint_svd(bundle, layer)
-    rows = [bundle.matrix(task, layer).rows for task in bundle.tasks]
-    return _task_energies(joint.u, joint.sigma, rows, k, layer)
+    return _task_energies(joint.u, joint.sigma, _task_rows(bundle, layer), k, layer)
 
 
 def spectrum_stats(sigma) -> tuple[float, float]:
@@ -146,7 +146,9 @@ class CcaResult:
 def _dual_factor(a: np.ndarray, lam: float) -> SvdResult:
     """Per-side factor of ridge CCA: thin SVD of A/sqrt(m), A column-centred.
 
-    It depends on one task and its row count only, so a pairwise report
+    A may be a task's stored float32 rows: they are centred in float64, the
+    same bits as centring their float64 cast, with no cast copy.  The factor
+    depends on one task and its row count only, so a pairwise report
     computes it once per task.  It comes from the Gram matrix of the short side (`gram_svd`), so a wide
     side costs an m x m eigenproblem, not a d-wide SVD.  At lam = 0 the
     side's covariance V diag(s^2) V^T must be invertible: a factor with
@@ -157,7 +159,7 @@ def _dual_factor(a: np.ndarray, lam: float) -> SvdResult:
     m, cols = a.shape
     if m < 2:
         raise ValidationError("centered covariance needs at least 2 rows")
-    a = a - a.mean(axis=0)
+    a = a - a.mean(axis=0, dtype=np.float64)
     f = gram_svd(a / np.sqrt(m))
     if lam <= 0.0:
         floor = max(cols * f.sigma[0] ** 2, 1.0) * np.finfo(np.float64).eps
@@ -290,31 +292,45 @@ class JointSpectrum:
     warnings: tuple[str, ...]
 
 
-def joint_spectrum(stack: LayerStack, k: int = DEFAULT_TOP_K,
+def joint_spectrum(bundle: GradientBundle, layer: str, k: int = DEFAULT_TOP_K,
                    normalize_rows: bool = False) -> JointSpectrum:
     """Method C's spectrum half: sigma, the top-k energies and shares, spectrum stats.
 
-    k is clipped to the spectrum size, with a warning.
+    sigma and U come from one eigh of the Gram matrix of the stack's short
+    side (see `joint_svd`).  A wide stack's U is the eigenvector matrix
+    itself, so this lets go of the stack (and of its unit rows) once the
+    Gram is formed, before eigh fills its buffers; a tall one is kept for
+    U = X V / sigma.  k is clipped to the spectrum size, with a warning.
     """
-    sigma, u, _ = _joint_factor(_joint_rows(stack, normalize_rows))
+    x = _joint_rows(bundle, layer, normalize_rows)
+    if x.shape[0] <= x.shape[1]:
+        gram = x @ x.T
+        del x
+        sigma, u = _eigh_factor(gram)
+    else:
+        sigma, v = _eigh_factor(x.T @ x)
+        u = (x @ v) * _reciprocal(sigma)
     k_eff = min(k, sigma.size)
     warnings = []
     if k_eff != k:
         warnings.append(f"top-k clipped from {k} to the spectrum size {k_eff}")
-    energies, proportions = _task_energies(u, sigma, stack.rows, k_eff, stack.layer)
+    energies, proportions = _task_energies(u, sigma, _task_rows(bundle, layer), k_eff, layer)
     top1, g = spectrum_stats(sigma)
     return JointSpectrum(sigma, k_eff, energies, proportions, top1, g, normalize_rows,
                          tuple(warnings))
 
 
-def pairwise_cca(stack: LayerStack, lam: float = DEFAULT_LAMBDA) -> np.ndarray:
+def pairwise_cca(bundle: GradientBundle, layer: str, lam: float = DEFAULT_LAMBDA) -> np.ndarray:
     """Method C's CCA half: the symmetric matrix of leading ridge-CCA rho.
 
     Rows are paired by index; unequal sample counts truncate to the smaller
     task.  Every entry equals `ridge_cca(a[:m], b[:m], lam).rho` of the two
-    task blocks; a diagonal entry without whitening at lambda = 0 stays 1.
+    tasks' samples; a diagonal entry without whitening at lambda = 0 stays 1.
+    Each task's stored rows are read as they are: the layer is never cast
+    whole.
     """
-    samples, rows = stack.blocks, stack.rows
+    samples = [sample_gradients(bundle, task, layer) for task in bundle.tasks]
+    rows = [a.shape[0] for a in samples]
     n = len(samples)
     factors = {}  # (task index, row count) -> (U, s) of the task's ridge-CCA factor
 
@@ -359,18 +375,18 @@ def subspace_report(
     the CCA's, as if it ran first.
     """
     check_lambda(lam)
-    stack = layer_stack(bundle, layer)
+    rows = _task_rows(bundle, layer)
     if spectrum is None:
-        spectrum = lambda: joint_spectrum(stack, k, normalize_rows)
+        spectrum = lambda: joint_spectrum(bundle, layer, k, normalize_rows)
     try:
-        cca = pairwise_cca(stack, lam)
+        cca = pairwise_cca(bundle, layer, lam)
     finally:
         joint = spectrum()
     warnings = list(joint.warnings)
-    if len(set(stack.rows)) > 1:
+    if len(set(rows)) > 1:
         warnings.append(
             "cca pairing: unequal sample counts truncated to the smaller task "
             "(index pairing is a toolkit choice, not part of the published method)"
         )
     fields = {**vars(joint), "warnings": tuple(warnings)}
-    return SubspaceReport(layer=stack.layer, tasks=stack.tasks, cca=cca, lam=lam, **fields)
+    return SubspaceReport(layer=layer, tasks=bundle.tasks, cca=cca, lam=lam, **fields)

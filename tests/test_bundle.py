@@ -211,7 +211,7 @@ def test_mean_gradient_reads_the_stored_rows_without_a_stack(rng, monkeypatch):
     for task, shape in shapes.items():
         b = GradientBundle.from_matrices(
             [GradientMatrix(task, "L0", rng.standard_normal(shape).astype(np.float32))])
-        want[task] = (b, layer_stack(b, "L0").blocks[0].mean(axis=0))
+        want[task] = (b, layer_stack(b, "L0").mean(axis=0))
     calls = []
     monkeypatch.setattr(gdps.bundle, "layer_stack", lambda *args: calls.append(args))
     for task, (b, mean) in want.items():
@@ -235,15 +235,15 @@ def test_layer_stack_dies_with_its_last_holder(rng):
     del stack
     gc.collect()
     assert ref() is None
-    assert layer_stack(b, "L0").x.shape == (6, 4)  # cast again, not served dead
+    assert layer_stack(b, "L0").shape == (6, 4)  # cast again, not served dead
 
 
 def test_layer_stack_is_read_only(rng):
     stack = layer_stack(make_bundle(rng), "L0")
     with pytest.raises(ValueError):
-        stack.x[0, 0] = 1.0
+        stack[0, 0] = 1.0
     with pytest.raises(ValueError):
-        stack.blocks[1][0, 0] = 1.0
+        stack[3:][0, 0] = 1.0  # a view of it is read-only too
 
 
 def test_unknown_task_layer_errors(rng):

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gdps.errors import ValidationError
-from gdps.linalg import gini, gram_svd, svd, unit_rows
+from gdps.errors import BundleFormatError, ValidationError
+from gdps.linalg import check_finite, gini, gram_svd, svd, unit_rows
 
 
 def brute_force_gini(x):
@@ -231,6 +231,24 @@ def test_gram_svd_property_random_shapes(rows, cols, rank, zero_rows, seed):
         mat = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
     mat[rng.permutation(rows)[:zero_rows]] = 0.0
     assert_gram_svd_matches_svd(mat)
+
+
+@pytest.mark.parametrize("shape, bad, where", [
+    ((3, 4), (1, 2), "row 1, col 2"),
+    ((2, 3, 4), (0, 0, 0), "index [0, 0, 0]"),
+    ((2, 3, 4), (1, 2, 0), "index [1, 2, 0]"),
+    ((5,), (3,), "index [3]"),
+    ((), (), "index []"),
+])
+def test_check_finite_names_the_first_bad_entry_of_any_rank(shape, bad, where):
+    data = np.zeros(shape)
+    data[bad] = np.nan
+    if data.ndim:
+        data.reshape(-1)[-1] = np.inf  # a later bad entry is not the one named
+    with pytest.raises(BundleFormatError) as info:
+        check_finite(data, "x", BundleFormatError)
+    assert str(info.value) == f"x: non-finite entry at {where}"
+    check_finite(np.zeros(shape), "x")
 
 
 def test_gram_svd_rejects_bad_input():

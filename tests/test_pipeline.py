@@ -1,7 +1,9 @@
 import collections
 import dataclasses
+import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -27,24 +29,85 @@ from test_acceptance import SEEDS_5, _auto_plan
 OPTION_NAMES = {f.name for f in dataclasses.fields(PlanOptions)}
 
 
+class CountingRegistry(weakref.WeakValueDictionary):
+    """A bundle's layer-stack registry that counts the stacks built into it."""
+
+    def __init__(self):
+        super().__init__()
+        self.builds = collections.Counter()
+
+    def __setitem__(self, layer, stack):
+        self.builds[layer] += 1
+        super().__setitem__(layer, stack)
+
+
 def test_plan_casts_each_payload_once(rng, monkeypatch):
-    # Methods A, B and C share the plan layer's stack; each other candidate
-    # layer of Method B is cast on its own
+    # Method B and the spectrum share the plan layer's float64 stack, with the
+    # spectrum on its thread or inline; Method A and the CCA read the stored
+    # rows.  Each other candidate layer of Method B is cast on its own.
     rows = {f"t{i}": rng.standard_normal((5, 12)) for i in range(3)}
     mats = [gdps.bundle.GradientMatrix(t, layer, g * (j + 1))
             for j, layer in enumerate(("L0", "L1", "L2")) for t, g in rows.items()]
-    b = GradientBundle.from_matrices(mats)
-    reads = collections.Counter()
-    read = gdps.bundle.sample_gradients
+    for gate in (0, 1 << 62):
+        b = GradientBundle.from_matrices(mats)
+        registry = CountingRegistry()
+        object.__setattr__(b, "_stacks", registry)
+        monkeypatch.setattr(pipeline, "OVERLAP_MIN_BYTES", gate)
+        pipeline.plan(b, PlanOptions(layer="L1", layers="L2,L1"))
+        assert registry.builds == {"L1": 1, "L2": 1}, gate
 
-    def counting_read(bundle, task, layer):
-        reads[task, layer] += 1
-        return read(bundle, task, layer)
 
-    monkeypatch.setattr(gdps.bundle, "sample_gradients", counting_read)
+@pytest.mark.parametrize("threaded", [True, False])
+def test_plan_lets_the_stack_go_before_the_cca(rng, monkeypatch, threaded):
+    # once Method B and the spectrum are done, no one holds the layer's
+    # float64 stack while the CCA runs
+    b = tiny_bundle({f"t{i}": rng.standard_normal((6, 40)) for i in range(4)})
+    spectrum_done = threading.Event()
+    real_spectrum, real_cca = subspace.joint_spectrum, subspace.pairwise_cca
+
+    def spectrum(*args):
+        value = real_spectrum(*args)
+        spectrum_done.set()
+        return value
+
+    def cca(bundle, layer, lam):
+        assert spectrum_done.wait(timeout=30)
+        held.append(bundle._stacks.get(layer))
+        return real_cca(bundle, layer, lam)
+
+    held = []
+    monkeypatch.setattr(subspace, "joint_spectrum", spectrum)
+    monkeypatch.setattr(subspace, "pairwise_cca", cca)
+    monkeypatch.setattr(pipeline, "OVERLAP_MIN_BYTES", 0 if threaded else 1 << 62)
+    pipeline.plan(b)
+    assert held == [None]
+
+
+def test_concurrent_plans_share_one_bundle(rng, monkeypatch):
+    # plans on six threads, each with its spectrum thread, fetch and drop the
+    # same layer's stack through one registry under frequent thread switches
+    b = tiny_bundle({f"t{i}": rng.standard_normal((6, 40)) for i in range(4)})
     monkeypatch.setattr(pipeline, "OVERLAP_MIN_BYTES", 0)
-    pipeline.plan(b, PlanOptions(layer="L1", layers="L2,L1"))
-    assert reads == {(t, layer): 1 for t in rows for layer in ("L1", "L2")}
+
+    def result():
+        report = pipeline.plan(b)[1].to_dict()
+        return {key: report[key] for key in ("similarity", "conflict", "subspace", "plan")}
+
+    want = result()
+    got = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=lambda: got.extend(result() for _ in range(3)))
+                   for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [want] * 18
 
 
 def _subparser(name):

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,15 +8,17 @@ import gdps.bundle
 import gdps.subspace
 from gdps import pipeline
 from gdps.errors import SingularCovarianceError, ValidationError
-from gdps.grouping import GroupingPlan
+from gdps.grouping import GroupingPlan, similarity_matrix
 from gdps.linalg import gini as linalg_gini
-from gdps.linalg import svd
+from gdps.linalg import svd, unit_rows
 from gdps.subspace import (
     DEFAULT_LAMBDA,
     energy_proportions,
     group_energy,
+    joint_spectrum,
     joint_svd,
     layer_stack,
+    pairwise_cca,
     ridge_cca,
     spectrum_csv,
     spectrum_stats,
@@ -479,7 +483,7 @@ def test_report_above_the_overlap_gate_is_bit_for_bit_its_parts(rng):
     rows = {t: rng.standard_normal((m, 4096)).astype(np.float32)
             for t, m in (("a", 64), ("b", 80), ("c", 48), ("d", 64))}
     b = tiny_bundle(rows)
-    assert layer_stack(b, "L0").x.nbytes >= pipeline.OVERLAP_MIN_BYTES
+    assert layer_stack(b, "L0").nbytes >= pipeline.OVERLAP_MIN_BYTES
     assert_parts_reproduce_the_report(b, 10)
     assert_parts_reproduce_the_report(b, 10, normalize_rows=True)
 
@@ -487,11 +491,94 @@ def test_report_above_the_overlap_gate_is_bit_for_bit_its_parts(rng):
 def test_layer_stack_blocks_are_views_of_one_float64_stack(rng):
     rows = {t: rng.standard_normal((m, 5)).astype(np.float32) for t, m in (("a", 3), ("b", 4))}
     stack = layer_stack(tiny_bundle(rows), "L0")
-    assert stack.x.dtype == np.float64 and stack.x.shape == (7, 5)
-    assert stack.rows == [3, 4]
-    for block, want in zip(stack.blocks, rows.values()):
-        assert np.shares_memory(block, stack.x)
-        assert np.array_equal(block, want.astype(np.float64))
+    assert stack.dtype == np.float64 and stack.shape == (7, 5)
+    # each task's rows are one block of the stack, in task order
+    assert np.array_equal(stack[:3], rows["a"].astype(np.float64))
+    assert np.array_equal(stack[3:], rows["b"].astype(np.float64))
+
+
+def spy_on_stacks(monkeypatch):
+    """Weak references to every stack layer_stack returns to gdps.subspace."""
+    refs = []
+    real = gdps.subspace.layer_stack
+
+    def fetch(bundle, layer):
+        stack = real(bundle, layer)
+        refs.append(weakref.ref(stack))
+        return stack
+
+    monkeypatch.setattr(gdps.subspace, "layer_stack", fetch)
+    return refs
+
+
+def spy_on_eigh(monkeypatch, seen):
+    """Call seen() inside every np.linalg.eigh, before it allocates."""
+    real = np.linalg.eigh
+
+    def eigh(a, *args, **kwargs):
+        seen()
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+
+
+@pytest.mark.parametrize("normalize_rows", [False, True])
+def test_wide_joint_spectrum_lets_the_stack_go_before_eigh(rng, monkeypatch, normalize_rows):
+    # a wide stack's U is eigh's own eigenvectors: the stack, and its unit
+    # rows, are dropped once the Gram is formed
+    b = tiny_bundle({t: rng.standard_normal((6, 40)) for t in "abc"})
+    want = (joint_spectrum(b, "L0", 4, normalize_rows), joint_svd(b, "L0", normalize_rows))
+    refs = spy_on_stacks(monkeypatch)
+    units = []
+    real_unit_rows = gdps.subspace.unit_rows
+
+    def unit_rows(x):
+        unit, ok = real_unit_rows(x)
+        units.append(weakref.ref(unit))
+        return unit, ok
+
+    monkeypatch.setattr(gdps.subspace, "unit_rows", unit_rows)
+    inside = []
+    spy_on_eigh(monkeypatch, lambda: inside.append(
+        (b._stacks.get("L0"), [r() for r in refs + units])))
+    got = joint_spectrum(b, "L0", 4, normalize_rows)
+    assert len(refs) == 1 and len(units) == int(normalize_rows)
+    assert inside == [(None, [None] * (1 + normalize_rows))]
+    assert np.array_equal(got.sigma, want[0].sigma)
+    assert np.array_equal(got.sigma, want[1].sigma)
+    assert np.array_equal(got.energies, want[0].energies)
+
+
+def test_tall_joint_spectrum_keeps_the_stack_for_u(rng, monkeypatch):
+    # a tall stack's U = X V / sigma needs X after eigh: sigma and U are joint_svd's
+    b = tiny_bundle({t: rng.standard_normal((m, 7)) for t, m in (("a", 12), ("b", 10))})
+    joint = joint_svd(b, "L0")
+    refs = spy_on_stacks(monkeypatch)
+    inside = []
+    spy_on_eigh(monkeypatch, lambda: inside.append(b._stacks.get("L0") is not None))
+    got = joint_spectrum(b, "L0", 3)
+    assert inside == [True] and refs[0]() is None
+    assert np.array_equal(got.sigma, joint.sigma)
+    energies, props = energy_proportions(b, "L0", 3, joint=joint)
+    assert np.array_equal(got.energies, energies)
+    assert np.array_equal(got.proportions, props)
+
+
+def test_similarity_and_cca_never_cast_the_whole_layer(rng, monkeypatch):
+    # Method A's means and the CCA's centring read each task's stored rows,
+    # with the same bits as from their float64 cast
+    b = tiny_bundle({t: rng.standard_normal((m, 30)) for t, m in (("a", 8), ("b", 6), ("c", 8))})
+    unit, _ = unit_rows(np.stack([b.matrix(t, "L0").data.astype(np.float64).mean(axis=0)
+                                  for t in b.tasks]))
+    cosines = np.clip(unit @ unit.T, -1.0, 1.0)
+    np.fill_diagonal(cosines, 1.0)
+    want = (cosines, ridge_cca_loop(b, "L0", DEFAULT_LAMBDA))
+    calls = []
+    monkeypatch.setattr(gdps.bundle, "layer_stack", lambda *args: calls.append(args))
+    monkeypatch.setattr(gdps.subspace, "layer_stack", lambda *args: calls.append(args))
+    assert np.array_equal(similarity_matrix(b, "L0").s, want[0])
+    assert np.array_equal(pairwise_cca(b, "L0", DEFAULT_LAMBDA), want[1])
+    assert calls == []
 
 
 def test_subspace_report_factors_only_the_task_samples(rng, monkeypatch):
