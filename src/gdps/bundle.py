@@ -125,6 +125,9 @@ class GradientBundle:
     def validate(self) -> None:
         if not self.tasks or not self.layers:
             raise ValidationError("bundle has no tasks or no layers")
+        for kind, ids in (("task", self.tasks), ("layer", self.layers)):
+            for value in ids:
+                _check_identifier(kind, value)
         if len(set(self.tasks)) != len(self.tasks) or len(set(self.layers)) != len(self.layers):
             raise ValidationError(
                 f"bundle lists a task or layer twice: {list(self.tasks)}, {list(self.layers)}"
@@ -207,9 +210,21 @@ def _entry_filename(task: str, layer: str) -> str:
     return f"{task}__{layer}.gdm"
 
 
-def _check_identifier(kind: str, value: str) -> None:
-    if not value or any(c in value for c in "/\\\0"):
-        raise ValidationError(f"{kind} identifier {value!r} is empty or not filesystem-safe")
+def _check_identifier(kind: str, value) -> None:
+    """Refuse a task or layer id that a file name, a comma-separated list or a line cannot hold."""
+    if not isinstance(value, str):
+        broken = "is not a string"
+    elif not value:
+        broken = "is empty"
+    elif any(c in value for c in "/\\\0"):
+        broken = "holds '/', '\\' or NUL, which no file name can carry"
+    elif "," in value:
+        broken = "holds ',', which separates ids in --layers and in CSV rows"
+    elif any(c in value for c in "\r\n"):
+        broken = "holds a line break"
+    else:
+        return
+    raise ValidationError(f"{kind} identifier {value!r} {broken}")
 
 
 def _manifest(bundle: GradientBundle) -> dict:
@@ -283,10 +298,6 @@ def read_matrix_file(path: Path, finite: bool = True, mapped: bool = False) -> n
 def write_bundle(bundle: GradientBundle, path) -> None:
     """Write manifest + one .gdm file per entry; re-reading is bit-identical."""
     bundle.validate()
-    for task in bundle.tasks:
-        _check_identifier("task", task)
-    for layer in bundle.layers:
-        _check_identifier("layer", layer)
     root = Path(path)
     manifest = _manifest(bundle)
     for rec in manifest["records"]:

@@ -330,10 +330,11 @@ def _simulate_markdown(summary: dict) -> str:
 
 
 def _read_plan_report(src: str, data: dict) -> dict:
-    """Every field of a plan report that `gdps report` uses, read up front.
+    """A plan report's record for `gdps report`: its source and every field used, read up front.
 
-    A missing key or a value of the wrong kind raises ValidationError naming
-    the file and the field.
+    "csvs" maps each per-plan CSV's name to its text.  A missing key or a
+    value of the wrong kind raises ValidationError naming the file and the
+    field.
     """
     number_list = (lambda v: isinstance(v, list) and all(is_json_number(x) for x in v),
                    "a list of finite numbers")
@@ -347,22 +348,25 @@ def _read_plan_report(src: str, data: dict) -> dict:
                                  for name in ("tasks", "similarity", "merges"))
     try:
         return {
+            "source": src,
             "delta": delta,
             "branch": cf.ratio_branch(delta, cf.RatioThresholds(low, high)),
             "shared_ratio": shared_ratio,
             "groups": [list(g) for g in grouping.groups],
             "method": grouping.method,
             "grouping": data["grouping"],
-            "similarity_csv": rp.similarity_csv(tasks, similarity),
-            "merges_csv": rp.merges_csv(merges),
-            "spectrum_csv": sb.spectrum_csv(np.asarray(sigma, dtype=np.float64)),
+            "csvs": {
+                "similarity": rp.similarity_csv(tasks, similarity),
+                "merges": rp.merges_csv(merges),
+                "spectrum": sb.spectrum_csv(np.asarray(sigma, dtype=np.float64)),
+            },
         }
     except (TypeError, ValueError, ValidationError) as exc:
         raise ValidationError(f"{src}: malformed plan report: {exc}") from exc
 
 
 def _read_sim_summary(src: str, data: dict) -> dict:
-    """Every field of a simulate summary that `gdps report` uses, read up front.
+    """A simulate summary's record for `gdps report`: its source and every field used.
 
     Each run becomes {seed, unified, specialized}, a mode's entry being its
     final mean loss or None.  A missing key or a value of the wrong kind
@@ -381,7 +385,36 @@ def _read_sim_summary(src: str, data: dict) -> dict:
                 row[mode] = json_field(src, data, f"runs[{i}].{mode}.final_mean_loss",
                                        is_json_number, "a finite number")
         rows.append(row)
-    return {"params": params, "runs": rows}
+    return {"source": src, "params": params, "runs": rows}
+
+
+def _report_markdown(plans: list, sims: list) -> str:
+    """consolidated.md: one section per plan record, then a loss table over the simulations."""
+    lines = ["# Consolidated report", ""]
+    for i, plan in enumerate(plans):
+        lines += [
+            f"## Plan {i}: `{plan['source']}`",
+            "",
+            f"- delta = {plan['delta']:.6f}",
+            f"- branch fired: {plan['branch']}",
+            f"- shared_ratio = {plan['shared_ratio']}",
+            f"- grouping: {plan['groups']} (method={plan['method']})",
+            "",
+        ]
+    if sims:
+        lines += ["## Simulations", ""]
+        lines.append("| seed |" + "".join(
+            f" unified {i} | specialized {i} |" for i in range(len(sims))))
+        lines.append("|---|" + "---|---|" * len(sims))
+        for seed in sorted({run["seed"] for sim in sims for run in sim["runs"]}):
+            row = f"| {seed} |"
+            for sim in sims:
+                run = next((r for r in sim["runs"] if r["seed"] == seed), {})
+                uni, spec = run.get("unified"), run.get("specialized")
+                row += f" {'n/a' if uni is None else uni} | {'n/a' if spec is None else spec} |"
+            lines.append(row)
+        lines.append("")
+    return "\n".join(lines) + "\n"
 
 
 def cmd_report(args) -> int:
@@ -399,74 +432,35 @@ def cmd_report(args) -> int:
             raise ValidationError(f"input not found: {raw}")
         data = read_json(path, "JSON input")
         if "conflict" in data:
-            plans.append((str(path), data))
+            plans.append(_read_plan_report(str(path), data))
         elif "runs" in data:
-            sims.append((str(path), _read_sim_summary(str(path), data)))
+            sims.append(_read_sim_summary(str(path), data))
         else:
             raise ValidationError(f"{path}: not a recognized plan report or simulate summary")
 
     out = Path(args.out)
-    lines = ["# Consolidated report", ""]
-    consolidated = {"plans": [], "simulations": []}
-
-    for i, (src, data) in enumerate(plans):
-        plan = _read_plan_report(src, data)
-        lines += [
-            f"## Plan {i}: `{src}`",
-            "",
-            f"- delta = {plan['delta']:.6f}",
-            f"- branch fired: {plan['branch']}",
-            f"- shared_ratio = {plan['shared_ratio']}",
-            f"- grouping: {plan['groups']} (method={plan['method']})",
-            "",
-        ]
-        consolidated["plans"].append(
-            {"source": src, "delta": plan["delta"], "branch": plan["branch"],
-             "shared_ratio": plan["shared_ratio"], "grouping": plan["grouping"]}
-        )
-        write_text(out / f"similarity_{i}.csv", plan["similarity_csv"])
-        write_text(out / f"merges_{i}.csv", plan["merges_csv"])
-        write_text(out / f"spectrum_{i}.csv", plan["spectrum_csv"])
-
-    if sims:
-        lines += ["## Simulations", ""]
-        header = "| seed |" + "".join(
-            f" unified {i} | specialized {i} |" for i in range(len(sims))
-        )
-        rule = "|---|" + "---|---|" * len(sims)
-        lines += [header, rule]
-        all_seeds = sorted(
-            {run["seed"] for _, data in sims for run in data["runs"]}
-        )
-        for seed in all_seeds:
-            row = f"| {seed} |"
-            for _, data in sims:
-                run = next((r for r in data["runs"] if r["seed"] == seed), {})
-                uni, spec = run.get("unified"), run.get("specialized")
-                row += f" {'n/a' if uni is None else uni} | {'n/a' if spec is None else spec} |"
-            lines.append(row)
-        lines.append("")
-        for src, data in sims:
-            consolidated["simulations"].append({"source": src, "params": data["params"]})
-
-    text = "\n".join(lines) + "\n"
+    for i, plan in enumerate(plans):
+        for name, text in plan["csvs"].items():
+            write_text(out / f"{name}_{i}.csv", text)
     if args.format == "md":
+        text = _report_markdown(plans, sims)
         write_text(out / "consolidated.md", text)
         print(text)
     elif args.format == "json":
+        fields = ("source", "delta", "branch", "shared_ratio", "grouping")
+        consolidated = {"plans": [{k: plan[k] for k in fields} for plan in plans],
+                        "simulations": [{k: sim[k] for k in ("source", "params")} for sim in sims]}
         write_text(out / "consolidated.json", dump_json(consolidated))
     else:
         rows = ["kind,source,delta,branch,shared_ratio,seed,unified,specialized"]
-        for p_ in consolidated["plans"]:
-            rows.append(
-                f"plan,{p_['source']},{p_['delta']!r},\"{p_['branch']}\","
-                f"{p_['shared_ratio']},,,"
-            )
-        for src_, data in sims:
-            for run in data["runs"]:
+        for plan in plans:
+            rows.append(f"plan,{plan['source']},{plan['delta']!r},\"{plan['branch']}\","
+                        f"{plan['shared_ratio']},,,")
+        for sim in sims:
+            for run in sim["runs"]:
                 uni = "" if run["unified"] is None else run["unified"]
                 spec = "" if run["specialized"] is None else run["specialized"]
-                rows.append(f"simulate,{src_},,,,{run['seed']},{uni},{spec}")
+                rows.append(f"simulate,{sim['source']},,,,{run['seed']},{uni},{spec}")
         write_text(out / "consolidated.csv", "\n".join(rows) + "\n")
     return 0
 

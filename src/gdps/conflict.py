@@ -263,24 +263,23 @@ def aggregate_delta(reports, candidate_layers) -> float:
     return float(np.mean([by_layer[l].delta for l in candidates]))
 
 
+def _branch(delta: float, thresholds: RatioThresholds) -> int:
+    """Which branch `delta` falls in: 0 below low, 1 in [low, high), 2 from high up."""
+    return 0 if delta < thresholds.low else 1 if delta < thresholds.high else 2
+
+
 def map_shared_ratio(delta: float, thresholds: RatioThresholds = RatioThresholds()) -> float:
     """Piecewise step rule; the middle interval is closed on the left."""
     if not np.isfinite(delta):
         raise ValidationError(f"delta must be finite, got {delta}")
-    if delta < thresholds.low:
-        return RATIOS[0]
-    if delta < thresholds.high:
-        return RATIOS[1]
-    return RATIOS[2]
+    return RATIOS[_branch(delta, thresholds)]
 
 
 def ratio_branch(delta: float, thresholds: RatioThresholds = RatioThresholds()) -> str:
     """Human-readable record of which branch fired, for decision traces."""
-    if delta < thresholds.low:
-        return f"delta < {thresholds.low}"
-    if delta < thresholds.high:
-        return f"{thresholds.low} <= delta < {thresholds.high}"
-    return f"delta >= {thresholds.high}"
+    low, high = thresholds.low, thresholds.high
+    return (f"delta < {low}", f"{low} <= delta < {high}",
+            f"delta >= {high}")[_branch(delta, thresholds)]
 
 
 def rank_layers(bundle: gb.GradientBundle, layers=None, seed: int = 2343) -> list[LayerConflict]:

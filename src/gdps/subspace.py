@@ -15,8 +15,8 @@ each side's stored rows, centred in float64, are factored once
 (`linalg.gram_svd`; the dual, kernel form of ridge CCA, Hardoon et al.
 2004) and every pair only builds a small core from the two factors
 (canonical correlations from the factors of each side, Bjorck & Golub
-1973; the factor-then-correlate structure of SVCCA).  It takes every rho
-from one values-only SVD call per core shape.  At lambda = 0 a
+1973; the factor-then-correlate structure of SVCCA).  It takes each rho
+from one values-only SVD of the core as it is formed.  At lambda = 0 a
 rank-deficient factor has no whitening and raises SingularCovarianceError.
 `subspace_report` joins the two halves; it may take the spectrum half that
 `gdps.pipeline.plan` runs on a second thread.
@@ -185,14 +185,13 @@ def _dual_core(ua, sa, ub, sb, lam: float) -> np.ndarray:
     return (fa[:, None] * (ua.T.copy() @ ub)) * fb[None, :]
 
 
-def _leading_rho(cores: np.ndarray) -> np.ndarray:
-    """The leading singular value of each core of a (pairs, ra, rb) stack, in [0, 1].
+def _leading_rho(core: np.ndarray) -> float:
+    """The leading singular value of one core, in [0, 1], from a values-only SVD.
 
-    One values-only SVD call serves the whole stack.  Each core's values do
-    not depend on the others in the stack, so `ridge_cca`, which calls this
-    on a stack of one, gives the same rho as a report's batched call.
+    `ridge_cca` and `pairwise_cca` both take rho here, so every entry of a
+    report equals the `ridge_cca` rho of its pair.
     """
-    return np.clip(np.linalg.svd(cores, compute_uv=False)[:, 0], 0.0, 1.0)
+    return float(np.clip(np.linalg.svd(core, compute_uv=False)[0], 0.0, 1.0))
 
 
 def ridge_cca(g_a, g_b, lam: float = DEFAULT_LAMBDA) -> CcaResult:
@@ -222,7 +221,7 @@ def ridge_cca(g_a, g_b, lam: float = DEFAULT_LAMBDA) -> CcaResult:
     x, _, yh = np.linalg.svd(core, full_matrices=False)
     w_a = fa.v @ (x[:, 0] / np.sqrt(fa.sigma**2 + lam))
     w_b = fb.v @ (yh[0, :] / np.sqrt(fb.sigma**2 + lam))
-    return CcaResult(rho=float(_leading_rho(core[None])[0]), w_a=w_a, w_b=w_b, lam=lam)
+    return CcaResult(rho=_leading_rho(core), w_a=w_a, w_b=w_b, lam=lam)
 
 
 def group_energy(proportions, grouping: GroupingPlan, tasks) -> np.ndarray:
@@ -344,19 +343,14 @@ def pairwise_cca(bundle: GradientBundle, layer: str, lam: float = DEFAULT_LAMBDA
         m = min(rows[i], rows[j])
         return _dual_core(*factor(i, m), *factor(j, m), lam)
 
-    cores = {(i, j): core(i, j) for i, j in combinations(range(n), 2)}
+    cca = np.eye(n)
+    for i, j in combinations(range(n), 2):
+        cca[i, j] = cca[j, i] = _leading_rho(core(i, j))
     for i in range(n):
         try:
-            cores[i, i] = core(i, i)
+            cca[i, i] = _leading_rho(core(i, i))
         except SingularCovarianceError:
             pass  # no whitening at lambda = 0: the entry stays 1
-    by_shape = {}
-    for pair, c in cores.items():
-        by_shape.setdefault(c.shape, []).append(pair)
-    cca = np.eye(n)
-    for pairs in by_shape.values():
-        for (i, j), r in zip(pairs, _leading_rho(np.stack([cores[p] for p in pairs]))):
-            cca[i, j] = cca[j, i] = r
     return cca
 
 

@@ -246,6 +246,20 @@ def test_layer_stack_is_read_only(rng):
         stack[3:][0, 0] = 1.0  # a view of it is read-only too
 
 
+@pytest.mark.parametrize("task, layer, broken", [
+    ("a,b", "L0", r"task identifier 'a,b' holds ','"),
+    ("a", "L,0", r"layer identifier 'L,0' holds ','"),
+    ("a/b", "L0", r"task identifier 'a/b' holds '/'"),
+    ("a", "", r"layer identifier '' is empty"),
+    ("a", "L\n0", r"layer identifier 'L\\n0' holds a line break"),
+    (1, "L0", r"task identifier 1 is not a string"),
+])
+def test_every_bundle_keeps_the_identifier_rule(rng, task, layer, broken):
+    # from_matrices refuses what write_bundle would, and says which rule broke
+    with pytest.raises(ValidationError, match=broken):
+        GradientBundle.from_matrices([GradientMatrix(task, layer, rng.standard_normal((2, 3)))])
+
+
 def test_unknown_task_layer_errors(rng):
     b = make_bundle(rng)
     with pytest.raises(ValidationError, match="unknown task"):

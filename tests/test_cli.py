@@ -103,6 +103,25 @@ def test_inspect_record_path_outside_bundle_exit_1(tmp_path, capsys, outside):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("kind, renamed", [("task", "a,b"), ("layer", "L,0")])
+def test_inspect_id_with_a_comma_exit_1(tmp_path, capsys, kind, renamed):
+    # a hand-written manifest gets the identifier rule that write_bundle keeps
+    write_bundle(tiny_bundle({"a": np.ones((2, 3))}), tmp_path / "b")
+    manifest_path = tmp_path / "b" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    if kind == "task":
+        manifest["tasks"] = [renamed]
+    else:
+        manifest["layers"][0]["id"] = renamed
+    manifest["records"][0][kind] = renamed
+    manifest_path.write_text(json.dumps(manifest))
+    rc = main(["inspect", "--bundle", str(tmp_path / "b")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "manifest.json" in err and f"{kind} identifier {renamed!r} holds ','" in err
+    assert "Traceback" not in err
+
+
 def test_bundle_fingerprint_rejects_bad_record(tmp_path):
     make_disk_bundle(tmp_path / "b")
     _edit_first_record(tmp_path / "b", lambda rec: rec.update(path="../outside.gdm"))

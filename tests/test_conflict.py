@@ -225,6 +225,19 @@ def test_ratio_branch_text():
     assert ratio_branch(0.5).startswith("delta >=")
 
 
+@pytest.mark.parametrize("thresholds", [RatioThresholds(), RatioThresholds(low=0.01, high=0.5)])
+def test_ratio_branch_names_the_ratio_at_each_edge(thresholds):
+    low, high = thresholds.low, thresholds.high
+    branches = {f"delta < {low}": 0.75, f"{low} <= delta < {high}": 0.50,
+                f"delta >= {high}": 0.25}
+    cases = {np.nextafter(low, -np.inf): 0.75, low: 0.50,
+             np.nextafter(high, -np.inf): 0.50, high: 0.25}
+    for delta, ratio in cases.items():
+        assert map_shared_ratio(delta, thresholds) == ratio
+        assert branches[ratio_branch(delta, thresholds)] == ratio
+    assert ratio_branch(float("nan"), thresholds) == f"delta >= {high}"
+
+
 def test_rank_layers_by_delta_then_purity(rng):
     high = planted_bundle(2, [[0], [1]], 80.0, d=8, m=4, seed=3, spread_deg=0.0,
                           layer="hot", task_names=("a", "b"))
