@@ -300,6 +300,12 @@ def write_bundle(bundle: GradientBundle, path) -> None:
     bundle.validate()
     root = Path(path)
     manifest = _manifest(bundle)
+    owners = {}  # ids may join to one name: task a__b at layer c, task a at layer b__c
+    for rec in manifest["records"]:
+        first = owners.setdefault(rec["path"], (rec["task"], rec["layer"]))
+        if first != (rec["task"], rec["layer"]):
+            raise ValidationError(f"entries (task, layer) {first} and {(rec['task'], rec['layer'])} "
+                                  f"would both be written to {rec['path']}")
     for rec in manifest["records"]:
         write_matrix_file(root / rec["path"], bundle.entries[rec["task"], rec["layer"]].data)
     write_text(root / MANIFEST_NAME, dump_json(manifest))

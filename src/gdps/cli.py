@@ -138,7 +138,7 @@ def cmd_conflict(args) -> int:
     candidates = pl.resolve_candidates(bundle, args.layers)
     thresholds = pl.parse_thresholds(args.thresholds)
     with pl.stage("conflict"):
-        report = cf.conflict_report(bundle, candidates, thresholds, seed=args.seed)
+        report = cf.conflict_report(bundle, candidates, thresholds)
     write_text(Path(args.out) / "conflict.json", dump_json(report.to_dict()))
     for lc in report.layers:
         print(
@@ -276,24 +276,9 @@ def cmd_simulate(args) -> int:
             entry["similarity_delta"] = {t: float(v) for t, v in delta.items()}
             entry["similarity_delta_mean"] = float(np.mean(list(delta.values())))
 
-    summary = {
-        "params": {
-            "theta": args.theta,
-            "tasks": args.tasks,
-            "groups": args.groups,
-            "steps": args.steps,
-            "lr": args.lr,
-            "batch_size": args.batch_size,
-            "samples": args.samples,
-            "seeds": seeds,
-            "mode": args.mode,
-            "d_model": args.d_model,
-            "d_ff": args.d_ff,
-            "activation": args.activation,
-            "target_noise": args.target_noise,
-        },
-        "runs": runs,
-    }
+    echoed = ("theta", "tasks", "groups", "steps", "lr", "batch_size", "samples", "mode",
+              "d_model", "d_ff", "activation", "target_noise")
+    summary = {"params": {**{k: getattr(args, k) for k in echoed}, "seeds": seeds}, "runs": runs}
     write_text(out / "summary.json", dump_json(summary))
     write_text(out / "summary.md", _simulate_markdown(summary))
     print(_simulate_markdown(summary))
@@ -419,6 +404,8 @@ def _report_markdown(plans: list, sims: list) -> str:
 
 def cmd_report(args) -> int:
     inputs = [x for x in str(args.inputs).split(",") if x]
+    if not inputs:
+        raise _UsageError("--inputs must list at least one file or directory")
     plans = []
     sims = []
     for raw in inputs:
@@ -512,9 +499,9 @@ def build_parser() -> _Parser:
 
     analysis("group", "Method A: cluster tasks", cmd_group, "seed", "layer", "k_groups")
     analysis("conflict", "Method B: conflict scores and ratio", cmd_conflict,
-             "seed", "layers", "thresholds")
+             "layers", "thresholds")
     analysis("subspace", "Method C: joint spectrum and CCA", cmd_subspace,
-             "seed", "layer", "top_k", "lam", "normalize_rows")
+             "layer", "top_k", "lam", "normalize_rows")
     analysis("plan", "compose Methods A+B+C into a decomposition plan", cmd_plan, *PLAN_FLAGS)
 
     p = sub.add_parser("decompose", help="materialize a plan on unified weights")
@@ -538,11 +525,13 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", type=int, default=32, help="gradient samples per task")
     p.add_argument("--seeds", default=str(DEFAULTS.seed))
     p.add_argument("--mode", choices=["unified", "specialized", "both"], default="both")
-    _plan_flags(p, "thresholds", "top_k", "lam", "noise", "d_model", "d_ff", "activation",
+    _plan_flags(p, "thresholds", "top_k", "noise", "d_model", "d_ff", "activation",
                 "private_rank")
     p.add_argument("--target-noise", type=float, default=0.05)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_simulate)
+    # no --lambda, since no output reads the CCA; the plans' ridge stays in args
+    # for code that rebuilds them from the parsed arguments (bench/worker.py)
+    p.set_defaults(func=cmd_simulate, lam=DEFAULTS.lam)
 
     p = sub.add_parser("report", help="consolidate prior outputs into one report")
     p.add_argument("--inputs", required=True, help="comma-separated output files or dirs")

@@ -10,7 +10,9 @@ feeds a piecewise rule that picks how much of a layer's width stays shared:
 
 Purity is this toolkit's own bounded stand-in for "how benign are the
 cross-task interactions": the fraction of non-degenerate cross-task sample
-pairs whose cosine is >= 0.  It is labeled non-standard in every report.
+pairs whose cosine is >= 0.  It is labeled non-standard in every report and
+decides nothing.  Delta and the shared ratio depend on the bundle, the
+candidate set and the thresholds alone: on no seed, nor on the set's order.
 
 Method B reads each layer's float64 row stack (`gdps.bundle.layer_stack`,
 shared with Method C's spectrum half; only the drawn rows are cast when a
@@ -46,6 +48,7 @@ DEFAULT_HIGH = 0.15
 # shared ratios for delta below low, in [low, high), and at or above high
 RATIOS = (0.75, 0.50, 0.25)
 SAMPLE_CAP = 512
+DRAW_SEED = 2343  # with the task name, seeds the draw from a task above SAMPLE_CAP
 DEGENERATE_WARN_FRACTION = 0.10
 
 
@@ -107,12 +110,12 @@ class ConflictReport:
         }
 
 
-def _maybe_subsample(matrix: np.ndarray, seed: int, task: str) -> np.ndarray:
-    """At most `SAMPLE_CAP` rows, drawn from (seed, task) only: the same in every pair."""
+def _maybe_subsample(matrix: np.ndarray, task: str) -> np.ndarray:
+    """At most `SAMPLE_CAP` rows, drawn from the task name only: the same in every pair."""
     if matrix.shape[0] <= SAMPLE_CAP:
         return matrix
     task_key = int.from_bytes(task.encode("utf-8"), "little")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, task_key]))
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=[DRAW_SEED, task_key]))
     pick = np.sort(rng.choice(matrix.shape[0], size=SAMPLE_CAP, replace=False))
     return matrix[pick]
 
@@ -131,7 +134,7 @@ class _Task:
     total: np.ndarray  # s_t = sum_i g_i / |g_i|
 
 
-def _layer_rows(bundle, tasks, layer, seed, need_pairs=False) -> tuple[list[_Task], np.ndarray]:
+def _layer_rows(bundle, tasks, layer, need_pairs=False) -> tuple[list[_Task], np.ndarray]:
     """Each task's reduction, and its non-degenerate rows stacked task after task.
 
     They are the layer's shared float64 stack if every bundle task is read whole.
@@ -145,7 +148,7 @@ def _layer_rows(bundle, tasks, layer, seed, need_pairs=False) -> tuple[list[_Tas
     if tuple(tasks) == bundle.tasks and sampled == stored:
         rows = gb.layer_stack(bundle, layer)
     else:
-        rows = np.concatenate([_maybe_subsample(gb.sample_gradients(bundle, t, layer), seed, t)
+        rows = np.concatenate([_maybe_subsample(gb.sample_gradients(bundle, t, layer), t)
                                for t in tasks], dtype=np.float64)
     norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
     ok = norms >= ZERO_NORM_EPS
@@ -186,29 +189,23 @@ def _cross_nonneg(parts: list[_Task], rows: np.ndarray) -> int:
     return int(nonneg)
 
 
-def self_similarity(bundle: gb.GradientBundle, task: str, layer: str, seed: int = 2343) -> float:
+def self_similarity(bundle: gb.GradientBundle, task: str, layer: str) -> float:
     """Mean cosine over all unordered sample pairs within one task."""
-    (part,), _ = _layer_rows(bundle, [task], layer, seed, need_pairs=True)
+    (part,), _ = _layer_rows(bundle, [task], layer, need_pairs=True)
     return _self_mean(part)
 
 
-def cross_similarity(
-    bundle: gb.GradientBundle,
-    task_a: str,
-    task_b: str,
-    layer: str,
-    seed: int = 2343,
-) -> float:
+def cross_similarity(bundle: gb.GradientBundle, task_a: str, task_b: str, layer: str) -> float:
     """Mean cosine over the full cross product of two tasks' sample rows.
 
     The pair is taken in name order, so swapping the arguments gives the
     same value bit for bit.
     """
-    parts, _ = _layer_rows(bundle, sorted((task_a, task_b)), layer, seed)
+    parts, _ = _layer_rows(bundle, sorted((task_a, task_b)), layer)
     return _cross_mean(*parts)
 
 
-def layer_conflict(bundle: gb.GradientBundle, layer: str, seed: int = 2343) -> LayerConflict:
+def layer_conflict(bundle: gb.GradientBundle, layer: str) -> LayerConflict:
     """Per-layer S_self, S_cross, their gap delta, and cross-pair purity.
 
     Each task's rows, subsampled and in float64, are reduced to the sum s_t
@@ -221,7 +218,7 @@ def layer_conflict(bundle: gb.GradientBundle, layer: str, seed: int = 2343) -> L
     if len(tasks) < 2:
         raise ValidationError(">= 2 tasks required for cross-task conflict analysis")
 
-    parts, rows = _layer_rows(bundle, tasks, layer, seed, need_pairs=True)
+    parts, rows = _layer_rows(bundle, tasks, layer, need_pairs=True)
     pairs = list(combinations(parts, 2))
 
     s_self = float(np.mean([_self_mean(t) for t in parts]))
@@ -282,28 +279,32 @@ def ratio_branch(delta: float, thresholds: RatioThresholds = RatioThresholds()) 
             f"delta >= {high}")[_branch(delta, thresholds)]
 
 
-def rank_layers(bundle: gb.GradientBundle, layers=None, seed: int = 2343) -> list[LayerConflict]:
-    """Layers sorted by delta desc; ties broken by lower purity, then id."""
+def rank_layers(bundle: gb.GradientBundle, layers=None) -> list[LayerConflict]:
+    """Layers sorted by delta desc, ties broken by id; purity decides nothing."""
     layers = list(layers) if layers is not None else list(bundle.layers)
     if not layers:
         raise ValidationError("rank_layers needs at least one layer")
     for l in layers:  # an unknown name, even an empty one, is named before any repeat
         bundle._check_layer(l)
     _reject_repeats(layers)
-    reports = [layer_conflict(bundle, l, seed) for l in layers]
-    return sorted(reports, key=lambda r: (-r.delta, r.purity, r.layer))
+    reports = [layer_conflict(bundle, l) for l in layers]
+    return sorted(reports, key=lambda r: (-r.delta, r.layer))
 
 
 def conflict_report(
     bundle: gb.GradientBundle,
     candidate_layers=None,
     thresholds: RatioThresholds = RatioThresholds(),
-    seed: int = 2343,
+    seed=None,
 ) -> ConflictReport:
-    """Full Method-B result: ranked layers, aggregate delta, shared ratio."""
+    """Full Method-B result: ranked layers, aggregate delta, shared ratio.
+
+    Delta averages the candidates in bundle layer order, not in the order
+    given (and echoed).  `seed` is accepted and ignored.
+    """
     candidates = tuple(candidate_layers) if candidate_layers else tuple(bundle.layers)
-    ranked = rank_layers(bundle, candidates, seed)
-    delta = aggregate_delta(ranked, candidates)
+    ranked = rank_layers(bundle, candidates)
+    delta = aggregate_delta(ranked, [l for l in bundle.layers if l in candidates])
     ratio = map_shared_ratio(delta, thresholds)
     warnings = []
     for lc in ranked:

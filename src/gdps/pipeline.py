@@ -59,7 +59,7 @@ OVERLAP_MIN_BYTES = 8 << 20
 class PlanOptions:
     """One field per `gdps plan` flag other than --bundle and --out."""
 
-    seed: int = dc.DEFAULT_SEED
+    seed: int = dc.DEFAULT_SEED  # the k-means restarts and the private-init noise
     layer: str | None = None  # Methods A and C; None is the bundle's first layer
     layers: str | None = None  # comma-separated Method B candidates; None is every layer
     k_groups: int = gr.DEFAULT_GROUPS
@@ -176,7 +176,7 @@ def plan(bundle: GradientBundle, options: PlanOptions = PlanOptions()):
     ) as spectrum:
         sim, dist, grouping, merges = group_tasks(bundle, layer, options)
         with stage("conflict"):
-            conflict = cf.conflict_report(bundle, candidates, thresholds, seed=options.seed)
+            conflict = cf.conflict_report(bundle, candidates, thresholds)
         with stage("subspace"):
             if spectrum is None:
                 joint = job()

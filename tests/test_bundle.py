@@ -260,6 +260,18 @@ def test_every_bundle_keeps_the_identifier_rule(rng, task, layer, broken):
         GradientBundle.from_matrices([GradientMatrix(task, layer, rng.standard_normal((2, 3)))])
 
 
+def test_write_refuses_two_entries_on_one_file_name(tmp_path):
+    # task a__b at layer c and task a at layer b__c both join to a__b__c.gdm
+    pairs = [("a__b", "c"), ("a__b", "b__c"), ("a", "c"), ("a", "b__c")]
+    bundle = GradientBundle.from_matrices([GradientMatrix(t, l, np.full((1, 2), float(v)))
+                                           for v, (t, l) in enumerate(pairs, start=1)])
+    with pytest.raises(ValidationError, match=re.escape(
+            "entries (task, layer) ('a__b', 'c') and ('a', 'b__c') would both be written "
+            "to a__b__c.gdm")):
+        write_bundle(bundle, tmp_path / "b")
+    assert not (tmp_path / "b").exists()
+
+
 def test_unknown_task_layer_errors(rng):
     b = make_bundle(rng)
     with pytest.raises(ValidationError, match="unknown task"):

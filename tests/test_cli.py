@@ -459,6 +459,15 @@ def test_report_missing_input_exit_1(tmp_path, capsys):
     assert "ghost.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("inputs", ["", ","])
+def test_report_empty_inputs_exit_1(tmp_path, capsys, inputs):
+    rc = main(["report", "--inputs", inputs, "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1 and err.startswith("error:") and "--inputs" in err
+    assert not (tmp_path / "r").exists()
+
+
 def test_usage_error_exit_1(capsys):
     assert main(["plan"]) == 1  # missing required flags
     assert main(["conflict", "--bundle", "x", "--out", "y", "--thresholds", "zap"]) == 1
@@ -568,6 +577,22 @@ def test_negative_seed_exit_1(tmp_path, capsys, command, flag):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["conflict", "--seed", "1"], "--seed"),
+    (["subspace", "--seed", "1"], "--seed"),
+    (["simulate", "--theta", "80", "--steps", "2", "--lambda", "0.01"], "--lambda"),
+])
+def test_flag_no_result_reads_is_refused(tmp_path, capsys, argv, flag):
+    if argv[0] != "simulate":
+        make_disk_bundle(tmp_path / "b")
+        argv = argv + ["--bundle", str(tmp_path / "b")]
+    rc = main(argv + ["--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1 and err.startswith("error:") and flag in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_duplicate_seeds_exit_1(tmp_path, capsys):
     rc = main(["simulate", "--theta", "80", "--seeds", "3,4,3", "--steps", "5",
                "--out", str(tmp_path / "o")])
@@ -599,8 +624,8 @@ def test_stage_commands_agree_with_plan(tmp_path, monkeypatch, gate):
         mats += list(b.entries.values())
     write_bundle(GradientBundle.from_matrices(mats), tmp_path / "b")
     monkeypatch.setattr(gdps_pipeline, "OVERLAP_MIN_BYTES", gate)
-    given = ["--bundle", str(tmp_path / "b"), "--seed", "11"]
-    a = ["--layer", "L1", "--k-groups", "2"]
+    given = ["--bundle", str(tmp_path / "b")]
+    a = ["--layer", "L1", "--k-groups", "2", "--seed", "11"]
     b = ["--layers", "L2,L1", "--thresholds", "0.1,0.3"]
     c = ["--top-k", "3", "--lambda", "0.01", "--normalize-rows"]
     for argv in (["group", *a], ["conflict", *b], ["subspace", "--layer", "L1", *c],

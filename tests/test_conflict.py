@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gdps.bundle
+import gdps.conflict
+from gdps.bundle import GradientBundle, GradientMatrix
 from gdps.conflict import (
     SAMPLE_CAP,
     RatioThresholds,
@@ -252,15 +254,39 @@ def test_rank_layers_by_delta_then_purity(rng):
     assert ranked[0].delta > ranked[1].delta
 
 
-def test_rank_layers_purity_tiebreak():
+def test_rank_layers_breaks_a_delta_tie_by_id_not_purity(monkeypatch):
     from dataclasses import replace
 
-    b = planted_bundle(2, [[0], [1]], 45.0, d=8, m=4, seed=5, spread_deg=0.0, layer="L0")
+    # equal deltas; the layer first by id has the higher purity
+    b = two_layer_bundle()
     lc = layer_conflict(b, "L0")
-    a = replace(lc, layer="A", delta=0.1, purity=0.9)
-    c = replace(lc, layer="B", delta=0.1, purity=0.7)
-    ordered = sorted([a, c], key=lambda r: (-r.delta, r.purity, r.layer))
-    assert [r.layer for r in ordered] == ["B", "A"]
+    made = {"L0": replace(lc, layer="L0", delta=0.1, purity=0.9),
+            "L1": replace(lc, layer="L1", delta=0.1, purity=0.7)}
+    monkeypatch.setattr(gdps.conflict, "layer_conflict", lambda bundle, layer, *rest: made[layer])
+    assert [r.layer for r in rank_layers(b)] == ["L0", "L1"]
+    assert [r.layer for r in rank_layers(b, ["L1", "L0"])] == ["L0", "L1"]
+
+
+def test_candidate_order_changes_no_bit_of_delta():
+    # a mean of three deltas rounds by the order it adds them in
+    rng = np.random.default_rng(42)
+    b = GradientBundle.from_matrices([
+        GradientMatrix(f"t{i}", f"L{j}", rng.standard_normal((5, 16)) + 0.3 * (j + 1))
+        for i in range(3) for j in range(3)])
+    given = conflict_report(b, ["L0", "L1", "L2"])
+    backward = conflict_report(b, ["L2", "L1", "L0"])
+    assert backward.delta == given.delta == conflict_report(b).delta
+    assert backward.candidate_layers == ("L2", "L1", "L0")
+    assert backward.layers == given.layers
+
+
+def test_no_seed_reaches_the_draw_above_the_cap(rng):
+    # t0 is above SAMPLE_CAP, so Method B draws its rows from the task name alone
+    b = tiny_bundle({"t0": rng.standard_normal((SAMPLE_CAP + 88, 16)) + 0.1,
+                     "t1": rng.standard_normal((40, 16))})
+    report = conflict_report(b)
+    for seed in (0, 1, 7, 2343):
+        assert conflict_report(b, seed=seed) == report
 
 
 def test_conflict_report_rejects_a_repeated_candidate_layer():
@@ -292,8 +318,8 @@ def test_subsample_cap_applies_and_deterministic(rng):
     b = tiny_bundle({"a": rows, "b": rows[:5]})
     unit = rows / np.linalg.norm(rows, axis=1, keepdims=True)
     full = float((unit @ unit.T)[np.triu_indices(600, 1)].mean())
-    capped_1 = self_similarity(b, "a", "L0", seed=3)
-    capped_2 = self_similarity(b, "a", "L0", seed=3)
+    capped_1 = self_similarity(b, "a", "L0")
+    capped_2 = self_similarity(b, "a", "L0")
     assert capped_1 == capped_2
     assert abs(capped_1 - full) > 1e-9  # not the mean over all 600 rows
     assert abs(capped_1 - full) < 0.5  # subsample approximates, deterministically
@@ -527,9 +553,9 @@ def test_purity_equals_the_unit_row_count(make, expected):
     assert_matches_unrolled(lc, b)
 
 
-def subsampled(bundle, layer="L0", seed=2343):
+def subsampled(bundle, layer="L0"):
     """The bundle of the rows Method B draws from each task."""
-    return tiny_bundle({t: _maybe_subsample(bundle.matrix(t, layer).data, seed, t)
+    return tiny_bundle({t: _maybe_subsample(bundle.matrix(t, layer).data, t)
                         for t in bundle.tasks}, layer)
 
 
@@ -557,10 +583,10 @@ def test_means_match_unit_rows_with_zero_rows(rows, drawn):
         g[rng.random(m) < 0.1] = 0.0
         tasks[f"t{i}"] = g
     b = tiny_bundle(tasks)
-    drawn_rows = subsampled(b, seed=11)
+    drawn_rows = subsampled(b)
     assert tuple(drawn_rows.matrix(t, "L0").rows for t in b.tasks) == drawn
     s_self, s_cross = unit_row_means(drawn_rows)
-    lc = layer_conflict(b, "L0", seed=11)
+    lc = layer_conflict(b, "L0")
     assert abs(lc.s_self - s_self) <= 1e-12
     assert abs(lc.s_cross - s_cross) <= 1e-12
     assert abs(lc.delta - (s_self - s_cross)) <= 1e-12

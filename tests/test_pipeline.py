@@ -159,10 +159,10 @@ PARSER = {
                 ("--out", "out", None, None, None, False)},
     "group": BUNDLE_OUT | {SEED, ("--layer", "layer", None, None, None, False),
                            ("--k-groups", "k_groups", 2, "int", None, False)},
-    "conflict": BUNDLE_OUT | {SEED, ("--layers", "layers", None, None, None, False),
+    "conflict": BUNDLE_OUT | {("--layers", "layers", None, None, None, False),
                               ("--thresholds", "thresholds", "0.05,0.15", None, None, False)},
     "subspace": BUNDLE_OUT | {
-        SEED, ("--layer", "layer", None, None, None, False),
+        ("--layer", "layer", None, None, None, False),
         ("--top-k", "top_k", 10, "int", None, False),
         ("--lambda", "lam", 0.001, "float", None, False),
         ("--normalize-rows", "normalize_rows", False, None, None, False)},
@@ -199,7 +199,6 @@ PARSER = {
         ("--mode", "mode", "both", None, ("unified", "specialized", "both"), False),
         ("--thresholds", "thresholds", "0.05,0.15", None, None, False),
         ("--top-k", "top_k", 10, "int", None, False),
-        ("--lambda", "lam", 0.001, "float", None, False),
         ("--noise", "noise", 0.0001, "float", None, False),
         ("--d-model", "d_model", 16, "int", None, False),
         ("--d-ff", "d_ff", 32, "int", None, False),
