@@ -276,9 +276,8 @@ def cmd_simulate(args) -> int:
             entry["similarity_delta"] = {t: float(v) for t, v in delta.items()}
             entry["similarity_delta_mean"] = float(np.mean(list(delta.values())))
 
-    echoed = ("theta", "tasks", "groups", "steps", "lr", "batch_size", "samples", "mode",
-              "d_model", "d_ff", "activation", "target_noise")
-    summary = {"params": {**{k: getattr(args, k) for k in echoed}, "seeds": seeds}, "runs": runs}
+    summary = {"params": {**{k: getattr(args, k) for k in args.echoed}, "seeds": seeds},
+               "runs": runs}
     write_text(out / "summary.json", dump_json(summary))
     write_text(out / "summary.md", _simulate_markdown(summary))
     print(_simulate_markdown(summary))
@@ -529,9 +528,10 @@ def build_parser() -> _Parser:
                 "private_rank")
     p.add_argument("--target-noise", type=float, default=0.05)
     p.add_argument("--out", required=True)
-    # no --lambda, since no output reads the CCA; the plans' ridge stays in args
-    # for code that rebuilds them from the parsed arguments (bench/worker.py)
-    p.set_defaults(func=cmd_simulate, lam=DEFAULTS.lam)
+    # summary.json echoes every flag but --out.  No --lambda, since no output reads the
+    # CCA; the plans' ridge stays in args for code that rebuilds them (bench/worker.py).
+    p.set_defaults(func=cmd_simulate, lam=DEFAULTS.lam, echoed=[
+        a.dest for a in p._actions if a.option_strings and a.dest not in ("help", "out")])
 
     p = sub.add_parser("report", help="consolidate prior outputs into one report")
     p.add_argument("--inputs", required=True, help="comma-separated output files or dirs")

@@ -9,19 +9,15 @@ group`, `conflict` and `subspace` commands make too, inside `stage(name)`:
 it prefixes any GdpsError with ``[stage: name]`` and keeps its type, so the
 CLI exit code does not change.
 
-`plan` casts the layer to its float64 stack (`gdps.bundle.layer_stack`)
-once, and holds it only while a stage reads all of it: Method B, and the
-Gram of Method C's spectrum half, which lets go of a wide stack before its
-`eigh`.  Method A takes each task's mean, and the CCA half of C centres
-each task, from the stored float32 rows.
-
-Two jobs run on second threads beside Methods A, B and the CCA half of C:
-the bundle fingerprint, always, and Method C's spectrum half (the joint
-Gram and its `eigh`) when the layer's float64 stack holds at least
-`OVERLAP_MIN_BYTES`.  The spectrum thread starts while `plan` holds the
-stack, and takes it from the bundle's registry (a thread held back until
-after Method B would cast the layer again).  Below the gate the spectrum
-runs inline after Method B, before `plan` lets the stack go.
+Method A and the CCA half of C read the stored float32 rows; Method B and
+the spectrum half of C read the layer's float64 stack (`layer_stack`).  Two
+jobs run on second threads beside Methods A, B and the CCA half of C: the
+bundle fingerprint, always, and Method C's spectrum half when its cost
+(`spectrum_threaded`) reaches `OVERLAP_MIN_COST`.  That thread starts while
+`plan` holds the stack, and takes it from the bundle's registry, so Method B
+and the thread share one cast.  Below the gate `plan` holds no stack and
+runs `subspace_report` as `gdps subspace` does: the CCA, then the spectrum,
+which casts the layer again once Method B has let its own cast go.
 sha256 and the BLAS and LAPACK calls release the GIL, so a process's CPU
 time may exceed its wall time.  Errors are reported as if the stages ran
 one after another: grouping, conflict, spectrum, CCA.  Every thread is
@@ -45,14 +41,20 @@ from . import subspace as sb
 from .bundle import GradientBundle, layer_stack
 from .errors import GdpsError, ValidationError
 
-# Method C's spectrum half runs on a second thread only for a layer stack of
-# at least this many bytes.  A thread that allocates or calls BLAS costs peak
-# RSS, which a small plan never wins back.  Measured with one BLAS thread on a
-# 2-core host: simulate's plans stack 1 MB and spend 2.5 ms in the spectrum,
-# and with every plan threaded `gdps simulate`'s two benchmark calls peaked
-# 1.5 MB (3 %) higher; plan-deep's 16.8 MB stack spends 0.02 s in it and
-# plan-wide's 33.5 MB one 0.34 s.
-OVERLAP_MIN_BYTES = 8 << 20
+# The spectrum's cost in multiply-adds (its Gram plus the eigh) from which
+# `plan` runs it on a second thread.  Such a thread gets BLAS buffers of its
+# own, and the stack held for it lives through Method B's casts: peak RSS that
+# a cheap spectrum never wins back.  Plan-wide's 1024 x 4096 stack costs 5.4e9
+# and plan-deep's 256 x 8192 5.5e8 (simulate's 128 x 1024 1.9e7): the gate
+# lies a factor of about 3 from each plan workload, threading plan-wide only.
+OVERLAP_MIN_COST = 2e9
+
+
+def spectrum_threaded(rows: int, cols: int) -> bool:
+    """Whether `plan` runs the spectrum of a rows x cols stack on a second thread:
+    short**2 * (long + short) >= OVERLAP_MIN_COST for its short and long sides."""
+    short, long = sorted((rows, cols))
+    return short * short * (long + short) >= OVERLAP_MIN_COST
 
 
 @dataclass(frozen=True)
@@ -167,20 +169,18 @@ def plan(bundle: GradientBundle, options: PlanOptions = PlanOptions()):
     if len(bundle.tasks) < 2:
         raise ValidationError(">= 2 tasks required for cross-task analysis")
 
-    # Held until Method B and the spectrum's Gram have read it; the spectrum
-    # job fetches the stack itself, so that only its own frame keeps it.
-    stack = layer_stack(bundle, layer)
+    threaded = spectrum_threaded(sum(sb._task_rows(bundle, layer)), bundle.layer_dim(layer))
+    # Held until Method B has read it, for the spectrum thread to take from the
+    # registry; the job fetches the stack itself, so that only its frame keeps it.
+    stack = layer_stack(bundle, layer) if threaded else None
     job = lambda: sb.joint_spectrum(bundle, layer, options.top_k, options.normalize_rows)
     with beside(bundle.fingerprint) as fingerprint, (
-        beside(job) if stack.nbytes >= OVERLAP_MIN_BYTES else nullcontext()
+        beside(job) if threaded else nullcontext()
     ) as spectrum:
         sim, dist, grouping, merges = group_tasks(bundle, layer, options)
         with stage("conflict"):
             conflict = cf.conflict_report(bundle, candidates, thresholds)
         with stage("subspace"):
-            if spectrum is None:
-                joint = job()
-                spectrum = lambda: joint
             del stack
             subspace = sb.subspace_report(bundle, layer, options.top_k, options.lam,
                                           options.normalize_rows, spectrum=spectrum)
@@ -214,7 +214,7 @@ def plan(bundle: GradientBundle, options: PlanOptions = PlanOptions()):
         )
 
     flags = dataclasses.asdict(options)
-    flags.update(layer=layer, layers=",".join(candidates), ratio=options.ratio or 0.0)
+    flags.update(layer=layer, layers=",".join(candidates))
     flags["lambda"] = flags.pop("lam")
     report = rp.PipelineReport(
         bundle_fingerprint=fingerprint(),

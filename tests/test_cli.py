@@ -213,7 +213,7 @@ def test_plan_deterministic_in_either_finishing_order(tmp_path, monkeypatch, slo
         return ((tmp_path / sub / "plan.json").read_bytes(),
                 hash_excluding_timestamp((tmp_path / sub / "report.json").read_text()))
 
-    monkeypatch.setattr(gdps_pipeline, "OVERLAP_MIN_BYTES", 1 << 62)
+    monkeypatch.setattr(gdps_pipeline, "OVERLAP_MIN_COST", 1 << 62)
     inline = artifacts("inline")
 
     finished = []
@@ -232,7 +232,7 @@ def test_plan_deterministic_in_either_finishing_order(tmp_path, monkeypatch, slo
     delayed(gdps_subspace, "joint_spectrum", "spectrum", 0.3 if slow == "spectrum" else 0.0)
     delayed(gdps_grouping, "similarity_matrix", "grouping", 0.3 if slow == "grouping" else 0.0)
     delayed(gdps_subspace, "pairwise_cca", "cca", 0.0)
-    monkeypatch.setattr(gdps_pipeline, "OVERLAP_MIN_BYTES", 0)
+    monkeypatch.setattr(gdps_pipeline, "OVERLAP_MIN_COST", 0)
     assert artifacts("threaded") == inline
     assert finished == (["grouping", "cca", "spectrum"] if slow == "spectrum"
                         else ["spectrum", "grouping", "cca"])
@@ -417,6 +417,53 @@ def test_simulate_deterministic_rerun(tmp_path):
     assert (tmp_path / "s1" / "log_specialized_7.csv").read_bytes() == (
         tmp_path / "s2" / "log_specialized_7.csv"
     ).read_bytes()
+
+
+def _replay_argv(echoed: dict) -> list[str]:
+    """The argv of an echo: a flag per non-null value, a store_true flag only when true."""
+    argv = []
+    for key, value in echoed.items():
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            argv.append(flag)
+        elif value is not None and value is not False:
+            argv += [flag, ",".join(map(str, value)) if isinstance(value, list) else str(value)]
+    return argv
+
+
+@pytest.mark.parametrize("given", [[], ["--ratio", "0.4", "--normalize-rows", "--layers", "L2,L1",
+                                        "--layer", "L1", "--top-k", "3", "--seed", "5"]],
+                         ids=["defaults", "flags"])
+def test_plan_replays_from_its_echoed_flags(tmp_path, given):
+    # README, Determinism: the flags report.json echoes rebuild its artifacts
+    mats = []
+    for theta, layer in ((80.0, "L0"), (30.0, "L1"), (60.0, "L2")):
+        b = planted_bundle(4, [[0], [1, 2, 3]], theta, d=24, m=6, seed=3, spread_deg=5.0,
+                           layer=layer)
+        mats += list(b.entries.values())
+    write_bundle(GradientBundle.from_matrices(mats), tmp_path / "b")
+    assert main(["plan", "--bundle", str(tmp_path / "b"), *given, "--out", str(tmp_path / "a")]) == 0
+    flags = read_json(tmp_path / "a" / "report.json")["flags"]
+    assert main(["plan", *_replay_argv(flags), "--out", str(tmp_path / "r")]) == 0
+
+    def artifacts(sub):
+        return ((tmp_path / sub / "plan.json").read_bytes(),
+                hash_excluding_timestamp((tmp_path / sub / "report.json").read_text()))
+
+    assert artifacts("r") == artifacts("a")
+
+
+def test_simulate_replays_from_its_echoed_params(tmp_path):
+    # every flag that reaches a plan is echoed, so the replay writes the same files
+    given = ["--theta", "80", "--steps", "5", "--seeds", "3,4", "--thresholds", "0.3,0.5",
+             "--top-k", "3"]
+    assert main(["simulate", *given, "--out", str(tmp_path / "a")]) == 0
+    params = read_json(tmp_path / "a" / "summary.json")["params"]
+    assert main(["simulate", *_replay_argv(params), "--out", str(tmp_path / "r")]) == 0
+    names = sorted(f.name for f in (tmp_path / "a").iterdir())
+    assert names == sorted(f.name for f in (tmp_path / "r").iterdir())
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "r" / name).read_bytes(), name
 
 
 def test_simulate_bad_groups(tmp_path, capsys):
@@ -612,7 +659,7 @@ def test_conflict_one_row_task_exit_1(tmp_path, capsys):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("gate", [0, gdps_pipeline.OVERLAP_MIN_BYTES])
+@pytest.mark.parametrize("gate", [0, gdps_pipeline.OVERLAP_MIN_COST])
 def test_stage_commands_agree_with_plan(tmp_path, monkeypatch, gate):
     # group, conflict and subspace read the same layer stacks as plan; with
     # the same flags each writes what plan reports.  --layer is not the
@@ -623,7 +670,7 @@ def test_stage_commands_agree_with_plan(tmp_path, monkeypatch, gate):
                            layer=layer)
         mats += list(b.entries.values())
     write_bundle(GradientBundle.from_matrices(mats), tmp_path / "b")
-    monkeypatch.setattr(gdps_pipeline, "OVERLAP_MIN_BYTES", gate)
+    monkeypatch.setattr(gdps_pipeline, "OVERLAP_MIN_COST", gate)
     given = ["--bundle", str(tmp_path / "b")]
     a = ["--layer", "L1", "--k-groups", "2", "--seed", "11"]
     b = ["--layers", "L2,L1", "--thresholds", "0.1,0.3"]

@@ -30,37 +30,45 @@ OPTION_NAMES = {f.name for f in dataclasses.fields(PlanOptions)}
 
 
 class CountingRegistry(weakref.WeakValueDictionary):
-    """A bundle's layer-stack registry that counts the stacks built into it."""
+    """A bundle's layer-stack registry that counts the stacks built into it,
+    and the most that were alive at once."""
 
     def __init__(self):
         super().__init__()
         self.builds = collections.Counter()
+        self.refs = []
+        self.most_alive = 0
 
     def __setitem__(self, layer, stack):
         self.builds[layer] += 1
+        self.refs.append(weakref.ref(stack))
+        self.most_alive = max(self.most_alive, sum(ref() is not None for ref in self.refs))
         super().__setitem__(layer, stack)
 
 
 def test_plan_casts_each_payload_once(rng, monkeypatch):
-    # Method B and the spectrum share the plan layer's float64 stack, with the
-    # spectrum on its thread or inline; Method A and the CCA read the stored
-    # rows.  Each other candidate layer of Method B is cast on its own.
+    # On its thread, the spectrum shares the plan layer's float64 stack with
+    # Method B, so each layer is cast once.  Inline, plan holds no stack: the
+    # spectrum casts the layer again after Method B let its cast go, and no
+    # two stacks are ever alive at once.  Method A and the CCA read the
+    # stored rows.  Each other candidate layer of Method B is cast on its own.
     rows = {f"t{i}": rng.standard_normal((5, 12)) for i in range(3)}
     mats = [gdps.bundle.GradientMatrix(t, layer, g * (j + 1))
             for j, layer in enumerate(("L0", "L1", "L2")) for t, g in rows.items()]
-    for gate in (0, 1 << 62):
+    for gate, builds, most_alive in ((0, {"L1": 1, "L2": 1}, 2),
+                                     (1 << 62, {"L1": 2, "L2": 1}, 1)):
         b = GradientBundle.from_matrices(mats)
         registry = CountingRegistry()
         object.__setattr__(b, "_stacks", registry)
-        monkeypatch.setattr(pipeline, "OVERLAP_MIN_BYTES", gate)
+        monkeypatch.setattr(pipeline, "OVERLAP_MIN_COST", gate)
         pipeline.plan(b, PlanOptions(layer="L1", layers="L2,L1"))
-        assert registry.builds == {"L1": 1, "L2": 1}, gate
+        assert (registry.builds, registry.most_alive) == (builds, most_alive), gate
 
 
 @pytest.mark.parametrize("threaded", [True, False])
 def test_plan_lets_the_stack_go_before_the_cca(rng, monkeypatch, threaded):
-    # once Method B and the spectrum are done, no one holds the layer's
-    # float64 stack while the CCA runs
+    # no one holds the layer's float64 stack while the CCA runs: on its
+    # thread the spectrum is done by then, and inline it runs after the CCA
     b = tiny_bundle({f"t{i}": rng.standard_normal((6, 40)) for i in range(4)})
     spectrum_done = threading.Event()
     real_spectrum, real_cca = subspace.joint_spectrum, subspace.pairwise_cca
@@ -71,23 +79,34 @@ def test_plan_lets_the_stack_go_before_the_cca(rng, monkeypatch, threaded):
         return value
 
     def cca(bundle, layer, lam):
-        assert spectrum_done.wait(timeout=30)
+        assert spectrum_done.wait(timeout=30) if threaded else not spectrum_done.is_set()
         held.append(bundle._stacks.get(layer))
         return real_cca(bundle, layer, lam)
 
     held = []
     monkeypatch.setattr(subspace, "joint_spectrum", spectrum)
     monkeypatch.setattr(subspace, "pairwise_cca", cca)
-    monkeypatch.setattr(pipeline, "OVERLAP_MIN_BYTES", 0 if threaded else 1 << 62)
+    monkeypatch.setattr(pipeline, "OVERLAP_MIN_COST", 0 if threaded else 1 << 62)
     pipeline.plan(b)
-    assert held == [None]
+    assert held == [None] and spectrum_done.is_set()
+
+
+def test_spectrum_thread_gate_splits_the_benchmark_shapes():
+    # rows x columns of the plan layer's stack: plan-wide's 16 tasks x 64
+    # rows by 4096 columns earns its thread; plan-deep's 4 x 64 by 8192 and
+    # simulate's 4 x 32 by 1024 do not.  The cost is the same either way up.
+    assert pipeline.spectrum_threaded(16 * 64, 4096)
+    assert pipeline.spectrum_threaded(4096, 16 * 64)
+    assert not pipeline.spectrum_threaded(4 * 64, 8192)
+    assert not pipeline.spectrum_threaded(8192, 4 * 64)
+    assert not pipeline.spectrum_threaded(4 * 32, 1024)
 
 
 def test_concurrent_plans_share_one_bundle(rng, monkeypatch):
     # plans on six threads, each with its spectrum thread, fetch and drop the
     # same layer's stack through one registry under frequent thread switches
     b = tiny_bundle({f"t{i}": rng.standard_normal((6, 40)) for i in range(4)})
-    monkeypatch.setattr(pipeline, "OVERLAP_MIN_BYTES", 0)
+    monkeypatch.setattr(pipeline, "OVERLAP_MIN_COST", 0)
 
     def result():
         report = pipeline.plan(b)[1].to_dict()
@@ -282,7 +301,7 @@ def test_failing_stage_outlives_no_hash_thread(tmp_path, capsys, monkeypatch,
         return real_fingerprint(bundle)
 
     monkeypatch.setattr(GradientBundle, "fingerprint", slow_fingerprint)
-    monkeypatch.setattr(pipeline, "OVERLAP_MIN_BYTES", 0)  # the spectrum on its thread too
+    monkeypatch.setattr(pipeline, "OVERLAP_MIN_COST", 0)  # the spectrum on its thread too
     monkeypatch.setattr(module, function, _fail_after(0.0, error))
     before = threading.active_count()
     assert main(["plan", "--bundle", str(tmp_path / "b"), "--out", str(tmp_path / "o")]) == rc
@@ -304,7 +323,7 @@ def test_first_error_in_stage_order_wins(tmp_path, capsys, monkeypatch, threaded
               "joint_spectrum": SingularCovarianceError, "pairwise_cca": AnalysisError}
     modules = {"similarity_matrix": grouping, "conflict_report": conflict,
                "joint_spectrum": subspace, "pairwise_cca": subspace}
-    monkeypatch.setattr(pipeline, "OVERLAP_MIN_BYTES", 0 if threaded else 1 << 62)
+    monkeypatch.setattr(pipeline, "OVERLAP_MIN_COST", 0 if threaded else 1 << 62)
     for function in failing:
         delay = 0.3 if function == "joint_spectrum" else 0.0
         monkeypatch.setattr(modules[function], function,

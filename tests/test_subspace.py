@@ -472,7 +472,7 @@ def test_joint_svd_and_energy_proportions_reproduce_the_report_bit_for_bit(rng, 
     scaled = tiny_bundle({t: rng.standard_normal((8, 30)) * (1.0 + 10.0 * rng.random((8, 1)))
                           for t in "abc"})
     for gate in (0, 1 << 62):  # every stack on the thread, then none
-        monkeypatch.setattr(pipeline, "OVERLAP_MIN_BYTES", gate)
+        monkeypatch.setattr(pipeline, "OVERLAP_MIN_COST", gate)
         assert_parts_reproduce_the_report(wide, 4)
         assert_parts_reproduce_the_report(tall, 3)
         assert_parts_reproduce_the_report(scaled, 5, normalize_rows=True)
@@ -481,9 +481,9 @@ def test_joint_svd_and_energy_proportions_reproduce_the_report_bit_for_bit(rng, 
 def test_report_above_the_overlap_gate_is_bit_for_bit_its_parts(rng):
     # a stack large enough that plan runs the spectrum half on its own thread
     rows = {t: rng.standard_normal((m, 4096)).astype(np.float32)
-            for t, m in (("a", 64), ("b", 80), ("c", 48), ("d", 64))}
+            for t, m in (("a", 160), ("b", 192), ("c", 144), ("d", 176))}
     b = tiny_bundle(rows)
-    assert layer_stack(b, "L0").nbytes >= pipeline.OVERLAP_MIN_BYTES
+    assert pipeline.spectrum_threaded(*layer_stack(b, "L0").shape)
     assert_parts_reproduce_the_report(b, 10)
     assert_parts_reproduce_the_report(b, 10, normalize_rows=True)
 
