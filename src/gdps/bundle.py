@@ -157,12 +157,20 @@ class GradientBundle:
         keys), then each entry's 12-byte .gdm header and payload in sorted
         (task, layer) order: the same in memory as for the written directory.
         """
+        for h in self.fingerprint_steps():
+            pass
+        return h.hexdigest()
+
+    def fingerprint_steps(self):
+        """The fingerprint's sha256 object, yielded after the manifest and after
+        each entry in turn; the hexdigest of the last is `fingerprint()`."""
         h = hashlib.sha256(json.dumps(_manifest(self), sort_keys=True).encode())
+        yield h
         for key in sorted(self.entries):
             m = self.entries[key]
             h.update(HEADER.pack(MAGIC, m.rows, m.cols))
             h.update(np.ascontiguousarray(m.data, dtype="<f4"))
-        return h.hexdigest()
+            yield h
 
     def layer_dim(self, layer: str) -> int:
         self._check_layer(layer)

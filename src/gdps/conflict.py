@@ -30,12 +30,18 @@ sign(u_a.u_b) = sign(g_a.g_b), so it takes one float64 product per task,
 of its rows against those of every later task.  A product of two float32
 values is exact in float64, so only the summation rounds: every sign is
 exact for a cosine farther than about d * 2^-53 from 0.
+
+Given `hand_off`, Method B hands it each layer's largest such product, if
+that costs at least `HANDOFF_MIN_COST` multiply-adds, and runs the others
+itself: `gdps plan` runs it between the bundle fingerprint's entries.  The
+product is the same BLAS call on the same operands wherever it runs, and
+the counts are integers, so no bit of a report depends on where it ran.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 
@@ -50,6 +56,12 @@ RATIOS = (0.75, 0.50, 0.25)
 SAMPLE_CAP = 512
 DRAW_SEED = 2343  # with the task name, seeds the draw from a task above SAMPLE_CAP
 DEGENERATE_WARN_FRACTION = 0.10
+# The multiply-adds of a purity product from which Method B hands it off.  On
+# a second thread it costs BLAS buffers of that thread's own, which a small
+# product never wins back.  Plan-deep's largest product per layer (64 x 192
+# rows by 8192 columns) costs 1.0e8 and plan-wide's (64 x 960 by 4096) 2.5e8;
+# simulate's (32 x 96 by 1024) 3.1e6 stays on the caller.
+HANDOFF_MIN_COST = 2e7
 
 
 @dataclass(frozen=True)
@@ -175,18 +187,35 @@ def _cross_mean(a: _Task, b: _Task) -> float:
     return float(a.total @ b.total / (a.count * b.count))
 
 
-def _cross_nonneg(parts: list[_Task], rows: np.ndarray) -> int:
+def handed_off(rows: int, later: int, cols: int) -> bool:
+    """Whether Method B hands off the product of a task's `rows` with the
+    `later` rows of every later task, `cols` wide: when it costs at least
+    HANDOFF_MIN_COST multiply-adds."""
+    return rows * later * cols >= HANDOFF_MIN_COST
+
+
+def _cross_nonneg(parts: list[_Task], rows: np.ndarray, hand_off=None) -> int:
     """How many cross-task pairs of non-degenerate rows have a cosine >= 0.
 
     The cosine has the sign of g_a.g_b.  Each task's rows meet the rows of
-    every later task in one product.
+    every later task in one product.  When there are others to run
+    meanwhile, the largest, if `handed_off`, goes to `hand_off(job)`, which
+    returns a function giving the job's value, or None if it refuses the
+    job; the others are run here first.
     """
-    nonneg, start = 0, 0
-    for t in parts[:-1]:
-        end = start + t.count
-        nonneg += np.count_nonzero(rows[start:end] @ rows[end:].T >= 0.0)
-        start = end
-    return int(nonneg)
+    cuts = [(end - t.count, end) for t, end in zip(parts[:-1], accumulate(t.count for t in parts))]
+
+    def nonneg(start, end):
+        return int(np.count_nonzero(rows[start:end] @ rows[end:].T >= 0.0))
+
+    largest = int(np.argmax([(end - start) * (len(rows) - end) for start, end in cuts]))
+    start, end = cuts[largest]
+    collect = None
+    if (hand_off is not None and len(cuts) > 1
+            and handed_off(end - start, len(rows) - end, rows.shape[1])):
+        collect = hand_off(lambda: nonneg(start, end))
+    count = sum(nonneg(*cut) for i, cut in enumerate(cuts) if collect is None or i != largest)
+    return count + (collect() if collect is not None else 0)
 
 
 def self_similarity(bundle: gb.GradientBundle, task: str, layer: str) -> float:
@@ -205,14 +234,15 @@ def cross_similarity(bundle: gb.GradientBundle, task_a: str, task_b: str, layer:
     return _cross_mean(*parts)
 
 
-def layer_conflict(bundle: gb.GradientBundle, layer: str) -> LayerConflict:
+def layer_conflict(bundle: gb.GradientBundle, layer: str, hand_off=None) -> LayerConflict:
     """Per-layer S_self, S_cross, their gap delta, and cross-pair purity.
 
     Each task's rows, subsampled and in float64, are reduced to the sum s_t
     of their unit rows and the count c_t.  S_self and S_cross come from
     those sums (no Gram matrix), to a few eps; pair counts come from m_t
     and c_t.  Purity counts the signs of one float64
-    product per task, of its rows against those of every later task.
+    product per task, of its rows against those of every later task; the
+    largest may run on `hand_off` (see `_cross_nonneg`).
     """
     tasks = bundle.tasks
     if len(tasks) < 2:
@@ -227,7 +257,7 @@ def layer_conflict(bundle: gb.GradientBundle, layer: str) -> LayerConflict:
     valid = sum(t.count * (t.count - 1) // 2 for t in parts) + cross_valid
     total = sum(t.sampled * (t.sampled - 1) // 2 for t in parts)
     total += sum(a.sampled * b.sampled for a, b in pairs)
-    purity = float(_cross_nonneg(parts, rows) / cross_valid) if cross_valid else 1.0
+    purity = float(_cross_nonneg(parts, rows, hand_off) / cross_valid) if cross_valid else 1.0
 
     return LayerConflict(
         layer=layer,
@@ -279,7 +309,7 @@ def ratio_branch(delta: float, thresholds: RatioThresholds = RatioThresholds()) 
             f"delta >= {high}")[_branch(delta, thresholds)]
 
 
-def rank_layers(bundle: gb.GradientBundle, layers=None) -> list[LayerConflict]:
+def rank_layers(bundle: gb.GradientBundle, layers=None, hand_off=None) -> list[LayerConflict]:
     """Layers sorted by delta desc, ties broken by id; purity decides nothing."""
     layers = list(layers) if layers is not None else list(bundle.layers)
     if not layers:
@@ -287,7 +317,7 @@ def rank_layers(bundle: gb.GradientBundle, layers=None) -> list[LayerConflict]:
     for l in layers:  # an unknown name, even an empty one, is named before any repeat
         bundle._check_layer(l)
     _reject_repeats(layers)
-    reports = [layer_conflict(bundle, l) for l in layers]
+    reports = [layer_conflict(bundle, l, hand_off) for l in layers]
     return sorted(reports, key=lambda r: (-r.delta, r.layer))
 
 
@@ -296,14 +326,16 @@ def conflict_report(
     candidate_layers=None,
     thresholds: RatioThresholds = RatioThresholds(),
     seed=None,
+    hand_off=None,
 ) -> ConflictReport:
     """Full Method-B result: ranked layers, aggregate delta, shared ratio.
 
     Delta averages the candidates in bundle layer order, not in the order
-    given (and echoed).  `seed` is accepted and ignored.
+    given (and echoed).  `seed` is accepted and ignored.  Each layer's
+    largest purity product may run on `hand_off` (see `_cross_nonneg`).
     """
     candidates = tuple(candidate_layers) if candidate_layers else tuple(bundle.layers)
-    ranked = rank_layers(bundle, candidates)
+    ranked = rank_layers(bundle, candidates, hand_off)
     delta = aggregate_delta(ranked, [l for l in bundle.layers if l in candidates])
     ratio = map_shared_ratio(delta, thresholds)
     warnings = []

@@ -11,8 +11,11 @@ CLI exit code does not change.
 
 Method A and the CCA half of C read the stored float32 rows; Method B and
 the spectrum half of C read the layer's float64 stack (`layer_stack`).  Two
-jobs run on second threads beside Methods A, B and the CCA half of C: the
-bundle fingerprint, always, and Method C's spectrum half when its cost
+jobs run on threads of their own beside Methods A, B and the CCA half of C.
+The bundle fingerprint always does (`fingerprint_serving`): it is hashed one
+entry at a time, and between entries that thread runs the one purity product
+that Method B has handed it (`HandOff`, `gdps.conflict.handed_off`), until
+the hash is done.  Method C's spectrum half does when its cost
 (`spectrum_threaded`) reaches `OVERLAP_MIN_COST`.  That thread starts while
 `plan` holds the stack, and takes it from the bundle's registry, so Method B
 and the thread share one cast.  Below the gate `plan` holds no stack and
@@ -148,6 +151,83 @@ def beside(job):
         thread.join()
 
 
+class _Job:
+    """A job handed off: run once, by the serving thread or by its caller,
+    and its function dropped once it has run."""
+
+    def __init__(self, fn):
+        self.fn, self.started = fn, False
+        self.value = self.error = None
+        self.done = threading.Event()
+
+    def run(self):
+        fn, self.fn = self.fn, None
+        try:
+            self.value = fn()
+        except BaseException as exc:  # raised on the caller by collect()
+            self.error = exc
+        finally:
+            self.done.set()
+
+
+class HandOff:
+    """One job at a time, handed to a thread that runs it between steps of its own work.
+
+    `hand_off(fn)` leaves `fn` for the thread's next `serve()` and returns
+    `collect()`, which takes the job back and runs it on the caller if the
+    thread has not started it, else waits for it; either way it returns the
+    job's value or raises its exception.  While a job is handed off and not
+    collected, and once the thread has called `close()`, `hand_off` returns
+    None and the caller runs the job itself.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._job = None  # the job handed off and not yet collected
+        self._open = True
+
+    def hand_off(self, fn):
+        with self._lock:
+            if not self._open or self._job is not None:
+                return None
+            job = self._job = _Job(fn)
+        return lambda: self._collect(job)
+
+    def _collect(self, job):
+        with self._lock:
+            self._job = None
+            taken_back, job.started = not job.started, True
+        if taken_back:
+            job.run()
+        job.done.wait()
+        if job.error is not None:
+            raise job.error
+        return job.value
+
+    def serve(self):
+        with self._lock:
+            job = self._job
+            if job is None or job.started:
+                return
+            job.started = True
+        job.run()
+
+    def close(self):
+        with self._lock:
+            self._open = False  # a job still waiting is taken back by collect()
+
+
+def fingerprint_serving(bundle: GradientBundle, jobs: HandOff) -> str:
+    """`bundle.fingerprint()`, hashed one entry at a time: between entries it
+    serves `jobs`, which it closes once the hash is done or has failed."""
+    try:
+        for h in bundle.fingerprint_steps():
+            jobs.serve()
+        return h.hexdigest()
+    finally:
+        jobs.close()
+
+
 def group_tasks(bundle: GradientBundle, layer: str, options: PlanOptions):
     """Method A at `layer`: (similarity, distance, consensus grouping, merges)."""
     with stage("grouping"):
@@ -174,12 +254,13 @@ def plan(bundle: GradientBundle, options: PlanOptions = PlanOptions()):
     # registry; the job fetches the stack itself, so that only its frame keeps it.
     stack = layer_stack(bundle, layer) if threaded else None
     job = lambda: sb.joint_spectrum(bundle, layer, options.top_k, options.normalize_rows)
-    with beside(bundle.fingerprint) as fingerprint, (
+    jobs = HandOff()  # Method B's largest purity products, run between the hash's entries
+    with beside(lambda: fingerprint_serving(bundle, jobs)) as fingerprint, (
         beside(job) if threaded else nullcontext()
     ) as spectrum:
         sim, dist, grouping, merges = group_tasks(bundle, layer, options)
         with stage("conflict"):
-            conflict = cf.conflict_report(bundle, candidates, thresholds)
+            conflict = cf.conflict_report(bundle, candidates, thresholds, hand_off=jobs.hand_off)
         with stage("subspace"):
             del stack
             subspace = sb.subspace_report(bundle, layer, options.top_k, options.lam,

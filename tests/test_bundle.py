@@ -1,5 +1,6 @@
 import ast
 import gc
+import hashlib
 import json
 import mmap
 import os
@@ -476,6 +477,29 @@ def test_bundle_maps_only_within_half_the_descriptor_limit(tmp_path, rng, monkey
     assert [_is_mapped(m.data) for m in loaded.entries.values()] == [mapped, mapped]
     assert all(not m.data.flags.writeable for m in loaded.entries.values())
     assert loaded.fingerprint() == bundle.fingerprint()
+
+
+@pytest.mark.parametrize("mapped", [True, False])
+def test_the_stepped_digest_is_the_one_fingerprint(tmp_path, rng, monkeypatch, mapped):
+    # one step for the manifest and one per entry; the last step's digest is
+    # fingerprint(), bundle_fingerprint(path) and a plain sha256 of the
+    # written files: the manifest as json.dumps with sorted keys, then each
+    # .gdm file whole, in sorted (task, layer) order
+    bundle = make_bundle(rng, tasks=("b", "a", "c"), layers=("L1", "L0"), rows=3, cols=5)
+    root = tmp_path / "b"
+    write_bundle(bundle, root)
+    soft = resource.RLIM_INFINITY if mapped else 1
+    monkeypatch.setattr(gdps.bundle.resource, "getrlimit", lambda which: (soft, soft))
+    loaded = read_bundle(root)
+    assert all(_is_mapped(m.data) == mapped for m in loaded.entries.values())
+    plain = hashlib.sha256(
+        json.dumps(json.loads((root / "manifest.json").read_text()), sort_keys=True).encode())
+    for task, layer in sorted(loaded.entries):
+        plain.update((root / f"{task}__{layer}.gdm").read_bytes())
+    digests = [h.hexdigest() for h in loaded.fingerprint_steps()]
+    assert len(set(digests)) == len(digests) == 1 + len(loaded.entries)
+    assert digests[-1] == plain.hexdigest()
+    assert digests[-1] == loaded.fingerprint() == bundle.fingerprint() == bundle_fingerprint(root)
 
 
 REWRITE_MAPPED_BUNDLE = """

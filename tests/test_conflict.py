@@ -1,4 +1,7 @@
+import dataclasses
 import itertools
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -453,18 +456,23 @@ def test_purity_exact_on_orthogonal_scaled_and_zero_rows(rng):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_layer_conflict_matches_unrolled_property(rows, cols, tilt, zero_rate, seed):
-    # signed basis rows plus a tilt: cross cosines are +-1, exactly 0, or
-    # of the order of the tilt, above and below float32 rounding
-    rng = np.random.default_rng(seed)
-    tasks = {}
-    for i, m in enumerate(rows):
-        signs = rng.choice([-1.0, 1.0], size=m)
-        g = signs[:, None] * np.eye(cols)[rng.integers(0, cols, size=m)]
-        g += tilt * rng.standard_normal((m, cols))
-        g[rng.random(m) < zero_rate] = 0.0
-        tasks[f"t{i}"] = g
-    b = tiny_bundle(tasks)
+    b = signed_basis_bundle(rows, cols, tilt, zero_rate, seed)
     assert_matches_unrolled(layer_conflict(b, "L0"), b)
+
+
+def signed_basis_bundle(rows, cols, tilt, zero_rate, seed, layers=("L0",)):
+    """Signed basis rows plus a tilt: cross cosines are +-1, exactly 0, or of
+    the order of the tilt, above and below float32 rounding."""
+    rng = np.random.default_rng(seed)
+    mats = []
+    for layer in layers:
+        for i, m in enumerate(rows):
+            signs = rng.choice([-1.0, 1.0], size=m)
+            g = signs[:, None] * np.eye(cols)[rng.integers(0, cols, size=m)]
+            g += tilt * rng.standard_normal((m, cols))
+            g[rng.random(m) < zero_rate] = 0.0
+            mats.append(GradientMatrix(f"t{i}", layer, g))
+    return GradientBundle.from_matrices(mats)
 
 
 def explicit_unit_rows(bundle, layer="L0"):
@@ -604,3 +612,104 @@ def test_capped_task_never_casts_the_whole_layer(rng, monkeypatch):
     assert report.layers[0].total_pairs == (
         SAMPLE_CAP * (SAMPLE_CAP - 1) // 2 + 2 * (40 * 39 // 2)
         + 2 * SAMPLE_CAP * 40 + 40 * 40)
+
+
+class OnAThread:
+    """A hand-off target that runs each job on a thread of its own."""
+
+    def __init__(self):
+        self.ran_on = []
+
+    def __call__(self, job):
+        def run():
+            self.ran_on.append(threading.current_thread())
+            out.append(job())
+
+        out = []
+        thread = threading.Thread(target=run)
+        thread.start()
+        return lambda: (thread.join(), out[0])[1]
+
+
+class NeverStarts:
+    """A hand-off target that never starts a job: its caller takes each one back."""
+
+    def __init__(self):
+        self.jobs = 0
+
+    def __call__(self, job):
+        self.jobs += 1
+        return job
+
+
+def bits(lc):
+    """Every field of a LayerConflict, each float as its 8 bytes."""
+    return tuple(np.float64(v).tobytes() if isinstance(v, float) else v
+                 for v in dataclasses.astuple(lc))
+
+
+def assert_hand_off_changes_no_bit(bundle):
+    """Method B with a target that runs its jobs, and with one that never
+    starts them, equals the call with none, every field bit for bit; each
+    layer hands off one job if it has more than one product to run."""
+    calls = len(bundle.layers) + 1 if len(bundle.tasks) > 2 else 0
+    inline = conflict_report(bundle)
+    with mock.patch.object(gdps.conflict, "HANDOFF_MIN_COST", 0):
+        thread, never = OnAThread(), NeverStarts()
+        for target in (thread, never):
+            report = conflict_report(bundle, hand_off=target)
+            assert report == inline
+            assert [bits(lc) for lc in report.layers] == [bits(lc) for lc in inline.layers]
+            assert bits(report.layers[0]) == bits(layer_conflict(bundle, report.layers[0].layer,
+                                                                 target))
+            assert report.delta.hex() == inline.delta.hex()
+    assert len(thread.ran_on) == never.jobs == calls
+    assert threading.current_thread() not in thread.ran_on
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(
+    rows=st.lists(st.integers(2, 6), min_size=2, max_size=5),
+    cols=st.integers(1, 48),
+    tilt=st.sampled_from([0.0, 1e-9, 1e-7, 1e-5, 1e-3]),
+    zero_rate=st.sampled_from([0.0, 0.3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_hand_off_changes_no_bit_property(rows, cols, tilt, zero_rate, seed):
+    # 2 to 5 tasks of unequal row counts on two layers, some rows zero
+    assert_hand_off_changes_no_bit(
+        signed_basis_bundle(rows, cols, tilt, zero_rate, seed, layers=("L0", "L1")))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: near_orthogonal_bundle(2, rows=16, cols=4096, cosine=1e-8),
+    orthogonal_integer_rows, huge_rows, tiny_rows, zero_rows,
+    lambda: tiny_bundle({t: np.random.default_rng(len(t)).standard_normal((m, 24))
+                         for t, m in (("t0", 700), ("t1", 530), ("t22", 60))}),
+], ids=["near-orthogonal", "orthogonal-integer", "huge", "tiny", "zero-rows", "above-cap"])
+def test_a_hand_off_changes_no_bit(make):
+    assert_hand_off_changes_no_bit(make())
+
+
+def test_hand_off_takes_the_largest_product_only_beside_others(monkeypatch):
+    # the products of t0, t1 and t2 with their later tasks are 2 x 10, 5 x 5
+    # and 3 x 2 rows: t1's is handed off; two tasks make one product, kept
+    rows = {"t0": 2, "t1": 5, "t2": 3, "t3": 2}
+    b = tiny_bundle({t: np.random.default_rng(m).standard_normal((m, 6)) for t, m in rows.items()})
+    handed = []
+
+    def target(job):
+        handed.append(job())
+        return lambda: handed[-1]
+
+    monkeypatch.setattr(gdps.conflict, "HANDOFF_MIN_COST", 0)
+    lc = layer_conflict(b, "L0", target)
+    g = [b.matrix(t, "L0").data.astype(np.float64) for t in b.tasks]
+    assert handed == [int(np.count_nonzero(g[1] @ np.vstack(g[2:]).T >= 0.0))]
+    assert bits(lc) == bits(layer_conflict(b, "L0"))
+    pair = tiny_bundle({t: np.ones((m, 6)) for t, m in (("a", 9), ("b", 9))})
+    layer_conflict(pair, "L0", target)
+    assert len(handed) == 1
+    monkeypatch.setattr(gdps.conflict, "HANDOFF_MIN_COST", 5 * 5 * 6 + 1)
+    layer_conflict(b, "L0", target)
+    assert len(handed) == 1

@@ -102,6 +102,15 @@ def test_spectrum_thread_gate_splits_the_benchmark_shapes():
     assert not pipeline.spectrum_threaded(4 * 32, 1024)
 
 
+def test_purity_hand_off_floor_splits_the_benchmark_shapes():
+    # a task's rows x the later tasks' rows x columns of each workload's
+    # largest purity product: plan-deep's 64 x 3 * 64 by 8192 and plan-wide's
+    # 64 x 15 * 64 by 4096 are handed off; simulate's 32 x 3 * 32 by 1024 is not
+    assert conflict.handed_off(64, 3 * 64, 8192)
+    assert conflict.handed_off(64, 15 * 64, 4096)
+    assert not conflict.handed_off(32, 3 * 32, 1024)
+
+
 def test_concurrent_plans_share_one_bundle(rng, monkeypatch):
     # plans on six threads, each with its spectrum thread, fetch and drop the
     # same layer's stack through one registry under frequent thread switches
@@ -285,6 +294,27 @@ def _fail_after(seconds, error, message="boom"):
     return fail
 
 
+def _hold_the_hash(monkeypatch, until):
+    """Hold each step of every bundle hash until the event `until` is set.
+
+    Returns the list that records, for each step taken, whether `until` was
+    set by then.
+    """
+    real_steps = GradientBundle.fingerprint_steps
+    taken = []
+
+    def steps(bundle):
+        for h in real_steps(bundle):
+            taken.append(until.wait(timeout=30 if all(taken) else 0))
+            yield h
+
+    monkeypatch.setattr(GradientBundle, "fingerprint_steps", steps)
+    return taken
+
+
+STAGE_BUNDLE_STEPS = 5  # the manifest, then the entries of 4 tasks at one layer
+
+
 @pytest.mark.parametrize("name, module, function, error, prefix, rc", [
     ("grouping", grouping, "similarity_matrix", ValidationError, "error", 1),
     ("conflict", conflict, "conflict_report", AnalysisError, "analysis error", 2),
@@ -293,20 +323,124 @@ def _fail_after(seconds, error, message="boom"):
 ])
 def test_failing_stage_outlives_no_hash_thread(tmp_path, capsys, monkeypatch,
                                               name, module, function, error, prefix, rc):
+    # the hash takes no step until the stage has failed: plan waits for
+    # every step before it returns
     _write_stage_bundle(tmp_path / "b")
-    real_fingerprint = GradientBundle.fingerprint
+    failed = threading.Event()
+    taken = _hold_the_hash(monkeypatch, failed)
 
-    def slow_fingerprint(bundle):  # still hashing when the stage fails
-        time.sleep(0.2)
-        return real_fingerprint(bundle)
+    def fail(*args, **kwargs):
+        failed.set()
+        raise error("boom")
 
-    monkeypatch.setattr(GradientBundle, "fingerprint", slow_fingerprint)
     monkeypatch.setattr(pipeline, "OVERLAP_MIN_COST", 0)  # the spectrum on its thread too
-    monkeypatch.setattr(module, function, _fail_after(0.0, error))
+    monkeypatch.setattr(module, function, fail)
     before = threading.active_count()
     assert main(["plan", "--bundle", str(tmp_path / "b"), "--out", str(tmp_path / "o")]) == rc
     assert capsys.readouterr().err == f"{prefix}: [stage: {name}] boom\n"
     assert threading.active_count() == before
+    assert taken == [True] * STAGE_BUNDLE_STEPS
+
+
+def test_a_handed_off_product_that_raises_is_the_conflict_stage_error(tmp_path, capsys,
+                                                                      monkeypatch):
+    # the hash is held until Method B hands off its largest product, and the
+    # thread runs it before Method B runs its others
+    _write_stage_bundle(tmp_path / "b")
+    handed, started = threading.Event(), threading.Event()
+    taken = _hold_the_hash(monkeypatch, handed)
+    real_hand_off = pipeline.HandOff.hand_off
+    ran_on = []
+
+    def product():
+        ran_on.append(threading.current_thread())
+        started.set()
+        raise AnalysisError("product failed")
+
+    def hand_off(self, job):
+        collect = real_hand_off(self, product)
+        handed.set()
+        assert started.wait(timeout=30)
+        return collect
+
+    monkeypatch.setattr(pipeline.HandOff, "hand_off", hand_off)
+    monkeypatch.setattr(conflict, "HANDOFF_MIN_COST", 0)
+    before = threading.active_count()
+    assert main(["plan", "--bundle", str(tmp_path / "b"), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "analysis error: [stage: conflict] product failed\n"
+    assert threading.active_count() == before
+    assert len(ran_on) == 1 and ran_on[0] is not threading.current_thread()
+    assert taken == [True] * STAGE_BUNDLE_STEPS
+    assert not (tmp_path / "o").exists()
+
+
+def _job_on(array, started=None):
+    """A job that reads `array` and returns the thread it ran on."""
+    def job():
+        if started is not None:
+            started.set()
+        return threading.current_thread(), float(array.sum())
+    return job
+
+
+def _hashing(bundle, jobs):
+    return pipeline.beside(lambda: pipeline.fingerprint_serving(bundle, jobs))
+
+
+def test_the_hash_runs_one_job_between_entries_then_ends(rng, monkeypatch):
+    b = tiny_bundle({f"t{i}": rng.standard_normal((3, 8)) for i in range(4)})
+    want = b.fingerprint()
+    handed, started = threading.Event(), threading.Event()
+    taken = _hold_the_hash(monkeypatch, handed)
+    jobs = pipeline.HandOff()
+    before = threading.active_count()
+    with _hashing(b, jobs) as fingerprint:
+        collect = jobs.hand_off(_job_on(np.ones(5), started))
+        assert jobs.hand_off(_job_on(np.ones(6))) is None  # one job at a time
+        handed.set()
+        assert started.wait(timeout=30)
+        ran_on, total = collect()
+        assert ran_on is not threading.current_thread() and total == 5.0
+        deadline = time.monotonic() + 30  # it ends with the hash, told nothing
+        while threading.active_count() > before and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert threading.active_count() == before
+        assert jobs.hand_off(_job_on(np.ones(7))) is None  # the caller runs it
+        assert fingerprint() == want
+    assert taken == [True] * 5
+
+
+def test_a_job_taken_back_runs_on_the_caller_and_lets_go_of_its_operands(rng, monkeypatch):
+    b = tiny_bundle({f"t{i}": rng.standard_normal((3, 8)) for i in range(4)})
+    want = b.fingerprint()
+    collected = threading.Event()
+    taken = _hold_the_hash(monkeypatch, collected)
+    jobs = pipeline.HandOff()
+    operands = np.ones(4)
+    alive = weakref.ref(operands)
+    with _hashing(b, jobs) as fingerprint:
+        collect = jobs.hand_off(_job_on(operands))
+        del operands
+        assert collect() == (threading.current_thread(), 4.0)
+        assert alive() is None  # neither the thread nor the job holds them
+        collected.set()
+        assert fingerprint() == want
+    assert taken == [True] * 5
+
+
+def test_a_failed_hash_takes_no_more_jobs(rng, monkeypatch):
+    b = tiny_bundle({f"t{i}": rng.standard_normal((3, 8)) for i in range(3)})
+
+    def steps(bundle):
+        yield None
+        raise BundleFormatError("payload gone")
+
+    monkeypatch.setattr(GradientBundle, "fingerprint_steps", steps)
+    jobs = pipeline.HandOff()
+    with _hashing(b, jobs) as fingerprint:
+        with pytest.raises(BundleFormatError, match="payload gone"):
+            fingerprint()
+        assert jobs.hand_off(_job_on(np.ones(2))) is None
 
 
 @pytest.mark.parametrize("threaded", [True, False])
