@@ -31,11 +31,13 @@ of its rows against those of every later task.  A product of two float32
 values is exact in float64, so only the summation rounds: every sign is
 exact for a cosine farther than about d * 2^-53 from 0.
 
-Given `hand_off`, Method B hands it each layer's largest such product, if
-that costs at least `HANDOFF_MIN_COST` multiply-adds, and runs the others
-itself: `gdps plan` runs it between the bundle fingerprint's entries.  The
-product is the same BLAS call on the same operands wherever it runs, and
-the counts are integers, so no bit of a report depends on where it ran.
+Given `hand_off`, Method B offers it each layer's largest such product, if
+that costs at least `HANDOFF_MIN_COST` multiply-adds, runs the others
+itself, and runs the offered one too when `hand_off` refuses it: `gdps
+plan`'s side thread runs it between the bundle fingerprint's entries unless
+its one slot holds Method C's spectrum.  The product is the same BLAS call
+on the same operands wherever it runs, and the counts are integers, so no
+bit of a report depends on where it ran.
 """
 
 from __future__ import annotations
@@ -57,9 +59,10 @@ SAMPLE_CAP = 512
 DRAW_SEED = 2343  # with the task name, seeds the draw from a task above SAMPLE_CAP
 DEGENERATE_WARN_FRACTION = 0.10
 # The multiply-adds of a purity product from which Method B hands it off.  On
-# a second thread it costs BLAS buffers of that thread's own, which a small
+# another thread it costs BLAS buffers of that thread's own, which a small
 # product never wins back.  Plan-deep's largest product per layer (64 x 192
-# rows by 8192 columns) costs 1.0e8 and plan-wide's (64 x 960 by 4096) 2.5e8;
+# rows by 8192 columns) costs 1.0e8 and plan-wide's (64 x 960 by 4096) 2.5e8,
+# though plan's side thread, busy with plan-wide's spectrum, refuses that one;
 # simulate's (32 x 96 by 1024) 3.1e6 stays on the caller.
 HANDOFF_MIN_COST = 2e7
 

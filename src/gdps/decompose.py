@@ -26,7 +26,7 @@ import numpy as np
 
 from .bundle import (dump_json, is_json_int, is_json_number, json_field, read_json,
                      read_matrix_file, write_matrix_file, write_text)
-from .errors import ValidationError
+from .errors import AnalysisError, ValidationError
 from .grouping import GroupingPlan
 from .linalg import SvdResult, check_finite, svd
 
@@ -479,14 +479,24 @@ def _ffn_meta(plan: DecompositionPlan) -> dict:
 
 
 def save_ffn(ffn: SpecializedFfn, path) -> None:
-    """Directory layout: ffn.json + one .gdm file per weight matrix."""
+    """Directory layout: ffn.json + one .gdm file per weight matrix.
+
+    A matrix with an entry that float32 cannot hold (a finite float64 that
+    the cast would make infinite) raises AnalysisError naming the matrix,
+    before any file is written: `load_ffn` would refuse it.
+    """
     root = Path(path)
-    write_matrix_file(root / "shared_up.gdm", ffn.shared_up)
-    write_matrix_file(root / "shared_down.gdm", ffn.shared_down)
-    for g in range(len(ffn.private_up)):
-        write_matrix_file(root / f"group{g}_up.gdm", ffn.private_up[g])
-        write_matrix_file(root / f"group{g}_down.gdm", ffn.private_down[g])
-    write_text(root / FFN_META_NAME, dump_json(_ffn_meta(ffn.plan)))
+    matrices = {"shared_up": ffn.shared_up, "shared_down": ffn.shared_down}
+    for g, (up, down) in enumerate(zip(ffn.private_up, ffn.private_down)):
+        matrices.update({f"group{g}_up": up, f"group{g}_down": down})
+    with np.errstate(over="ignore"):  # an overflow is refused below, not warned of
+        stored = {name: m.astype("<f4") for name, m in matrices.items()}
+    for name, m in stored.items():
+        check_finite(m, f"refusing to write {name}.gdm as float32", AnalysisError)
+    meta = dump_json(_ffn_meta(ffn.plan))
+    for name, m in stored.items():
+        write_matrix_file(root / f"{name}.gdm", m)
+    write_text(root / FFN_META_NAME, meta)
 
 
 def load_ffn(path) -> SpecializedFfn:

@@ -10,28 +10,30 @@ it prefixes any GdpsError with ``[stage: name]`` and keeps its type, so the
 CLI exit code does not change.
 
 Method A and the CCA half of C read the stored float32 rows; Method B and
-the spectrum half of C read the layer's float64 stack (`layer_stack`).  Two
-jobs run on threads of their own beside Methods A, B and the CCA half of C.
-The bundle fingerprint always does (`fingerprint_serving`): it is hashed one
-entry at a time, and between entries that thread runs the one purity product
-that Method B has handed it (`HandOff`, `gdps.conflict.handed_off`), until
-the hash is done.  Method C's spectrum half does when its cost
-(`spectrum_threaded`) reaches `OVERLAP_MIN_COST`.  That thread starts while
-`plan` holds the stack, and takes it from the bundle's registry, so Method B
-and the thread share one cast.  Below the gate `plan` holds no stack and
-runs `subspace_report` as `gdps subspace` does: the CCA, then the spectrum,
-which casts the layer again once Method B has let its own cast go.
-sha256 and the BLAS and LAPACK calls release the GIL, so a process's CPU
-time may exceed its wall time.  Errors are reported as if the stages ran
-one after another: grouping, conflict, spectrum, CCA.  Every thread is
-joined before `plan` returns or raises.
+the spectrum half of C read the layer's float64 stack (`layer_stack`).
+`plan` runs one thread beside them (`SideThread`).  It hashes the bundle
+fingerprint one entry at a time, and between entries it runs the one job
+handed to it, until the hash is done.  When the spectrum's cost
+(`spectrum_threaded`) reaches `OVERLAP_MIN_COST`, `plan` hands it the
+spectrum before the thread starts, so it runs right after the manifest, and
+Method B's hand-offs are refused until the spectrum is collected.  The
+thread takes the stack from the bundle's registry while `plan` holds it, so
+Method B and the spectrum share one cast.  Below the gate `plan` holds no
+stack and runs `subspace_report` as `gdps subspace` does: the CCA, then the
+spectrum, which casts the layer again once Method B has let its own cast
+go; the thread is then free for the largest purity product of each layer
+that Method B hands it (`gdps.conflict.handed_off`).  sha256 and the BLAS
+and LAPACK calls release the GIL, so a process's CPU time may exceed its
+wall time.  Errors are reported as if the stages ran one after another:
+grouping, conflict, spectrum, CCA.  The thread is joined before `plan`
+returns or raises.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import threading
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,16 +47,16 @@ from .bundle import GradientBundle, layer_stack
 from .errors import GdpsError, ValidationError
 
 # The spectrum's cost in multiply-adds (its Gram plus the eigh) from which
-# `plan` runs it on a second thread.  Such a thread gets BLAS buffers of its
-# own, and the stack held for it lives through Method B's casts: peak RSS that
-# a cheap spectrum never wins back.  Plan-wide's 1024 x 4096 stack costs 5.4e9
+# `plan` hands it to the side thread.  There it runs beside Method B, and the
+# stack held for it lives through Method B's casts: peak RSS that a cheap
+# spectrum never wins back.  Plan-wide's 1024 x 4096 stack costs 5.4e9
 # and plan-deep's 256 x 8192 5.5e8 (simulate's 128 x 1024 1.9e7): the gate
 # lies a factor of about 3 from each plan workload, threading plan-wide only.
 OVERLAP_MIN_COST = 2e9
 
 
 def spectrum_threaded(rows: int, cols: int) -> bool:
-    """Whether `plan` runs the spectrum of a rows x cols stack on a second thread:
+    """Whether `plan` hands the spectrum of a rows x cols stack to the side thread:
     short**2 * (long + short) >= OVERLAP_MIN_COST for its short and long sides."""
     short, long = sorted((rows, cols))
     return short * short * (long + short) >= OVERLAP_MIN_COST
@@ -118,114 +120,89 @@ def resolve_candidates(bundle: GradientBundle, layers: str | None) -> list[str]:
     return candidates
 
 
-@contextmanager
-def beside(job):
-    """Run `job()` on a second thread for the body of the with block.
+class SideThread:
+    """The one thread that `plan` runs beside its caller, for the body of a with block.
 
-    Yields `result()`, which waits for the job and returns its value or
-    raises its exception on the caller.  The thread is joined when the block
-    exits, normally or by an exception, so no thread outlives it; an outcome
-    that no one asks for is dropped.
-    """
-    outcome = []
+    It hashes `bundle` one entry at a time (`fingerprint_steps`), and between
+    two entries, the manifest first, it runs the one job handed to it.  It
+    ends when the hash is done, told nothing; the with block joins it on
+    every path, and an outcome that no one asks for is dropped.
+    `fingerprint()` returns the digest, or raises the hash's error on the
+    caller.
 
-    def run():
-        try:
-            outcome.append((job(), None))
-        except BaseException as exc:  # handed to the caller by result()
-            outcome.append((None, exc))
-
-    thread = threading.Thread(target=run, name="gdps-beside")
-    thread.start()
-
-    def result():
-        thread.join()
-        value, error = outcome[0]
-        if error is not None:
-            raise error
-        return value
-
-    try:
-        yield result
-    finally:
-        thread.join()
-
-
-class _Job:
-    """A job handed off: run once, by the serving thread or by its caller,
-    and its function dropped once it has run."""
-
-    def __init__(self, fn):
-        self.fn, self.started = fn, False
-        self.value = self.error = None
-        self.done = threading.Event()
-
-    def run(self):
-        fn, self.fn = self.fn, None
-        try:
-            self.value = fn()
-        except BaseException as exc:  # raised on the caller by collect()
-            self.error = exc
-        finally:
-            self.done.set()
-
-
-class HandOff:
-    """One job at a time, handed to a thread that runs it between steps of its own work.
-
-    `hand_off(fn)` leaves `fn` for the thread's next `serve()` and returns
-    `collect()`, which takes the job back and runs it on the caller if the
-    thread has not started it, else waits for it; either way it returns the
-    job's value or raises its exception.  While a job is handed off and not
-    collected, and once the thread has called `close()`, `hand_off` returns
+    `hand_off(fn)` may be called before the block too.  It leaves `fn` for
+    the thread and returns `collect()`, which takes the job back and runs it
+    on the caller if the thread has not started it, else waits for it;
+    either way it returns the job's value or raises its exception, and the
+    job lets go of `fn` once it has run.  While a job is handed off and not
+    collected, and once the hash is done or has failed, `hand_off` returns
     None and the caller runs the job itself.
     """
 
-    def __init__(self):
+    def __init__(self, bundle: GradientBundle):
+        self._bundle = bundle
         self._lock = threading.Lock()
-        self._job = None  # the job handed off and not yet collected
+        self._job = None  # handed off, not yet collected: [run] until someone starts it
         self._open = True
+        self._digest = self._error = None
+        self._thread = threading.Thread(target=self._hash, name="gdps-side")
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info):
+        self._thread.join()
+
+    def _hash(self):
+        try:
+            for h in self._bundle.fingerprint_steps():
+                with self._lock:
+                    run = self._job.pop() if self._job else None
+                if run is not None:
+                    run()
+            self._digest = h.hexdigest()
+        except BaseException as exc:  # raised on the caller by fingerprint()
+            self._error = exc
+        finally:
+            with self._lock:
+                self._open = False  # a job still waiting is taken back by collect()
+
+    def fingerprint(self) -> str:
+        self._thread.join()
+        if self._error is not None:
+            raise self._error
+        return self._digest
 
     def hand_off(self, fn):
+        outcome, done = [], threading.Event()
+
+        def run():
+            nonlocal fn
+            call, fn = fn, None
+            try:
+                outcome.append((call(), None))
+            except BaseException as exc:  # raised on the caller by collect()
+                outcome.append((None, exc))
+            done.set()
+
+        def collect():
+            with self._lock:
+                self._job = None
+                taken_back = job.pop() if job else None
+            if taken_back is not None:
+                taken_back()
+            done.wait()
+            value, error = outcome[0]
+            if error is not None:
+                raise error
+            return value
+
         with self._lock:
             if not self._open or self._job is not None:
                 return None
-            job = self._job = _Job(fn)
-        return lambda: self._collect(job)
-
-    def _collect(self, job):
-        with self._lock:
-            self._job = None
-            taken_back, job.started = not job.started, True
-        if taken_back:
-            job.run()
-        job.done.wait()
-        if job.error is not None:
-            raise job.error
-        return job.value
-
-    def serve(self):
-        with self._lock:
-            job = self._job
-            if job is None or job.started:
-                return
-            job.started = True
-        job.run()
-
-    def close(self):
-        with self._lock:
-            self._open = False  # a job still waiting is taken back by collect()
-
-
-def fingerprint_serving(bundle: GradientBundle, jobs: HandOff) -> str:
-    """`bundle.fingerprint()`, hashed one entry at a time: between entries it
-    serves `jobs`, which it closes once the hash is done or has failed."""
-    try:
-        for h in bundle.fingerprint_steps():
-            jobs.serve()
-        return h.hexdigest()
-    finally:
-        jobs.close()
+            job = self._job = [run]
+        return collect
 
 
 def group_tasks(bundle: GradientBundle, layer: str, options: PlanOptions):
@@ -250,17 +227,20 @@ def plan(bundle: GradientBundle, options: PlanOptions = PlanOptions()):
         raise ValidationError(">= 2 tasks required for cross-task analysis")
 
     threaded = spectrum_threaded(sum(sb._task_rows(bundle, layer)), bundle.layer_dim(layer))
-    # Held until Method B has read it, for the spectrum thread to take from the
-    # registry; the job fetches the stack itself, so that only its frame keeps it.
+    # Held until Method B has read it, for the spectrum on the side thread to
+    # take from the registry; the job fetches the stack itself, so that only
+    # its frame keeps it.
     stack = layer_stack(bundle, layer) if threaded else None
-    job = lambda: sb.joint_spectrum(bundle, layer, options.top_k, options.normalize_rows)
-    jobs = HandOff()  # Method B's largest purity products, run between the hash's entries
-    with beside(lambda: fingerprint_serving(bundle, jobs)) as fingerprint, (
-        beside(job) if threaded else nullcontext()
-    ) as spectrum:
+    side, spectrum = SideThread(bundle), None
+    if threaded:
+        # First in the thread's one slot, the spectrum runs right after the
+        # manifest, and Method B's hand-offs are refused until it is collected.
+        spectrum = side.hand_off(
+            lambda: sb.joint_spectrum(bundle, layer, options.top_k, options.normalize_rows))
+    with side:
         sim, dist, grouping, merges = group_tasks(bundle, layer, options)
         with stage("conflict"):
-            conflict = cf.conflict_report(bundle, candidates, thresholds, hand_off=jobs.hand_off)
+            conflict = cf.conflict_report(bundle, candidates, thresholds, hand_off=side.hand_off)
         with stage("subspace"):
             del stack
             subspace = sb.subspace_report(bundle, layer, options.top_k, options.lam,
@@ -298,7 +278,7 @@ def plan(bundle: GradientBundle, options: PlanOptions = PlanOptions()):
     flags.update(layer=layer, layers=",".join(candidates))
     flags["lambda"] = flags.pop("lam")
     report = rp.PipelineReport(
-        bundle_fingerprint=fingerprint(),
+        bundle_fingerprint=side.fingerprint(),
         tasks=bundle.tasks,
         layer=layer,
         similarity=sim.s,

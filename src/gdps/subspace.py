@@ -19,7 +19,7 @@ each side's stored rows, centred in float64, are factored once
 from one values-only SVD of the core as it is formed.  At lambda = 0 a
 rank-deficient factor has no whitening and raises SingularCovarianceError.
 `subspace_report` joins the two halves; it may take the spectrum half that
-`gdps.pipeline.plan` runs on a second thread.
+`gdps.pipeline.plan` has handed to its side thread.
 """
 
 from __future__ import annotations

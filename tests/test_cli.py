@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -798,6 +799,23 @@ def test_decompose_non_finite_weight_exit_1_names_the_file(tmp_path, capsys, rng
     ])
     assert rc == 1
     assert f"{tmp_path / 'w1.gdm'}: non-finite entry at row 2, col 5" in capsys.readouterr().err
+    assert not (tmp_path / "ffn").exists()
+
+
+@pytest.mark.parametrize("where", ["flag", "plan"])
+def test_decompose_noise_beyond_float32_exit_2_writes_nothing(tmp_path, capsys, rng, where):
+    # 1e39 is a finite float64 that float32 storage would make infinite
+    write_desk_weights(tmp_path, rng)
+    _, plan_path = write_plan_file(tmp_path, noise=1e39 if where == "plan" else 1e-4)
+    rc = main([
+        "decompose", "--w1", str(tmp_path / "w1.gdm"), "--w2", str(tmp_path / "w2.gdm"),
+        "--plan", str(plan_path), "--out", str(tmp_path / "ffn"),
+        *(["--noise", "1e39"] if where == "flag" else []),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"analysis error: refusing to write shared_up\.gdm as float32: "
+                        r"non-finite entry at row \d+, col \d+\n", err), err
     assert not (tmp_path / "ffn").exists()
 
 

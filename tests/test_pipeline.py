@@ -47,7 +47,7 @@ class CountingRegistry(weakref.WeakValueDictionary):
 
 
 def test_plan_casts_each_payload_once(rng, monkeypatch):
-    # On its thread, the spectrum shares the plan layer's float64 stack with
+    # On the side thread, the spectrum shares the plan layer's float64 stack with
     # Method B, so each layer is cast once.  Inline, plan holds no stack: the
     # spectrum casts the layer again after Method B let its cast go, and no
     # two stacks are ever alive at once.  Method A and the CCA read the
@@ -91,6 +91,39 @@ def test_plan_lets_the_stack_go_before_the_cca(rng, monkeypatch, threaded):
     assert held == [None] and spectrum_done.is_set()
 
 
+@pytest.mark.parametrize("threaded", [True, False])
+def test_plan_runs_one_thread_beside_the_caller(rng, monkeypatch, threaded):
+    # above the gate the spectrum runs on that thread, which the CCA waits
+    # for; below it the spectrum runs on the caller, after the CCA
+    b = tiny_bundle({f"t{i}": rng.standard_normal((6, 40)) for i in range(4)})
+    started, spectrum_ran_on = [], []
+    spectrum_done = threading.Event()
+    real_start, real_spectrum, real_cca = (threading.Thread.start, subspace.joint_spectrum,
+                                           subspace.pairwise_cca)
+
+    def start(thread):
+        started.append(thread)
+        real_start(thread)
+
+    def spectrum(*args):
+        spectrum_ran_on.append(threading.current_thread())
+        value = real_spectrum(*args)
+        spectrum_done.set()
+        return value
+
+    def cca(*args):
+        assert spectrum_done.wait(timeout=30) if threaded else not spectrum_done.is_set()
+        return real_cca(*args)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    monkeypatch.setattr(subspace, "joint_spectrum", spectrum)
+    monkeypatch.setattr(subspace, "pairwise_cca", cca)
+    monkeypatch.setattr(pipeline, "OVERLAP_MIN_COST", 0 if threaded else 1 << 62)
+    pipeline.plan(b)
+    assert len(started) == 1 and not started[0].is_alive()
+    assert spectrum_ran_on == [started[0] if threaded else threading.current_thread()]
+
+
 def test_spectrum_thread_gate_splits_the_benchmark_shapes():
     # rows x columns of the plan layer's stack: plan-wide's 16 tasks x 64
     # rows by 4096 columns earns its thread; plan-deep's 4 x 64 by 8192 and
@@ -105,14 +138,15 @@ def test_spectrum_thread_gate_splits_the_benchmark_shapes():
 def test_purity_hand_off_floor_splits_the_benchmark_shapes():
     # a task's rows x the later tasks' rows x columns of each workload's
     # largest purity product: plan-deep's 64 x 3 * 64 by 8192 and plan-wide's
-    # 64 x 15 * 64 by 4096 are handed off; simulate's 32 x 3 * 32 by 1024 is not
+    # 64 x 15 * 64 by 4096 are offered (plan's side thread, busy with plan-wide's
+    # spectrum, refuses that one); simulate's 32 x 3 * 32 by 1024 is not
     assert conflict.handed_off(64, 3 * 64, 8192)
     assert conflict.handed_off(64, 15 * 64, 4096)
     assert not conflict.handed_off(32, 3 * 32, 1024)
 
 
 def test_concurrent_plans_share_one_bundle(rng, monkeypatch):
-    # plans on six threads, each with its spectrum thread, fetch and drop the
+    # plans on six threads, each spectrum on its plan's side thread, fetch and drop the
     # same layer's stack through one registry under frequent thread switches
     b = tiny_bundle({f"t{i}": rng.standard_normal((6, 40)) for i in range(4)})
     monkeypatch.setattr(pipeline, "OVERLAP_MIN_COST", 0)
@@ -349,7 +383,7 @@ def test_a_handed_off_product_that_raises_is_the_conflict_stage_error(tmp_path, 
     _write_stage_bundle(tmp_path / "b")
     handed, started = threading.Event(), threading.Event()
     taken = _hold_the_hash(monkeypatch, handed)
-    real_hand_off = pipeline.HandOff.hand_off
+    real_hand_off = pipeline.SideThread.hand_off
     ran_on = []
 
     def product():
@@ -363,7 +397,7 @@ def test_a_handed_off_product_that_raises_is_the_conflict_stage_error(tmp_path, 
         assert started.wait(timeout=30)
         return collect
 
-    monkeypatch.setattr(pipeline.HandOff, "hand_off", hand_off)
+    monkeypatch.setattr(pipeline.SideThread, "hand_off", hand_off)
     monkeypatch.setattr(conflict, "HANDOFF_MIN_COST", 0)
     before = threading.active_count()
     assert main(["plan", "--bundle", str(tmp_path / "b"), "--out", str(tmp_path / "o")]) == 2
@@ -383,20 +417,15 @@ def _job_on(array, started=None):
     return job
 
 
-def _hashing(bundle, jobs):
-    return pipeline.beside(lambda: pipeline.fingerprint_serving(bundle, jobs))
-
-
 def test_the_hash_runs_one_job_between_entries_then_ends(rng, monkeypatch):
     b = tiny_bundle({f"t{i}": rng.standard_normal((3, 8)) for i in range(4)})
     want = b.fingerprint()
     handed, started = threading.Event(), threading.Event()
     taken = _hold_the_hash(monkeypatch, handed)
-    jobs = pipeline.HandOff()
     before = threading.active_count()
-    with _hashing(b, jobs) as fingerprint:
-        collect = jobs.hand_off(_job_on(np.ones(5), started))
-        assert jobs.hand_off(_job_on(np.ones(6))) is None  # one job at a time
+    with pipeline.SideThread(b) as side:
+        collect = side.hand_off(_job_on(np.ones(5), started))
+        assert side.hand_off(_job_on(np.ones(6))) is None  # one job at a time
         handed.set()
         assert started.wait(timeout=30)
         ran_on, total = collect()
@@ -405,8 +434,8 @@ def test_the_hash_runs_one_job_between_entries_then_ends(rng, monkeypatch):
         while threading.active_count() > before and time.monotonic() < deadline:
             time.sleep(0.01)
         assert threading.active_count() == before
-        assert jobs.hand_off(_job_on(np.ones(7))) is None  # the caller runs it
-        assert fingerprint() == want
+        assert side.hand_off(_job_on(np.ones(7))) is None  # the caller runs it
+        assert side.fingerprint() == want
     assert taken == [True] * 5
 
 
@@ -415,17 +444,48 @@ def test_a_job_taken_back_runs_on_the_caller_and_lets_go_of_its_operands(rng, mo
     want = b.fingerprint()
     collected = threading.Event()
     taken = _hold_the_hash(monkeypatch, collected)
-    jobs = pipeline.HandOff()
     operands = np.ones(4)
     alive = weakref.ref(operands)
-    with _hashing(b, jobs) as fingerprint:
-        collect = jobs.hand_off(_job_on(operands))
+    with pipeline.SideThread(b) as side:
+        collect = side.hand_off(_job_on(operands))
         del operands
         assert collect() == (threading.current_thread(), 4.0)
         assert alive() is None  # neither the thread nor the job holds them
         collected.set()
-        assert fingerprint() == want
+        assert side.fingerprint() == want
     assert taken == [True] * 5
+
+
+def test_a_job_run_on_the_thread_lets_go_of_its_operands(rng, monkeypatch):
+    # the thread runs the job after the manifest, then waits before the first
+    # entry: by then neither the job nor the thread holds the operands
+    b = tiny_bundle({f"t{i}": rng.standard_normal((3, 8)) for i in range(3)})
+    want = b.fingerprint()
+    at_entry, release = threading.Event(), threading.Event()
+    real_steps = GradientBundle.fingerprint_steps
+
+    def steps(bundle):
+        entries = real_steps(bundle)
+        yield next(entries)
+        at_entry.set()
+        release.wait(timeout=30)
+        yield from entries
+
+    monkeypatch.setattr(GradientBundle, "fingerprint_steps", steps)
+    operands = np.ones(4)
+    alive = weakref.ref(operands)
+    side = pipeline.SideThread(b)
+    collect = side.hand_off(_job_on(operands))
+    del operands
+    with side:
+        try:
+            assert at_entry.wait(timeout=30)
+            ran_on, total = collect()
+            assert ran_on is not threading.current_thread() and total == 4.0
+            assert alive() is None
+        finally:
+            release.set()
+        assert side.fingerprint() == want
 
 
 def test_a_failed_hash_takes_no_more_jobs(rng, monkeypatch):
@@ -436,11 +496,10 @@ def test_a_failed_hash_takes_no_more_jobs(rng, monkeypatch):
         raise BundleFormatError("payload gone")
 
     monkeypatch.setattr(GradientBundle, "fingerprint_steps", steps)
-    jobs = pipeline.HandOff()
-    with _hashing(b, jobs) as fingerprint:
+    with pipeline.SideThread(b) as side:
         with pytest.raises(BundleFormatError, match="payload gone"):
-            fingerprint()
-        assert jobs.hand_off(_job_on(np.ones(2))) is None
+            side.fingerprint()
+        assert side.hand_off(_job_on(np.ones(2))) is None
 
 
 @pytest.mark.parametrize("threaded", [True, False])
@@ -471,17 +530,23 @@ def test_first_error_in_stage_order_wins(tmp_path, capsys, monkeypatch, threaded
     assert not (tmp_path / "o").exists()
 
 
-def test_beside_runs_the_job_once_and_raises_on_the_caller():
+def test_a_job_handed_off_before_the_thread_starts_runs_once_and_raises_on_the_caller(rng):
+    # handed off before the block, as plan hands off the spectrum, the job
+    # runs on the thread right after the manifest
+    b = tiny_bundle({f"t{i}": rng.standard_normal((3, 8)) for i in range(3)})
     calls = []
 
     def job():
         calls.append(threading.current_thread())
         raise KeyError("job")
 
-    with pipeline.beside(job) as result:
+    side = pipeline.SideThread(b)
+    collect = side.hand_off(job)
+    with side:
+        assert side.fingerprint() == b.fingerprint()
         for _ in range(2):
             with pytest.raises(KeyError, match="job"):
-                result()
+                collect()
     assert len(calls) == 1
     assert calls[0] is not threading.current_thread()
 
