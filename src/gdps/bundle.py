@@ -5,8 +5,8 @@ A bundle holds one matrix of flattened per-sample gradients for every
 one ``<task>__<layer>.gdm`` file per entry; the ``.gdm`` payload is the magic
 ``GDM1``, a little-endian u32 row count, u32 column count, then rows*cols
 float32 values in row-major order.  Storage is float32 for bit-exact
-portability; `layer_stack` casts a whole layer to float64 once and shares
-it while any caller holds it.
+portability; `layer_stack` casts a whole layer to float64 once, under a
+lock, and shares it while any caller holds it.
 
 `read_bundle` maps each payload read-only from the page cache, so every
 matrix of a loaded bundle is a read-only view of a mapping, not a copy.
@@ -37,6 +37,7 @@ import reprlib
 import resource
 import stat
 import struct
+import threading
 import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -71,17 +72,18 @@ class GradientMatrix:
     data: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "data", _as_float32(self.data))
+        source, what = self.data, f"gradient matrix ({self.task}, {self.layer})"
+        with np.errstate(over="ignore"):  # an entry float32 cannot hold is refused below
+            object.__setattr__(self, "data", _as_float32(source))
         if self.data.ndim != 2:
-            raise ValidationError(
-                f"gradient matrix ({self.task}, {self.layer}): expected 2-D data, "
-                f"got ndim={self.data.ndim}"
-            )
+            raise ValidationError(f"{what}: expected 2-D data, got ndim={self.data.ndim}")
         if self.rows < 1 or self.cols < 1:
-            raise ValidationError(
-                f"gradient matrix ({self.task}, {self.layer}): empty shape {self.data.shape}"
-            )
-        check_finite(self.data, f"gradient matrix ({self.task}, {self.layer})")
+            raise ValidationError(f"{what}: empty shape {self.data.shape}")
+        finite = np.isfinite(self.data)
+        if not finite.all():
+            check_finite(np.asarray(source), what)
+            row, col = np.argwhere(~finite)[0]
+            raise ValidationError(f"{what}: entry at row {row}, col {col} is beyond float32's range")
 
     @property
     def rows(self) -> int:
@@ -102,6 +104,8 @@ class GradientBundle:
     # layer -> the `layer_stack` result that some caller still holds
     _stacks: weakref.WeakValueDictionary = field(
         default_factory=weakref.WeakValueDictionary, init=False, compare=False, repr=False)
+    _cast_lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, compare=False, repr=False)
 
     @classmethod
     def from_matrices(cls, matrices) -> "GradientBundle":
@@ -204,13 +208,16 @@ def mean_gradient(bundle: GradientBundle, task: str, layer: str) -> np.ndarray:
 def layer_stack(bundle: GradientBundle, layer: str) -> np.ndarray:
     """Every task's sample rows at a layer, in bundle task order, as one
     read-only float64 stack, cast once and shared: while any caller holds a
-    layer's stack, every call returns it."""
-    stack = bundle._stacks.get(layer)
-    if stack is None:
-        stack = np.concatenate([sample_gradients(bundle, t, layer) for t in bundle.tasks],
-                               axis=0, dtype=np.float64)
-        stack.flags.writeable = False
-        bundle._stacks[layer] = stack
+    layer's stack, every call returns it.  The cast runs under the bundle's
+    lock, so a thread that asks for a layer another is casting waits for
+    that cast instead of making its own."""
+    with bundle._cast_lock:
+        stack = bundle._stacks.get(layer)
+        if stack is None:
+            stack = np.concatenate([sample_gradients(bundle, t, layer) for t in bundle.tasks],
+                                   axis=0, dtype=np.float64)
+            stack.flags.writeable = False
+            bundle._stacks[layer] = stack
     return stack
 
 

@@ -31,13 +31,13 @@ of its rows against those of every later task.  A product of two float32
 values is exact in float64, so only the summation rounds: every sign is
 exact for a cosine farther than about d * 2^-53 from 0.
 
-Given `hand_off`, Method B offers it each layer's largest such product, if
-that costs at least `HANDOFF_MIN_COST` multiply-adds, runs the others
-itself, and runs the offered one too when `hand_off` refuses it: `gdps
-plan`'s side thread runs it between the bundle fingerprint's entries unless
-its one slot holds Method C's spectrum.  The product is the same BLAS call
-on the same operands wherever it runs, and the counts are integers, so no
-bit of a report depends on where it ran.
+Given `hand_off`, Method B offers it each layer's largest such product
+with its cost in multiply-adds, runs the others itself, and runs the
+offered one too when `hand_off` refuses it: `gdps plan`'s side thread runs
+it between the bundle fingerprint's entries if it costs enough and the
+thread's one slot is free.  The product is the same BLAS call on the same
+operands wherever it runs, and the counts are integers, so no bit of a
+report depends on where it ran.
 """
 
 from __future__ import annotations
@@ -58,13 +58,6 @@ RATIOS = (0.75, 0.50, 0.25)
 SAMPLE_CAP = 512
 DRAW_SEED = 2343  # with the task name, seeds the draw from a task above SAMPLE_CAP
 DEGENERATE_WARN_FRACTION = 0.10
-# The multiply-adds of a purity product from which Method B hands it off.  On
-# another thread it costs BLAS buffers of that thread's own, which a small
-# product never wins back.  Plan-deep's largest product per layer (64 x 192
-# rows by 8192 columns) costs 1.0e8 and plan-wide's (64 x 960 by 4096) 2.5e8,
-# though plan's side thread, busy with plan-wide's spectrum, refuses that one;
-# simulate's (32 x 96 by 1024) 3.1e6 stays on the caller.
-HANDOFF_MIN_COST = 2e7
 
 
 @dataclass(frozen=True)
@@ -190,21 +183,14 @@ def _cross_mean(a: _Task, b: _Task) -> float:
     return float(a.total @ b.total / (a.count * b.count))
 
 
-def handed_off(rows: int, later: int, cols: int) -> bool:
-    """Whether Method B hands off the product of a task's `rows` with the
-    `later` rows of every later task, `cols` wide: when it costs at least
-    HANDOFF_MIN_COST multiply-adds."""
-    return rows * later * cols >= HANDOFF_MIN_COST
-
-
 def _cross_nonneg(parts: list[_Task], rows: np.ndarray, hand_off=None) -> int:
     """How many cross-task pairs of non-degenerate rows have a cosine >= 0.
 
     The cosine has the sign of g_a.g_b.  Each task's rows meet the rows of
     every later task in one product.  When there are others to run
-    meanwhile, the largest, if `handed_off`, goes to `hand_off(job)`, which
-    returns a function giving the job's value, or None if it refuses the
-    job; the others are run here first.
+    meanwhile, the largest goes to `hand_off(job, cost)` with its
+    multiply-adds; it returns a function giving the job's value, or None if
+    it refuses the job.  The others are run here first.
     """
     cuts = [(end - t.count, end) for t, end in zip(parts[:-1], accumulate(t.count for t in parts))]
 
@@ -214,9 +200,9 @@ def _cross_nonneg(parts: list[_Task], rows: np.ndarray, hand_off=None) -> int:
     largest = int(np.argmax([(end - start) * (len(rows) - end) for start, end in cuts]))
     start, end = cuts[largest]
     collect = None
-    if (hand_off is not None and len(cuts) > 1
-            and handed_off(end - start, len(rows) - end, rows.shape[1])):
-        collect = hand_off(lambda: nonneg(start, end))
+    if hand_off is not None and len(cuts) > 1:
+        cost = (end - start) * (len(rows) - end) * rows.shape[1]
+        collect = hand_off(lambda: nonneg(start, end), cost)
     count = sum(nonneg(*cut) for i, cut in enumerate(cuts) if collect is None or i != largest)
     return count + (collect() if collect is not None else 0)
 

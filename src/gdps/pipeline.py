@@ -13,20 +13,17 @@ Method A and the CCA half of C read the stored float32 rows; Method B and
 the spectrum half of C read the layer's float64 stack (`layer_stack`).
 `plan` runs one thread beside them (`SideThread`).  It hashes the bundle
 fingerprint one entry at a time, and between entries it runs the one job
-handed to it, until the hash is done.  When the spectrum's cost
-(`spectrum_threaded`) reaches `OVERLAP_MIN_COST`, `plan` hands it the
-spectrum before the thread starts, so it runs right after the manifest, and
-Method B's hand-offs are refused until the spectrum is collected.  The
-thread takes the stack from the bundle's registry while `plan` holds it, so
-Method B and the spectrum share one cast.  Below the gate `plan` holds no
-stack and runs `subspace_report` as `gdps subspace` does: the CCA, then the
-spectrum, which casts the layer again once Method B has let its own cast
-go; the thread is then free for the largest purity product of each layer
-that Method B hands it (`gdps.conflict.handed_off`).  sha256 and the BLAS
-and LAPACK calls release the GIL, so a process's CPU time may exceed its
-wall time.  Errors are reported as if the stages ran one after another:
-grouping, conflict, spectrum, CCA.  The thread is joined before `plan`
-returns or raises.
+handed to it, until the hash is done.  `plan` offers it every job with its
+cost in multiply-adds, and the thread refuses one below `SIDE_MIN_COST`:
+first the spectrum, before the thread starts, so that it runs right after
+the manifest, then each layer's largest purity product that Method B offers
+(`gdps.conflict`).  A refused job runs on the caller where the stage
+commands run it: the spectrum after the CCA, as `gdps subspace` does, and
+the product among Method B's others, as `gdps conflict` does.  sha256 and
+the BLAS and LAPACK calls release the GIL, so a process's CPU time may
+exceed its wall time.  Errors are reported as if the stages ran one after
+another: grouping, conflict, spectrum, CCA.  The thread is joined before
+`plan` returns or raises.
 """
 
 from __future__ import annotations
@@ -43,23 +40,15 @@ from . import decompose as dc
 from . import grouping as gr
 from . import report as rp
 from . import subspace as sb
-from .bundle import GradientBundle, layer_stack
+from .bundle import GradientBundle
 from .errors import GdpsError, ValidationError
 
-# The spectrum's cost in multiply-adds (its Gram plus the eigh) from which
-# `plan` hands it to the side thread.  There it runs beside Method B, and the
-# stack held for it lives through Method B's casts: peak RSS that a cheap
-# spectrum never wins back.  Plan-wide's 1024 x 4096 stack costs 5.4e9
-# and plan-deep's 256 x 8192 5.5e8 (simulate's 128 x 1024 1.9e7): the gate
-# lies a factor of about 3 from each plan workload, threading plan-wide only.
-OVERLAP_MIN_COST = 2e9
-
-
-def spectrum_threaded(rows: int, cols: int) -> bool:
-    """Whether `plan` hands the spectrum of a rows x cols stack to the side thread:
-    short**2 * (long + short) >= OVERLAP_MIN_COST for its short and long sides."""
-    short, long = sorted((rows, cols))
-    return short * short * (long + short) >= OVERLAP_MIN_COST
+# The multiply-adds from which the side thread takes a job.  There a job
+# costs BLAS and LAPACK buffers of that thread's own, which a cheap job never
+# wins back.  Plan-wide's spectrum costs 5.4e9 and plan-deep's 5.5e8, their
+# largest purity products 2.5e8 and 1.0e8; simulate's spectrum costs 1.9e7
+# and its product 3.1e6.  The floor lies a factor of 2 or more from each.
+SIDE_MIN_COST = 4e7
 
 
 @dataclass(frozen=True)
@@ -130,19 +119,20 @@ class SideThread:
     `fingerprint()` returns the digest, or raises the hash's error on the
     caller.
 
-    `hand_off(fn)` may be called before the block too.  It leaves `fn` for
-    the thread and returns `collect()`, which takes the job back and runs it
-    on the caller if the thread has not started it, else waits for it;
-    either way it returns the job's value or raises its exception, and the
-    job lets go of `fn` once it has run.  While a job is handed off and not
-    collected, and once the hash is done or has failed, `hand_off` returns
-    None and the caller runs the job itself.
+    `hand_off(fn, cost)` may be called before the block too.  It leaves `fn`
+    for the thread and returns `collect()`, which takes the job back and
+    runs it on the caller if the thread has not started it, else waits for
+    it; either way it returns the job's value or raises its exception, and
+    the job lets go of `fn` once it has run.  The slot frees once the job
+    has run, collected or not.  `hand_off` returns None, and the caller
+    runs the job itself, when `cost` is below `SIDE_MIN_COST`, while
+    another job waits or runs, and once the hash is done or has failed.
     """
 
     def __init__(self, bundle: GradientBundle):
         self._bundle = bundle
         self._lock = threading.Lock()
-        self._job = None  # handed off, not yet collected: [run] until someone starts it
+        self._job = None  # the slot: [run] until someone starts it, [] while it runs
         self._open = True
         self._digest = self._error = None
         self._thread = threading.Thread(target=self._hash, name="gdps-side")
@@ -174,21 +164,23 @@ class SideThread:
             raise self._error
         return self._digest
 
-    def hand_off(self, fn):
+    def hand_off(self, fn, cost):
         outcome, done = [], threading.Event()
 
         def run():
             nonlocal fn
-            call, fn = fn, None
             try:
-                outcome.append((call(), None))
+                outcome.append((fn(), None))
             except BaseException as exc:  # raised on the caller by collect()
                 outcome.append((None, exc))
+            fn = None  # let go of its operands before the caller can go on
+            with self._lock:
+                if self._job is job:
+                    self._job = None
             done.set()
 
         def collect():
             with self._lock:
-                self._job = None
                 taken_back = job.pop() if job else None
             if taken_back is not None:
                 taken_back()
@@ -199,7 +191,7 @@ class SideThread:
             return value
 
         with self._lock:
-            if not self._open or self._job is not None:
+            if cost < SIDE_MIN_COST or not self._open or self._job is not None:
                 return None
             job = self._job = [run]
         return collect
@@ -226,23 +218,15 @@ def plan(bundle: GradientBundle, options: PlanOptions = PlanOptions()):
     if len(bundle.tasks) < 2:
         raise ValidationError(">= 2 tasks required for cross-task analysis")
 
-    threaded = spectrum_threaded(sum(sb._task_rows(bundle, layer)), bundle.layer_dim(layer))
-    # Held until Method B has read it, for the spectrum on the side thread to
-    # take from the registry; the job fetches the stack itself, so that only
-    # its frame keeps it.
-    stack = layer_stack(bundle, layer) if threaded else None
-    side, spectrum = SideThread(bundle), None
-    if threaded:
-        # First in the thread's one slot, the spectrum runs right after the
-        # manifest, and Method B's hand-offs are refused until it is collected.
-        spectrum = side.hand_off(
-            lambda: sb.joint_spectrum(bundle, layer, options.top_k, options.normalize_rows))
+    side = SideThread(bundle)
+    spectrum = side.hand_off(
+        lambda: sb.joint_spectrum(bundle, layer, options.top_k, options.normalize_rows),
+        sb.spectrum_cost(sum(sb._task_rows(bundle, layer)), bundle.layer_dim(layer)))
     with side:
         sim, dist, grouping, merges = group_tasks(bundle, layer, options)
         with stage("conflict"):
             conflict = cf.conflict_report(bundle, candidates, thresholds, hand_off=side.hand_off)
         with stage("subspace"):
-            del stack
             subspace = sb.subspace_report(bundle, layer, options.top_k, options.lam,
                                           options.normalize_rows, spectrum=spectrum)
             p_g = sb.group_energy(subspace.proportions, grouping, bundle.tasks)

@@ -19,7 +19,8 @@ each side's stored rows, centred in float64, are factored once
 from one values-only SVD of the core as it is formed.  At lambda = 0 a
 rank-deficient factor has no whitening and raises SingularCovarianceError.
 `subspace_report` joins the two halves; it may take the spectrum half that
-`gdps.pipeline.plan` has handed to its side thread.
+`gdps.pipeline.plan` has handed to its side thread, offered at its
+`spectrum_cost`.
 """
 
 from __future__ import annotations
@@ -289,6 +290,13 @@ class JointSpectrum:
     gini: float
     normalize_rows: bool
     warnings: tuple[str, ...]
+
+
+def spectrum_cost(rows: int, cols: int) -> int:
+    """The multiply-adds of `joint_spectrum` on a rows x cols stack, its Gram
+    plus the eigh: short**2 * (long + short) for its short and long sides."""
+    short, long = sorted((rows, cols))
+    return short * short * (long + short)
 
 
 def joint_spectrum(bundle: GradientBundle, layer: str, k: int = DEFAULT_TOP_K,

@@ -10,6 +10,7 @@ import signal
 import struct
 import subprocess
 import sys
+import threading
 import weakref
 from pathlib import Path
 
@@ -166,6 +167,17 @@ def test_non_finite_in_memory_rejected():
         GradientMatrix("a", "L0", np.array([[1.0, np.inf]]))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_entry_beyond_float32_range_rejected_without_a_warning():
+    # a finite float64 that the float32 cast would make infinite is named as
+    # such, and the cast's overflow warning never escapes
+    with pytest.raises(ValidationError, match=r"^gradient matrix \(a, L0\): entry at row 1, "
+                                              r"col 0 is beyond float32's range$"):
+        GradientMatrix("a", "L0", np.array([[1.0, 2.0], [-1e39, 3.0]]))
+    with pytest.raises(ValidationError, match="non-finite entry at row 0, col 1"):
+        GradientMatrix("a", "L0", np.array([[1e39, np.nan]]))
+
+
 def test_empty_matrix_rejected():
     with pytest.raises(ValidationError):
         GradientMatrix("a", "L0", np.zeros((0, 3)))
@@ -227,6 +239,39 @@ def test_layer_stack_is_shared_while_held(rng):
     stack = layer_stack(b, "L0")
     assert layer_stack(b, "L0") is stack
     assert layer_stack(b, "L1") is not stack
+
+
+def test_two_threads_asking_for_one_layer_get_one_cast(rng, monkeypatch):
+    # the first thread is held in the middle of its cast; the second, asking
+    # for the same layer meanwhile, waits for that cast instead of making one
+    b = make_bundle(rng)
+    casting, release = threading.Event(), threading.Event()
+    real = gdps.bundle.sample_gradients
+
+    def sample_gradients(bundle, task, layer):
+        if threading.current_thread().name == "first":
+            casting.set()
+            release.wait(timeout=30)
+        return real(bundle, task, layer)
+
+    monkeypatch.setattr(gdps.bundle, "sample_gradients", sample_gradients)
+    got = {}
+
+    def ask():
+        got[threading.current_thread().name] = layer_stack(b, "L0")
+
+    first = threading.Thread(target=ask, name="first")
+    second = threading.Thread(target=ask, name="second")
+    first.start()
+    try:
+        assert casting.wait(timeout=30)
+        second.start()
+        second.join(timeout=0.5)
+    finally:
+        release.set()
+    first.join(timeout=30)
+    second.join(timeout=30)
+    assert got["first"] is got["second"]
 
 
 def test_layer_stack_dies_with_its_last_holder(rng):

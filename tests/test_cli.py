@@ -214,7 +214,7 @@ def test_plan_deterministic_in_either_finishing_order(tmp_path, monkeypatch, slo
         return ((tmp_path / sub / "plan.json").read_bytes(),
                 hash_excluding_timestamp((tmp_path / sub / "report.json").read_text()))
 
-    monkeypatch.setattr(gdps_pipeline, "OVERLAP_MIN_COST", 1 << 62)
+    monkeypatch.setattr(gdps_pipeline, "SIDE_MIN_COST", 1 << 62)
     inline = artifacts("inline")
 
     finished = []
@@ -233,7 +233,7 @@ def test_plan_deterministic_in_either_finishing_order(tmp_path, monkeypatch, slo
     delayed(gdps_subspace, "joint_spectrum", "spectrum", 0.3 if slow == "spectrum" else 0.0)
     delayed(gdps_grouping, "similarity_matrix", "grouping", 0.3 if slow == "grouping" else 0.0)
     delayed(gdps_subspace, "pairwise_cca", "cca", 0.0)
-    monkeypatch.setattr(gdps_pipeline, "OVERLAP_MIN_COST", 0)
+    monkeypatch.setattr(gdps_pipeline, "SIDE_MIN_COST", 0)
     assert artifacts("threaded") == inline
     assert finished == (["grouping", "cca", "spectrum"] if slow == "spectrum"
                         else ["spectrum", "grouping", "cca"])
@@ -243,7 +243,7 @@ def test_plan_agrees_across_blas_thread_counts(tmp_path):
     # byte-identical re-runs assume one BLAS thread count; another count may
     # sum in another order, which moves sigma, the energies and p_g by a few
     # ulp and no discrete result.  16 x 64 x 4096 is the plan-wide shape,
-    # whose 32 MB stack runs the spectrum on its own thread.
+    # whose 32 MB stack runs the spectrum on the side thread.
     rng = np.random.default_rng(31)
     write_bundle(GradientBundle.from_matrices(
         GradientMatrix(f"t{i}", "L0", rng.standard_normal((64, 4096))) for i in range(16)
@@ -660,8 +660,8 @@ def test_conflict_one_row_task_exit_1(tmp_path, capsys):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("gate", [0, gdps_pipeline.OVERLAP_MIN_COST])
-def test_stage_commands_agree_with_plan(tmp_path, monkeypatch, gate):
+@pytest.mark.parametrize("floor", [0, gdps_pipeline.SIDE_MIN_COST])
+def test_stage_commands_agree_with_plan(tmp_path, monkeypatch, floor):
     # group, conflict and subspace read the same layer stacks as plan; with
     # the same flags each writes what plan reports.  --layer is not the
     # first layer, and --layers lists it with another, out of bundle order.
@@ -671,7 +671,7 @@ def test_stage_commands_agree_with_plan(tmp_path, monkeypatch, gate):
                            layer=layer)
         mats += list(b.entries.values())
     write_bundle(GradientBundle.from_matrices(mats), tmp_path / "b")
-    monkeypatch.setattr(gdps_pipeline, "OVERLAP_MIN_COST", gate)
+    monkeypatch.setattr(gdps_pipeline, "SIDE_MIN_COST", floor)
     given = ["--bundle", str(tmp_path / "b")]
     a = ["--layer", "L1", "--k-groups", "2", "--seed", "11"]
     b = ["--layers", "L2,L1", "--thresholds", "0.1,0.3"]

@@ -1,7 +1,6 @@
 import dataclasses
 import itertools
 import threading
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -620,7 +619,7 @@ class OnAThread:
     def __init__(self):
         self.ran_on = []
 
-    def __call__(self, job):
+    def __call__(self, job, cost):
         def run():
             self.ran_on.append(threading.current_thread())
             out.append(job())
@@ -637,7 +636,7 @@ class NeverStarts:
     def __init__(self):
         self.jobs = 0
 
-    def __call__(self, job):
+    def __call__(self, job, cost):
         self.jobs += 1
         return job
 
@@ -654,15 +653,14 @@ def assert_hand_off_changes_no_bit(bundle):
     layer hands off one job if it has more than one product to run."""
     calls = len(bundle.layers) + 1 if len(bundle.tasks) > 2 else 0
     inline = conflict_report(bundle)
-    with mock.patch.object(gdps.conflict, "HANDOFF_MIN_COST", 0):
-        thread, never = OnAThread(), NeverStarts()
-        for target in (thread, never):
-            report = conflict_report(bundle, hand_off=target)
-            assert report == inline
-            assert [bits(lc) for lc in report.layers] == [bits(lc) for lc in inline.layers]
-            assert bits(report.layers[0]) == bits(layer_conflict(bundle, report.layers[0].layer,
-                                                                 target))
-            assert report.delta.hex() == inline.delta.hex()
+    thread, never = OnAThread(), NeverStarts()
+    for target in (thread, never):
+        report = conflict_report(bundle, hand_off=target)
+        assert report == inline
+        assert [bits(lc) for lc in report.layers] == [bits(lc) for lc in inline.layers]
+        assert bits(report.layers[0]) == bits(layer_conflict(bundle, report.layers[0].layer,
+                                                             target))
+        assert report.delta.hex() == inline.delta.hex()
     assert len(thread.ran_on) == never.jobs == calls
     assert threading.current_thread() not in thread.ran_on
 
@@ -691,25 +689,22 @@ def test_a_hand_off_changes_no_bit(make):
     assert_hand_off_changes_no_bit(make())
 
 
-def test_hand_off_takes_the_largest_product_only_beside_others(monkeypatch):
+def test_hand_off_takes_the_largest_product_only_beside_others():
     # the products of t0, t1 and t2 with their later tasks are 2 x 10, 5 x 5
-    # and 3 x 2 rows: t1's is handed off; two tasks make one product, kept
+    # and 3 x 2 rows: t1's is handed off, at its 5 x 5 x 6 multiply-adds;
+    # two tasks make one product, kept
     rows = {"t0": 2, "t1": 5, "t2": 3, "t3": 2}
     b = tiny_bundle({t: np.random.default_rng(m).standard_normal((m, 6)) for t, m in rows.items()})
     handed = []
 
-    def target(job):
-        handed.append(job())
-        return lambda: handed[-1]
+    def target(job, cost):
+        handed.append((job(), cost))
+        return lambda: handed[-1][0]
 
-    monkeypatch.setattr(gdps.conflict, "HANDOFF_MIN_COST", 0)
     lc = layer_conflict(b, "L0", target)
     g = [b.matrix(t, "L0").data.astype(np.float64) for t in b.tasks]
-    assert handed == [int(np.count_nonzero(g[1] @ np.vstack(g[2:]).T >= 0.0))]
+    assert handed == [(int(np.count_nonzero(g[1] @ np.vstack(g[2:]).T >= 0.0)), 5 * 5 * 6)]
     assert bits(lc) == bits(layer_conflict(b, "L0"))
     pair = tiny_bundle({t: np.ones((m, 6)) for t, m in (("a", 9), ("b", 9))})
     layer_conflict(pair, "L0", target)
-    assert len(handed) == 1
-    monkeypatch.setattr(gdps.conflict, "HANDOFF_MIN_COST", 5 * 5 * 6 + 1)
-    layer_conflict(b, "L0", target)
     assert len(handed) == 1

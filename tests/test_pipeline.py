@@ -31,38 +31,39 @@ OPTION_NAMES = {f.name for f in dataclasses.fields(PlanOptions)}
 
 class CountingRegistry(weakref.WeakValueDictionary):
     """A bundle's layer-stack registry that counts the stacks built into it,
-    and the most that were alive at once."""
+    and the most of one layer that were alive at once, by layer."""
 
     def __init__(self):
         super().__init__()
         self.builds = collections.Counter()
-        self.refs = []
-        self.most_alive = 0
+        self.refs = collections.defaultdict(list)
+        self.most_alive = collections.Counter()
 
     def __setitem__(self, layer, stack):
         self.builds[layer] += 1
-        self.refs.append(weakref.ref(stack))
-        self.most_alive = max(self.most_alive, sum(ref() is not None for ref in self.refs))
+        self.refs[layer].append(weakref.ref(stack))
+        alive = sum(ref() is not None for ref in self.refs[layer])
+        self.most_alive[layer] = max(self.most_alive[layer], alive)
         super().__setitem__(layer, stack)
 
 
 def test_plan_casts_each_payload_once(rng, monkeypatch):
-    # On the side thread, the spectrum shares the plan layer's float64 stack with
-    # Method B, so each layer is cast once.  Inline, plan holds no stack: the
-    # spectrum casts the layer again after Method B let its cast go, and no
-    # two stacks are ever alive at once.  Method A and the CCA read the
+    # No two casts of one layer are ever alive at once, with the spectrum on
+    # the side thread or inline.  Inline, the spectrum casts the plan layer
+    # again after Method B let its cast go.  Method A and the CCA read the
     # stored rows.  Each other candidate layer of Method B is cast on its own.
     rows = {f"t{i}": rng.standard_normal((5, 12)) for i in range(3)}
     mats = [gdps.bundle.GradientMatrix(t, layer, g * (j + 1))
             for j, layer in enumerate(("L0", "L1", "L2")) for t, g in rows.items()]
-    for gate, builds, most_alive in ((0, {"L1": 1, "L2": 1}, 2),
-                                     (1 << 62, {"L1": 2, "L2": 1}, 1)):
+    for floor in (0, 1 << 62):
         b = GradientBundle.from_matrices(mats)
         registry = CountingRegistry()
         object.__setattr__(b, "_stacks", registry)
-        monkeypatch.setattr(pipeline, "OVERLAP_MIN_COST", gate)
+        monkeypatch.setattr(pipeline, "SIDE_MIN_COST", floor)
         pipeline.plan(b, PlanOptions(layer="L1", layers="L2,L1"))
-        assert (registry.builds, registry.most_alive) == (builds, most_alive), gate
+        assert registry.most_alive == {"L1": 1, "L2": 1}, floor
+        assert registry.builds["L2"] == 1, floor
+    assert registry.builds["L1"] == 2
 
 
 @pytest.mark.parametrize("threaded", [True, False])
@@ -86,14 +87,14 @@ def test_plan_lets_the_stack_go_before_the_cca(rng, monkeypatch, threaded):
     held = []
     monkeypatch.setattr(subspace, "joint_spectrum", spectrum)
     monkeypatch.setattr(subspace, "pairwise_cca", cca)
-    monkeypatch.setattr(pipeline, "OVERLAP_MIN_COST", 0 if threaded else 1 << 62)
+    monkeypatch.setattr(pipeline, "SIDE_MIN_COST", 0 if threaded else 1 << 62)
     pipeline.plan(b)
     assert held == [None] and spectrum_done.is_set()
 
 
 @pytest.mark.parametrize("threaded", [True, False])
 def test_plan_runs_one_thread_beside_the_caller(rng, monkeypatch, threaded):
-    # above the gate the spectrum runs on that thread, which the CCA waits
+    # from the floor up the spectrum runs on that thread, which the CCA waits
     # for; below it the spectrum runs on the caller, after the CCA
     b = tiny_bundle({f"t{i}": rng.standard_normal((6, 40)) for i in range(4)})
     started, spectrum_ran_on = [], []
@@ -118,38 +119,36 @@ def test_plan_runs_one_thread_beside_the_caller(rng, monkeypatch, threaded):
     monkeypatch.setattr(threading.Thread, "start", start)
     monkeypatch.setattr(subspace, "joint_spectrum", spectrum)
     monkeypatch.setattr(subspace, "pairwise_cca", cca)
-    monkeypatch.setattr(pipeline, "OVERLAP_MIN_COST", 0 if threaded else 1 << 62)
+    monkeypatch.setattr(pipeline, "SIDE_MIN_COST", 0 if threaded else 1 << 62)
     pipeline.plan(b)
     assert len(started) == 1 and not started[0].is_alive()
     assert spectrum_ran_on == [started[0] if threaded else threading.current_thread()]
 
 
-def test_spectrum_thread_gate_splits_the_benchmark_shapes():
-    # rows x columns of the plan layer's stack: plan-wide's 16 tasks x 64
-    # rows by 4096 columns earns its thread; plan-deep's 4 x 64 by 8192 and
-    # simulate's 4 x 32 by 1024 do not.  The cost is the same either way up.
-    assert pipeline.spectrum_threaded(16 * 64, 4096)
-    assert pipeline.spectrum_threaded(4096, 16 * 64)
-    assert not pipeline.spectrum_threaded(4 * 64, 8192)
-    assert not pipeline.spectrum_threaded(8192, 4 * 64)
-    assert not pipeline.spectrum_threaded(4 * 32, 1024)
+def test_side_thread_floor_splits_the_benchmark_jobs(rng):
+    # the spectrum's cost from the rows x columns of the plan layer's stack
+    # (the same either way up), and a purity product's from a task's rows x
+    # the later tasks' rows x columns: plan-wide's 16 tasks x 64 rows by
+    # 4096 columns and plan-deep's 4 x 64 by 8192 offer both jobs above the
+    # floor; simulate's 4 x 32 by 1024 offers both below it
+    b = tiny_bundle({t: rng.standard_normal((2, 3)) for t in "ab"})
 
+    def taken(cost):  # by a side thread not started, its slot empty
+        return pipeline.SideThread(b).hand_off(lambda: None, cost) is not None
 
-def test_purity_hand_off_floor_splits_the_benchmark_shapes():
-    # a task's rows x the later tasks' rows x columns of each workload's
-    # largest purity product: plan-deep's 64 x 3 * 64 by 8192 and plan-wide's
-    # 64 x 15 * 64 by 4096 are offered (plan's side thread, busy with plan-wide's
-    # spectrum, refuses that one); simulate's 32 x 3 * 32 by 1024 is not
-    assert conflict.handed_off(64, 3 * 64, 8192)
-    assert conflict.handed_off(64, 15 * 64, 4096)
-    assert not conflict.handed_off(32, 3 * 32, 1024)
+    spectrum = subspace.spectrum_cost
+    assert spectrum(16 * 64, 4096) == spectrum(4096, 16 * 64)
+    above = [spectrum(16 * 64, 4096), spectrum(4 * 64, 8192), 64 * 15 * 64 * 4096,
+             64 * 3 * 64 * 8192]
+    below = [spectrum(4 * 32, 1024), 32 * 3 * 32 * 1024]
+    assert [taken(cost) for cost in above + below] == [True] * 4 + [False] * 2
 
 
 def test_concurrent_plans_share_one_bundle(rng, monkeypatch):
     # plans on six threads, each spectrum on its plan's side thread, fetch and drop the
     # same layer's stack through one registry under frequent thread switches
     b = tiny_bundle({f"t{i}": rng.standard_normal((6, 40)) for i in range(4)})
-    monkeypatch.setattr(pipeline, "OVERLAP_MIN_COST", 0)
+    monkeypatch.setattr(pipeline, "SIDE_MIN_COST", 0)
 
     def result():
         report = pipeline.plan(b)[1].to_dict()
@@ -367,7 +366,7 @@ def test_failing_stage_outlives_no_hash_thread(tmp_path, capsys, monkeypatch,
         failed.set()
         raise error("boom")
 
-    monkeypatch.setattr(pipeline, "OVERLAP_MIN_COST", 0)  # the spectrum on its thread too
+    monkeypatch.setattr(pipeline, "SIDE_MIN_COST", 0)  # the spectrum on its thread too
     monkeypatch.setattr(module, function, fail)
     before = threading.active_count()
     assert main(["plan", "--bundle", str(tmp_path / "b"), "--out", str(tmp_path / "o")]) == rc
@@ -391,14 +390,16 @@ def test_a_handed_off_product_that_raises_is_the_conflict_stage_error(tmp_path, 
         started.set()
         raise AnalysisError("product failed")
 
-    def hand_off(self, job):
-        collect = real_hand_off(self, product)
-        handed.set()
-        assert started.wait(timeout=30)
+    def hand_off(self, job, cost):
+        collect = real_hand_off(self, product, cost)
+        if collect is not None:  # not the spectrum, which costs too little
+            handed.set()
+            assert started.wait(timeout=30)
         return collect
 
     monkeypatch.setattr(pipeline.SideThread, "hand_off", hand_off)
-    monkeypatch.setattr(conflict, "HANDOFF_MIN_COST", 0)
+    monkeypatch.setattr(pipeline, "SIDE_MIN_COST", 1)
+    monkeypatch.setattr(subspace, "spectrum_cost", lambda rows, cols: 0)
     before = threading.active_count()
     assert main(["plan", "--bundle", str(tmp_path / "b"), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == "analysis error: [stage: conflict] product failed\n"
@@ -417,6 +418,9 @@ def _job_on(array, started=None):
     return job
 
 
+AT_FLOOR = pipeline.SIDE_MIN_COST  # the cost of a job that the side thread takes
+
+
 def test_the_hash_runs_one_job_between_entries_then_ends(rng, monkeypatch):
     b = tiny_bundle({f"t{i}": rng.standard_normal((3, 8)) for i in range(4)})
     want = b.fingerprint()
@@ -424,8 +428,8 @@ def test_the_hash_runs_one_job_between_entries_then_ends(rng, monkeypatch):
     taken = _hold_the_hash(monkeypatch, handed)
     before = threading.active_count()
     with pipeline.SideThread(b) as side:
-        collect = side.hand_off(_job_on(np.ones(5), started))
-        assert side.hand_off(_job_on(np.ones(6))) is None  # one job at a time
+        collect = side.hand_off(_job_on(np.ones(5), started), AT_FLOOR)
+        assert side.hand_off(_job_on(np.ones(6)), AT_FLOOR) is None  # one job at a time
         handed.set()
         assert started.wait(timeout=30)
         ran_on, total = collect()
@@ -434,7 +438,7 @@ def test_the_hash_runs_one_job_between_entries_then_ends(rng, monkeypatch):
         while threading.active_count() > before and time.monotonic() < deadline:
             time.sleep(0.01)
         assert threading.active_count() == before
-        assert side.hand_off(_job_on(np.ones(7))) is None  # the caller runs it
+        assert side.hand_off(_job_on(np.ones(7)), AT_FLOOR) is None  # the caller runs it
         assert side.fingerprint() == want
     assert taken == [True] * 5
 
@@ -447,7 +451,7 @@ def test_a_job_taken_back_runs_on_the_caller_and_lets_go_of_its_operands(rng, mo
     operands = np.ones(4)
     alive = weakref.ref(operands)
     with pipeline.SideThread(b) as side:
-        collect = side.hand_off(_job_on(operands))
+        collect = side.hand_off(_job_on(operands), AT_FLOOR)
         del operands
         assert collect() == (threading.current_thread(), 4.0)
         assert alive() is None  # neither the thread nor the job holds them
@@ -475,7 +479,7 @@ def test_a_job_run_on_the_thread_lets_go_of_its_operands(rng, monkeypatch):
     operands = np.ones(4)
     alive = weakref.ref(operands)
     side = pipeline.SideThread(b)
-    collect = side.hand_off(_job_on(operands))
+    collect = side.hand_off(_job_on(operands), AT_FLOOR)
     del operands
     with side:
         try:
@@ -485,6 +489,40 @@ def test_a_job_run_on_the_thread_lets_go_of_its_operands(rng, monkeypatch):
             assert alive() is None
         finally:
             release.set()
+        assert side.fingerprint() == want
+
+
+def test_the_slot_frees_once_a_job_has_run(rng, monkeypatch):
+    # the thread runs the first job after the manifest, then waits before the
+    # first entry: it takes a second job before the first is collected, and
+    # collecting the first leaves the second for the thread
+    b = tiny_bundle({f"t{i}": rng.standard_normal((3, 8)) for i in range(3)})
+    want = b.fingerprint()
+    at_entry, release, started = threading.Event(), threading.Event(), threading.Event()
+    real_steps = GradientBundle.fingerprint_steps
+
+    def steps(bundle):
+        entries = real_steps(bundle)
+        yield next(entries)
+        at_entry.set()
+        release.wait(timeout=30)
+        yield from entries
+
+    monkeypatch.setattr(GradientBundle, "fingerprint_steps", steps)
+    side = pipeline.SideThread(b)
+    first = side.hand_off(_job_on(np.ones(2)), AT_FLOOR)
+    with side:
+        try:
+            assert at_entry.wait(timeout=30)
+            second = side.hand_off(_job_on(np.ones(3), started), AT_FLOOR)
+            assert second is not None
+            assert first()[1] == 2.0
+            assert side.hand_off(_job_on(np.ones(4)), AT_FLOOR) is None  # the second waits
+        finally:
+            release.set()
+        assert started.wait(timeout=30)
+        ran_on, total = second()
+        assert ran_on is not threading.current_thread() and total == 3.0
         assert side.fingerprint() == want
 
 
@@ -499,7 +537,7 @@ def test_a_failed_hash_takes_no_more_jobs(rng, monkeypatch):
     with pipeline.SideThread(b) as side:
         with pytest.raises(BundleFormatError, match="payload gone"):
             side.fingerprint()
-        assert side.hand_off(_job_on(np.ones(2))) is None
+        assert side.hand_off(_job_on(np.ones(2)), AT_FLOOR) is None
 
 
 @pytest.mark.parametrize("threaded", [True, False])
@@ -516,7 +554,7 @@ def test_first_error_in_stage_order_wins(tmp_path, capsys, monkeypatch, threaded
               "joint_spectrum": SingularCovarianceError, "pairwise_cca": AnalysisError}
     modules = {"similarity_matrix": grouping, "conflict_report": conflict,
                "joint_spectrum": subspace, "pairwise_cca": subspace}
-    monkeypatch.setattr(pipeline, "OVERLAP_MIN_COST", 0 if threaded else 1 << 62)
+    monkeypatch.setattr(pipeline, "SIDE_MIN_COST", 0 if threaded else 1 << 62)
     for function in failing:
         delay = 0.3 if function == "joint_spectrum" else 0.0
         monkeypatch.setattr(modules[function], function,
@@ -541,7 +579,7 @@ def test_a_job_handed_off_before_the_thread_starts_runs_once_and_raises_on_the_c
         raise KeyError("job")
 
     side = pipeline.SideThread(b)
-    collect = side.hand_off(job)
+    collect = side.hand_off(job, AT_FLOOR)
     with side:
         assert side.fingerprint() == b.fingerprint()
         for _ in range(2):

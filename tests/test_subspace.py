@@ -20,6 +20,7 @@ from gdps.subspace import (
     layer_stack,
     pairwise_cca,
     ridge_cca,
+    spectrum_cost,
     spectrum_csv,
     spectrum_stats,
     subspace_report,
@@ -471,19 +472,19 @@ def test_joint_svd_and_energy_proportions_reproduce_the_report_bit_for_bit(rng, 
     tall = tiny_bundle({t: rng.standard_normal((m, 7)) for t, m in (("a", 12), ("b", 10))})
     scaled = tiny_bundle({t: rng.standard_normal((8, 30)) * (1.0 + 10.0 * rng.random((8, 1)))
                           for t in "abc"})
-    for gate in (0, 1 << 62):  # every stack on the thread, then none
-        monkeypatch.setattr(pipeline, "OVERLAP_MIN_COST", gate)
+    for floor in (0, 1 << 62):  # every spectrum on the thread, then none
+        monkeypatch.setattr(pipeline, "SIDE_MIN_COST", floor)
         assert_parts_reproduce_the_report(wide, 4)
         assert_parts_reproduce_the_report(tall, 3)
         assert_parts_reproduce_the_report(scaled, 5, normalize_rows=True)
 
 
 def test_report_above_the_overlap_gate_is_bit_for_bit_its_parts(rng):
-    # a stack large enough that plan runs the spectrum half on its own thread
+    # a stack large enough that plan runs the spectrum half on its side thread
     rows = {t: rng.standard_normal((m, 4096)).astype(np.float32)
             for t, m in (("a", 160), ("b", 192), ("c", 144), ("d", 176))}
     b = tiny_bundle(rows)
-    assert pipeline.spectrum_threaded(*layer_stack(b, "L0").shape)
+    assert spectrum_cost(*layer_stack(b, "L0").shape) >= pipeline.SIDE_MIN_COST
     assert_parts_reproduce_the_report(b, 10)
     assert_parts_reproduce_the_report(b, 10, normalize_rows=True)
 
