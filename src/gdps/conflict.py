@@ -16,10 +16,11 @@ candidate set and the thresholds alone: on no seed, nor on the set's order.
 
 Method B reads each layer's float64 row stack (`gdps.bundle.layer_stack`,
 shared with Method C's spectrum half; only the drawn rows are cast when a
-task is above `SAMPLE_CAP`) and does not normalise it.  Each task keeps
-its c_t non-degenerate rows g_i (`ZERO_NORM_EPS`, the rule of `unit_rows`)
-and s_t = sum_i g_i / |g_i|, one weighted row sum.  No Gram matrix is formed
-for the means: with sum_{i<j} u_i.u_j = (|s_t|^2 - c_t) / 2,
+task is above `SAMPLE_CAP`) and neither normalises it nor drops a row.  Of
+a task's m_t rows, c_t are non-degenerate (`ZERO_NORM_EPS`, the rule of
+`unit_rows`), and s_t = sum_i g_i / |g_i| over them is one weighted row sum
+of the task's block.  No Gram matrix is formed for the means: with
+sum_{i<j} u_i.u_j = (|s_t|^2 - c_t) / 2,
 
     S_self_t  = (|s_t|^2 - c_t) / (c_t (c_t - 1))
     S_cross_ab = s_a.s_b / (c_a c_b)
@@ -27,17 +28,18 @@ for the means: with sum_{i<j} u_i.u_j = (|s_t|^2 - c_t) / 2,
 in O(n m d), with a rounding error of a few eps in practice and about
 (2m + d) eps at worst.  Purity needs each cross pair's sign, and
 sign(u_a.u_b) = sign(g_a.g_b), so it takes one float64 product per task,
-of its rows against those of every later task.  A product of two float32
-values is exact in float64, so only the summation rounds: every sign is
-exact for a cosine farther than about d * 2^-53 from 0.
+of its m_t rows against those of every later task.  A product of two
+float32 values is exact in float64, so only the summation rounds: every
+sign is exact for a cosine farther than about d * 2^-53 from 0.  A
+degenerate row is all zeros, so its products are exactly +-0 and count as
+>= 0: the sum m_a m_b - sum c_a c_b of such pairs is then subtracted.
 
 Given `hand_off`, Method B offers it each layer's largest such product
-with its cost in multiply-adds, runs the others itself, and runs the
-offered one too when `hand_off` refuses it: `gdps plan`'s side thread runs
-it between the bundle fingerprint's entries if it costs enough and the
-thread's one slot is free.  The product is the same BLAS call on the same
-operands wherever it runs, and the counts are integers, so no bit of a
-report depends on where it ran.
+with its cost in multiply-adds, runs the others, then calls what it got
+back: `gdps plan`'s side thread runs the product between the bundle
+fingerprint's entries, or refuses it and gives back the product itself.
+Either way it is the same BLAS call on the same operands, and the counts
+are integers, so no bit of a report depends on where it ran.
 """
 
 from __future__ import annotations
@@ -130,12 +132,8 @@ def _maybe_subsample(matrix: np.ndarray, task: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Task:
-    """One task's rows at one layer, reduced once for every block it enters.
-
-    `sampled` is m_t, the row count after subsampling; `count` is c_t, the
-    rows that are not degenerate (norm below `ZERO_NORM_EPS`, the rule of
-    `unit_rows`).
-    """
+    """One task's rows at one layer, reduced once for every block it enters:
+    m_t rows after subsampling, c_t of them not degenerate."""
 
     sampled: int
     count: int
@@ -143,9 +141,11 @@ class _Task:
 
 
 def _layer_rows(bundle, tasks, layer, need_pairs=False) -> tuple[list[_Task], np.ndarray]:
-    """Each task's reduction, and its non-degenerate rows stacked task after task.
+    """Each task's reduction, and the rows it was reduced from, task after task.
 
-    They are the layer's shared float64 stack if every bundle task is read whole.
+    The rows are the layer's shared float64 stack if every bundle task is
+    read whole, else the drawn rows concatenated; none is dropped.  A task
+    with a degenerate row copies its valid rows out of its block to reduce.
     """
     stored = [bundle.matrix(task, layer).rows for task in tasks]
     for task, m in zip(tasks, stored):
@@ -159,13 +159,14 @@ def _layer_rows(bundle, tasks, layer, need_pairs=False) -> tuple[list[_Task], np
         rows = np.concatenate([_maybe_subsample(gb.sample_gradients(bundle, t, layer), t)
                                for t in tasks], dtype=np.float64)
     norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
-    ok = norms >= ZERO_NORM_EPS
-    if not ok.all():
-        rows, norms = rows[ok], norms[ok]
-    counts = [int(np.count_nonzero(k)) for k in np.split(ok, np.cumsum(sampled)[:-1])]
-    cuts = np.cumsum(counts)[:-1]
-    totals = [w @ r for w, r in zip(np.split(1.0 / norms, cuts), np.split(rows, cuts))]
-    return [_Task(*t) for t in zip(sampled, counts, totals)], rows
+    cuts = np.cumsum(sampled)[:-1]
+    parts = []
+    for m, block, norm in zip(sampled, np.split(rows, cuts), np.split(norms, cuts)):
+        ok = norm >= ZERO_NORM_EPS
+        if not ok.all():
+            block, norm = block[ok], norm[ok]
+        parts.append(_Task(m, len(norm), (1.0 / norm) @ block))
+    return parts, rows
 
 
 def _self_mean(t: _Task) -> float:
@@ -184,27 +185,26 @@ def _cross_mean(a: _Task, b: _Task) -> float:
 
 
 def _cross_nonneg(parts: list[_Task], rows: np.ndarray, hand_off=None) -> int:
-    """How many cross-task pairs of non-degenerate rows have a cosine >= 0.
+    """How many cross-task pairs of stored rows have a product g_a.g_b >= 0,
+    a degenerate row's pairs (+-0) among them.
 
-    The cosine has the sign of g_a.g_b.  Each task's rows meet the rows of
-    every later task in one product.  When there are others to run
-    meanwhile, the largest goes to `hand_off(job, cost)` with its
-    multiply-adds; it returns a function giving the job's value, or None if
-    it refuses the job.  The others are run here first.
+    Each task's block of m_t rows meets the rows of every later task in one
+    product.  When there are others to run meanwhile, the largest goes to
+    `hand_off(job, cost)` with its multiply-adds, which returns what to call
+    for its value: the job itself if it refuses it.  The others run first.
     """
-    cuts = [(end - t.count, end) for t, end in zip(parts[:-1], accumulate(t.count for t in parts))]
+    ends = accumulate(t.sampled for t in parts)
+    cuts = [(end - t.sampled, end) for t, end in zip(parts[:-1], ends)]
 
     def nonneg(start, end):
         return int(np.count_nonzero(rows[start:end] @ rows[end:].T >= 0.0))
 
-    largest = int(np.argmax([(end - start) * (len(rows) - end) for start, end in cuts]))
-    start, end = cuts[largest]
-    collect = None
-    if hand_off is not None and len(cuts) > 1:
-        cost = (end - start) * (len(rows) - end) * rows.shape[1]
-        collect = hand_off(lambda: nonneg(start, end), cost)
-    count = sum(nonneg(*cut) for i, cut in enumerate(cuts) if collect is None or i != largest)
-    return count + (collect() if collect is not None else 0)
+    sizes = [(end - start) * (len(rows) - end) for start, end in cuts]
+    start, end = cuts.pop(int(np.argmax(sizes)))
+    job = lambda: nonneg(start, end)
+    if hand_off is not None and cuts:
+        job = hand_off(job, max(sizes) * rows.shape[1])
+    return sum(nonneg(*cut) for cut in cuts) + job()
 
 
 def self_similarity(bundle: gb.GradientBundle, task: str, layer: str) -> float:
@@ -226,12 +226,10 @@ def cross_similarity(bundle: gb.GradientBundle, task_a: str, task_b: str, layer:
 def layer_conflict(bundle: gb.GradientBundle, layer: str, hand_off=None) -> LayerConflict:
     """Per-layer S_self, S_cross, their gap delta, and cross-pair purity.
 
-    Each task's rows, subsampled and in float64, are reduced to the sum s_t
-    of their unit rows and the count c_t.  S_self and S_cross come from
-    those sums (no Gram matrix), to a few eps; pair counts come from m_t
-    and c_t.  Purity counts the signs of one float64
-    product per task, of its rows against those of every later task; the
-    largest may run on `hand_off` (see `_cross_nonneg`).
+    S_self and S_cross come from each task's s_t and c_t (no Gram matrix),
+    pair counts from m_t and c_t.  Purity takes the signs of the products
+    of the stored rows, the largest maybe on `hand_off` (`_cross_nonneg`),
+    less the sum m_a m_b - sum c_a c_b of pairs that touch a degenerate row.
     """
     tasks = bundle.tasks
     if len(tasks) < 2:
@@ -243,10 +241,11 @@ def layer_conflict(bundle: gb.GradientBundle, layer: str, hand_off=None) -> Laye
     s_self = float(np.mean([_self_mean(t) for t in parts]))
     s_cross = float(np.mean([_cross_mean(a, b) for a, b in pairs]))
     cross_valid = sum(a.count * b.count for a, b in pairs)
+    cross_total = sum(a.sampled * b.sampled for a, b in pairs)
     valid = sum(t.count * (t.count - 1) // 2 for t in parts) + cross_valid
-    total = sum(t.sampled * (t.sampled - 1) // 2 for t in parts)
-    total += sum(a.sampled * b.sampled for a, b in pairs)
-    purity = float(_cross_nonneg(parts, rows, hand_off) / cross_valid) if cross_valid else 1.0
+    total = sum(t.sampled * (t.sampled - 1) // 2 for t in parts) + cross_total
+    purity = 1.0 if not cross_valid else float(
+        (_cross_nonneg(parts, rows, hand_off) - (cross_total - cross_valid)) / cross_valid)
 
     return LayerConflict(
         layer=layer,
@@ -323,7 +322,7 @@ def conflict_report(
     given (and echoed).  `seed` is accepted and ignored.  Each layer's
     largest purity product may run on `hand_off` (see `_cross_nonneg`).
     """
-    candidates = tuple(candidate_layers) if candidate_layers else tuple(bundle.layers)
+    candidates = tuple(candidate_layers) if candidate_layers is not None else tuple(bundle.layers)
     ranked = rank_layers(bundle, candidates, hand_off)
     delta = aggregate_delta(ranked, [l for l in bundle.layers if l in candidates])
     ratio = map_shared_ratio(delta, thresholds)

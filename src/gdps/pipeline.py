@@ -17,9 +17,9 @@ handed to it, until the hash is done.  `plan` offers it every job with its
 cost in multiply-adds, and the thread refuses one below `SIDE_MIN_COST`:
 first the spectrum, before the thread starts, so that it runs right after
 the manifest, then each layer's largest purity product that Method B offers
-(`gdps.conflict`).  A refused job runs on the caller where the stage
-commands run it: the spectrum after the CCA, as `gdps subspace` does, and
-the product among Method B's others, as `gdps conflict` does.  sha256 and
+(`gdps.conflict`).  `hand_off` returns a refused job itself, and the
+caller runs it where the stage commands do: the spectrum after the CCA, as
+`gdps subspace` does, and the product after Method B's others.  sha256 and
 the BLAS and LAPACK calls release the GIL, so a process's CPU time may
 exceed its wall time.  Errors are reported as if the stages ran one after
 another: grouping, conflict, spectrum, CCA.  The thread is joined before
@@ -99,10 +99,10 @@ def resolve_layer(bundle: GradientBundle, layer: str | None) -> str:
 def resolve_candidates(bundle: GradientBundle, layers: str | None) -> list[str]:
     """Method B's candidate layers from a comma-separated --layers value.
 
-    None is every layer of the bundle; an unknown or repeated name is a
-    ValidationError, raised before any stage runs.
+    None is every layer of the bundle; an unknown, empty or repeated name is
+    a ValidationError, raised before any stage runs.
     """
-    candidates = layers.split(",") if layers else list(bundle.layers)
+    candidates = layers.split(",") if layers is not None else list(bundle.layers)
     for name in candidates:
         bundle._check_layer(name)
     cf._reject_repeats(candidates)
@@ -124,9 +124,9 @@ class SideThread:
     runs it on the caller if the thread has not started it, else waits for
     it; either way it returns the job's value or raises its exception, and
     the job lets go of `fn` once it has run.  The slot frees once the job
-    has run, collected or not.  `hand_off` returns None, and the caller
-    runs the job itself, when `cost` is below `SIDE_MIN_COST`, while
-    another job waits or runs, and once the hash is done or has failed.
+    has run, collected or not.  `hand_off` refuses the job, and returns
+    `fn` itself for the caller to run, when `cost` is below `SIDE_MIN_COST`,
+    while another job waits or runs, and once the hash is done or has failed.
     """
 
     def __init__(self, bundle: GradientBundle):
@@ -192,7 +192,7 @@ class SideThread:
 
         with self._lock:
             if cost < SIDE_MIN_COST or not self._open or self._job is not None:
-                return None
+                return fn
             job = self._job = [run]
         return collect
 

@@ -721,6 +721,19 @@ def test_empty_candidate_layer_is_named_unknown(tmp_path, capsys, command):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["conflict", "plan"])
+def test_an_empty_layers_value_is_one_empty_id_not_every_layer(tmp_path, capsys, command):
+    # only a --layers left out means every layer
+    write_bundle(two_layer_bundle(), tmp_path / "b")
+    rc = main([command, "--bundle", str(tmp_path / "b"), "--layers", "",
+               "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == "error: unknown layer ''; bundle has ['L0', 'L1']\n"
+    assert captured.out == ""
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command, flag", [
     ("plan", "--layer"), ("plan", "--layers"), ("group", "--layer"),
     ("subspace", "--layer"), ("conflict", "--layers"),

@@ -1,10 +1,11 @@
 import dataclasses
 import itertools
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gdps.bundle
@@ -24,6 +25,7 @@ from gdps.conflict import (
     self_similarity,
 )
 from gdps.errors import ValidationError
+from gdps.linalg import ZERO_NORM_EPS
 from gdps.synth import planted_bundle
 
 from conftest import tiny_bundle, two_layer_bundle
@@ -454,24 +456,63 @@ def test_purity_exact_on_orthogonal_scaled_and_zero_rows(rng):
     zero_rate=st.sampled_from([0.0, 0.3]),
     seed=st.integers(0, 2**32 - 1),
 )
+# a task whose rows are all zero; zero rows in a task above SAMPLE_CAP; two tasks
+@example(rows=[4, 5, 3, 6], cols=12, tilt=1e-7, zero_rate=(0.3, 1.0, 0.0, 0.3), seed=3)
+@example(rows=[SAMPLE_CAP + 40, 5, 4], cols=6, tilt=1e-5, zero_rate=0.3, seed=4)
+@example(rows=[6, 5], cols=9, tilt=1e-9, zero_rate=0.3, seed=5)
 def test_layer_conflict_matches_unrolled_property(rows, cols, tilt, zero_rate, seed):
     b = signed_basis_bundle(rows, cols, tilt, zero_rate, seed)
-    assert_matches_unrolled(layer_conflict(b, "L0"), b)
+    lc = layer_conflict(b, "L0")
+    assert_matches_unrolled(lc, subsampled(b))
+    for target in (OnAThread(), NeverStarts()):
+        assert bits(layer_conflict(b, "L0", target)) == bits(lc) == bits(filter_first(b, "L0"))
 
 
 def signed_basis_bundle(rows, cols, tilt, zero_rate, seed, layers=("L0",)):
     """Signed basis rows plus a tilt: cross cosines are +-1, exactly 0, or of
-    the order of the tilt, above and below float32 rounding."""
+    the order of the tilt, above and below float32 rounding.  `zero_rate` is
+    each row's chance to be zero, one for all tasks or one per task."""
     rng = np.random.default_rng(seed)
     mats = []
     for layer in layers:
-        for i, m in enumerate(rows):
+        for i, (m, rate) in enumerate(zip(rows, np.broadcast_to(zero_rate, len(rows)))):
             signs = rng.choice([-1.0, 1.0], size=m)
             g = signs[:, None] * np.eye(cols)[rng.integers(0, cols, size=m)]
             g += tilt * rng.standard_normal((m, cols))
-            g[rng.random(m) < zero_rate] = 0.0
+            g[rng.random(m) < rate] = 0.0
             mats.append(GradientMatrix(f"t{i}", layer, g))
     return GradientBundle.from_matrices(mats)
+
+
+def filter_first(bundle, layer):
+    """Method B filter-first, the reference for every field: the valid rows
+    of the whole layer are copied out as one stack, each task is reduced
+    from its cut of it, and purity counts the products of those cuts alone."""
+    rows = np.concatenate([_maybe_subsample(bundle.matrix(t, layer).data, t)
+                           for t in bundle.tasks], dtype=np.float64)
+    sampled = [min(bundle.matrix(t, layer).rows, SAMPLE_CAP) for t in bundle.tasks]
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    ok = norms >= ZERO_NORM_EPS
+    rows, norms = rows[ok], norms[ok]
+    counts = [int(np.count_nonzero(k)) for k in np.split(ok, np.cumsum(sampled)[:-1])]
+    ends = np.cumsum(counts)
+    totals = [w @ r for w, r in zip(np.split(1.0 / norms, ends[:-1]), np.split(rows, ends[:-1]))]
+    tasks = list(zip(sampled, counts, totals))
+    pairs = list(itertools.combinations(tasks, 2))
+    s_self = float(np.mean([float((s @ s - c) / (c * (c - 1))) if c >= 2 else 0.0
+                            for _, c, s in tasks]))
+    s_cross = float(np.mean([float(sa @ sb / (ca * cb)) if ca and cb else 0.0
+                             for (_, ca, sa), (_, cb, sb) in pairs]))
+    cross_valid = sum(ca * cb for (_, ca, _), (_, cb, _) in pairs)
+    nonneg = sum(int(np.count_nonzero(rows[end - c:end] @ rows[end:].T >= 0.0))
+                 for c, end in zip(counts[:-1], ends))
+    total = (sum(m * (m - 1) // 2 for m in sampled)
+             + sum(ma * mb for (ma, _, _), (mb, _, _) in pairs))
+    valid = sum(c * (c - 1) // 2 for c in counts) + cross_valid
+    return gdps.conflict.LayerConflict(
+        layer=layer, s_self=s_self, s_cross=s_cross, delta=s_self - s_cross,
+        purity=float(nonneg / cross_valid) if cross_valid else 1.0,
+        degenerate_pairs=total - valid, total_pairs=total)
 
 
 def explicit_unit_rows(bundle, layer="L0"):
@@ -649,15 +690,17 @@ def bits(lc):
 
 def assert_hand_off_changes_no_bit(bundle):
     """Method B with a target that runs its jobs, and with one that never
-    starts them, equals the call with none, every field bit for bit; each
-    layer hands off one job if it has more than one product to run."""
+    starts them, equals the call with none and the filter-first reference,
+    every field bit for bit; each layer hands off one job if it has more
+    than one product to run."""
     calls = len(bundle.layers) + 1 if len(bundle.tasks) > 2 else 0
     inline = conflict_report(bundle)
+    reference = [bits(filter_first(bundle, lc.layer)) for lc in inline.layers]
     thread, never = OnAThread(), NeverStarts()
     for target in (thread, never):
         report = conflict_report(bundle, hand_off=target)
         assert report == inline
-        assert [bits(lc) for lc in report.layers] == [bits(lc) for lc in inline.layers]
+        assert [bits(lc) for lc in report.layers] == [bits(lc) for lc in inline.layers] == reference
         assert bits(report.layers[0]) == bits(layer_conflict(bundle, report.layers[0].layer,
                                                              target))
         assert report.delta.hex() == inline.delta.hex()
@@ -679,12 +722,35 @@ def test_a_hand_off_changes_no_bit_property(rows, cols, tilt, zero_rate, seed):
         signed_basis_bundle(rows, cols, tilt, zero_rate, seed, layers=("L0", "L1")))
 
 
+def with_zero_rows(rows, zero):
+    """A bundle of random rows, `zero` of each task's rows set to 0 (a slice or index array)."""
+    tasks = {}
+    for t, m in rows.items():
+        g = np.random.default_rng(m).standard_normal((m, 24)) + 0.2
+        g[zero] = 0.0
+        tasks[t] = g
+    return tiny_bundle(tasks)
+
+
+def zero_task_rows():
+    # t1 is all zero and t2 has two zero rows
+    rng = np.random.default_rng(0)
+    t2 = rng.standard_normal((8, 24))
+    t2[[1, 5]] = 0.0
+    return tiny_bundle({"t0": rng.standard_normal((9, 24)), "t1": np.zeros((7, 24)), "t2": t2,
+                        "t3": rng.standard_normal((5, 24))})
+
+
 @pytest.mark.parametrize("make", [
     lambda: near_orthogonal_bundle(2, rows=16, cols=4096, cosine=1e-8),
     orthogonal_integer_rows, huge_rows, tiny_rows, zero_rows,
     lambda: tiny_bundle({t: np.random.default_rng(len(t)).standard_normal((m, 24))
                          for t, m in (("t0", 700), ("t1", 530), ("t22", 60))}),
-], ids=["near-orthogonal", "orthogonal-integer", "huge", "tiny", "zero-rows", "above-cap"])
+    zero_task_rows,
+    lambda: with_zero_rows({"t0": 700, "t1": 530, "t22": 60}, slice(3, None, 7)),
+    lambda: with_zero_rows({"a": 11, "b": 6}, [0, 4]),
+], ids=["near-orthogonal", "orthogonal-integer", "huge", "tiny", "zero-rows", "above-cap",
+        "zero-task", "above-cap-zero-rows", "two-tasks-zero-rows"])
 def test_a_hand_off_changes_no_bit(make):
     assert_hand_off_changes_no_bit(make())
 
@@ -708,3 +774,28 @@ def test_hand_off_takes_the_largest_product_only_beside_others():
     pair = tiny_bundle({t: np.ones((m, 6)) for t, m in (("a", 9), ("b", 9))})
     layer_conflict(pair, "L0", target)
     assert len(handed) == 1
+
+
+def test_a_degenerate_row_copies_one_task_block_not_the_layer():
+    # one all-zero row: Method B copies the valid rows of that task alone,
+    # not every valid row of the layer
+    g = np.random.default_rng(0).standard_normal((4, 64, 4096))
+    g[2, 17] = 0.0
+    b = tiny_bundle({f"t{i}": rows for i, rows in enumerate(g)})
+    stack = g.size * 8
+    del g
+    tracemalloc.start()
+    try:
+        lc = layer_conflict(b, "L0")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lc.degenerate_pairs == 63 + 3 * 64
+    assert peak < 1.5 * stack, peak / stack
+
+
+def test_an_empty_candidate_list_is_not_every_layer():
+    b = two_layer_bundle()
+    for empty in ([], ()):
+        with pytest.raises(ValidationError, match="at least one layer"):
+            conflict_report(b, empty)

@@ -134,7 +134,8 @@ def test_side_thread_floor_splits_the_benchmark_jobs(rng):
     b = tiny_bundle({t: rng.standard_normal((2, 3)) for t in "ab"})
 
     def taken(cost):  # by a side thread not started, its slot empty
-        return pipeline.SideThread(b).hand_off(lambda: None, cost) is not None
+        job = lambda: None
+        return pipeline.SideThread(b).hand_off(job, cost) is not job
 
     spectrum = subspace.spectrum_cost
     assert spectrum(16 * 64, 4096) == spectrum(4096, 16 * 64)
@@ -392,9 +393,10 @@ def test_a_handed_off_product_that_raises_is_the_conflict_stage_error(tmp_path, 
 
     def hand_off(self, job, cost):
         collect = real_hand_off(self, product, cost)
-        if collect is not None:  # not the spectrum, which costs too little
-            handed.set()
-            assert started.wait(timeout=30)
+        if collect is product:  # the spectrum, which costs too little: the caller runs it
+            return job
+        handed.set()
+        assert started.wait(timeout=30)
         return collect
 
     monkeypatch.setattr(pipeline.SideThread, "hand_off", hand_off)
@@ -429,7 +431,8 @@ def test_the_hash_runs_one_job_between_entries_then_ends(rng, monkeypatch):
     before = threading.active_count()
     with pipeline.SideThread(b) as side:
         collect = side.hand_off(_job_on(np.ones(5), started), AT_FLOOR)
-        assert side.hand_off(_job_on(np.ones(6)), AT_FLOOR) is None  # one job at a time
+        second = _job_on(np.ones(6))
+        assert side.hand_off(second, AT_FLOOR) is second  # one job at a time
         handed.set()
         assert started.wait(timeout=30)
         ran_on, total = collect()
@@ -438,7 +441,8 @@ def test_the_hash_runs_one_job_between_entries_then_ends(rng, monkeypatch):
         while threading.active_count() > before and time.monotonic() < deadline:
             time.sleep(0.01)
         assert threading.active_count() == before
-        assert side.hand_off(_job_on(np.ones(7)), AT_FLOOR) is None  # the caller runs it
+        late = _job_on(np.ones(7))
+        assert side.hand_off(late, AT_FLOOR) is late  # the caller runs it
         assert side.fingerprint() == want
     assert taken == [True] * 5
 
@@ -514,10 +518,12 @@ def test_the_slot_frees_once_a_job_has_run(rng, monkeypatch):
     with side:
         try:
             assert at_entry.wait(timeout=30)
-            second = side.hand_off(_job_on(np.ones(3), started), AT_FLOOR)
-            assert second is not None
+            job = _job_on(np.ones(3), started)
+            second = side.hand_off(job, AT_FLOOR)
+            assert second is not job
             assert first()[1] == 2.0
-            assert side.hand_off(_job_on(np.ones(4)), AT_FLOOR) is None  # the second waits
+            third = _job_on(np.ones(4))
+            assert side.hand_off(third, AT_FLOOR) is third  # the second waits
         finally:
             release.set()
         assert started.wait(timeout=30)
@@ -537,7 +543,8 @@ def test_a_failed_hash_takes_no_more_jobs(rng, monkeypatch):
     with pipeline.SideThread(b) as side:
         with pytest.raises(BundleFormatError, match="payload gone"):
             side.fingerprint()
-        assert side.hand_off(_job_on(np.ones(2)), AT_FLOOR) is None
+        job = _job_on(np.ones(2))
+        assert side.hand_off(job, AT_FLOOR) is job
 
 
 @pytest.mark.parametrize("threaded", [True, False])
