@@ -34,17 +34,16 @@ sign is exact for a cosine farther than about d * 2^-53 from 0.  A
 degenerate row is all zeros, so its products are exactly +-0 and count as
 >= 0: the sum m_a m_b - sum c_a c_b of such pairs is then subtracted.
 
-Given `hand_off`, Method B offers it each layer's largest such product
-with its cost in multiply-adds, runs the others, then calls what it got
-back: `gdps plan`'s side thread runs the product between the bundle
-fingerprint's entries, or refuses it and gives back the product itself.
-Either way it is the same BLAS call on the same operands, and the counts
-are integers, so no bit of a report depends on where it ran.
+Given `hand_off`, `gdps plan`'s side thread, Method B offers it every such
+product (`_cross_nonneg`).  Wherever one runs, it is the same BLAS call on
+the same operands, and the counts are integers, so no bit of a report
+depends on where it ran.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import accumulate, combinations
 
 import numpy as np
@@ -189,22 +188,20 @@ def _cross_nonneg(parts: list[_Task], rows: np.ndarray, hand_off=None) -> int:
     a degenerate row's pairs (+-0) among them.
 
     Each task's block of m_t rows meets the rows of every later task in one
-    product.  When there are others to run meanwhile, the largest goes to
-    `hand_off(job, cost)` with its multiply-adds, which returns what to call
-    for its value: the job itself if it refuses it.  The others run first.
+    product, offered to `hand_off(job, cost)` at its multiply-adds, costliest
+    first; what it returns is called for the count, cheapest first.
     """
+    n, d = rows.shape
     ends = accumulate(t.sampled for t in parts)
-    cuts = [(end - t.sampled, end) for t, end in zip(parts[:-1], ends)]
+    offers = sorted(((t.sampled * (n - end) * d, end - t.sampled, end)
+                     for t, end in zip(parts[:-1], ends)), reverse=True)
+    offer = hand_off or (lambda job, cost: job)
 
     def nonneg(start, end):
         return int(np.count_nonzero(rows[start:end] @ rows[end:].T >= 0.0))
 
-    sizes = [(end - start) * (len(rows) - end) for start, end in cuts]
-    start, end = cuts.pop(int(np.argmax(sizes)))
-    job = lambda: nonneg(start, end)
-    if hand_off is not None and cuts:
-        job = hand_off(job, max(sizes) * rows.shape[1])
-    return sum(nonneg(*cut) for cut in cuts) + job()
+    jobs = [offer(partial(nonneg, start, end), cost) for cost, start, end in offers]
+    return sum(job() for job in reversed(jobs))
 
 
 def self_similarity(bundle: gb.GradientBundle, task: str, layer: str) -> float:
@@ -228,7 +225,7 @@ def layer_conflict(bundle: gb.GradientBundle, layer: str, hand_off=None) -> Laye
 
     S_self and S_cross come from each task's s_t and c_t (no Gram matrix),
     pair counts from m_t and c_t.  Purity takes the signs of the products
-    of the stored rows, the largest maybe on `hand_off` (`_cross_nonneg`),
+    of the stored rows, each offered to `hand_off` (`_cross_nonneg`),
     less the sum m_a m_b - sum c_a c_b of pairs that touch a degenerate row.
     """
     tasks = bundle.tasks
@@ -301,7 +298,7 @@ def rank_layers(bundle: gb.GradientBundle, layers=None, hand_off=None) -> list[L
     """Layers sorted by delta desc, ties broken by id; purity decides nothing."""
     layers = list(layers) if layers is not None else list(bundle.layers)
     if not layers:
-        raise ValidationError("rank_layers needs at least one layer")
+        raise ValidationError("candidate layer list is empty; Method B needs at least one layer")
     for l in layers:  # an unknown name, even an empty one, is named before any repeat
         bundle._check_layer(l)
     _reject_repeats(layers)
@@ -319,8 +316,8 @@ def conflict_report(
     """Full Method-B result: ranked layers, aggregate delta, shared ratio.
 
     Delta averages the candidates in bundle layer order, not in the order
-    given (and echoed).  `seed` is accepted and ignored.  Each layer's
-    largest purity product may run on `hand_off` (see `_cross_nonneg`).
+    given (and echoed).  `seed` is accepted and ignored.  Each purity
+    product is offered to `hand_off` (see `_cross_nonneg`).
     """
     candidates = tuple(candidate_layers) if candidate_layers is not None else tuple(bundle.layers)
     ranked = rank_layers(bundle, candidates, hand_off)

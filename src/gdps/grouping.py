@@ -261,10 +261,16 @@ def single_linkage(dist: DistanceMatrix, k: int) -> GroupingPlan:
 
 
 def kmeans_grouping(dist: DistanceMatrix, k: int, seed: int) -> GroupingPlan:
-    """K-means on distance-matrix rows (each task's distance profile)."""
-    state = kmeans(dist.d, k, seed)
+    """K-means on distance-matrix rows (each task's distance profile).
+
+    The matrix is permuted to task-name order first, so that the seeded
+    draws pick the same tasks whatever the bundle's task order.
+    """
+    order = sorted(range(len(dist.tasks)), key=dist.tasks.__getitem__)
+    state = kmeans(dist.d[np.ix_(order, order)], k, seed)
+    names = [dist.tasks[i] for i in order]
     groups = [
-        [t for t, a in zip(dist.tasks, state.assignments) if a == c] for c in range(k)
+        [t for t, a in zip(names, state.assignments) if a == c] for c in range(k)
     ]
     groups = [g for g in groups if g]
     if len(groups) != k:

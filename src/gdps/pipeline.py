@@ -11,16 +11,15 @@ CLI exit code does not change.
 
 Method A and the CCA half of C read the stored float32 rows; Method B and
 the spectrum half of C read the layer's float64 stack (`layer_stack`).
-`plan` runs one thread beside them (`SideThread`).  It hashes the bundle
-fingerprint one entry at a time, and between entries it runs the one job
-handed to it, until the hash is done.  `plan` offers it every job with its
-cost in multiply-adds, and the thread refuses one below `SIDE_MIN_COST`:
-first the spectrum, before the thread starts, so that it runs right after
-the manifest, then each layer's largest purity product that Method B offers
-(`gdps.conflict`).  `hand_off` returns a refused job itself, and the
-caller runs it where the stage commands do: the spectrum after the CCA, as
-`gdps subspace` does, and the product after Method B's others.  sha256 and
-the BLAS and LAPACK calls release the GIL, so a process's CPU time may
+`plan` runs one thread beside them (`SideThread`), which hashes the bundle
+fingerprint one entry at a time and, after the manifest and after each
+entry, runs the oldest job handed to it that no one has started.  `plan`
+offers it every job at its cost in multiply-adds, and it refuses one below
+`SIDE_MIN_COST`: first the spectrum, before the thread starts, then each
+purity product of Method B (`gdps.conflict`).  The caller collects each job
+where the stage commands run it (the spectrum after the CCA, as `gdps
+subspace` does), and runs there any job the thread has not started.  sha256
+and the BLAS and LAPACK calls release the GIL, so a process's CPU time may
 exceed its wall time.  Errors are reported as if the stages ran one after
 another: grouping, conflict, spectrum, CCA.  The thread is joined before
 `plan` returns or raises.
@@ -28,6 +27,7 @@ another: grouping, conflict, spectrum, CCA.  The thread is joined before
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import threading
 from contextlib import contextmanager
@@ -47,7 +47,8 @@ from .errors import GdpsError, ValidationError
 # costs BLAS and LAPACK buffers of that thread's own, which a cheap job never
 # wins back.  Plan-wide's spectrum costs 5.4e9 and plan-deep's 5.5e8, their
 # largest purity products 2.5e8 and 1.0e8; simulate's spectrum costs 1.9e7
-# and its product 3.1e6.  The floor lies a factor of 2 or more from each.
+# and its largest product 3.1e6.  The floor lies a factor of 2 or more from
+# each of these; their smaller products fall on either side of it.
 SIDE_MIN_COST = 4e7
 
 
@@ -112,28 +113,22 @@ def resolve_candidates(bundle: GradientBundle, layers: str | None) -> list[str]:
 class SideThread:
     """The one thread that `plan` runs beside its caller, for the body of a with block.
 
-    It hashes `bundle` one entry at a time (`fingerprint_steps`), and between
-    two entries, the manifest first, it runs the one job handed to it.  It
-    ends when the hash is done, told nothing; the with block joins it on
-    every path, and an outcome that no one asks for is dropped.
-    `fingerprint()` returns the digest, or raises the hash's error on the
-    caller.
+    It hashes `bundle` one entry at a time (`fingerprint_steps`), and after
+    the manifest and after each entry runs the oldest waiting job that no
+    one has started.  It ends when the hash is done, told nothing; the with
+    block joins it on every path.  `fingerprint()` returns the digest, or
+    raises the hash's error on the caller.
 
-    `hand_off(fn, cost)` may be called before the block too.  It leaves `fn`
-    for the thread and returns `collect()`, which takes the job back and
-    runs it on the caller if the thread has not started it, else waits for
-    it; either way it returns the job's value or raises its exception, and
-    the job lets go of `fn` once it has run.  The slot frees once the job
-    has run, collected or not.  `hand_off` refuses the job, and returns
-    `fn` itself for the caller to run, when `cost` is below `SIDE_MIN_COST`,
-    while another job waits or runs, and once the hash is done or has failed.
+    `hand_off(fn, cost)`, before the block too, returns `fn` itself when
+    `cost` is below `SIDE_MIN_COST`; else `fn` waits, in the order given,
+    and it returns `collect()`.  Whoever claims the job first, the thread or
+    `collect`, runs it once and then lets go of `fn`; `collect` waits for
+    it and returns its value or raises its exception.
     """
 
     def __init__(self, bundle: GradientBundle):
         self._bundle = bundle
-        self._lock = threading.Lock()
-        self._job = None  # the slot: [run] until someone starts it, [] while it runs
-        self._open = True
+        self._waiting = collections.deque()  # appended by callers, popped by the thread
         self._digest = self._error = None
         self._thread = threading.Thread(target=self._hash, name="gdps-side")
 
@@ -147,16 +142,11 @@ class SideThread:
     def _hash(self):
         try:
             for h in self._bundle.fingerprint_steps():
-                with self._lock:
-                    run = self._job.pop() if self._job else None
-                if run is not None:
-                    run()
+                while self._waiting and not self._waiting.popleft()():
+                    pass  # skip a job its collector claimed
             self._digest = h.hexdigest()
         except BaseException as exc:  # raised on the caller by fingerprint()
             self._error = exc
-        finally:
-            with self._lock:
-                self._open = False  # a job still waiting is taken back by collect()
 
     def fingerprint(self) -> str:
         self._thread.join()
@@ -165,35 +155,31 @@ class SideThread:
         return self._digest
 
     def hand_off(self, fn, cost):
-        outcome, done = [], threading.Event()
+        if cost < SIDE_MIN_COST:
+            return fn
+        claim, done, outcome = threading.Lock(), threading.Event(), None
 
-        def run():
-            nonlocal fn
+        def run():  # True if this call claimed the job, and so ran it
+            nonlocal fn, outcome
+            if not claim.acquire(blocking=False):
+                return False
             try:
-                outcome.append((fn(), None))
+                outcome = fn(), None
             except BaseException as exc:  # raised on the caller by collect()
-                outcome.append((None, exc))
+                outcome = None, exc
             fn = None  # let go of its operands before the caller can go on
-            with self._lock:
-                if self._job is job:
-                    self._job = None
             done.set()
+            return True
 
         def collect():
-            with self._lock:
-                taken_back = job.pop() if job else None
-            if taken_back is not None:
-                taken_back()
+            run()
             done.wait()
-            value, error = outcome[0]
+            value, error = outcome
             if error is not None:
                 raise error
             return value
 
-        with self._lock:
-            if cost < SIDE_MIN_COST or not self._open or self._job is not None:
-                return fn
-            job = self._job = [run]
+        self._waiting.append(run)
         return collect
 
 

@@ -18,9 +18,9 @@ each side's stored rows, centred in float64, are factored once
 1973; the factor-then-correlate structure of SVCCA).  It takes each rho
 from one values-only SVD of the core as it is formed.  At lambda = 0 a
 rank-deficient factor has no whitening and raises SingularCovarianceError.
-`subspace_report` joins the two halves; it may take the spectrum half that
-`gdps.pipeline.plan` has handed to its side thread, offered at its
-`spectrum_cost`.
+`subspace_report` joins the two halves; it may be given the spectrum half
+to collect, which `gdps.pipeline.plan` offers its side thread at its
+`spectrum_cost` and runs on the caller if that thread has not started it.
 """
 
 from __future__ import annotations

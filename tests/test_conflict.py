@@ -688,13 +688,22 @@ def bits(lc):
                  for v in dataclasses.astuple(lc))
 
 
+def purity_products(bundle, layer):
+    """Method B's products at `layer`: one per task but the last, or none
+    when fewer than two tasks have a non-degenerate row to count."""
+    counted = sum(bool((np.linalg.norm(_maybe_subsample(bundle.matrix(t, layer).data, t)
+                                       .astype(np.float64), axis=1) >= ZERO_NORM_EPS).any())
+                  for t in bundle.tasks)
+    return len(bundle.tasks) - 1 if counted >= 2 else 0
+
+
 def assert_hand_off_changes_no_bit(bundle):
     """Method B with a target that runs its jobs, and with one that never
     starts them, equals the call with none and the filter-first reference,
-    every field bit for bit; each layer hands off one job if it has more
-    than one product to run."""
-    calls = len(bundle.layers) + 1 if len(bundle.tasks) > 2 else 0
+    every field bit for bit; each product is one job."""
     inline = conflict_report(bundle)
+    # a job per product of each layer, and of the first again for layer_conflict
+    calls = sum(purity_products(bundle, lc.layer) for lc in inline.layers[:1] + inline.layers)
     reference = [bits(filter_first(bundle, lc.layer)) for lc in inline.layers]
     thread, never = OnAThread(), NeverStarts()
     for target in (thread, never):
@@ -755,25 +764,28 @@ def test_a_hand_off_changes_no_bit(make):
     assert_hand_off_changes_no_bit(make())
 
 
-def test_hand_off_takes_the_largest_product_only_beside_others():
+def test_every_product_is_offered_at_its_cost_costliest_first():
     # the products of t0, t1 and t2 with their later tasks are 2 x 10, 5 x 5
-    # and 3 x 2 rows: t1's is handed off, at its 5 x 5 x 6 multiply-adds;
-    # two tasks make one product, kept
+    # and 3 x 2 rows, at 120, 150 and 36 multiply-adds over 6 columns: they
+    # are offered t1, t0, t2 and collected t2, t0, t1; two tasks make one
     rows = {"t0": 2, "t1": 5, "t2": 3, "t3": 2}
     b = tiny_bundle({t: np.random.default_rng(m).standard_normal((m, 6)) for t, m in rows.items()})
-    handed = []
+    g = [b.matrix(t, "L0").data.astype(np.float64) for t in b.tasks]
+    offered, collected = [], []
 
     def target(job, cost):
-        handed.append((job(), cost))
-        return lambda: handed[-1][0]
+        offered.append((job(), cost))
+        return lambda: collected.append(cost) or job()
 
     lc = layer_conflict(b, "L0", target)
-    g = [b.matrix(t, "L0").data.astype(np.float64) for t in b.tasks]
-    assert handed == [(int(np.count_nonzero(g[1] @ np.vstack(g[2:]).T >= 0.0)), 5 * 5 * 6)]
+    nonneg = [int(np.count_nonzero(g[i] @ np.vstack(g[i + 1:]).T >= 0.0)) for i in range(3)]
+    assert offered == [(nonneg[1], 150), (nonneg[0], 120), (nonneg[2], 36)]
+    assert collected == [36, 120, 150]
     assert bits(lc) == bits(layer_conflict(b, "L0"))
+    offered.clear()
     pair = tiny_bundle({t: np.ones((m, 6)) for t, m in (("a", 9), ("b", 9))})
     layer_conflict(pair, "L0", target)
-    assert len(handed) == 1
+    assert offered == [(81, 9 * 9 * 6)]
 
 
 def test_a_degenerate_row_copies_one_task_block_not_the_layer():
@@ -797,5 +809,7 @@ def test_a_degenerate_row_copies_one_task_block_not_the_layer():
 def test_an_empty_candidate_list_is_not_every_layer():
     b = two_layer_bundle()
     for empty in ([], ()):
-        with pytest.raises(ValidationError, match="at least one layer"):
+        with pytest.raises(ValidationError, match="at least one layer") as info:
             conflict_report(b, empty)
+        assert "candidate layer list is empty" in str(info.value)
+        assert "rank_layers" not in str(info.value)

@@ -378,13 +378,14 @@ def test_failing_stage_outlives_no_hash_thread(tmp_path, capsys, monkeypatch,
 
 def test_a_handed_off_product_that_raises_is_the_conflict_stage_error(tmp_path, capsys,
                                                                       monkeypatch):
-    # the hash is held until Method B hands off its largest product, and the
-    # thread runs it before Method B runs its others
+    # the hash is held until Method B hands off its costliest product, the
+    # first it offers, and the thread runs that one after the manifest; the
+    # others run wherever they are claimed, and the error is collected last
     _write_stage_bundle(tmp_path / "b")
     handed, started = threading.Event(), threading.Event()
     taken = _hold_the_hash(monkeypatch, handed)
     real_hand_off = pipeline.SideThread.hand_off
-    ran_on = []
+    ran_on, costs = [], []
 
     def product():
         ran_on.append(threading.current_thread())
@@ -392,9 +393,10 @@ def test_a_handed_off_product_that_raises_is_the_conflict_stage_error(tmp_path, 
         raise AnalysisError("product failed")
 
     def hand_off(self, job, cost):
+        costs.append(cost)
+        if cost < pipeline.SIDE_MIN_COST or handed.is_set():  # the spectrum, the others
+            return real_hand_off(self, job, cost)
         collect = real_hand_off(self, product, cost)
-        if collect is product:  # the spectrum, which costs too little: the caller runs it
-            return job
         handed.set()
         assert started.wait(timeout=30)
         return collect
@@ -407,6 +409,7 @@ def test_a_handed_off_product_that_raises_is_the_conflict_stage_error(tmp_path, 
     assert capsys.readouterr().err == "analysis error: [stage: conflict] product failed\n"
     assert threading.active_count() == before
     assert len(ran_on) == 1 and ran_on[0] is not threading.current_thread()
+    assert len(costs) == 4 and costs[0] == 0 and costs[1:] == sorted(costs[1:], reverse=True)
     assert taken == [True] * STAGE_BUNDLE_STEPS
     assert not (tmp_path / "o").exists()
 
@@ -423,26 +426,33 @@ def _job_on(array, started=None):
 AT_FLOOR = pipeline.SIDE_MIN_COST  # the cost of a job that the side thread takes
 
 
+def _job_after(taken, value):
+    """A job that returns how many steps the hash had taken when it ran, the
+    thread it ran on and `value`."""
+    return lambda: (len(taken), threading.current_thread(), value)
+
+
 def test_the_hash_runs_one_job_between_entries_then_ends(rng, monkeypatch):
+    # three jobs handed off while the hash is held run on the thread oldest
+    # first, one after each step; one handed off once the hash has ended
+    # runs on its collector
     b = tiny_bundle({f"t{i}": rng.standard_normal((3, 8)) for i in range(4)})
     want = b.fingerprint()
-    handed, started = threading.Event(), threading.Event()
+    handed = threading.Event()
     taken = _hold_the_hash(monkeypatch, handed)
     before = threading.active_count()
     with pipeline.SideThread(b) as side:
-        collect = side.hand_off(_job_on(np.ones(5), started), AT_FLOOR)
-        second = _job_on(np.ones(6))
-        assert side.hand_off(second, AT_FLOOR) is second  # one job at a time
+        collects = [side.hand_off(_job_after(taken, i), AT_FLOOR) for i in range(3)]
         handed.set()
-        assert started.wait(timeout=30)
-        ran_on, total = collect()
-        assert ran_on is not threading.current_thread() and total == 5.0
         deadline = time.monotonic() + 30  # it ends with the hash, told nothing
         while threading.active_count() > before and time.monotonic() < deadline:
             time.sleep(0.01)
         assert threading.active_count() == before
-        late = _job_on(np.ones(7))
-        assert side.hand_off(late, AT_FLOOR) is late  # the caller runs it
+        ran = [collect() for collect in collects]
+        assert [(steps, value) for steps, _, value in ran] == [(1, 0), (2, 1), (3, 2)]
+        assert len({on for _, on, _ in ran}) == 1 and ran[0][1] is not threading.current_thread()
+        late = side.hand_off(_job_after(taken, 3), AT_FLOOR)
+        assert late() == (5, threading.current_thread(), 3)
         assert side.fingerprint() == want
     assert taken == [True] * 5
 
@@ -496,43 +506,30 @@ def test_a_job_run_on_the_thread_lets_go_of_its_operands(rng, monkeypatch):
         assert side.fingerprint() == want
 
 
-def test_the_slot_frees_once_a_job_has_run(rng, monkeypatch):
-    # the thread runs the first job after the manifest, then waits before the
-    # first entry: it takes a second job before the first is collected, and
-    # collecting the first leaves the second for the thread
+def test_the_thread_skips_a_job_its_collector_has_run(rng, monkeypatch):
+    # while the hash is held, three jobs wait and the caller collects the
+    # second: it runs there, and the thread runs the first and the third, one
+    # after each of its first two steps
     b = tiny_bundle({f"t{i}": rng.standard_normal((3, 8)) for i in range(3)})
     want = b.fingerprint()
-    at_entry, release, started = threading.Event(), threading.Event(), threading.Event()
-    real_steps = GradientBundle.fingerprint_steps
-
-    def steps(bundle):
-        entries = real_steps(bundle)
-        yield next(entries)
-        at_entry.set()
-        release.wait(timeout=30)
-        yield from entries
-
-    monkeypatch.setattr(GradientBundle, "fingerprint_steps", steps)
-    side = pipeline.SideThread(b)
-    first = side.hand_off(_job_on(np.ones(2)), AT_FLOOR)
-    with side:
-        try:
-            assert at_entry.wait(timeout=30)
-            job = _job_on(np.ones(3), started)
-            second = side.hand_off(job, AT_FLOOR)
-            assert second is not job
-            assert first()[1] == 2.0
-            third = _job_on(np.ones(4))
-            assert side.hand_off(third, AT_FLOOR) is third  # the second waits
-        finally:
-            release.set()
-        assert started.wait(timeout=30)
-        ran_on, total = second()
-        assert ran_on is not threading.current_thread() and total == 3.0
+    handed = threading.Event()
+    taken = _hold_the_hash(monkeypatch, handed)
+    with pipeline.SideThread(b) as side:
+        first, second, third = (side.hand_off(_job_after(taken, v), AT_FLOOR) for v in "abc")
+        assert second() == (0, threading.current_thread(), "b")
+        handed.set()
         assert side.fingerprint() == want
+        (steps_a, on_a, _), (steps_c, on_c, _) = first(), third()
+        assert (steps_a, steps_c) == (1, 2)
+        assert on_a is on_c and on_a is not threading.current_thread()
+        assert second() == (0, threading.current_thread(), "b")  # run once, collected twice
+    assert taken == [True] * 4
 
 
 def test_a_failed_hash_takes_no_more_jobs(rng, monkeypatch):
+    # of two jobs handed off before the block, the thread runs the first
+    # after its one step, then fails; the second, and one handed off after
+    # the failure, run on their collectors
     b = tiny_bundle({f"t{i}": rng.standard_normal((3, 8)) for i in range(3)})
 
     def steps(bundle):
@@ -540,11 +537,53 @@ def test_a_failed_hash_takes_no_more_jobs(rng, monkeypatch):
         raise BundleFormatError("payload gone")
 
     monkeypatch.setattr(GradientBundle, "fingerprint_steps", steps)
-    with pipeline.SideThread(b) as side:
+    side = pipeline.SideThread(b)
+    first, second = (side.hand_off(_job_on(np.ones(n)), AT_FLOOR) for n in (2, 3))
+    with side:
         with pytest.raises(BundleFormatError, match="payload gone"):
             side.fingerprint()
-        job = _job_on(np.ones(2))
-        assert side.hand_off(job, AT_FLOOR) is job
+        late = side.hand_off(_job_on(np.ones(4)), AT_FLOOR)
+        assert late() == (threading.current_thread(), 4.0)
+        assert second() == (threading.current_thread(), 3.0)
+        ran_on, total = first()
+        assert ran_on is not threading.current_thread() and total == 2.0
+
+
+def test_each_job_runs_once_on_whoever_claims_it_first(rng):
+    # 200 jobs handed off before the block and 200 entries, under frequent
+    # thread switches: the caller collects the jobs in order, some at once
+    # and some after a spin, while the thread takes the oldest unclaimed job
+    # after each step; a job that ran on the thread is never run again by its
+    # collector, nor one run by its collector again by the thread
+    b = tiny_bundle({f"t{i:03d}": rng.standard_normal((2, 4)) for i in range(200)})
+    want = b.fingerprint()
+    ran = []
+
+    def job(i):
+        def run():
+            ran.append(i)
+            sum(range(200))  # long enough to be caught running
+            return i
+        return run
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        side = pipeline.SideThread(b)
+        collects = [side.hand_off(job(i), AT_FLOOR) for i in range(200)]
+        got = []
+        with side:
+            for i, collect in enumerate(collects):
+                if i % 3:
+                    deadline = time.perf_counter() + 2e-4
+                    while time.perf_counter() < deadline:
+                        pass
+                got.append(collect())
+            assert side.fingerprint() == want
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == list(range(200))
+    assert sorted(ran) == list(range(200))
 
 
 @pytest.mark.parametrize("threaded", [True, False])
@@ -594,6 +633,34 @@ def test_a_job_handed_off_before_the_thread_starts_runs_once_and_raises_on_the_c
                 collect()
     assert len(calls) == 1
     assert calls[0] is not threading.current_thread()
+
+
+def _manifest_orders(seed):
+    """One bundle of 4-9 tasks t0, t1, ... of 3-9 Gaussian rows plus a
+    per-task offset (d = 24) with its manifest in two orders, and a group
+    count of 2-4."""
+    rng = np.random.default_rng(seed)
+    n, k = int(rng.integers(4, 10)), int(rng.integers(2, 5))
+    mats = [gdps.bundle.GradientMatrix(f"t{i}", "L0", rng.standard_normal(
+        (int(rng.integers(3, 10)), 24)) + rng.standard_normal(24)) for i in range(n)]
+    shuffled = [mats[i] for i in rng.permutation(n)]
+    return GradientBundle.from_matrices(mats), GradientBundle.from_matrices(shuffled), k
+
+
+def test_a_plan_does_not_depend_on_manifest_order():
+    # k-means draws its seeds by task index; it runs on the tasks in name
+    # order, so the same draws pick the same tasks whatever the manifest says
+    moved = []
+    for seed in range(60):
+        named, shuffled, k = _manifest_orders(seed)
+        options = PlanOptions(k_groups=k, seed=2343, d_ff=48)
+        (a, ra), (b, rb) = pipeline.plan(named, options), pipeline.plan(shuffled, options)
+        assert b.grouping.groups == a.grouping.groups, seed
+        assert np.allclose(b.p_g, a.p_g, rtol=1e-12, atol=0), seed
+        if (b.grouping.method, rb.warnings, b.shared_ratio) != (
+                a.grouping.method, ra.warnings, a.shared_ratio):
+            moved.append(seed)
+    assert moved == []
 
 
 def test_plan_rejects_single_task_bundle():
