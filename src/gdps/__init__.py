@@ -19,13 +19,9 @@ from .conflict import (
     ConflictReport,
     LayerConflict,
     RatioThresholds,
-    aggregate_delta,
     conflict_report,
-    cross_similarity,
     layer_conflict,
     map_shared_ratio,
-    rank_layers,
-    self_similarity,
 )
 from .decompose import (
     DecompositionPlan,

@@ -33,13 +33,9 @@ from .errors import AnalysisError, GdpsError, TrainingDivergence, ValidationErro
 DEFAULTS = pl.PlanOptions()
 
 
-class _UsageError(ValidationError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(f"{self.prog}: {message}")
+        raise ValidationError(f"{self.prog}: {message}")
 
 
 def _non_negative_int(text: str) -> int:
@@ -56,10 +52,10 @@ def _parse_seeds(text: str) -> list[int]:
     try:
         seeds = [_non_negative_int(s) for s in text.split(",") if s != ""]
     except argparse.ArgumentTypeError as exc:
-        raise _UsageError(f"--seeds: {exc}") from exc
+        raise ValidationError(f"--seeds: {exc}") from exc
     repeated = sorted({s for s in seeds if seeds.count(s) > 1})
     if repeated:
-        raise _UsageError(f"--seeds lists seed {repeated[0]} more than once")
+        raise ValidationError(f"--seeds lists seed {repeated[0]} more than once")
     return seeds
 
 
@@ -69,9 +65,9 @@ def _parse_groups(text: str, n_tasks: int):
         try:
             idx = [int(x) for x in part.split(",") if x != ""]
         except ValueError as exc:
-            raise _UsageError(f"--groups expects task indices like '0|1,2,3', got {text!r}") from exc
+            raise ValidationError(f"--groups expects task indices like '0|1,2,3', got {text!r}") from exc
         if any(not 0 <= i < n_tasks for i in idx):
-            raise _UsageError(f"--groups indices out of range for {n_tasks} tasks: {part!r}")
+            raise ValidationError(f"--groups indices out of range for {n_tasks} tasks: {part!r}")
         groups.append(idx)
     return groups
 
@@ -205,12 +201,10 @@ def cmd_decompose(args) -> int:
     w2 = read_matrix_file(args.w2).astype(np.float64)
     d_ff, d_model = w1.shape
     if w2.shape != (d_model, d_ff) or (d_model, d_ff) != (plan.d_model, plan.d_ff):
-        print(
+        raise ValidationError(
             f"shape mismatch: w1 {w1.shape}, w2 {w2.shape}, "
-            f"plan expects w1 ({plan.d_ff}, {plan.d_model}), w2 ({plan.d_model}, {plan.d_ff})",
-            file=sys.stderr,
+            f"plan expects w1 ({plan.d_ff}, {plan.d_model}), w2 ({plan.d_model}, {plan.d_ff})"
         )
-        return 2
     weights = dc.UnifiedFfnWeights(d_model=d_model, d_ff=d_ff, w1=w1, w2=w2)
 
     with pl.stage("decompose"):
@@ -231,7 +225,7 @@ def cmd_decompose(args) -> int:
 def cmd_simulate(args) -> int:
     seeds = _parse_seeds(str(args.seeds))
     if not seeds:
-        raise _UsageError("--seeds must list at least one integer")
+        raise ValidationError("--seeds must list at least one integer")
     groups = _parse_groups(args.groups, args.tasks)
     modes = ["unified", "specialized"] if args.mode == "both" else [args.mode]
     out = Path(args.out)
@@ -404,7 +398,7 @@ def _report_markdown(plans: list, sims: list) -> str:
 def cmd_report(args) -> int:
     inputs = [x for x in str(args.inputs).split(",") if x]
     if not inputs:
-        raise _UsageError("--inputs must list at least one file or directory")
+        raise ValidationError("--inputs must list at least one file or directory")
     plans = []
     sims = []
     for raw in inputs:

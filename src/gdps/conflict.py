@@ -14,6 +14,11 @@ pairs whose cosine is >= 0.  It is labeled non-standard in every report and
 decides nothing.  Delta and the shared ratio depend on the bundle, the
 candidate set and the thresholds alone: on no seed, nor on the set's order.
 
+`layer_conflict` scores one layer.  `conflict_report` scores each candidate
+layer, ranks them and maps their mean delta to the shared ratio; its
+candidates pass `check_candidates`, the one candidate rule, which `gdps
+plan` and `gdps conflict` apply to `--layers` too.
+
 Method B reads each layer's float64 row stack (`gdps.bundle.layer_stack`,
 shared with Method C's spectrum half; only the drawn rows are cast when a
 task is above `SAMPLE_CAP`) and neither normalises it nor drops a row.  Of
@@ -139,24 +144,24 @@ class _Task:
     total: np.ndarray  # s_t = sum_i g_i / |g_i|
 
 
-def _layer_rows(bundle, tasks, layer, need_pairs=False) -> tuple[list[_Task], np.ndarray]:
+def _layer_rows(bundle, layer) -> tuple[list[_Task], np.ndarray]:
     """Each task's reduction, and the rows it was reduced from, task after task.
 
-    The rows are the layer's shared float64 stack if every bundle task is
-    read whole, else the drawn rows concatenated; none is dropped.  A task
+    The rows are the layer's shared float64 stack, or the drawn rows
+    concatenated if a task is above `SAMPLE_CAP`; none is dropped.  A task
     with a degenerate row copies its valid rows out of its block to reduce.
     """
-    stored = [bundle.matrix(task, layer).rows for task in tasks]
-    for task, m in zip(tasks, stored):
-        if need_pairs and m < 2:
+    stored = [bundle.matrix(task, layer).rows for task in bundle.tasks]
+    for task, m in zip(bundle.tasks, stored):
+        if m < 2:
             raise ValidationError(f"task {task} has {m} sample row at layer {layer}; "
                                   "Method B needs >= 2 samples per task")
     sampled = [min(m, SAMPLE_CAP) for m in stored]
-    if tuple(tasks) == bundle.tasks and sampled == stored:
+    if sampled == stored:
         rows = gb.layer_stack(bundle, layer)
     else:
         rows = np.concatenate([_maybe_subsample(gb.sample_gradients(bundle, t, layer), t)
-                               for t in tasks], dtype=np.float64)
+                               for t in bundle.tasks], dtype=np.float64)
     norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
     cuts = np.cumsum(sampled)[:-1]
     parts = []
@@ -204,22 +209,6 @@ def _cross_nonneg(parts: list[_Task], rows: np.ndarray, hand_off=None) -> int:
     return sum(job() for job in reversed(jobs))
 
 
-def self_similarity(bundle: gb.GradientBundle, task: str, layer: str) -> float:
-    """Mean cosine over all unordered sample pairs within one task."""
-    (part,), _ = _layer_rows(bundle, [task], layer, need_pairs=True)
-    return _self_mean(part)
-
-
-def cross_similarity(bundle: gb.GradientBundle, task_a: str, task_b: str, layer: str) -> float:
-    """Mean cosine over the full cross product of two tasks' sample rows.
-
-    The pair is taken in name order, so swapping the arguments gives the
-    same value bit for bit.
-    """
-    parts, _ = _layer_rows(bundle, sorted((task_a, task_b)), layer)
-    return _cross_mean(*parts)
-
-
 def layer_conflict(bundle: gb.GradientBundle, layer: str, hand_off=None) -> LayerConflict:
     """Per-layer S_self, S_cross, their gap delta, and cross-pair purity.
 
@@ -228,11 +217,10 @@ def layer_conflict(bundle: gb.GradientBundle, layer: str, hand_off=None) -> Laye
     of the stored rows, each offered to `hand_off` (`_cross_nonneg`),
     less the sum m_a m_b - sum c_a c_b of pairs that touch a degenerate row.
     """
-    tasks = bundle.tasks
-    if len(tasks) < 2:
+    if len(bundle.tasks) < 2:
         raise ValidationError(">= 2 tasks required for cross-task conflict analysis")
 
-    parts, rows = _layer_rows(bundle, tasks, layer, need_pairs=True)
+    parts, rows = _layer_rows(bundle, layer)
     pairs = list(combinations(parts, 2))
 
     s_self = float(np.mean([_self_mean(t) for t in parts]))
@@ -255,24 +243,24 @@ def layer_conflict(bundle: gb.GradientBundle, layer: str, hand_off=None) -> Laye
     )
 
 
-def _reject_repeats(layers: list) -> None:
-    """A candidate layer listed twice would count twice in every mean over the set."""
+def check_candidates(bundle: gb.GradientBundle, layers=None) -> tuple[str, ...]:
+    """Method B's candidate layers: None is every layer of the bundle.
+
+    An empty list, an unknown id (named first, even an empty one) or an id
+    listed twice, which would count twice in every mean over the set, is a
+    ValidationError.
+    """
+    if layers is None:
+        return tuple(bundle.layers)
+    layers = tuple(layers)
+    if not layers:
+        raise ValidationError("candidate layer list is empty; Method B needs at least one layer")
+    for l in layers:
+        bundle._check_layer(l)
     repeated = [l for i, l in enumerate(layers) if l in layers[:i]]
     if repeated:
         raise ValidationError(f"candidate layers list {repeated[0]} more than once")
-
-
-def aggregate_delta(reports, candidate_layers) -> float:
-    """Arithmetic mean of per-layer deltas over the candidate set."""
-    candidates = list(candidate_layers)
-    if not candidates:
-        raise ValidationError("candidate layer set is empty")
-    _reject_repeats(candidates)
-    by_layer = {r.layer: r for r in reports}
-    missing = [l for l in candidates if l not in by_layer]
-    if missing:
-        raise ValidationError(f"candidate layers missing from reports: {missing}")
-    return float(np.mean([by_layer[l].delta for l in candidates]))
+    return layers
 
 
 def _branch(delta: float, thresholds: RatioThresholds) -> int:
@@ -294,18 +282,6 @@ def ratio_branch(delta: float, thresholds: RatioThresholds = RatioThresholds()) 
             f"delta >= {high}")[_branch(delta, thresholds)]
 
 
-def rank_layers(bundle: gb.GradientBundle, layers=None, hand_off=None) -> list[LayerConflict]:
-    """Layers sorted by delta desc, ties broken by id; purity decides nothing."""
-    layers = list(layers) if layers is not None else list(bundle.layers)
-    if not layers:
-        raise ValidationError("candidate layer list is empty; Method B needs at least one layer")
-    for l in layers:  # an unknown name, even an empty one, is named before any repeat
-        bundle._check_layer(l)
-    _reject_repeats(layers)
-    reports = [layer_conflict(bundle, l, hand_off) for l in layers]
-    return sorted(reports, key=lambda r: (-r.delta, r.layer))
-
-
 def conflict_report(
     bundle: gb.GradientBundle,
     candidate_layers=None,
@@ -313,15 +289,18 @@ def conflict_report(
     seed=None,
     hand_off=None,
 ) -> ConflictReport:
-    """Full Method-B result: ranked layers, aggregate delta, shared ratio.
+    """Full Method-B result: the candidates' layers by delta, highest first
+    and ties by id (purity decides nothing), their mean delta and its ratio.
 
-    Delta averages the candidates in bundle layer order, not in the order
+    The mean takes the candidates in bundle layer order, not in the order
     given (and echoed).  `seed` is accepted and ignored.  Each purity
     product is offered to `hand_off` (see `_cross_nonneg`).
     """
-    candidates = tuple(candidate_layers) if candidate_layers is not None else tuple(bundle.layers)
-    ranked = rank_layers(bundle, candidates, hand_off)
-    delta = aggregate_delta(ranked, [l for l in bundle.layers if l in candidates])
+    candidates = check_candidates(bundle, candidate_layers)
+    ranked = sorted((layer_conflict(bundle, l, hand_off) for l in candidates),
+                    key=lambda r: (-r.delta, r.layer))
+    by_layer = {lc.layer: lc.delta for lc in ranked}
+    delta = float(np.mean([by_layer[l] for l in bundle.layers if l in by_layer]))
     ratio = map_shared_ratio(delta, thresholds)
     warnings = []
     for lc in ranked:

@@ -97,17 +97,10 @@ def resolve_layer(bundle: GradientBundle, layer: str | None) -> str:
     return layer
 
 
-def resolve_candidates(bundle: GradientBundle, layers: str | None) -> list[str]:
-    """Method B's candidate layers from a comma-separated --layers value.
-
-    None is every layer of the bundle; an unknown, empty or repeated name is
-    a ValidationError, raised before any stage runs.
-    """
-    candidates = layers.split(",") if layers is not None else list(bundle.layers)
-    for name in candidates:
-        bundle._check_layer(name)
-    cf._reject_repeats(candidates)
-    return candidates
+def resolve_candidates(bundle: GradientBundle, layers: str | None) -> tuple[str, ...]:
+    """Method B's candidate layers from a comma-separated --layers value,
+    checked by `conflict.check_candidates` before any stage runs."""
+    return cf.check_candidates(bundle, None if layers is None else layers.split(","))
 
 
 class SideThread:

@@ -17,7 +17,8 @@ from gdps.bundle import (GradientBundle, GradientMatrix, bundle_fingerprint, wri
                          write_matrix_file)
 from gdps.bundle import read_json as bundle_read_json
 from gdps.cli import main
-from gdps.errors import BundleFormatError
+from gdps.conflict import conflict_report
+from gdps.errors import BundleFormatError, ValidationError
 from gdps.report import hash_excluding_timestamp
 from gdps.synth import planted_bundle
 
@@ -305,14 +306,14 @@ def test_decompose_command(tmp_path, capsys, rng):
     assert "residual frobenius norm" in out
 
 
-def test_decompose_shape_mismatch_exit_2(tmp_path, capsys, rng):
+def test_decompose_shape_mismatch_exit_1(tmp_path, capsys, rng):
     write_desk_weights(tmp_path, rng, d_model=10, d_ff=12)
     _, plan_path = write_plan_file(tmp_path)  # expects d_model=8
     rc = main([
         "decompose", "--w1", str(tmp_path / "w1.gdm"), "--w2", str(tmp_path / "w2.gdm"),
         "--plan", str(plan_path), "--out", str(tmp_path / "ffn"),
     ])
-    assert rc == 2
+    assert rc == 1
     err = capsys.readouterr().err
     assert "(12, 10)" in err and "(12, 8)" in err
 
@@ -706,6 +707,9 @@ def test_repeated_candidate_layer_exit_1(tmp_path, capsys, command):
     assert "candidate layers list L1 more than once" in captured.err
     assert captured.out == ""
     assert not (tmp_path / "o").exists()
+    # the library entry applies the same rule
+    with pytest.raises(ValidationError, match="candidate layers list L1 more than once"):
+        conflict_report(two_layer_bundle(), ["L0", "L1", "L1"])
 
 
 @pytest.mark.parametrize("command", ["conflict", "plan"])
@@ -719,6 +723,13 @@ def test_empty_candidate_layer_is_named_unknown(tmp_path, capsys, command):
     assert "more than once" not in captured.err
     assert captured.out == ""
     assert not (tmp_path / "o").exists()
+    # the library entry applies the same rule; only a list with no id is empty
+    with pytest.raises(ValidationError) as info:
+        conflict_report(two_layer_bundle(), ["", ""])
+    assert str(info.value) == "unknown layer ''; bundle has ['L0', 'L1']"
+    with pytest.raises(ValidationError) as info:
+        conflict_report(two_layer_bundle(), [])
+    assert str(info.value) == "candidate layer list is empty; Method B needs at least one layer"
 
 
 @pytest.mark.parametrize("command", ["conflict", "plan"])

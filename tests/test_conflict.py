@@ -15,14 +15,10 @@ from gdps.conflict import (
     SAMPLE_CAP,
     RatioThresholds,
     _maybe_subsample,
-    aggregate_delta,
     conflict_report,
-    cross_similarity,
     layer_conflict,
     map_shared_ratio,
-    rank_layers,
     ratio_branch,
-    self_similarity,
 )
 from gdps.errors import ValidationError
 from gdps.linalg import ZERO_NORM_EPS
@@ -53,56 +49,59 @@ def brute_cross(rows_a, rows_b):
     return float(np.mean(vals))
 
 
+def both_orders(rows_a, rows_b):
+    """layer_conflict on the two-task bundle of `a` and `b`, in both manifest orders."""
+    return [layer_conflict(tiny_bundle(rows), "L0")
+            for rows in ({"a": rows_a, "b": rows_b}, {"b": rows_b, "a": rows_a})]
+
+
 def test_self_similarity_identical_rows():
-    b = tiny_bundle({"a": [[1.0, 2.0]] * 4, "b": [[1.0, 0.0]] * 2})
-    assert self_similarity(b, "a", "L0") == pytest.approx(1.0, abs=1e-12)
+    for lc in both_orders([[1.0, 2.0]] * 4, [[1.0, 0.0]] * 2):
+        assert lc.s_self == pytest.approx(1.0, abs=1e-12)
 
 
 def test_self_similarity_orthogonal_rows():
-    b = tiny_bundle({"a": [[1.0, 0.0], [0.0, 1.0]], "b": [[1.0, 0.0]] * 2})
-    assert self_similarity(b, "a", "L0") == 0.0
+    for lc in both_orders([[1.0, 0.0], [0.0, 1.0]], [[0.0, 3.0], [2.0, 0.0]]):
+        assert lc.s_self == 0.0
 
 
 def test_self_similarity_matches_brute_force(rng):
-    rows = rng.standard_normal((10, 5))
-    b = tiny_bundle({"a": rows, "b": rows[:2]})
-    got = self_similarity(b, "a", "L0")
-    want = brute_self(b.matrix("a", "L0").data)
-    assert abs(got - want) < 1e-12
+    rows_a, rows_b = rng.standard_normal((10, 5)), rng.standard_normal((4, 5))
+    b = tiny_bundle({"a": rows_a, "b": rows_b})
+    want = np.mean([brute_self(b.matrix(t, "L0").data) for t in ("a", "b")])
+    for lc in both_orders(rows_a, rows_b):
+        assert abs(lc.s_self - want) < 1e-12
 
 
 def test_self_similarity_needs_two_samples():
-    b = tiny_bundle({"a": [[1.0, 0.0]], "b": [[1.0, 0.0]]})
-    with pytest.raises(ValidationError, match=">= 2 samples"):
-        self_similarity(b, "a", "L0")
+    for b in (tiny_bundle({"a": [[1.0, 0.0]], "b": [[1.0, 0.0]] * 2}),
+              tiny_bundle({"b": [[1.0, 0.0]] * 2, "a": [[1.0, 0.0]]})):
+        with pytest.raises(ValidationError, match="task a has 1 sample row .* >= 2 samples"):
+            layer_conflict(b, "L0")
 
 
 def test_cross_similarity_identical_direction():
-    b = tiny_bundle({"a": [[1.0, 0.0]] * 3, "b": [[1.0, 0.0]] * 2})
-    assert cross_similarity(b, "a", "b", "L0") == 1.0
+    for lc in both_orders([[1.0, 0.0]] * 3, [[1.0, 0.0]] * 2):
+        assert lc.s_cross == 1.0
 
 
 def test_cross_similarity_antiparallel():
-    b = tiny_bundle({"a": [[2.0, 0.0]] * 3, "b": [[-1.0, 0.0]] * 2})
-    assert cross_similarity(b, "a", "b", "L0") == -1.0
+    for lc in both_orders([[2.0, 0.0]] * 3, [[-1.0, 0.0]] * 2):
+        assert lc.s_cross == -1.0
 
 
 def test_cross_similarity_matches_brute_force(rng):
-    ra = rng.standard_normal((8, 6))
-    rb = rng.standard_normal((6, 6))
-    b = tiny_bundle({"a": ra, "b": rb})
-    got = cross_similarity(b, "a", "b", "L0")
+    rows_a, rows_b = rng.standard_normal((8, 6)), rng.standard_normal((6, 6))
+    b = tiny_bundle({"a": rows_a, "b": rows_b})
     want = brute_cross(b.matrix("a", "L0").data, b.matrix("b", "L0").data)
-    assert abs(got - want) < 1e-12
+    for lc in both_orders(rows_a, rows_b):
+        assert abs(lc.s_cross - want) < 1e-12
 
 
 def test_cross_similarity_symmetric(rng):
-    ra = rng.standard_normal((5, 4))
-    rb = rng.standard_normal((7, 4))
-    b = tiny_bundle({"a": ra, "b": rb})
-    assert abs(
-        cross_similarity(b, "a", "b", "L0") - cross_similarity(b, "b", "a", "L0")
-    ) < 1e-12
+    given, swapped = both_orders(rng.standard_normal((5, 4)), rng.standard_normal((7, 4)))
+    assert abs(given.s_cross - swapped.s_cross) < 1e-12
+    assert abs(given.s_self - swapped.s_self) < 1e-12
 
 
 def test_layer_conflict_no_conflict():
@@ -180,24 +179,24 @@ def test_purity_counts_nonnegative_cross_pairs():
     assert abs(lc.purity - 0.5) < 1e-12
 
 
-def test_aggregate_delta():
-    from dataclasses import replace
-
-    b = planted_bundle(2, [[0], [1]], 60.0, d=8, m=3, seed=1, spread_deg=0.0, layer="L0")
+def test_aggregate_delta(monkeypatch):
+    # conflict_report's delta is the mean of the candidates' layer deltas
+    b = GradientBundle.from_matrices([
+        GradientMatrix(t, f"L{j}", np.random.default_rng(j).standard_normal((3, 8)))
+        for j in range(5) for t in ("a", "b")])
     lc = layer_conflict(b, "L0")
-    assert aggregate_delta([lc], ["L0"]) == lc.delta
-    lc2 = replace(lc, layer="L1", delta=0.07)
-    lc3 = replace(lc, layer="L2", delta=0.08)
-    assert abs(aggregate_delta([lc2, lc3], ["L1", "L2"]) - 0.075) < 1e-15
-    lc4 = replace(lc, layer="L3", delta=0.0)
-    lc5 = replace(lc, layer="L4", delta=0.2)
-    assert abs(aggregate_delta([lc4, lc5], ["L3", "L4"]) - 0.1) < 1e-15
-    with pytest.raises(ValidationError):
-        aggregate_delta([lc], [])
-    with pytest.raises(ValidationError):
-        aggregate_delta([lc], ["L9"])
+    assert conflict_report(b, ["L0"]).delta == lc.delta
+    made = {"L0": lc, **{layer: dataclasses.replace(lc, layer=layer, delta=delta) for layer, delta in
+                         (("L1", 0.07), ("L2", 0.08), ("L3", 0.0), ("L4", 0.2))}}
+    monkeypatch.setattr(gdps.conflict, "layer_conflict", lambda bundle, layer, *rest: made[layer])
+    assert abs(conflict_report(b, ["L1", "L2"]).delta - 0.075) < 1e-15
+    assert abs(conflict_report(b, ["L3", "L4"]).delta - 0.1) < 1e-15
+    with pytest.raises(ValidationError, match="candidate layer list is empty"):
+        conflict_report(b, [])
+    with pytest.raises(ValidationError, match="unknown layer 'L9'"):
+        conflict_report(b, ["L9"])
     with pytest.raises(ValidationError, match="candidate layers list L1 more than once"):
-        aggregate_delta([lc, lc2], ["L0", "L1", "L1"])
+        conflict_report(b, ["L0", "L1", "L1"])
 
 
 def test_map_shared_ratio_branches():
@@ -253,9 +252,10 @@ def test_rank_layers_by_delta_then_purity(rng):
     from gdps.bundle import GradientBundle
 
     b = GradientBundle.from_matrices(mats)
-    ranked = rank_layers(b)
-    assert [r.layer for r in ranked] == ["hot", "cold"]
-    assert ranked[0].delta > ranked[1].delta
+    for candidates in (None, ["cold", "hot"]):
+        ranked = conflict_report(b, candidates).layers
+        assert [r.layer for r in ranked] == ["hot", "cold"]
+        assert ranked[0].delta > ranked[1].delta
 
 
 def test_rank_layers_breaks_a_delta_tie_by_id_not_purity(monkeypatch):
@@ -267,8 +267,8 @@ def test_rank_layers_breaks_a_delta_tie_by_id_not_purity(monkeypatch):
     made = {"L0": replace(lc, layer="L0", delta=0.1, purity=0.9),
             "L1": replace(lc, layer="L1", delta=0.1, purity=0.7)}
     monkeypatch.setattr(gdps.conflict, "layer_conflict", lambda bundle, layer, *rest: made[layer])
-    assert [r.layer for r in rank_layers(b)] == ["L0", "L1"]
-    assert [r.layer for r in rank_layers(b, ["L1", "L0"])] == ["L0", "L1"]
+    assert [r.layer for r in conflict_report(b).layers] == ["L0", "L1"]
+    assert [r.layer for r in conflict_report(b, ["L1", "L0"]).layers] == ["L0", "L1"]
 
 
 def test_candidate_order_changes_no_bit_of_delta():
@@ -300,7 +300,7 @@ def test_conflict_report_rejects_a_repeated_candidate_layer():
     with pytest.raises(ValidationError, match="candidate layers list L1 more than once"):
         conflict_report(b, ["L0", "L1", "L1"])
     with pytest.raises(ValidationError, match="L0 more than once"):
-        rank_layers(b, ["L0", "L1", "L0"])
+        conflict_report(b, ["L0", "L1", "L0"])
 
 
 def test_conflict_report_end_to_end():
@@ -317,22 +317,24 @@ def test_conflict_report_end_to_end():
 
 
 def test_subsample_cap_applies_and_deterministic(rng):
-    # 600 rows exceed SAMPLE_CAP, so self_similarity draws SAMPLE_CAP of them
+    # 600 rows exceed SAMPLE_CAP, so layer_conflict draws SAMPLE_CAP of a's rows
     rows = rng.standard_normal((600, 6)).astype(np.float32).astype(np.float64)
     b = tiny_bundle({"a": rows, "b": rows[:5]})
     unit = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-    full = float((unit @ unit.T)[np.triu_indices(600, 1)].mean())
-    capped_1 = self_similarity(b, "a", "L0")
-    capped_2 = self_similarity(b, "a", "L0")
+    full = float(np.mean([(unit @ unit.T)[np.triu_indices(600, 1)].mean(), brute_self(rows[:5])]))
+    capped_1 = layer_conflict(b, "L0").s_self
+    capped_2 = layer_conflict(b, "L0").s_self
     assert capped_1 == capped_2
     assert abs(capped_1 - full) > 1e-9  # not the mean over all 600 rows
     assert abs(capped_1 - full) < 0.5  # subsample approximates, deterministically
+    assert layer_conflict(b, "L0").total_pairs == (
+        SAMPLE_CAP * (SAMPLE_CAP - 1) // 2 + 5 * 4 // 2 + SAMPLE_CAP * 5)
 
 
 def test_cross_similarity_order_independent_when_subsampled(rng):
     # 600 rows exceed SAMPLE_CAP, so both tasks are subsampled
-    b = tiny_bundle({"t0": rng.standard_normal((600, 8)), "t1": rng.standard_normal((600, 8))})
-    assert cross_similarity(b, "t0", "t1", "L0") == cross_similarity(b, "t1", "t0", "L0")
+    given, swapped = both_orders(rng.standard_normal((600, 8)), rng.standard_normal((600, 8)))
+    assert given.s_cross == swapped.s_cross
 
 
 def unrolled_layer_conflict(bundle, layer):
