@@ -43,6 +43,15 @@ Given `hand_off`, `gdps plan`'s side thread, Method B offers it every such
 product (`_cross_nonneg`).  Wherever one runs, it is the same BLAS call on
 the same operands, and the counts are integers, so no bit of a report
 depends on where it ran.
+
+Those products are the cross-task blocks above the diagonal of the row
+Gram X X^T that Method C's spectrum factors.  Where `gdps plan`'s spectrum
+reads exactly Method B's rows, `row_gram` forms that Gram once, with
+Method B's reduction, from one cast, and Method B counts the signs from
+those blocks (`_gram_nonneg`).  The Gram sums the same exact products in
+another order, so every sign, and so the count, is the same under the
+sign exactness above; S_self, S_cross and the pair counts are the same
+arithmetic on the same rows.
 """
 
 from __future__ import annotations
@@ -209,18 +218,54 @@ def _cross_nonneg(parts: list[_Task], rows: np.ndarray, hand_off=None) -> int:
     return sum(job() for job in reversed(jobs))
 
 
-def layer_conflict(bundle: gb.GradientBundle, layer: str, hand_off=None) -> LayerConflict:
+@dataclass(frozen=True)
+class RowGram:
+    """One layer's rows as Method B reduces them, and their Gram X X^T."""
+
+    parts: list[_Task]
+    gram: np.ndarray
+
+
+def row_gram(bundle: gb.GradientBundle, layer: str) -> RowGram:
+    """The reduction and the row Gram of a layer with no task above `SAMPLE_CAP`,
+    from its one float64 stack, which is let go on return.
+
+    The Gram is the product `joint_spectrum` forms of the same stack, with
+    the same bits; `gdps plan` forms it once for both Methods B and C.
+    """
+    parts, rows = _layer_rows(bundle, layer)
+    return RowGram(parts, rows @ rows.T)
+
+
+def _gram_nonneg(parts: list[_Task], gram: np.ndarray) -> int:
+    """`_cross_nonneg`'s count, read from the cross-task blocks above the
+    diagonal of the rows' Gram: each task's rows against every later task's."""
+    ends = accumulate(t.sampled for t in parts)
+    return sum(int(np.count_nonzero(gram[end - t.sampled:end, end:] >= 0.0))
+               for t, end in zip(parts[:-1], ends))
+
+
+def layer_conflict(bundle: gb.GradientBundle, layer: str, hand_off=None,
+                   gram=None) -> LayerConflict:
     """Per-layer S_self, S_cross, their gap delta, and cross-pair purity.
 
     S_self and S_cross come from each task's s_t and c_t (no Gram matrix),
     pair counts from m_t and c_t.  Purity takes the signs of the products
     of the stored rows, each offered to `hand_off` (`_cross_nonneg`),
     less the sum m_a m_b - sum c_a c_b of pairs that touch a degenerate row.
+    `gram()`, if given, returns this layer's `row_gram`: the reduction and
+    the signs are then read from it, and the stack is not touched here.
     """
     if len(bundle.tasks) < 2:
         raise ValidationError(">= 2 tasks required for cross-task conflict analysis")
 
-    parts, rows = _layer_rows(bundle, layer)
+    if gram is None:
+        parts, rows = _layer_rows(bundle, layer)
+        nonneg = lambda: _cross_nonneg(parts, rows, hand_off)
+    else:
+        shared = gram()
+        parts = shared.parts
+        nonneg = lambda: _gram_nonneg(parts, shared.gram)
     pairs = list(combinations(parts, 2))
 
     s_self = float(np.mean([_self_mean(t) for t in parts]))
@@ -230,7 +275,7 @@ def layer_conflict(bundle: gb.GradientBundle, layer: str, hand_off=None) -> Laye
     valid = sum(t.count * (t.count - 1) // 2 for t in parts) + cross_valid
     total = sum(t.sampled * (t.sampled - 1) // 2 for t in parts) + cross_total
     purity = 1.0 if not cross_valid else float(
-        (_cross_nonneg(parts, rows, hand_off) - (cross_total - cross_valid)) / cross_valid)
+        (nonneg() - (cross_total - cross_valid)) / cross_valid)
 
     return LayerConflict(
         layer=layer,
@@ -288,16 +333,19 @@ def conflict_report(
     thresholds: RatioThresholds = RatioThresholds(),
     seed=None,
     hand_off=None,
+    row_grams=None,
 ) -> ConflictReport:
     """Full Method-B result: the candidates' layers by delta, highest first
     and ties by id (purity decides nothing), their mean delta and its ratio.
 
     The mean takes the candidates in bundle layer order, not in the order
     given (and echoed).  `seed` is accepted and ignored.  Each purity
-    product is offered to `hand_off` (see `_cross_nonneg`).
+    product is offered to `hand_off` (see `_cross_nonneg`), except on a
+    layer that `row_grams` maps to a callable returning its `row_gram`.
     """
     candidates = check_candidates(bundle, candidate_layers)
-    ranked = sorted((layer_conflict(bundle, l, hand_off) for l in candidates),
+    row_grams = row_grams or {}
+    ranked = sorted((layer_conflict(bundle, l, hand_off, row_grams.get(l)) for l in candidates),
                     key=lambda r: (-r.delta, r.layer))
     by_layer = {lc.layer: lc.delta for lc in ranked}
     delta = float(np.mean([by_layer[l] for l in bundle.layers if l in by_layer]))

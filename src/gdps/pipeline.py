@@ -11,18 +11,22 @@ CLI exit code does not change.
 
 Method A and the CCA half of C read the stored float32 rows; Method B and
 the spectrum half of C read the layer's float64 stack (`layer_stack`).
+Where the spectrum would factor the row Gram of exactly the rows Method B
+reads, `plan` forms that Gram once, from one cast (`conflict.row_gram`):
+Method B counts purity from it and the spectrum only factors it.
 `plan` runs one thread beside them (`SideThread`), which hashes the bundle
 fingerprint one entry at a time and, after the manifest and after each
 entry, runs the oldest job handed to it that no one has started.  `plan`
-offers it every job at its cost in multiply-adds, and it refuses one below
-`SIDE_MIN_COST`: first the spectrum, before the thread starts, then each
-purity product of Method B (`gdps.conflict`).  The caller collects each job
-where the stage commands run it (the spectrum after the CCA, as `gdps
-subspace` does), and runs there any job the thread has not started.  sha256
-and the BLAS and LAPACK calls release the GIL, so a process's CPU time may
-exceed its wall time.  Errors are reported as if the stages ran one after
-another: grouping, conflict, spectrum, CCA.  The thread is joined before
-`plan` returns or raises.
+offers it every job at its cost in multiply-adds, and it takes none below
+`SIDE_MIN_COST`: first the shared Gram and the spectrum, before the thread
+starts, then each purity product of Method B (`gdps.conflict`).  The caller
+collects each job where the stage commands run it (the Gram in Method B,
+the spectrum after the CCA, as `gdps subspace` does), and runs there any
+job the thread has not started.  sha256 and the BLAS and LAPACK calls
+release the GIL, so a process's CPU time may exceed its wall time.  Errors
+are reported as if the stages ran one after another: grouping, conflict
+(the shared Gram's among them), spectrum, CCA.  The thread is joined
+before `plan` returns or raises.
 """
 
 from __future__ import annotations
@@ -45,10 +49,12 @@ from .errors import GdpsError, ValidationError
 
 # The multiply-adds from which the side thread takes a job.  There a job
 # costs BLAS and LAPACK buffers of that thread's own, which a cheap job never
-# wins back.  Plan-wide's spectrum costs 5.4e9 and plan-deep's 5.5e8, their
-# largest purity products 2.5e8 and 1.0e8; simulate's spectrum costs 1.9e7
-# and its largest product 3.1e6.  The floor lies a factor of 2 or more from
-# each of these; their smaller products fall on either side of it.
+# wins back.  Plan-wide's row Gram costs 4.3e9 and its eigh 1.1e9;
+# plan-deep's Gram 5.4e8, its eigh 1.7e7 and its other layers' largest
+# purity products 1.0e8; simulate's Gram 1.7e7 and its eigh 2.1e6 (its
+# one layer is the plan layer, so it offers no product).  The floor lies a
+# factor of 2 or more from each of these; the smaller products fall on
+# either side of it.
 SIDE_MIN_COST = 4e7
 
 
@@ -112,11 +118,12 @@ class SideThread:
     block joins it on every path.  `fingerprint()` returns the digest, or
     raises the hash's error on the caller.
 
-    `hand_off(fn, cost)`, before the block too, returns `fn` itself when
-    `cost` is below `SIDE_MIN_COST`; else `fn` waits, in the order given,
-    and it returns `collect()`.  Whoever claims the job first, the thread or
-    `collect`, runs it once and then lets go of `fn`; `collect` waits for
-    it and returns its value or raises its exception.
+    `hand_off(fn, cost)`, before the block too, returns `collect()`.  From
+    `SIDE_MIN_COST` up `fn` waits for the thread, in the order given; below
+    it `fn` is never queued, so its first collector runs it.  Whoever claims
+    the job first, the thread or a `collect`, runs it once and then lets go
+    of `fn`; every `collect` waits for it and returns its value or raises
+    its exception.
     """
 
     def __init__(self, bundle: GradientBundle):
@@ -148,8 +155,6 @@ class SideThread:
         return self._digest
 
     def hand_off(self, fn, cost):
-        if cost < SIDE_MIN_COST:
-            return fn
         claim, done, outcome = threading.Lock(), threading.Event(), None
 
         def run():  # True if this call claimed the job, and so ran it
@@ -172,7 +177,8 @@ class SideThread:
                 raise error
             return value
 
-        self._waiting.append(run)
+        if cost >= SIDE_MIN_COST:
+            self._waiting.append(run)
         return collect
 
 
@@ -183,6 +189,31 @@ def group_tasks(bundle: GradientBundle, layer: str, options: PlanOptions):
         dist = gr.to_distance(sim)
         grouping = gr.consensus_from_distance(dist, k=options.k_groups, seed=options.seed)
         return sim, dist, grouping, gr.linkage_merges(dist)
+
+
+def _hand_off_spectrum(side: SideThread, bundle: GradientBundle, layer: str,
+                       candidates: tuple[str, ...], options: PlanOptions):
+    """Hand Method C's spectrum to `side`, and the collects of the row Grams
+    that Method B reads, by layer.
+
+    When the spectrum would factor the row Gram of exactly the rows Method
+    B reads at `layer` (a candidate, wide, rows not normalised, no task
+    above `SAMPLE_CAP`), that Gram is one job (`conflict.row_gram`), handed
+    off first, and the spectrum is its eigh alone: n^2 d and n^3
+    multiply-adds for n rows of d columns, the two terms of
+    `spectrum_cost`.  Else the spectrum forms its own Gram.
+    """
+    rows = sb._task_rows(bundle, layer)
+    n, d = sum(rows), bundle.layer_dim(layer)
+    shared = (layer in candidates and n <= d and not options.normalize_rows
+              and max(rows) <= cf.SAMPLE_CAP)
+    if not shared:
+        return side.hand_off(lambda: sb.joint_spectrum(
+            bundle, layer, options.top_k, options.normalize_rows), sb.spectrum_cost(n, d)), {}
+    gram = side.hand_off(lambda: cf.row_gram(bundle, layer), n * n * d)
+    spectrum = side.hand_off(lambda: sb.joint_spectrum(
+        bundle, layer, options.top_k, gram=gram().gram), n ** 3)
+    return spectrum, {layer: gram}
 
 
 def plan(bundle: GradientBundle, options: PlanOptions = PlanOptions()):
@@ -198,13 +229,13 @@ def plan(bundle: GradientBundle, options: PlanOptions = PlanOptions()):
         raise ValidationError(">= 2 tasks required for cross-task analysis")
 
     side = SideThread(bundle)
-    spectrum = side.hand_off(
-        lambda: sb.joint_spectrum(bundle, layer, options.top_k, options.normalize_rows),
-        sb.spectrum_cost(sum(sb._task_rows(bundle, layer)), bundle.layer_dim(layer)))
+    spectrum, row_grams = _hand_off_spectrum(side, bundle, layer, candidates, options)
     with side:
         sim, dist, grouping, merges = group_tasks(bundle, layer, options)
         with stage("conflict"):
-            conflict = cf.conflict_report(bundle, candidates, thresholds, hand_off=side.hand_off)
+            conflict = cf.conflict_report(bundle, candidates, thresholds,
+                                          hand_off=side.hand_off, row_grams=row_grams)
+        del row_grams  # the spectrum, if it has not run yet, is the Gram's last reader
         with stage("subspace"):
             subspace = sb.subspace_report(bundle, layer, options.top_k, options.lam,
                                           options.normalize_rows, spectrum=spectrum)

@@ -21,6 +21,8 @@ rank-deficient factor has no whitening and raises SingularCovarianceError.
 `subspace_report` joins the two halves; it may be given the spectrum half
 to collect, which `gdps.pipeline.plan` offers its side thread at its
 `spectrum_cost` and runs on the caller if that thread has not started it.
+When Method B reads the same wide stack, `plan` forms its row Gram once
+(`gdps.conflict.row_gram`) and the spectrum half only factors it.
 """
 
 from __future__ import annotations
@@ -300,23 +302,27 @@ def spectrum_cost(rows: int, cols: int) -> int:
 
 
 def joint_spectrum(bundle: GradientBundle, layer: str, k: int = DEFAULT_TOP_K,
-                   normalize_rows: bool = False) -> JointSpectrum:
+                   normalize_rows: bool = False, gram=None) -> JointSpectrum:
     """Method C's spectrum half: sigma, the top-k energies and shares, spectrum stats.
 
     sigma and U come from one eigh of the Gram matrix of the stack's short
     side (see `joint_svd`).  A wide stack's U is the eigenvector matrix
     itself, so this lets go of the stack (and of its unit rows) once the
     Gram is formed, before eigh fills its buffers; a tall one is kept for
-    U = X V / sigma.  k is clipped to the spectrum size, with a warning.
+    U = X V / sigma.  `gram`, if given, is the row Gram X X^T of a wide
+    stack (`conflict.row_gram`), factored in place of the stack's own.  k
+    is clipped to the spectrum size, with a warning.
     """
-    x = _joint_rows(bundle, layer, normalize_rows)
-    if x.shape[0] <= x.shape[1]:
-        gram = x @ x.T
+    if gram is None:
+        x = _joint_rows(bundle, layer, normalize_rows)
+        if x.shape[0] <= x.shape[1]:
+            gram = x @ x.T
+        else:
+            sigma, v = _eigh_factor(x.T @ x)
+            u = (x @ v) * _reciprocal(sigma)
         del x
+    if gram is not None:
         sigma, u = _eigh_factor(gram)
-    else:
-        sigma, v = _eigh_factor(x.T @ x)
-        u = (x @ v) * _reciprocal(sigma)
     k_eff = min(k, sigma.size)
     warnings = []
     if k_eff != k:

@@ -244,7 +244,7 @@ def test_plan_agrees_across_blas_thread_counts(tmp_path):
     # byte-identical re-runs assume one BLAS thread count; another count may
     # sum in another order, which moves sigma, the energies and p_g by a few
     # ulp and no discrete result.  16 x 64 x 4096 is the plan-wide shape,
-    # whose 32 MB stack runs the spectrum on the side thread.
+    # whose 32 MB stack's row Gram and its eigh run on the side thread.
     rng = np.random.default_rng(31)
     write_bundle(GradientBundle.from_matrices(
         GradientMatrix(f"t{i}", "L0", rng.standard_normal((64, 4096))) for i in range(16)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import gdps.bundle
-from gdps import conflict, grouping, pipeline, subspace
+from gdps import conflict, decompose, grouping, pipeline, subspace
 from gdps.bundle import GradientBundle, write_bundle
 from gdps.cli import build_parser, main
 from gdps.errors import (
@@ -48,22 +48,26 @@ class CountingRegistry(weakref.WeakValueDictionary):
 
 
 def test_plan_casts_each_payload_once(rng, monkeypatch):
-    # No two casts of one layer are ever alive at once, with the spectrum on
-    # the side thread or inline.  Inline, the spectrum casts the plan layer
-    # again after Method B let its cast go.  Method A and the CCA read the
-    # stored rows.  Each other candidate layer of Method B is cast on its own.
+    # No two casts of one layer are ever alive at once, with the jobs on the
+    # side thread or inline.  The wide plan layer W is cast once, for the
+    # row Gram that Methods B and C share.  Inline, the tall plan layer L1
+    # is cast twice: its spectrum factors X^T X after the CCA, once Method
+    # B has let its cast go.  Method A and the CCA read the stored rows.
+    # Each other candidate layer of Method B is cast on its own.
     rows = {f"t{i}": rng.standard_normal((5, 12)) for i in range(3)}
     mats = [gdps.bundle.GradientMatrix(t, layer, g * (j + 1))
             for j, layer in enumerate(("L0", "L1", "L2")) for t, g in rows.items()]
+    mats += [gdps.bundle.GradientMatrix(t, "W", rng.standard_normal((5, 40))) for t in rows]
     for floor in (0, 1 << 62):
-        b = GradientBundle.from_matrices(mats)
-        registry = CountingRegistry()
-        object.__setattr__(b, "_stacks", registry)
         monkeypatch.setattr(pipeline, "SIDE_MIN_COST", floor)
-        pipeline.plan(b, PlanOptions(layer="L1", layers="L2,L1"))
-        assert registry.most_alive == {"L1": 1, "L2": 1}, floor
-        assert registry.builds["L2"] == 1, floor
-    assert registry.builds["L1"] == 2
+        for layer, want in (("W", {"W": 1, "L2": 1}), ("L1", {"L1": 2, "L2": 1})):
+            b = GradientBundle.from_matrices(mats)
+            registry = CountingRegistry()
+            object.__setattr__(b, "_stacks", registry)
+            pipeline.plan(b, PlanOptions(layer=layer, layers=f"L2,{layer}"))
+            assert registry.most_alive == dict.fromkeys(want, 1), (floor, layer)
+            if layer == "W" or floor:  # on the thread, L1's spectrum may share Method B's cast
+                assert registry.builds == want, (floor, layer)
 
 
 @pytest.mark.parametrize("threaded", [True, False])
@@ -74,8 +78,8 @@ def test_plan_lets_the_stack_go_before_the_cca(rng, monkeypatch, threaded):
     spectrum_done = threading.Event()
     real_spectrum, real_cca = subspace.joint_spectrum, subspace.pairwise_cca
 
-    def spectrum(*args):
-        value = real_spectrum(*args)
+    def spectrum(*args, **kwargs):
+        value = real_spectrum(*args, **kwargs)
         spectrum_done.set()
         return value
 
@@ -93,6 +97,40 @@ def test_plan_lets_the_stack_go_before_the_cca(rng, monkeypatch, threaded):
 
 
 @pytest.mark.parametrize("threaded", [True, False])
+def test_plan_lets_the_stack_go_before_eigh_and_the_gram_after_its_last_reader(
+        rng, monkeypatch, threaded):
+    # the wide plan layer is cast once, inside the job that forms its row
+    # Gram: no eigh, the spectrum's or the CCA's, runs beside the stack.
+    # The Gram is formed once and outlives neither Method B nor the
+    # spectrum: it is gone before the plan is built
+    b = tiny_bundle({f"t{i}": rng.standard_normal((6, 40)) for i in range(4)})
+    grams, stacks, built = [], [], []
+    real_row_gram, real_eigh, real_make_plan = (conflict.row_gram, np.linalg.eigh,
+                                                decompose.make_plan)
+
+    def row_gram(bundle, layer):
+        shared = real_row_gram(bundle, layer)
+        grams.append(weakref.ref(shared.gram))
+        return shared
+
+    def eigh(a, *args, **kwargs):
+        stacks.append(b._stacks.get("L0"))
+        return real_eigh(a, *args, **kwargs)
+
+    def make_plan(*args, **kwargs):
+        built.append([gram() for gram in grams])
+        return real_make_plan(*args, **kwargs)
+
+    monkeypatch.setattr(conflict, "row_gram", row_gram)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    monkeypatch.setattr(decompose, "make_plan", make_plan)
+    monkeypatch.setattr(pipeline, "SIDE_MIN_COST", 0 if threaded else 1 << 62)
+    pipeline.plan(b)
+    assert len(grams) == 1 and len(stacks) == 1 + 4  # the spectrum's, each task's CCA factor
+    assert stacks == [None] * 5 and built == [[None]]
+
+
+@pytest.mark.parametrize("threaded", [True, False])
 def test_plan_runs_one_thread_beside_the_caller(rng, monkeypatch, threaded):
     # from the floor up the spectrum runs on that thread, which the CCA waits
     # for; below it the spectrum runs on the caller, after the CCA
@@ -106,9 +144,9 @@ def test_plan_runs_one_thread_beside_the_caller(rng, monkeypatch, threaded):
         started.append(thread)
         real_start(thread)
 
-    def spectrum(*args):
+    def spectrum(*args, **kwargs):
         spectrum_ran_on.append(threading.current_thread())
-        value = real_spectrum(*args)
+        value = real_spectrum(*args, **kwargs)
         spectrum_done.set()
         return value
 
@@ -126,23 +164,79 @@ def test_plan_runs_one_thread_beside_the_caller(rng, monkeypatch, threaded):
 
 
 def test_side_thread_floor_splits_the_benchmark_jobs(rng):
-    # the spectrum's cost from the rows x columns of the plan layer's stack
-    # (the same either way up), and a purity product's from a task's rows x
-    # the later tasks' rows x columns: plan-wide's 16 tasks x 64 rows by
-    # 4096 columns and plan-deep's 4 x 64 by 8192 offer both jobs above the
-    # floor; simulate's 4 x 32 by 1024 offers both below it
+    # Each benchmark's plan layer is wide, so its row Gram (n^2 d for n rows
+    # of d columns) is one job and the spectrum is its eigh (n^3); a purity
+    # product costs a task's rows x the later tasks' rows x d.  Plan-wide's
+    # 16 tasks x 64 rows by 4096 columns offers its Gram and eigh above the
+    # floor, and so does a spectrum that forms its own Gram (spectrum_cost,
+    # the same either way up), as under --normalize-rows.  Plan-deep's
+    # 4 x 64 by 8192 offers its Gram and the other layers' largest products
+    # above it and its eigh below; simulate's 4 x 32 by 1024 offers its Gram
+    # and eigh below it.
     b = tiny_bundle({t: rng.standard_normal((2, 3)) for t in "ab"})
 
-    def taken(cost):  # by a side thread not started, its slot empty
-        job = lambda: None
-        return pipeline.SideThread(b).hand_off(job, cost) is not job
+    def queued(cost):  # for a side thread not started
+        side = pipeline.SideThread(b)
+        collect = side.hand_off(lambda: "ran", cost)
+        waiting = len(side._waiting)
+        assert collect() == "ran"  # a job below the floor runs on its collector
+        return waiting == 1
 
     spectrum = subspace.spectrum_cost
-    assert spectrum(16 * 64, 4096) == spectrum(4096, 16 * 64)
-    above = [spectrum(16 * 64, 4096), spectrum(4 * 64, 8192), 64 * 15 * 64 * 4096,
-             64 * 3 * 64 * 8192]
-    below = [spectrum(4 * 32, 1024), 32 * 3 * 32 * 1024]
-    assert [taken(cost) for cost in above + below] == [True] * 4 + [False] * 2
+    assert spectrum(16 * 64, 4096) == spectrum(4096, 16 * 64) == 1024**2 * 4096 + 1024**3
+    above = [1024**2 * 4096, 1024**3, spectrum(1024, 4096), 256**2 * 8192, 64 * 3 * 64 * 8192]
+    below = [256**3, 128**2 * 1024, 128**3]
+    assert [queued(cost) for cost in above + below] == [True] * 5 + [False] * 3
+
+
+def _stage_case(case, seed):
+    """(bundle, options, whether plan shares the plan layer's row Gram) of one
+    random bundle: 3-5 tasks of 3-8 rows plus a per-task offset at two
+    layers, L0 (the plan layer) and L1, laid out as `case` says."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 6))
+    rows = [int(rng.integers(3, 9)) for _ in range(n)]
+    cols = {"tall": 4}.get(case, 48)
+    if case == "above-cap":
+        rows[1], cols = conflict.SAMPLE_CAP + 7, conflict.SAMPLE_CAP + 64
+    mats = []
+    for layer in ("L0", "L1"):
+        for i, m in enumerate(rows):
+            g = rng.standard_normal((m, cols)) + rng.standard_normal(cols)
+            if case == "zero-rows":
+                g[rng.random(m) < 0.3] = 0.0
+            mats.append(gdps.bundle.GradientMatrix(f"t{i}", layer, g))
+    options = PlanOptions(k_groups=2, top_k=3, normalize_rows=case == "normalize-rows",
+                          layers="L1" if case == "outside-layers" else None)
+    return GradientBundle.from_matrices(mats), options, case in ("wide", "zero-rows")
+
+
+@pytest.mark.parametrize("floor", [0, 1 << 62], ids=["thread", "inline"])
+@pytest.mark.parametrize("case", ["wide", "zero-rows", "tall", "normalize-rows", "above-cap",
+                                  "outside-layers"])
+def test_plan_blocks_are_the_stage_reports_bit_for_bit(monkeypatch, case, floor):
+    # plan's conflict and subspace blocks are conflict_report and
+    # subspace_report run alone, every float by its repr: where the plan
+    # layer's row Gram is shared, Method B's purity counts the cross-task
+    # blocks above its diagonal and nothing else, and Method C factors it
+    real_row_gram, grams = conflict.row_gram, []
+
+    def row_gram(bundle, layer):
+        grams.append(layer)
+        return real_row_gram(bundle, layer)
+
+    monkeypatch.setattr(conflict, "row_gram", row_gram)
+    monkeypatch.setattr(pipeline, "SIDE_MIN_COST", floor)
+    for seed in range(6):
+        b, options, shared = _stage_case(case, seed)
+        grams.clear()
+        report = pipeline.plan(b, options)[1]
+        assert grams == (["L0"] if shared else []), (case, seed)
+        alone = (conflict.conflict_report(b, None if options.layers is None else ["L1"]),
+                 subspace.subspace_report(b, "L0", options.top_k, options.lam,
+                                          options.normalize_rows))
+        for got, want in zip((report.conflict, report.subspace), alone):
+            assert repr(got.to_dict()) == repr(want.to_dict()), (case, seed)
 
 
 def test_concurrent_plans_share_one_bundle(rng, monkeypatch):
@@ -316,9 +410,14 @@ def test_stage_leaves_other_errors_alone():
     assert not isinstance(info.value, GdpsError) and info.value.__cause__ is None
 
 
-def _write_stage_bundle(path):
+def _stage_bundle():
+    """4 tasks x 32 rows at one wide layer, "probe", of 1024 columns."""
     suite = make_suite(4, [[0], [1, 2, 3]], 80.0, seed=5)
-    write_bundle(collect_bundle(make_model(suite, seed=5), suite, seed=5), path)
+    return collect_bundle(make_model(suite, seed=5), suite, seed=5)
+
+
+def _write_stage_bundle(path):
+    write_bundle(_stage_bundle(), path)
 
 
 def _fail_after(seconds, error, message="boom"):
@@ -378,10 +477,17 @@ def test_failing_stage_outlives_no_hash_thread(tmp_path, capsys, monkeypatch,
 
 def test_a_handed_off_product_that_raises_is_the_conflict_stage_error(tmp_path, capsys,
                                                                       monkeypatch):
-    # the hash is held until Method B hands off its costliest product, the
-    # first it offers, and the thread runs that one after the manifest; the
-    # others run wherever they are claimed, and the error is collected last
-    _write_stage_bundle(tmp_path / "b")
+    # Method B reads the plan layer from the row Gram it shares with the
+    # spectrum, so the products are those of a second layer, "other".  The
+    # hash is held until Method B hands off that layer's costliest product,
+    # the first it offers there; the thread runs the plan layer's jobs and
+    # then that one, the others run wherever they are claimed, and the
+    # error is collected last
+    stage_bundle = _stage_bundle()
+    other = [dataclasses.replace(m, layer="other", data=m.data[:, ::-1].copy())
+             for m in stage_bundle.entries.values()]
+    write_bundle(GradientBundle.from_matrices([*stage_bundle.entries.values(), *other]),
+                 tmp_path / "b")
     handed, started = threading.Event(), threading.Event()
     taken = _hold_the_hash(monkeypatch, handed)
     real_hand_off = pipeline.SideThread.hand_off
@@ -394,7 +500,7 @@ def test_a_handed_off_product_that_raises_is_the_conflict_stage_error(tmp_path, 
 
     def hand_off(self, job, cost):
         costs.append(cost)
-        if cost < pipeline.SIDE_MIN_COST or handed.is_set():  # the spectrum, the others
+        if len(costs) != 3:  # the plan layer's Gram and spectrum, the other products
             return real_hand_off(self, job, cost)
         collect = real_hand_off(self, product, cost)
         handed.set()
@@ -403,14 +509,38 @@ def test_a_handed_off_product_that_raises_is_the_conflict_stage_error(tmp_path, 
 
     monkeypatch.setattr(pipeline.SideThread, "hand_off", hand_off)
     monkeypatch.setattr(pipeline, "SIDE_MIN_COST", 1)
-    monkeypatch.setattr(subspace, "spectrum_cost", lambda rows, cols: 0)
     before = threading.active_count()
     assert main(["plan", "--bundle", str(tmp_path / "b"), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == "analysis error: [stage: conflict] product failed\n"
     assert threading.active_count() == before
     assert len(ran_on) == 1 and ran_on[0] is not threading.current_thread()
-    assert len(costs) == 4 and costs[0] == 0 and costs[1:] == sorted(costs[1:], reverse=True)
-    assert taken == [True] * STAGE_BUNDLE_STEPS
+    assert costs[:2] == [128**2 * 1024, 128**3]  # 4 tasks x 32 rows by 1024 columns
+    assert len(costs) == 5 and costs[2:] == sorted(costs[2:], reverse=True)
+    assert taken == [True] * (1 + 2 * 4)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("threaded", [True, False])
+def test_a_shared_gram_that_raises_is_the_conflict_stage_error(tmp_path, capsys, monkeypatch,
+                                                               threaded):
+    # Method B collects the plan layer's row Gram before Method C's spectrum
+    # does, so the Gram's error is the conflict stage's; it is raised by one
+    # run of the job, whoever runs it, and the thread is joined
+    _write_stage_bundle(tmp_path / "b")
+    calls = []
+
+    def fail(bundle, layer):
+        calls.append(layer)
+        time.sleep(0.1)
+        raise AnalysisError("row gram failed")
+
+    monkeypatch.setattr(conflict, "row_gram", fail)
+    monkeypatch.setattr(pipeline, "SIDE_MIN_COST", 0 if threaded else 1 << 62)
+    before = threading.active_count()
+    assert main(["plan", "--bundle", str(tmp_path / "b"), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "analysis error: [stage: conflict] row gram failed\n"
+    assert threading.active_count() == before
+    assert calls == ["probe"]
     assert not (tmp_path / "o").exists()
 
 
